@@ -55,9 +55,9 @@ namespace birnn::bench {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Baseline: the PR 7 serve::VerdictMemo, replicated verbatim so the bench
-// keeps measuring the structure the succinct index replaced even though
-// the live serve path no longer builds it.
+// Baseline: the original unordered_map serve memo, replicated verbatim so
+// the bench keeps measuring the structure the succinct index replaced even
+// though the live serve path no longer builds it.
 // ---------------------------------------------------------------------------
 
 class LegacyVerdictMemo {

@@ -1,5 +1,5 @@
-// Low-precision inference A/B: throughput and accuracy of the fp32 / bf16 /
-// int8 kernel sets on the paper generators, with a CI95 accuracy gate.
+// Low-precision inference A/B: throughput and accuracy of the fp32 and int8
+// kernel sets on the paper generators, with a CI95 accuracy gate.
 //
 // Per dataset and repetition (seeds config.seed + r): train a detector with
 // the paper protocol (ErrorDetector), then
@@ -21,15 +21,15 @@
 // Needs --reps >= 2, otherwise the band is undefined and the gate fails.
 //
 // Writes BENCH_precision.json: per dataset and precision the per-rep F1
-// values, mean/sd, timing cells/sec, speedup vs fp32, recurrent-stack
-// weight bytes, and the v1 vs v2 (quantized) bundle checkpoint sizes.
+// values, mean/sd, timing cells/sec, speedup vs fp32, and recurrent-stack
+// weight bytes.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -44,15 +44,15 @@
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "nn/quant.h"
-#include "serve/bundle.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
 namespace birnn::bench {
 namespace {
 
-constexpr nn::Precision kPrecisions[] = {
-    nn::Precision::kFp32, nn::Precision::kBf16, nn::Precision::kInt8};
+constexpr nn::Precision kPrecisions[] = {nn::Precision::kFp32,
+                                         nn::Precision::kInt8};
+constexpr int kNumPrecisions = static_cast<int>(std::size(kPrecisions));
 
 struct PrecisionStats {
   std::vector<double> f1;            ///< one per repetition.
@@ -66,9 +66,7 @@ struct DatasetResult {
   int64_t cells = 0;
   int64_t unique_cells = 0;
   int64_t train_cells = 0;
-  int64_t bundle_v1_bytes = 0;
-  int64_t bundle_v2_bytes = 0;
-  PrecisionStats per_precision[3];
+  PrecisionStats per_precision[kNumPrecisions];
 };
 
 double Mean(const std::vector<double>& v) {
@@ -103,11 +101,11 @@ double TestF1(const data::EncodedDataset& all,
 }
 
 /// Sum of the recurrent-stack weight bytes resident at each precision tier:
-/// fp32 from the wx/wh parameters themselves, int8/bf16 from the exported
-/// shadow entries (which include the int8 per-row scales).
+/// fp32 from the wx/wh parameters themselves, int8 from the exported
+/// shadow entries (which include the per-row scales).
 void WeightBytes(const core::ErrorDetectionModel& model, int64_t* fp32,
-                 int64_t* bf16, int64_t* int8) {
-  *fp32 = *bf16 = *int8 = 0;
+                 int64_t* int8) {
+  *fp32 = *int8 = 0;
   for (const nn::Parameter* p : model.ConstParams()) {
     const std::string& n = p->name;
     if (n.find("rnn/") == std::string::npos) continue;
@@ -119,18 +117,8 @@ void WeightBytes(const core::ErrorDetectionModel& model, int64_t* fp32,
   std::vector<nn::TypedEntry> extras;
   model.ExportQuantized(&extras);
   for (const nn::TypedEntry& e : extras) {
-    if (e.name.rfind("__bf16/", 0) == 0) {
-      *bf16 += static_cast<int64_t>(e.bytes.size());
-    } else {
-      *int8 += static_cast<int64_t>(e.bytes.size());
-    }
+    *int8 += static_cast<int64_t>(e.bytes.size());
   }
-}
-
-int64_t FileBytes(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<int64_t>(size);
 }
 
 int Run(int argc, char** argv) {
@@ -149,7 +137,7 @@ int Run(int argc, char** argv) {
   const int timing_reps = std::max(1, flags.GetInt("timing-reps"));
   const bool gate = flags.GetBool("gate");
 
-  std::cout << "=== Precision A/B: fp32 vs bf16 vs int8 (reps=" << config.reps
+  std::cout << "=== Precision A/B: fp32 vs int8 (reps=" << config.reps
             << ", timing_cells=" << timing_cells << ") ===\n\n";
 
   std::vector<DatasetResult> results;
@@ -190,7 +178,7 @@ int Run(int argc, char** argv) {
       result.train_cells = report->train_cells;
 
       const core::ErrorDetectionModel& model = *trained.model;
-      for (int p = 0; p < 3; ++p) {
+      for (int p = 0; p < kNumPrecisions; ++p) {
         PrecisionStats& stats = result.per_precision[p];
 
         // (a) Accuracy: full-table memoized sweep at this precision.
@@ -227,29 +215,12 @@ int Run(int argc, char** argv) {
 
       if (rep == 0) {
         WeightBytes(model, &result.per_precision[0].weight_bytes,
-                    &result.per_precision[1].weight_bytes,
-                    &result.per_precision[2].weight_bytes);
-        const std::string tmp =
-            (std::filesystem::temp_directory_path() /
-             ("birnn_precision_bundle_" + dataset))
-                .string();
-        serve::BundleSaveOptions v1;
-        v1.include_quantized = false;
-        if (serve::SaveDetectorBundle(trained, tmp, v1).ok()) {
-          result.bundle_v1_bytes = FileBytes(tmp + "/weights.ckpt");
-        }
-        if (serve::SaveDetectorBundle(trained, tmp).ok()) {
-          result.bundle_v2_bytes = FileBytes(tmp + "/weights.ckpt");
-        }
-        std::error_code ec;
-        std::filesystem::remove_all(tmp, ec);
+                    &result.per_precision[1].weight_bytes);
       }
       std::cerr << "[precision] " << dataset << " rep " << rep << " f1 fp32="
                 << FormatFixed(result.per_precision[0].f1.back(), 4)
-                << " bf16="
-                << FormatFixed(result.per_precision[1].f1.back(), 4)
                 << " int8="
-                << FormatFixed(result.per_precision[2].f1.back(), 4) << "\n";
+                << FormatFixed(result.per_precision[1].f1.back(), 4) << "\n";
     }
     results.push_back(std::move(result));
   }
@@ -265,7 +236,7 @@ int Run(int argc, char** argv) {
     const double f1_fp32 = Mean(result.per_precision[0].f1);
     const double band = 1.96 * StdDev(result.per_precision[0].f1);
     const double fp32_cps = Mean(result.per_precision[0].cells_per_sec);
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < kNumPrecisions; ++p) {
       const PrecisionStats& stats = result.per_precision[p];
       const double f1 = Mean(stats.f1);
       const double delta = f1 - f1_fp32;
@@ -318,10 +289,8 @@ int Run(int argc, char** argv) {
       json.Key("unique_cells").Int(result.unique_cells);
       json.Key("train_cells").Int(result.train_cells);
       json.Key("fp32_ci95_band").Number(band);
-      json.Key("bundle_v1_ckpt_bytes").Int(result.bundle_v1_bytes);
-      json.Key("bundle_v2_ckpt_bytes").Int(result.bundle_v2_bytes);
       json.Key("precisions").BeginArray();
-      for (int p = 0; p < 3; ++p) {
+      for (int p = 0; p < kNumPrecisions; ++p) {
         const PrecisionStats& stats = result.per_precision[p];
         const double f1 = Mean(stats.f1);
         const double cps = Mean(stats.cells_per_sec);

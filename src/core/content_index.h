@@ -201,7 +201,7 @@ struct ContentMemoStats {
 /// The succinct cross-sweep verdict memo: content key -> p_error under
 /// fixed weights. Thread-safe; 16 mutex-striped shards plus the lock-free
 /// bloom front. Replaces the `unordered_map<uint64_t, vector<Entry>>`
-/// store (PR 7's serve::VerdictMemo) with flat open-addressing tables over
+/// store of the first serve-plane memo with flat open-addressing tables over
 /// a packed arena — no per-entry heap allocation, ~an order of magnitude
 /// fewer bytes per unique cell — and adds the bloom prefilter and the
 /// budget/seal machinery described above.

@@ -51,8 +51,8 @@ struct InferenceOptions {
   int bucket_quantum = 8;
 
   /// Kernel set for the recurrent stacks (DESIGN.md §12). kFp32 is the
-  /// bit-exact reference. kInt8/kBf16 run the quantized shadow weights —
-  /// prepared lazily on the first sweep (or imported zero-cost from a v2
+  /// bit-exact reference. kInt8 runs the quantized shadow weights —
+  /// prepared lazily on the first sweep (or imported zero-cost from a
   /// bundle). Orthogonal to every option above: the sweep plan and the
   /// memoization keys are precision-independent, and the determinism
   /// contract (thread count / memoize / bucketed invariance) holds

@@ -148,7 +148,7 @@ class ErrorDetectionModel {
   /// tail run for the forward chain, precomputed pad prefix for the
   /// backward chain (see StackedBiRecurrent::ApplyForwardBucketed).
   /// `precision` selects the value/attr-RNN kernel set (nn::Precision):
-  /// kFp32 is the bit-exact reference; kBf16/kInt8 require
+  /// kFp32 is the bit-exact reference; kInt8 requires
   /// PrepareQuantizedInference (or imported bundle weights) and quantize
   /// only the recurrent stacks — embeddings, dense layers, batch-norm and
   /// softmax stay fp32 (they are a few percent of the compute and keep the
@@ -184,13 +184,13 @@ class ErrorDetectionModel {
   /// True once the shadow weights for `p` exist.
   bool QuantizedInferenceReady(nn::Precision p) const;
 
-  /// Appends pre-quantized shadow weights (int8 + bf16 for every recurrent
-  /// cell, prepared on demand) as typed checkpoint entries — the bundle v2
-  /// payload that makes low-precision loading zero-cost.
+  /// Appends pre-quantized int8 shadow weights (every recurrent cell,
+  /// prepared on demand) as typed checkpoint entries — the bundle payload
+  /// that makes int8 loading zero-cost.
   void ExportQuantized(std::vector<nn::TypedEntry>* entries) const;
 
   /// Installs shadow weights exported by ExportQuantized. Unknown entry
-  /// names or shape mismatches fail; partial precision sets are fine.
+  /// names or shape mismatches fail.
   Status ImportQuantized(std::vector<nn::TypedEntry> entries);
 
   /// Replaces the batch-norm running statistics with the exact mean and

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #if defined(__AVX512BW__)
 #include <immintrin.h>
 #endif
 
 #include "nn/ops.h"
-#include "util/string_util.h"
 
 namespace birnn::nn {
 
@@ -17,50 +15,13 @@ const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kFp32:
       return "fp32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
   return "?";
 }
 
-StatusOr<Precision> ParsePrecision(const std::string& name) {
-  const std::string lower = ToLower(name);
-  if (lower == "fp32" || lower == "float32" || lower == "f32") {
-    return Precision::kFp32;
-  }
-  if (lower == "bf16" || lower == "bfloat16") return Precision::kBf16;
-  if (lower == "int8" || lower == "i8" || lower == "q8") {
-    return Precision::kInt8;
-  }
-  return Status::NotFound("unknown precision: " + name);
-}
-
-uint16_t Bf16FromFloat(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return static_cast<uint16_t>(bits >> 16);
-}
-
-float FloatFromBf16(uint16_t v) {
-  const uint32_t bits = static_cast<uint32_t>(v) << 16;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
-
 namespace {
-
-/// float with the low 16 mantissa bits chopped (round-toward-zero bf16).
-inline float TruncateBf16(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  bits &= 0xFFFF0000u;
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
 
 /// rint to int8 range. lrintf uses the process rounding mode, which this
 /// codebase never changes from the default (nearest-even) — deterministic.
@@ -121,16 +82,6 @@ QuantizedMatrix QuantizedMatrixFromParts(int rows, int cols,
   m.q = std::move(q);
   m.scales = std::move(scales);
   m.RebuildPacked();
-  return m;
-}
-
-Bf16Matrix QuantizeWeightBf16(const Tensor& w) {
-  BIRNN_CHECK_EQ(w.rank(), 2);
-  Bf16Matrix m;
-  m.rows = w.rows();
-  m.cols = w.cols();
-  m.q.resize(w.size());
-  for (size_t i = 0; i < w.size(); ++i) m.q[i] = Bf16FromFloat(w[i]);
   return m;
 }
 
@@ -327,67 +278,6 @@ void Int8RnnTanhStep(const Tensor& x, const QuantizedMatrix& wx,
   Int8MatMul(x, wx, z_scratch, scratch);
   Int8MatMulAcc(h, wh, z_scratch, scratch);
   AddBiasTanh(*z_scratch, b, out);
-}
-
-namespace {
-
-void Bf16MatMulImpl(const Tensor& x, const Bf16Matrix& w, bool accumulate,
-                    Tensor* out) {
-  BIRNN_CHECK_EQ(x.rank(), 2);
-  BIRNN_CHECK_EQ(x.cols(), w.rows);
-  BIRNN_CHECK(!w.empty()) << "bf16 weights not prepared";
-  const int n = x.rows();
-  const int k = w.rows;
-  const int m = w.cols;
-  if (accumulate) {
-    BIRNN_CHECK_EQ(out->rows(), n);
-    BIRNN_CHECK_EQ(out->cols(), m);
-  } else {
-    out->Resize(n, m);
-  }
-  const float* __restrict pa = x.data();
-  const uint16_t* __restrict pb = w.q.data();
-  float* __restrict pc = out->data();
-  // Same i-k-j 4-way k-blocked order as the fp32 MatMulAcc kernel, with
-  // both operands truncated to bf16 before each multiply and fp32
-  // accumulation. The zero-skip is exact: a truncated-to-zero activation
-  // contributes exactly 0.
-  for (int i = 0; i < n; ++i) {
-    const float* __restrict arow = pa + static_cast<size_t>(i) * k;
-    float* __restrict crow = pc + static_cast<size_t>(i) * m;
-    int kk = 0;
-    for (; kk + 4 <= k; kk += 4) {
-      const float a0 = TruncateBf16(arow[kk]);
-      const float a1 = TruncateBf16(arow[kk + 1]);
-      const float a2 = TruncateBf16(arow[kk + 2]);
-      const float a3 = TruncateBf16(arow[kk + 3]);
-      if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-      const uint16_t* __restrict b0 = pb + static_cast<size_t>(kk) * m;
-      const uint16_t* __restrict b1 = b0 + m;
-      const uint16_t* __restrict b2 = b1 + m;
-      const uint16_t* __restrict b3 = b2 + m;
-      for (int j = 0; j < m; ++j) {
-        crow[j] += a0 * FloatFromBf16(b0[j]) + a1 * FloatFromBf16(b1[j]) +
-                   a2 * FloatFromBf16(b2[j]) + a3 * FloatFromBf16(b3[j]);
-      }
-    }
-    for (; kk < k; ++kk) {
-      const float av = TruncateBf16(arow[kk]);
-      if (av == 0.0f) continue;
-      const uint16_t* __restrict brow = pb + static_cast<size_t>(kk) * m;
-      for (int j = 0; j < m; ++j) crow[j] += av * FloatFromBf16(brow[j]);
-    }
-  }
-}
-
-}  // namespace
-
-void Bf16MatMul(const Tensor& x, const Bf16Matrix& w, Tensor* out) {
-  Bf16MatMulImpl(x, w, /*accumulate=*/false, out);
-}
-
-void Bf16MatMulAcc(const Tensor& x, const Bf16Matrix& w, Tensor* out) {
-  Bf16MatMulImpl(x, w, /*accumulate=*/true, out);
 }
 
 }  // namespace birnn::nn

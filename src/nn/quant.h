@@ -2,30 +2,24 @@
 #define BIRNN_NN_QUANT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "nn/tensor.h"
-#include "util/status.h"
 
 namespace birnn::nn {
 
 /// Inference compute precision. Training always runs fp32; inference can
 /// trade activation precision for SIMD width (see DESIGN.md §12):
 ///   kFp32 — the bit-exact reference path (identical to training forward).
-///   kBf16 — weights and activations truncated to bfloat16 before each
-///           multiply, fp32 accumulation. Halves weight bytes.
 ///   kInt8 — symmetric per-row-absmax weights + per-row on-the-fly
 ///           activation quantization, int32 accumulation, one combined
 ///           scale per output element. Quarter weight bytes, widest SIMD.
 enum class Precision {
   kFp32,
-  kBf16,
   kInt8,
 };
 
 const char* PrecisionName(Precision p);
-StatusOr<Precision> ParsePrecision(const std::string& name);
 
 /// A weight matrix quantized to symmetric per-row-absmax int8. The fp32
 /// source `w` is (in, out) and used as x·w; storage here is TRANSPOSED to
@@ -53,22 +47,6 @@ struct QuantizedMatrix {
   void RebuildPacked();
 };
 
-/// A weight matrix truncated to bfloat16 (top 16 bits of the IEEE-754
-/// binary32 pattern; round-toward-zero). Keeps the fp32 (in, out) layout so
-/// the GEMM runs the same i-k-j order as the fp32 kernel.
-struct Bf16Matrix {
-  int rows = 0;  ///< input features.
-  int cols = 0;  ///< output channels.
-  std::vector<uint16_t> q;  ///< rows*cols, row-major (in, out).
-
-  bool empty() const { return q.empty(); }
-  size_t bytes() const { return q.size() * sizeof(uint16_t); }
-};
-
-/// bfloat16 conversion primitives (pure truncation / bit extension).
-uint16_t Bf16FromFloat(float v);
-float FloatFromBf16(uint16_t v);
-
 /// Quantizes `w` (in, out) to per-row-absmax int8 (transposed storage).
 QuantizedMatrix QuantizeWeightInt8(const Tensor& w);
 
@@ -77,9 +55,6 @@ QuantizedMatrix QuantizeWeightInt8(const Tensor& w);
 QuantizedMatrix QuantizedMatrixFromParts(int rows, int cols,
                                          std::vector<int8_t> q,
                                          std::vector<float> scales);
-
-/// Truncates `w` (in, out) to bfloat16.
-Bf16Matrix QuantizeWeightBf16(const Tensor& w);
 
 /// Per-thread scratch for the int8 kernels: quantized activation rows
 /// (widened to int16 for the pairwise multiply-add) with their scales, and
@@ -115,14 +90,6 @@ void Int8RnnTanhStep(const Tensor& x, const QuantizedMatrix& wx,
                      const Tensor& h, const QuantizedMatrix& wh,
                      const Tensor& b, Tensor* out, Tensor* z_scratch,
                      QuantScratch* scratch);
-
-/// out(n, w.cols) = truncate(x) · w with fp32 accumulation: every product
-/// is bf16(x[i][k]) * bf16(w[k][j]) — both operands truncated — added in
-/// the same i-k-j order as the fp32 MatMul kernel. Overwrites `out`.
-void Bf16MatMul(const Tensor& x, const Bf16Matrix& w, Tensor* out);
-
-/// Accumulating variant; `out` must already be (n, w.cols).
-void Bf16MatMulAcc(const Tensor& x, const Bf16Matrix& w, Tensor* out);
 
 }  // namespace birnn::nn
 

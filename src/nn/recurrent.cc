@@ -158,12 +158,6 @@ void RecurrentCell::PrepareQuantized(Precision p) const {
         quant_.wh_q8 = QuantizeWeightInt8(wh_.value);
       }
       return;
-    case Precision::kBf16:
-      if (quant_.wx_bf16.empty()) {
-        quant_.wx_bf16 = QuantizeWeightBf16(wx_.value);
-        quant_.wh_bf16 = QuantizeWeightBf16(wh_.value);
-      }
-      return;
   }
 }
 
@@ -173,8 +167,6 @@ bool RecurrentCell::QuantizedReady(Precision p) const {
       return true;
     case Precision::kInt8:
       return !quant_.wx_q8.empty();
-    case Precision::kBf16:
-      return !quant_.wx_bf16.empty();
   }
   return false;
 }
@@ -188,15 +180,6 @@ void RecurrentCell::InstallInt8(QuantizedMatrix wx, QuantizedMatrix wh) const {
   quant_.wh_q8 = std::move(wh);
 }
 
-void RecurrentCell::InstallBf16(Bf16Matrix wx, Bf16Matrix wh) const {
-  BIRNN_CHECK_EQ(wx.rows, wx_.value.rows());
-  BIRNN_CHECK_EQ(wx.cols, wx_.value.cols());
-  BIRNN_CHECK_EQ(wh.rows, wh_.value.rows());
-  BIRNN_CHECK_EQ(wh.cols, wh_.value.cols());
-  quant_.wx_bf16 = std::move(wx);
-  quant_.wh_bf16 = std::move(wh);
-}
-
 void RecurrentCell::ProjectInput(const Tensor& x, Tensor* out,
                                  StepScratch* scratch,
                                  Precision precision) const {
@@ -206,9 +189,6 @@ void RecurrentCell::ProjectInput(const Tensor& x, Tensor* out,
       return;
     case Precision::kInt8:
       Int8MatMul(x, quant_.wx_q8, out, &scratch->quant);
-      return;
-    case Precision::kBf16:
-      Bf16MatMul(x, quant_.wx_bf16, out);
       return;
   }
 }
@@ -223,10 +203,6 @@ void RecurrentCell::RecurrentProjection(const Tensor& h, bool accumulate,
     case Precision::kInt8:
       accumulate ? Int8MatMulAcc(h, quant_.wh_q8, out, &scratch->quant)
                  : Int8MatMul(h, quant_.wh_q8, out, &scratch->quant);
-      return;
-    case Precision::kBf16:
-      accumulate ? Bf16MatMulAcc(h, quant_.wh_bf16, out)
-                 : Bf16MatMul(h, quant_.wh_bf16, out);
       return;
   }
 }
@@ -440,7 +416,7 @@ void StackedBiRecurrent::RunDirectionForward(
     const int u = cell->units();
     // Time-step-batched input projection: all `total` step batches of this
     // level share one weights-load of Wx in a single GEMM. Bit-identical
-    // to per-step projections because the GEMM kernels (fp32, int8, bf16
+    // to per-step projections because the GEMM kernels (fp32 and int8
     // alike) compute each output row from its input row alone.
     cell->ProjectInput(*seq_in, &scratch->xz, &scratch->step, precision);
     const int zcols = scratch->xz.cols();
@@ -610,17 +586,6 @@ void AppendInt8Entries(const std::string& param_name, const QuantizedMatrix& m,
   entries->push_back(std::move(scales));
 }
 
-void AppendBf16Entry(const std::string& param_name, const Bf16Matrix& m,
-                     std::vector<TypedEntry>* entries) {
-  TypedEntry data;
-  data.name = "__bf16/" + param_name;
-  data.dtype = kDtypeU16;
-  data.shape = {m.rows, m.cols};
-  data.bytes.assign(reinterpret_cast<const char*>(m.q.data()),
-                    m.q.size() * sizeof(uint16_t));
-  entries->push_back(std::move(data));
-}
-
 /// Pulls "name" out of `entries` if present; returns nullopt-like signal
 /// via the bool. The entry is consumed (erased).
 bool TakeEntry(std::map<std::string, TypedEntry>* entries,
@@ -650,28 +615,16 @@ StatusOr<QuantizedMatrix> Int8FromEntries(const TypedEntry& data,
   return QuantizedMatrixFromParts(rows, cols, std::move(q), std::move(s));
 }
 
-Bf16Matrix Bf16FromEntry(const TypedEntry& data) {
-  Bf16Matrix m;
-  m.rows = data.shape[0];
-  m.cols = data.shape[1];
-  m.q.resize(static_cast<size_t>(m.rows) * m.cols);
-  std::memcpy(m.q.data(), data.bytes.data(), m.q.size() * sizeof(uint16_t));
-  return m;
-}
-
 }  // namespace
 
 void StackedBiRecurrent::ExportQuantized(
     std::vector<TypedEntry>* entries) const {
   PrepareQuantized(Precision::kInt8);
-  PrepareQuantized(Precision::kBf16);
   for (const auto& dir : cells_) {
     for (const auto& cell : dir) {
       const auto& q = cell.quant();
       AppendInt8Entries(cell.wx_name(), q.wx_q8, entries);
       AppendInt8Entries(cell.wh_name(), q.wh_q8, entries);
-      AppendBf16Entry(cell.wx_name(), q.wx_bf16, entries);
-      AppendBf16Entry(cell.wh_name(), q.wh_bf16, entries);
     }
   }
 }
@@ -704,25 +657,6 @@ Status StackedBiRecurrent::ImportQuantized(
                                          cell.wx_name());
         }
         cell.InstallInt8(std::move(*wx), std::move(*wh));
-      }
-      TypedEntry bx, bh;
-      const bool has_bx = TakeEntry(entries, "__bf16/" + cell.wx_name(), &bx);
-      const bool has_bh = TakeEntry(entries, "__bf16/" + cell.wh_name(), &bh);
-      if (has_bx != has_bh) {
-        return Status::InvalidArgument("incomplete bf16 entry set for " +
-                                       cell.wx_name());
-      }
-      if (has_bx) {
-        if (bx.dtype != kDtypeU16 || bx.shape.size() != 2 ||
-            bh.dtype != kDtypeU16 || bh.shape.size() != 2 ||
-            bx.shape[0] != cell.input_dim() ||
-            bx.shape[1] != cell.units() * cell.gate_count() ||
-            bh.shape[0] != cell.units() ||
-            bh.shape[1] != cell.units() * cell.gate_count()) {
-          return Status::InvalidArgument("bf16 shape mismatch for " +
-                                         cell.wx_name());
-        }
-        cell.InstallBf16(Bf16FromEntry(bx), Bf16FromEntry(bh));
       }
     }
   }

@@ -56,7 +56,7 @@ struct StepScratch {
 /// trick).
 ///
 /// Low-precision inference: each cell can carry quantized shadow copies of
-/// wx/wh (int8 per-row-absmax and/or bf16 truncation — see nn/quant.h).
+/// wx/wh (int8 per-row-absmax — see nn/quant.h).
 /// The shadows are pure deterministic functions of the fp32 weights, built
 /// by PrepareQuantized or installed from a bundle; the fp32 parameters stay
 /// authoritative and the fp32 forward path is untouched.
@@ -111,7 +111,6 @@ class RecurrentCell {
   /// Per-precision shadow weights (empty until prepared/installed).
   struct QuantWeights {
     QuantizedMatrix wx_q8, wh_q8;
-    Bf16Matrix wx_bf16, wh_bf16;
   };
 
   /// Idempotently builds the shadow weights for `p` from the fp32 kernels
@@ -125,7 +124,6 @@ class RecurrentCell {
 
   /// Installs pre-quantized weights (bundle load). Shapes must match.
   void InstallInt8(QuantizedMatrix wx, QuantizedMatrix wh) const;
-  void InstallBf16(Bf16Matrix wx, Bf16Matrix wh) const;
 
   std::vector<Parameter*> Params() const;
   CellType type() const { return type_; }
@@ -237,16 +235,15 @@ class StackedBiRecurrent {
   void PrepareQuantized(Precision p) const;
   bool QuantizedReady(Precision p) const;
 
-  /// Appends this stack's quantized shadow weights (int8 + bf16, prepared
-  /// on demand) as typed checkpoint entries named
-  ///   "__q8/<param>" (i8, out×in) / "__q8s/<param>" (f32 scales, out) /
-  ///   "__bf16/<param>" (u16, in×out)
+  /// Appends this stack's int8 shadow weights (prepared on demand) as
+  /// typed checkpoint entries named
+  ///   "__q8/<param>" (i8, out×in) / "__q8s/<param>" (f32 scales, out)
   /// for each wx/wh parameter name.
   void ExportQuantized(std::vector<TypedEntry>* entries) const;
 
   /// Installs shadow weights from `entries` (consuming recognized names).
-  /// Partial precisions are fine (e.g. int8-only bundles); shape or scale
-  /// mismatches fail.
+  /// Cells without entries keep preparing on demand; an incomplete entry
+  /// set, or a shape or scale mismatch, fails.
   Status ImportQuantized(std::map<std::string, TypedEntry>* entries) const;
 
   std::vector<Parameter*> Params() const;

@@ -15,8 +15,6 @@ size_t DtypeSize(uint8_t dtype) {
       return sizeof(float);
     case kDtypeI8:
       return 1;
-    case kDtypeU16:
-      return sizeof(uint16_t);
   }
   return 0;
 }
@@ -24,8 +22,7 @@ size_t DtypeSize(uint8_t dtype) {
 namespace {
 constexpr char kMagic[8] = {'B', 'R', 'N', 'N', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersionSentinel = 0xFFFFFFFFu;
-constexpr uint8_t kFormatVersion = 1;
-constexpr uint8_t kFormatVersionTyped = 2;
+constexpr uint8_t kFormatVersion = 2;
 
 uint64_t Fnv1a(const char* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
@@ -65,15 +62,13 @@ struct Reader {
 /// Parses the entry section (u32 count + entries) starting at `r.pos` and
 /// loads it into `params`, enforcing exact coverage: every parameter must
 /// be present with a matching shape, and the file must not contain
-/// duplicate or extra entries. When `typed` (format v2), each entry carries
-/// a dtype byte; non-f32 entries — and f32 entries whose name matches no
-/// parameter, such as the "__q8s/..." quantization scales — are routed to
-/// `extras` instead of the parameter match. Drift is still caught: a
-/// missing parameter errors here, and the model rejects unrecognized
-/// extras when installing them.
+/// duplicate or extra entries. Non-f32 entries — and f32 entries whose
+/// name matches no parameter, such as the "__q8s/..." quantization
+/// scales — are routed to `extras` instead of the parameter match. Drift
+/// is still caught: a missing parameter errors here, and the model rejects
+/// unrecognized extras when installing them.
 Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
-                    const std::string& path, bool typed,
-                    std::vector<TypedEntry>* extras) {
+                    const std::string& path, std::vector<TypedEntry>* extras) {
   uint32_t count = 0;
   if (!r->ReadU32(&count)) return Status::IoError("truncated header: " + path);
 
@@ -86,14 +81,12 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
     std::string name(name_len, '\0');
     if (!r->Read(name.data(), name_len)) return Status::IoError("truncated entry");
     uint8_t dtype = kDtypeF32;
-    if (typed) {
-      if (!r->Read(&dtype, sizeof(dtype))) {
-        return Status::IoError("truncated entry");
-      }
-      if (DtypeSize(dtype) == 0) {
-        return Status::InvalidArgument("unknown dtype " +
-                                       std::to_string(dtype) + " for " + name);
-      }
+    if (!r->Read(&dtype, sizeof(dtype))) {
+      return Status::IoError("truncated entry");
+    }
+    if (DtypeSize(dtype) == 0) {
+      return Status::InvalidArgument("unknown dtype " + std::to_string(dtype) +
+                                     " for " + name);
     }
     uint32_t rank = 0;
     if (!r->ReadU32(&rank)) return Status::IoError("truncated entry");
@@ -152,30 +145,8 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
     p->value = std::move(it->second);
     loaded.erase(it);
   }
-  if (!loaded.empty() && typed) {
-    // v2: unmatched f32 entries are sidecar blobs (quantization scales),
-    // not parameter drift. Hand them to the caller with the other extras.
-    if (extras == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint has typed (quantized) entries but the caller "
-          "accepts only parameters: " + loaded.begin()->first);
-    }
-    for (auto& [name, tensor] : loaded) {
-      TypedEntry entry;
-      entry.name = name;
-      entry.dtype = kDtypeF32;
-      entry.shape = tensor.shape();
-      entry.bytes.assign(
-          reinterpret_cast<const char*>(tensor.data()),
-          reinterpret_cast<const char*>(tensor.data()) +
-              tensor.size() * sizeof(float));
-      if (!loaded_extras.emplace(name, std::move(entry)).second) {
-        return Status::InvalidArgument("duplicate checkpoint entry");
-      }
-    }
-    loaded.clear();
-  }
-  if (!loaded.empty()) {
+  if (extras == nullptr) {
+    if (loaded.empty()) return Status::OK();
     std::ostringstream msg;
     msg << "checkpoint has " << loaded.size()
         << " extra entr" << (loaded.size() == 1 ? "y" : "ies")
@@ -191,18 +162,30 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
     }
     return Status::InvalidArgument(msg.str());
   }
-  if (extras != nullptr) {
-    extras->clear();
-    extras->reserve(loaded_extras.size());
-    for (auto& [name, entry] : loaded_extras) {
-      (void)name;
-      extras->push_back(std::move(entry));
+  // Unmatched f32 entries are sidecar blobs (quantization scales), not
+  // parameter drift. Hand them to the caller with the other extras.
+  for (auto& [name, tensor] : loaded) {
+    TypedEntry entry;
+    entry.name = name;
+    entry.dtype = kDtypeF32;
+    entry.shape = tensor.shape();
+    entry.bytes.assign(reinterpret_cast<const char*>(tensor.data()),
+                       reinterpret_cast<const char*>(tensor.data()) +
+                           tensor.size() * sizeof(float));
+    if (!loaded_extras.emplace(name, std::move(entry)).second) {
+      return Status::InvalidArgument("duplicate checkpoint entry");
     }
+  }
+  extras->clear();
+  extras->reserve(loaded_extras.size());
+  for (auto& [name, entry] : loaded_extras) {
+    (void)name;
+    extras->push_back(std::move(entry));
   }
   return Status::OK();
 }
 
-/// Serializes one entry (v2 layout: name, dtype, shape, raw data).
+/// Serializes one entry (name, dtype, shape, raw data).
 void AppendTypedEntry(std::string* payload, const std::string& name,
                       uint8_t dtype, const std::vector<int>& shape,
                       const char* data, size_t bytes) {
@@ -224,16 +207,16 @@ std::string HexU64(uint64_t v) {
 }
 
 /// Frames a payload with the magic/sentinel/version header and trailing
-/// FNV-1a checksum, shared by the v1 and v2 writers.
-Status WriteCheckpoint(const std::string& payload, uint8_t version,
-                       const std::string& path) {
+/// FNV-1a checksum.
+Status WriteCheckpoint(const std::string& payload, const std::string& path) {
   const uint64_t checksum = Fnv1a(payload.data(), payload.size());
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
   out.write(kMagic, sizeof(kMagic));
   const uint32_t sentinel = kVersionSentinel;
   out.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  out.write(reinterpret_cast<const char*>(&kFormatVersion),
+            sizeof(kFormatVersion));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   if (!out) return Status::IoError("write failed: " + path);
@@ -260,25 +243,8 @@ void RestoreParams(const std::vector<Tensor>& snapshot,
 }
 
 Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path) {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(params.size()));
-  for (const Parameter* p : params) {
-    AppendU32(&payload, static_cast<uint32_t>(p->name.size()));
-    AppendBytes(&payload, p->name.data(), p->name.size());
-    AppendU32(&payload, static_cast<uint32_t>(p->value.rank()));
-    for (int d : p->value.shape()) {
-      const int32_t dim = d;
-      AppendBytes(&payload, &dim, sizeof(dim));
-    }
-    AppendBytes(&payload, p->value.data(), p->value.size() * sizeof(float));
-  }
-  return WriteCheckpoint(payload, kFormatVersion, path);
-}
-
-Status SaveParametersV2(const std::vector<Parameter*>& params,
-                        const std::vector<TypedEntry>& extras,
-                        const std::string& path) {
+                      const std::string& path,
+                      const std::vector<TypedEntry>& extras) {
   std::string payload;
   AppendU32(&payload, static_cast<uint32_t>(params.size() + extras.size()));
   for (const Parameter* p : params) {
@@ -292,7 +258,7 @@ Status SaveParametersV2(const std::vector<Parameter*>& params,
     AppendTypedEntry(&payload, e.name, e.dtype, e.shape, e.bytes.data(),
                      e.bytes.size());
   }
-  return WriteCheckpoint(payload, kFormatVersionTyped, path);
+  return WriteCheckpoint(payload, path);
 }
 
 Status LoadParameters(const std::string& path,
@@ -317,21 +283,16 @@ Status LoadParameters(const std::string& path,
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a BRNNCKPT file: " + path);
   }
-  uint32_t first = 0;
-  if (!r.ReadU32(&first)) return Status::IoError("truncated header: " + path);
-
-  if (first != kVersionSentinel) {
-    // v0: `first` is the entry count and there is no checksum. Rewind so
-    // ParseEntries re-reads it as the count.
-    r.pos -= sizeof(first);
-    return ParseEntries(&r, params, path, /*typed=*/false, extras);
-  }
-
+  uint32_t sentinel = 0;
   uint8_t version = 0;
-  if (!r.Read(&version, sizeof(version))) {
+  if (!r.ReadU32(&sentinel) || !r.Read(&version, sizeof(version))) {
     return Status::IoError("truncated header: " + path);
   }
-  if (version != kFormatVersion && version != kFormatVersionTyped) {
+  if (sentinel != kVersionSentinel) {
+    return Status::InvalidArgument(
+        "unsupported checkpoint format (no version sentinel): " + path);
+  }
+  if (version != kFormatVersion) {
     return Status::InvalidArgument("unsupported checkpoint format version " +
                                    std::to_string(version) + ": " + path);
   }
@@ -349,8 +310,7 @@ Status LoadParameters(const std::string& path,
         HexU64(actual));
   }
   Reader payload{image.data() + r.pos, payload_size};
-  return ParseEntries(&payload, params, path,
-                      /*typed=*/version == kFormatVersionTyped, extras);
+  return ParseEntries(&payload, params, path, extras);
 }
 
 }  // namespace birnn::nn

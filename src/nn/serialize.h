@@ -10,18 +10,18 @@
 
 namespace birnn::nn {
 
-/// Element dtypes a v2 checkpoint entry can carry. f32 entries are model
-/// parameters; i8/u16 entries are quantized shadow weights (nn/quant.h).
+/// Element dtypes a checkpoint entry can carry. f32 entries are model
+/// parameters (or int8 quantization scales); i8 entries are the int8
+/// shadow weights (nn/quant.h).
 inline constexpr uint8_t kDtypeF32 = 0;
 inline constexpr uint8_t kDtypeI8 = 1;
-inline constexpr uint8_t kDtypeU16 = 2;
 
 /// Returns the element size for a dtype tag, or 0 if unknown.
 size_t DtypeSize(uint8_t dtype);
 
-/// One non-parameter checkpoint entry (v2 format): a named, typed, shaped
-/// raw blob. Carried alongside the fp32 parameters so a bundle can ship
-/// pre-quantized weights and make low-precision loading zero-cost.
+/// One non-parameter checkpoint entry: a named, typed, shaped raw blob.
+/// Carried alongside the fp32 parameters so a bundle can ship pre-quantized
+/// weights and make int8 loading zero-cost.
 struct TypedEntry {
   std::string name;
   uint8_t dtype = kDtypeF32;
@@ -38,42 +38,30 @@ std::vector<Tensor> SnapshotParams(const std::vector<Parameter*>& params);
 void RestoreParams(const std::vector<Tensor>& snapshot,
                    const std::vector<Parameter*>& params);
 
-/// Binary on-disk checkpoint, format v1:
+/// Binary on-disk checkpoint (the only format read or written):
 ///   magic "BRNNCKPT"
-///   u32  0xFFFFFFFF           version sentinel (v0 stored the entry count
-///                             here; four billion parameters is impossible,
-///                             so the sentinel is unambiguous)
-///   u8   format version (1)
-///   payload: u32 count, then per parameter: u32 name length, name bytes,
-///            u32 rank, dims (i32 each), float32 data
+///   u32  0xFFFFFFFF           version sentinel
+///   u8   format version (2)
+///   payload: u32 count, then per entry: u32 name length, name bytes,
+///            u8 dtype, u32 rank, dims (i32 each), raw element data
+///            (dtype-sized)
 ///   u64  FNV-1a checksum of the payload bytes
-/// Little-endian (the only platform we target). The trailing checksum makes
-/// truncated or bit-flipped files fail loudly instead of loading garbage
-/// weights.
+/// Little-endian (the only platform we target). The fp32 parameters are
+/// written first, then `extras` (typed blobs — the pre-quantized shadow
+/// weights). The trailing checksum makes truncated or bit-flipped files
+/// fail loudly instead of loading garbage weights.
 Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path);
+                      const std::string& path,
+                      const std::vector<TypedEntry>& extras = {});
 
-/// Binary checkpoint, format v2: same framing as v1 (magic, sentinel,
-/// version byte 2, payload, trailing FNV-1a checksum) but every payload
-/// entry carries a dtype byte after its name:
-///   u32 count, then per entry: u32 name length, name bytes, u8 dtype,
-///   u32 rank, dims (i32 each), raw element data (dtype-sized)
-/// fp32 params are written first, then `extras` (typed blobs — the
-/// pre-quantized shadow weights). v1 files remain loadable; v2 is only
-/// written when there are extras to carry.
-Status SaveParametersV2(const std::vector<Parameter*>& params,
-                        const std::vector<TypedEntry>& extras,
-                        const std::string& path);
-
-/// Loads a checkpoint saved by SaveParameters or SaveParametersV2.
-/// Verifies the payload checksum (v1/v2), then matches parameters by name;
-/// a missing, shape-mismatched, duplicate or *extra* unmatched entry is an
-/// error — a checkpoint that does not exactly cover the parameter list is
-/// treated as drift, not silently accepted. Files written before the
-/// checksum existed (v0: count immediately after the magic) still load.
-/// Non-f32 entries (v2) — plus any v2 f32 entry that matches no parameter,
-/// i.e. the "__q8s/..." quantization scales — are returned through `extras`
-/// when non-null and rejected otherwise.
+/// Loads a checkpoint saved by SaveParameters. Verifies the payload
+/// checksum, then matches f32 entries to parameters by name; a missing,
+/// shape-mismatched or duplicate entry is an error, and so is an unknown
+/// dtype or format version. Non-f32 entries — plus any f32 entry that
+/// matches no parameter, i.e. the "__q8s/..." quantization scales — are
+/// returned through `extras` when non-null and rejected otherwise, so a
+/// checkpoint that does not exactly cover the parameter list is treated as
+/// drift, not silently accepted.
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params,
                       std::vector<TypedEntry>* extras);

@@ -140,7 +140,7 @@ BatcherStats MicroBatcher::stats() const {
   stats.max_batch_cells = static_cast<int64_t>(std::llround(batch_cells.max));
   stats.batch_seconds = batch_seconds_.Snapshot().sum;
   stats.memo_hits = memo_hits_.Value();
-  const core::ContentMemoStats memo = memo_.content().stats();
+  const core::ContentMemoStats memo = memo_.stats();
   stats.memo_entries = memo.entries;
   stats.memo_bytes = memo.bytes;
   stats.memo_bloom_fp = memo.bloom_fps;
@@ -217,7 +217,7 @@ void MicroBatcher::DispatchLoop() {
     double batch_seconds;
     {
       OBS_SPAN("serve/batch");
-      hits = engine.PredictProbsMemoized(*batch, memo_.content(), &probs);
+      hits = engine.PredictProbsMemoized(*batch, &memo_, &probs);
       // Zero when the batch was fully memo-served (no model work ran).
       batch_seconds = engine.stats().seconds;
     }

@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/content_index.h"
 #include "core/inference.h"
 #include "obs/registry.h"
 #include "serve/bundle.h"
-#include "serve/memo.h"
 #include "util/status.h"
 
 namespace birnn::serve {
@@ -33,8 +33,8 @@ struct BatcherOptions {
   /// either way; see core::InferenceOptions::bucketed).
   bool bucketed = false;
   /// Kernel precision for the served sweeps (see
-  /// core::InferenceOptions::precision). Quantized shadow weights come
-  /// free with a v2 bundle; otherwise the first batch prepares them.
+  /// core::InferenceOptions::precision). Int8 shadow weights come free
+  /// with a loaded bundle; otherwise the first batch prepares them.
   nn::Precision precision = nn::Precision::kFp32;
   /// Engine replicas: dispatcher threads pulling from the shared admission
   /// queue, each owning a private InferenceEngine over the same weights.
@@ -45,8 +45,8 @@ struct BatcherOptions {
   /// is scheduling-dependent, as it already was.
   int replicas = 1;
   /// Entry bound of the cross-request verdict memo shared by the replicas
-  /// (see serve/memo.h); 0 disables it. Exact — cached verdicts are a pure
-  /// function of cell content under fixed weights.
+  /// (a core::ContentMemo); 0 disables it. Exact — cached verdicts are a
+  /// pure function of cell content under fixed weights.
   int64_t memo_capacity = 1 << 18;
   /// Byte budget of the shared memo (tables + packed content arena +
   /// bloom); 0 = bounded by `memo_capacity` alone. Overflowing shards are
@@ -91,8 +91,10 @@ struct BatcherStats {
 /// core::InferenceEngine replicas. Each of `options.replicas` dispatcher
 /// threads owns a private engine and pulls coalesced batches from the
 /// shared admission queue; callers enqueue encoded cells and are answered
-/// via callback once their batch completes. A shared VerdictMemo answers
-/// repeated cell contents across requests without touching any engine.
+/// via callback once their batch completes. A shared core::ContentMemo
+/// answers repeated cell contents across requests without touching any
+/// engine. The memo lives and dies with the batcher, so it never outlives
+/// a weight change: a hot bundle reload builds a fresh batcher.
 ///
 /// Because the engine's forward path is batch-composition independent
 /// (row-independent kernels, register-width row padding, content-keyed
@@ -150,7 +152,7 @@ class MicroBatcher {
 
   const LoadedDetector& detector_;
   BatcherOptions options_;
-  VerdictMemo memo_;
+  core::ContentMemo memo_;
 
   mutable std::mutex mutex_;
   std::condition_variable wake_dispatcher_;

@@ -21,15 +21,13 @@ namespace birnn::serve {
 namespace {
 
 constexpr char kManifestHeader[] = "birnn-detector-bundle";
-constexpr int kBundleVersion = 1;
-/// Version 2 = weights.ckpt may carry quantized shadow weights (checkpoint
-/// format v2). The manifest text is otherwise identical to v1.
-constexpr int kBundleVersionQuantized = 2;
+/// Version 2 = model architecture + encoding state only.
+constexpr int kBundleVersion = 2;
 /// Version 3 = manifest additionally carries frozen train-time column
 /// statistics: a `char_fingerprint` line (dictionary integrity check) and
 /// one `attr_stats` line per attribute (empty/error-rate drift baselines).
-/// Streaming delta sessions require a v3 bundle; v1/v2 still load for
-/// batch detection.
+/// Streaming delta sessions require a v3 bundle; v2 still loads for batch
+/// detection.
 constexpr int kBundleVersionStream = 3;
 constexpr char kBnMeanName[] = "__bn/running_mean";
 constexpr char kBnVarName[] = "__bn/running_var";
@@ -94,8 +92,7 @@ StatusOr<Manifest> ReadManifest(const std::string& path) {
       int version = -1;
       ls >> version;
       if (key != kManifestHeader ||
-          (version != kBundleVersion && version != kBundleVersionQuantized &&
-           version != kBundleVersionStream)) {
+          (version != kBundleVersion && version != kBundleVersionStream)) {
         return Status::InvalidArgument(
             "not a v" + std::to_string(kBundleVersion) + "-v" +
             std::to_string(kBundleVersionStream) +
@@ -215,8 +212,7 @@ StatusOr<data::EncodedDataset> LoadedDetector::EncodeQueries(
 }
 
 Status SaveDetectorBundle(const core::TrainedDetector& trained,
-                          const std::string& dir,
-                          const BundleSaveOptions& options) {
+                          const std::string& dir) {
   if (trained.model == nullptr) {
     return Status::InvalidArgument("TrainedDetector has no model");
   }
@@ -240,10 +236,8 @@ Status SaveDetectorBundle(const core::TrainedDetector& trained,
 
   std::ofstream out(ManifestPath(dir));
   if (!out) return Status::IoError("cannot write " + ManifestPath(dir));
-  const int version = trained.has_frozen_stats
-                          ? kBundleVersionStream
-                          : (options.include_quantized ? kBundleVersionQuantized
-                                                       : kBundleVersion);
+  const int version =
+      trained.has_frozen_stats ? kBundleVersionStream : kBundleVersion;
   out << kManifestHeader << ' ' << version << '\n';
   out << "cell_type " << nn::CellTypeName(config.cell_type) << '\n';
   out << "vocab " << config.vocab << '\n';
@@ -311,14 +305,11 @@ Status SaveDetectorBundle(const core::TrainedDetector& trained,
   nn::Parameter bn_var(kBnVarName, std::move(snapshot.bn_var));
   params.push_back(&bn_mean);
   params.push_back(&bn_var);
-  if (!options.include_quantized) {
-    return nn::SaveParameters(params, WeightsPath(dir));
-  }
   // Quantize once at save time; every loader then installs the blobs
   // instead of re-deriving them.
   std::vector<nn::TypedEntry> extras;
   trained.model->ExportQuantized(&extras);
-  return nn::SaveParametersV2(params, extras, WeightsPath(dir));
+  return nn::SaveParameters(params, WeightsPath(dir), extras);
 }
 
 StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir) {

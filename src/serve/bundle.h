@@ -132,35 +132,25 @@ class LoadedDetector {
   bool has_frozen_stats_ = false;
 };
 
-/// Knobs for SaveDetectorBundle.
-struct BundleSaveOptions {
-  /// Ship pre-quantized int8 + bf16 shadow weights for the recurrent
-  /// stacks inside weights.ckpt (checkpoint format v2, manifest version 2)
-  /// so low-precision serving pays no quantization cost at load time.
-  /// Off reproduces the v1 bundle byte layout exactly.
-  bool include_quantized = true;
-};
-
 /// Writes a trained detector to `dir` (created if missing) as a two-file
 /// bundle:
 ///   manifest.txt — model architecture + encoding state (dictionary index
 ///                  table, attribute names, length_norm denominators,
 ///                  prepare options), line-oriented text;
-///   weights.ckpt — checkpoint of every model parameter plus the
-///                  batch-norm running statistics as the pseudo entries
-///                  "__bn/running_mean" / "__bn/running_var"; with
-///                  `options.include_quantized`, also the pre-quantized
-///                  "__q8/..." / "__q8s/..." / "__bf16/..." shadow weights
-///                  (checkpoint format v2).
+///   weights.ckpt — checkpoint (nn/serialize.h) of every model parameter,
+///                  the batch-norm running statistics as the pseudo
+///                  entries "__bn/running_mean" / "__bn/running_var", and
+///                  the pre-quantized int8 shadow weights "__q8/..." /
+///                  "__q8s/..." of the recurrent stacks.
+/// The manifest is version 3 when the detector carries frozen column
+/// statistics and version 2 otherwise.
 Status SaveDetectorBundle(const core::TrainedDetector& trained,
-                          const std::string& dir,
-                          const BundleSaveOptions& options = {});
+                          const std::string& dir);
 
 /// Reconstructs a detector from a bundle directory without retraining.
-/// Accepts v1-v3 bundles; quantized shadow weights in a v2+ bundle are
-/// installed into the model, making int8/bf16 sweeps start instantly, and
-/// a v3 bundle's frozen column statistics make the detector
-/// stream_capable().
+/// Accepts manifest versions 2 and 3; the shipped int8 shadow weights are
+/// installed into the model, making int8 sweeps start instantly, and a v3
+/// bundle's frozen column statistics make the detector stream_capable().
 StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir);
 
 /// Builds a LoadedDetector directly from in-memory trained artifacts

@@ -56,6 +56,8 @@ class Reactor::Connection {
   bool paused = false;        ///< EPOLLIN disarmed (backpressure/EOF/close).
   bool peer_eof = false;      ///< read() returned 0; still flushing answers.
   bool close_pending = false; ///< close once delivered + flushed.
+  bool lingering = false;     ///< write side shut; discarding until EOF.
+  std::chrono::steady_clock::time_point linger_deadline;
   bool dead = false;          ///< destroyed; parked in the loop graveyard.
 
   /// Requests extracted but not yet answered into `out`.
@@ -90,6 +92,7 @@ struct Reactor::Loop {
 
   bool draining = false;
   std::chrono::steady_clock::time_point drain_deadline;
+  int lingering = 0;  ///< connections in BeginLinger's discard phase.
 };
 
 Reactor::Reactor(Handler* handler, ReactorOptions options)
@@ -231,7 +234,19 @@ void Reactor::RunLoop(Loop* loop) {
       if (loop->conns.empty()) return;
     }
 
-    const int timeout_ms = loop->draining ? 20 : -1;
+    int timeout_ms = loop->draining ? 20 : -1;
+    if (!loop->draining && loop->lingering > 0) {
+      // Wake for the earliest linger deadline (none is further out than
+      // one drain_timeout_ms from now).
+      const auto now = std::chrono::steady_clock::now();
+      auto next = now + std::chrono::milliseconds(options_.drain_timeout_ms);
+      for (auto& [ptr, ref] : loop->conns) {
+        if (ptr->lingering) next = std::min(next, ptr->linger_deadline);
+      }
+      const auto wait =
+          std::chrono::duration_cast<std::chrono::milliseconds>(next - now);
+      timeout_ms = static_cast<int>(std::max<int64_t>(0, wait.count() + 1));
+    }
     const int n = ::epoll_wait(loop->epoll_fd, events, 128, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -263,6 +278,7 @@ void Reactor::RunLoop(Loop* loop) {
       if (events[i].events & EPOLLIN) HandleReadable(loop, conn);
     }
     DrainMailbox(loop);
+    if (loop->lingering > 0) CloseExpiredLingers(loop);
     loop->graveyard.clear();
   }
 }
@@ -319,6 +335,10 @@ void Reactor::HandleAccept(Loop* loop) {
 }
 
 void Reactor::HandleReadable(Loop* loop, Connection* conn) {
+  if (conn->lingering) {
+    DiscardInput(loop, conn);
+    return;
+  }
   char chunk[65536];
   // Bounded per event so one firehose connection cannot starve the loop;
   // level-triggered epoll re-reports leftovers immediately.
@@ -431,7 +451,7 @@ void Reactor::FlushOut(Loop* loop, Connection* conn) {
 
   if (conn->close_pending && conn->ready.empty() &&
       conn->outstanding() == 0) {
-    DestroyConnection(loop, conn);
+    BeginLinger(loop, conn);
     return;
   }
   if (conn->peer_eof && conn->drained()) {
@@ -448,6 +468,50 @@ void Reactor::FlushOut(Loop* loop, Connection* conn) {
 
 void Reactor::HandleWritable(Loop* loop, Connection* conn) {
   FlushOut(loop, conn);
+}
+
+void Reactor::BeginLinger(Loop* loop, Connection* conn) {
+  if (conn->lingering) return;
+  // Closing with request bytes still unread would make the kernel answer
+  // with a reset, which can overtake the response just written. Send our
+  // FIN instead, then read and drop input until the peer's EOF.
+  if (conn->peer_eof || ::shutdown(conn->fd, SHUT_WR) != 0) {
+    DestroyConnection(loop, conn);
+    return;
+  }
+  conn->lingering = true;
+  conn->linger_deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(options_.drain_timeout_ms);
+  ++loop->lingering;
+  conn->paused = false;
+  UpdateInterest(loop, conn);
+}
+
+void Reactor::DiscardInput(Loop* loop, Connection* conn) {
+  char chunk[65536];
+  // Bounded like HandleReadable; level-triggered epoll re-reports leftovers.
+  size_t budget = 1 << 18;
+  while (budget > 0) {
+    const ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
+    if (n > 0) {
+      budget -= std::min<size_t>(budget, static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    DestroyConnection(loop, conn);  // peer EOF or a socket error
+    return;
+  }
+}
+
+void Reactor::CloseExpiredLingers(Loop* loop) {
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<Connection*> expired;
+  for (auto& [ptr, ref] : loop->conns) {
+    if (ptr->lingering && now >= ptr->linger_deadline) expired.push_back(ptr);
+  }
+  for (Connection* conn : expired) DestroyConnection(loop, conn);
 }
 
 void Reactor::UpdateInterest(Loop* loop, Connection* conn) {
@@ -468,6 +532,7 @@ void Reactor::UpdateInterest(Loop* loop, Connection* conn) {
 void Reactor::DestroyConnection(Loop* loop, Connection* conn) {
   if (conn->dead) return;
   conn->dead = true;
+  if (conn->lingering) --loop->lingering;
   if (conn->fd >= 0) {
     ::close(conn->fd);  // also removes it from the epoll interest list
     conn->fd = -1;

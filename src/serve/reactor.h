@@ -41,7 +41,11 @@ struct ReactorOptions {
   size_t max_output_backlog = 4u << 20;
   /// On Shutdown(): how long to keep flushing responses for requests that
   /// were admitted before the drain began. Connections still unflushed at
-  /// the deadline (peer stopped reading) are closed forcibly.
+  /// the deadline (peer stopped reading) are closed forcibly. Also bounds
+  /// a server-initiated close (oversize line, quit): after the last
+  /// response flushes, the write side is shut down and input is discarded
+  /// until the peer's EOF or this deadline, so unread request bytes never
+  /// turn the close into a connection reset.
   int drain_timeout_ms = 5000;
   /// Pre-rendered response line (no newline) for over-cap accepts.
   std::string overload_line;
@@ -121,6 +125,9 @@ class Reactor {
   void ExtractLines(Loop* loop, Connection* conn);
   void DeliverReady(Loop* loop, Connection* conn);
   void FlushOut(Loop* loop, Connection* conn);
+  void BeginLinger(Loop* loop, Connection* conn);
+  void DiscardInput(Loop* loop, Connection* conn);
+  void CloseExpiredLingers(Loop* loop);
   void UpdateInterest(Loop* loop, Connection* conn);
   void DestroyConnection(Loop* loop, Connection* conn);
   void DrainMailbox(Loop* loop);

@@ -1,11 +1,11 @@
-// Low-precision kernel and plumbing tests: int8/bf16 GEMM parity against
-// scalar references (int8 bit-exact — the arithmetic is integer-exact and
-// the dequant expression is pinned; bf16 within the truncation bound),
-// quantization-scheme properties, engine-level determinism of the quantized
-// sweeps across memoize/bucketed/thread modes, and the bundle formats:
-// v1 (no quantized payload) still round-trips, v2 installs shadow weights
-// that predict bit-identically to recomputing them, and a corrupted
-// checkpoint names the file and both FNV-1a checksums.
+// Low-precision kernel and plumbing tests: int8 GEMM parity against a
+// scalar reference (bit-exact — the arithmetic is integer-exact and the
+// dequant expression is pinned), quantization-scheme properties,
+// engine-level determinism of the quantized sweeps across
+// memoize/bucketed/thread modes, and the bundle: it installs int8 shadow
+// weights that predict bit-identically to recomputing them, a corrupted
+// checkpoint names the file and both FNV-1a checksums, and a checkpoint
+// carrying an entry of a removed dtype is refused by name.
 
 #include "nn/quant.h"
 
@@ -13,9 +13,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
@@ -185,62 +188,6 @@ TEST(Int8RnnStepTest, FusedStepMatchesUnfusedComposition) {
   }
 }
 
-TEST(Bf16Test, ConversionTruncates) {
-  // 1.0f + 2^-9 truncates back to 1.0 (bf16 keeps 8 higher mantissa bits);
-  // representable values round-trip exactly.
-  EXPECT_EQ(FloatFromBf16(Bf16FromFloat(1.0f + 0x1p-9f)), 1.0f);
-  for (const float v : {0.0f, -0.0f, 1.0f, -1.5f, 0.375f, 256.0f}) {
-    EXPECT_EQ(FloatFromBf16(Bf16FromFloat(v)), v);
-  }
-}
-
-TEST(Bf16MatMulTest, WithinTruncationBoundOfFp32) {
-  const Tensor x = RandomTensor(16, 40, 51);
-  const Tensor wf = RandomTensor(40, 24, 53);
-  Tensor exact;
-  MatMul(x, wf, &exact);
-  Tensor out;
-  Bf16MatMul(x, QuantizeWeightBf16(wf), &out);
-  ASSERT_EQ(out.rows(), 16);
-  ASSERT_EQ(out.cols(), 24);
-  for (int i = 0; i < 16; ++i) {
-    for (int j = 0; j < 24; ++j) {
-      // Truncation bound: each product's relative error < 2^-7; with the
-      // |x|,|w| <= 2 inputs and k = 40 the absolute bound is
-      // ~40 * 4 * 2^-7 = 1.25. Observed error is far smaller.
-      EXPECT_NEAR(out.at(i, j), exact.at(i, j), 1.25f);
-    }
-  }
-  // Deterministic: a second run reproduces bit for bit.
-  Tensor again;
-  Bf16MatMul(x, QuantizeWeightBf16(wf), &again);
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], again[i]);
-}
-
-TEST(Bf16MatMulTest, ExactOnBf16RepresentableInputs) {
-  // When every operand is already bf16-representable, truncation is the
-  // identity and the kernel computes an ordinary fp32 product of those
-  // values: compare against a reference accumulating the identical
-  // operands in plain double (tolerance covers summation-order effects).
-  Tensor x = RandomTensor(6, 10, 57);
-  Tensor wf = RandomTensor(10, 8, 59);
-  for (size_t i = 0; i < x.size(); ++i) x[i] = FloatFromBf16(Bf16FromFloat(x[i]));
-  for (size_t i = 0; i < wf.size(); ++i) {
-    wf[i] = FloatFromBf16(Bf16FromFloat(wf[i]));
-  }
-  Tensor out;
-  Bf16MatMul(x, QuantizeWeightBf16(wf), &out);
-  for (int i = 0; i < 6; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      double ref = 0.0;
-      for (int k = 0; k < 10; ++k) {
-        ref += static_cast<double>(x.at(i, k)) * static_cast<double>(wf.at(k, j));
-      }
-      EXPECT_NEAR(out.at(i, j), static_cast<float>(ref), 1e-5f);
-    }
-  }
-}
-
 TEST(QuantizedMatrixTest, SerializedPartsRoundTrip) {
   const Tensor wf = RandomTensor(14, 11, 61);
   const QuantizedMatrix w = QuantizeWeightInt8(wf);
@@ -321,22 +268,6 @@ TEST(QuantizedEngineTest, Int8SweepInvariantAcrossEngineModes) {
   EXPECT_EQ(SweepProbs(model, ds, base, &pool), reference);
 }
 
-TEST(QuantizedEngineTest, Bf16SweepInvariantAcrossEngineModes) {
-  const data::EncodedDataset ds = SmallDataset();
-  core::ErrorDetectionModel model(SmallModelConfig(ds));
-  model.CalibrateBatchNorm(ds, 64);
-
-  core::InferenceOptions base;
-  base.eval_batch = 16;
-  base.precision = Precision::kBf16;
-  const std::vector<float> reference = SweepProbs(model, ds, base);
-
-  core::InferenceOptions bucketed = base;
-  bucketed.bucketed = true;
-  bucketed.bucket_quantum = 4;
-  EXPECT_EQ(SweepProbs(model, ds, bucketed), reference);
-}
-
 TEST(QuantizedEngineTest, QuantizedProbsTrackFp32) {
   const data::EncodedDataset ds = SmallDataset();
   core::ErrorDetectionModel model(SmallModelConfig(ds));
@@ -347,16 +278,12 @@ TEST(QuantizedEngineTest, QuantizedProbsTrackFp32) {
   const std::vector<float> fp32 = SweepProbs(model, ds, options);
   options.precision = Precision::kInt8;
   const std::vector<float> int8 = SweepProbs(model, ds, options);
-  options.precision = Precision::kBf16;
-  const std::vector<float> bf16 = SweepProbs(model, ds, options);
 
-  double int8_err = 0.0, bf16_err = 0.0;
+  double int8_err = 0.0;
   for (size_t i = 0; i < fp32.size(); ++i) {
     int8_err += std::fabs(int8[i] - fp32[i]);
-    bf16_err += std::fabs(bf16[i] - fp32[i]);
   }
   EXPECT_LT(int8_err / static_cast<double>(fp32.size()), 0.05);
-  EXPECT_LT(bf16_err / static_cast<double>(fp32.size()), 0.05);
 }
 
 // ------------------------------------------------------------ bundle level
@@ -408,25 +335,6 @@ std::vector<float> ServeProbs(const serve::LoadedDetector& det,
   return SweepProbs(det.model(), *ds, options);
 }
 
-TEST(QuantBundleTest, V1BundleStillRoundTrips) {
-  const std::string dir = TempDir("quant_bundle_v1");
-  auto trained = MakeTinyTrained();
-  serve::BundleSaveOptions options;
-  options.include_quantized = false;
-  ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir, options).ok());
-
-  auto loaded = serve::LoadDetectorBundle(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // No quantized payload: shadow weights absent until prepared on demand.
-  EXPECT_FALSE(loaded->model().QuantizedInferenceReady(Precision::kInt8));
-
-  auto original = serve::MakeLoadedDetector(std::move(trained));
-  ASSERT_TRUE(original.ok());
-  EXPECT_EQ(ServeProbs(*loaded, Precision::kFp32),
-            ServeProbs(*original, Precision::kFp32));
-  std::filesystem::remove_all(dir);
-}
-
 TEST(QuantBundleTest, V2BundleInstallsShadowWeightsIdenticalToRecompute) {
   const std::string dir = TempDir("quant_bundle_v2");
   auto trained = MakeTinyTrained();
@@ -434,16 +342,14 @@ TEST(QuantBundleTest, V2BundleInstallsShadowWeightsIdenticalToRecompute) {
 
   auto loaded = serve::LoadDetectorBundle(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The v2 payload made both precisions ready with zero preparation.
+  // The shipped payload made int8 ready with zero preparation.
   EXPECT_TRUE(loaded->model().QuantizedInferenceReady(Precision::kInt8));
-  EXPECT_TRUE(loaded->model().QuantizedInferenceReady(Precision::kBf16));
 
   // Quantizing the original weights from scratch must agree bit for bit
   // with the blobs the bundle shipped.
   auto original = serve::MakeLoadedDetector(std::move(trained));
   ASSERT_TRUE(original.ok());
-  for (const Precision p :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8}) {
+  for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
     EXPECT_EQ(ServeProbs(*loaded, p), ServeProbs(*original, p))
         << PrecisionName(p);
   }
@@ -474,6 +380,92 @@ TEST(QuantBundleTest, ChecksumMismatchNamesFileAndChecksums) {
   EXPECT_NE(message.find(ckpt), std::string::npos) << message;
   EXPECT_NE(message.find("expected FNV-1a 0x"), std::string::npos) << message;
   EXPECT_NE(message.find("actual 0x"), std::string::npos) << message;
+  std::filesystem::remove_all(dir);
+}
+
+/// FNV-1a over `data` — the checkpoint's payload checksum.
+uint64_t Fnv1a(const std::string& data) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : data) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+void AppendU32(std::string* out, uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+TEST(QuantBundleTest, HalfPrecisionEntryFailsLoadNamingIt) {
+  // Bundles once shipped bfloat16 shadow weights as dtype-2 "__bf16/..."
+  // entries next to the int8 ones. That dtype no longer exists: a
+  // checkpoint carrying one must be refused by name, not half-loaded.
+  const std::string dir = TempDir("quant_bundle_half_precision");
+  auto trained = MakeTinyTrained();
+  ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
+
+  std::string wx_name, wh_name;
+  std::vector<int> wx_shape, wh_shape;
+  for (const Parameter* p : trained.model->ConstParams()) {
+    const std::string& n = p->name;
+    if (wx_name.empty() && n.size() > 3 && n.substr(n.size() - 3) == "/wx") {
+      wx_name = n;
+      wx_shape = p->value.shape();
+    }
+    if (wh_name.empty() && n.size() > 3 && n.substr(n.size() - 3) == "/wh") {
+      wh_name = n;
+      wh_shape = p->value.shape();
+    }
+  }
+  ASSERT_FALSE(wx_name.empty());
+  ASSERT_FALSE(wh_name.empty());
+
+  // Splice a complete dtype-2 pair for one cell into the checkpoint
+  // payload (header: magic, sentinel, version byte; trailer: checksum) and
+  // re-seal it, so only the dtype can make the load fail.
+  const std::string ckpt = dir + "/weights.ckpt";
+  std::string image;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr size_t kHeader = 13;
+  ASSERT_GT(image.size(), kHeader + 12);
+  std::string payload = image.substr(kHeader, image.size() - kHeader - 8);
+  uint32_t count = 0;
+  std::memcpy(&count, payload.data(), sizeof(count));
+  count += 2;
+  std::memcpy(payload.data(), &count, sizeof(count));
+  for (const auto& [name, shape] :
+       {std::make_pair(wx_name, wx_shape), std::make_pair(wh_name, wh_shape)}) {
+    const std::string entry = "__bf16/" + name;
+    AppendU32(&payload, static_cast<uint32_t>(entry.size()));
+    payload.append(entry);
+    payload.push_back(static_cast<char>(2));  // the removed u16 dtype
+    AppendU32(&payload, static_cast<uint32_t>(shape.size()));
+    size_t elements = 1;
+    for (const int d : shape) {
+      AppendU32(&payload, static_cast<uint32_t>(d));
+      elements *= static_cast<size_t>(d);
+    }
+    payload.append(elements * sizeof(uint16_t), '\0');
+  }
+  const uint64_t checksum = Fnv1a(payload);
+  std::string sealed = image.substr(0, kHeader) + payload;
+  sealed.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+  }
+
+  auto loaded = serve::LoadDetectorBundle(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("__bf16/" + wx_name),
+            std::string::npos)
+      << loaded.status().message();
   std::filesystem::remove_all(dir);
 }
 

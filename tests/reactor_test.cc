@@ -61,8 +61,11 @@ LoadedDetector MakeTinyDetector(uint64_t seed = 99) {
 }
 
 std::string TempDir(const char* name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
+  // Per process: concurrent runs of this binary must not share bundles.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           (std::string(name) + "_" +
+                            std::to_string(::getpid())))
+                              .string();
   std::filesystem::remove_all(dir);
   return dir;
 }

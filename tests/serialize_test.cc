@@ -1,6 +1,8 @@
-// Edge-case coverage for the v1 checkpoint format (magic + version sentinel
-// + FNV-1a payload checksum) and its strict load contract: truncation,
-// corruption, shape/coverage mismatches and v0 back-compat.
+// Edge-case coverage for the checkpoint format (magic + version sentinel +
+// version byte + typed entries + FNV-1a payload checksum) and its strict
+// load contract: truncation, corruption, shape/coverage mismatches,
+// duplicate entries, trailing bytes, unknown dtypes, and refusal of every
+// layout other than the current version.
 
 #include <gtest/gtest.h>
 
@@ -40,24 +42,47 @@ void AppendU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-// A v0 checkpoint image: magic, u32 entry count, entries — no version byte,
-// no checksum. This is the format older checkpoints on disk still have.
-std::string MakeV0Image(
-    const std::vector<std::pair<std::string, std::vector<float>>>& entries) {
-  std::string image = "BRNNCKPT";
-  AppendU32(&image, static_cast<uint32_t>(entries.size()));
-  for (const auto& [name, values] : entries) {
-    AppendU32(&image, static_cast<uint32_t>(name.size()));
-    image.append(name);
-    AppendU32(&image, 1);  // rank
-    AppendU32(&image, static_cast<uint32_t>(values.size()));
-    image.append(reinterpret_cast<const char*>(values.data()),
-                 values.size() * sizeof(float));
+uint64_t Fnv1a(const std::string& data) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : data) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ULL;
   }
+  return h;
+}
+
+// One payload entry: name, dtype byte, rank-1 shape, raw data.
+std::string Entry(const std::string& name, const std::vector<float>& values,
+                  uint8_t dtype = kDtypeF32) {
+  std::string out;
+  AppendU32(&out, static_cast<uint32_t>(name.size()));
+  out.append(name);
+  out.push_back(static_cast<char>(dtype));
+  AppendU32(&out, 1);  // rank
+  AppendU32(&out, static_cast<uint32_t>(values.size()));
+  out.append(reinterpret_cast<const char*>(values.data()),
+             values.size() * sizeof(float));
+  return out;
+}
+
+// A correctly sealed checkpoint image around `entries` (plus `tail` bytes
+// inside the checksummed payload), so a load reaches the entry parser.
+std::string SealedImage(const std::vector<std::string>& entries,
+                        const std::string& tail = "", uint8_t version = 2) {
+  std::string payload;
+  AppendU32(&payload, static_cast<uint32_t>(entries.size()));
+  for (const std::string& e : entries) payload += e;
+  payload += tail;
+  std::string image = "BRNNCKPT";
+  AppendU32(&image, 0xFFFFFFFFu);
+  image.push_back(static_cast<char>(version));
+  image += payload;
+  const uint64_t checksum = Fnv1a(payload);
+  image.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return image;
 }
 
-TEST(SerializeV1Test, RoundtripIsBitExact) {
+TEST(CheckpointTest, RoundtripIsBitExact) {
   Rng rng(7);
   Parameter a("enc/w", Tensor(5, 3));
   Parameter b("enc/b", Tensor(std::vector<int>{3}));
@@ -70,7 +95,7 @@ TEST(SerializeV1Test, RoundtripIsBitExact) {
   const Tensor a_orig = a.value;
   const Tensor b_orig = b.value;
 
-  const std::string path = TempPath("birnn_ser_v1_roundtrip.bin");
+  const std::string path = TempPath("birnn_ser_roundtrip.bin");
   ASSERT_TRUE(SaveParameters({&a, &b}, path).ok());
   a.value.Fill(0.0f);
   b.value.Fill(0.0f);
@@ -82,9 +107,10 @@ TEST(SerializeV1Test, RoundtripIsBitExact) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, FileStartsWithMagicAndSentinel) {
-  Parameter a("a", Tensor(1, 1));
-  const std::string path = TempPath("birnn_ser_v1_header.bin");
+TEST(CheckpointTest, FileStartsWithMagicSentinelAndVersion) {
+  Parameter a("a", Tensor(std::vector<int>{1}));
+  a.value[0] = 0.5f;
+  const std::string path = TempPath("birnn_ser_header.bin");
   ASSERT_TRUE(SaveParameters({&a}, path).ok());
   const std::string image = ReadFile(path);
   ASSERT_GE(image.size(), 13u);
@@ -92,15 +118,52 @@ TEST(SerializeV1Test, FileStartsWithMagicAndSentinel) {
   uint32_t sentinel = 0;
   std::memcpy(&sentinel, image.data() + 8, sizeof(sentinel));
   EXPECT_EQ(sentinel, 0xFFFFFFFFu);
-  EXPECT_EQ(static_cast<uint8_t>(image[12]), 1);  // format version
+  EXPECT_EQ(static_cast<uint8_t>(image[12]), 2);  // format version
+  // The writer and the hand-built image agree byte for byte.
+  EXPECT_EQ(image, SealedImage({Entry("a", {0.5f})}));
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, TruncatedFileFails) {
+TEST(CheckpointTest, TypedExtrasRoundTripOnlyWhenRequested) {
+  Parameter a("a", Tensor(std::vector<int>{2}));
+  a.value[0] = 1.5f;
+  TypedEntry q8;
+  q8.name = "__q8/a";
+  q8.dtype = kDtypeI8;
+  q8.shape = {3};
+  q8.bytes = std::string("\x01\xff\x7f", 3);
+  TypedEntry scales;
+  scales.name = "__q8s/a";
+  scales.dtype = kDtypeF32;
+  scales.shape = {1};
+  const float scale = 0.25f;
+  scales.bytes.assign(reinterpret_cast<const char*>(&scale), sizeof(scale));
+  const std::string path = TempPath("birnn_ser_extras.bin");
+  ASSERT_TRUE(SaveParameters({&a}, path, {q8, scales}).ok());
+
+  Parameter fresh("a", Tensor(std::vector<int>{2}));
+  std::vector<TypedEntry> extras;
+  ASSERT_TRUE(LoadParameters(path, {&fresh}, &extras).ok());
+  EXPECT_EQ(fresh.value[0], 1.5f);
+  ASSERT_EQ(extras.size(), 2u);
+  for (const TypedEntry& e : extras) {
+    const TypedEntry& want = e.name == q8.name ? q8 : scales;
+    EXPECT_EQ(e.name, want.name);
+    EXPECT_EQ(e.dtype, want.dtype);
+    EXPECT_EQ(e.shape, want.shape);
+    EXPECT_EQ(e.bytes, want.bytes);
+  }
+  // A caller that accepts only parameters refuses the quantized payload.
+  EXPECT_EQ(LoadParameters(path, {&fresh}).code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, TruncatedFileFails) {
   Rng rng(8);
   Parameter a("a", Tensor(4, 4));
   NormalInit(&a.value, 1.0f, &rng);
-  const std::string path = TempPath("birnn_ser_v1_trunc.bin");
+  const std::string path = TempPath("birnn_ser_trunc.bin");
   ASSERT_TRUE(SaveParameters({&a}, path).ok());
   const std::string image = ReadFile(path);
 
@@ -115,11 +178,11 @@ TEST(SerializeV1Test, TruncatedFileFails) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, CorruptedPayloadFailsChecksum) {
+TEST(CheckpointTest, CorruptedPayloadFailsChecksum) {
   Rng rng(9);
   Parameter a("a", Tensor(8, 8));
   NormalInit(&a.value, 1.0f, &rng);
-  const std::string path = TempPath("birnn_ser_v1_corrupt.bin");
+  const std::string path = TempPath("birnn_ser_corrupt.bin");
   ASSERT_TRUE(SaveParameters({&a}, path).ok());
   std::string image = ReadFile(path);
 
@@ -133,9 +196,9 @@ TEST(SerializeV1Test, CorruptedPayloadFailsChecksum) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, CorruptedChecksumTrailerFails) {
+TEST(CheckpointTest, CorruptedChecksumTrailerFails) {
   Parameter a("a", Tensor(2, 2));
-  const std::string path = TempPath("birnn_ser_v1_badsum.bin");
+  const std::string path = TempPath("birnn_ser_badsum.bin");
   ASSERT_TRUE(SaveParameters({&a}, path).ok());
   std::string image = ReadFile(path);
   image[image.size() - 3] ^= 0xFF;  // inside the trailing u64 checksum
@@ -145,9 +208,9 @@ TEST(SerializeV1Test, CorruptedChecksumTrailerFails) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, WrongShapeFails) {
+TEST(CheckpointTest, WrongShapeFails) {
   Parameter a("a", Tensor(2, 3));
-  const std::string path = TempPath("birnn_ser_v1_shape.bin");
+  const std::string path = TempPath("birnn_ser_shape.bin");
   ASSERT_TRUE(SaveParameters({&a}, path).ok());
   Parameter wrong("a", Tensor(3, 2));
   EXPECT_EQ(LoadParameters(path, {&wrong}).code(),
@@ -155,11 +218,11 @@ TEST(SerializeV1Test, WrongShapeFails) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, ExtraEntriesFail) {
+TEST(CheckpointTest, ExtraEntriesFail) {
   Parameter a("a", Tensor(1, 2));
   Parameter b("b", Tensor(1, 2));
   Parameter c("c", Tensor(1, 2));
-  const std::string path = TempPath("birnn_ser_v1_extra.bin");
+  const std::string path = TempPath("birnn_ser_extra.bin");
   ASSERT_TRUE(SaveParameters({&a, &b, &c}, path).ok());
   // Loading into a strict subset must fail loudly — silent partial loads
   // hide a model/checkpoint mismatch.
@@ -171,56 +234,66 @@ TEST(SerializeV1Test, ExtraEntriesFail) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV1Test, UnsupportedVersionFails) {
-  std::string image = "BRNNCKPT";
-  AppendU32(&image, 0xFFFFFFFFu);
-  image.push_back(static_cast<char>(3));  // a future format version
-  const std::string path = TempPath("birnn_ser_v1_future.bin");
-  WriteFile(path, image);
-  Parameter a("a", Tensor(1, 1));
-  const Status st = LoadParameters(path, {&a});
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("version"), std::string::npos) << st.message();
-  std::remove(path.c_str());
-}
-
-TEST(SerializeV0CompatTest, V0CheckpointStillLoads) {
-  const std::vector<float> w = {1.5f, -2.25f, 0.125f};
-  const std::string path = TempPath("birnn_ser_v0_ok.bin");
-  WriteFile(path, MakeV0Image({{"layer/w", w}}));
-
-  Parameter p("layer/w", Tensor(std::vector<int>{3}));
-  ASSERT_TRUE(LoadParameters(path, {&p}).ok());
-  EXPECT_EQ(0, std::memcmp(p.value.data(), w.data(), w.size() * sizeof(float)));
-  std::remove(path.c_str());
-}
-
-TEST(SerializeV0CompatTest, V0DuplicateEntryFails) {
-  const std::vector<float> w = {1.0f};
-  const std::string path = TempPath("birnn_ser_v0_dup.bin");
-  WriteFile(path, MakeV0Image({{"w", w}, {"w", w}}));
-  Parameter p("w", Tensor(std::vector<int>{1}));
-  EXPECT_EQ(LoadParameters(path, {&p}).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeV0CompatTest, V0ExtraEntryFails) {
-  const std::vector<float> w = {1.0f};
-  const std::string path = TempPath("birnn_ser_v0_extra.bin");
-  WriteFile(path, MakeV0Image({{"w", w}, {"stale", w}}));
+TEST(CheckpointTest, DuplicateEntryFails) {
+  const std::string path = TempPath("birnn_ser_dup.bin");
+  WriteFile(path, SealedImage({Entry("w", {1.0f}), Entry("w", {1.0f})}));
   Parameter p("w", Tensor(std::vector<int>{1}));
   const Status st = LoadParameters(path, {&p});
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("stale"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("duplicate"), std::string::npos) << st.message();
   std::remove(path.c_str());
 }
 
-TEST(SerializeV0CompatTest, V0TrailingGarbageFails) {
-  const std::vector<float> w = {1.0f};
-  const std::string path = TempPath("birnn_ser_v0_trail.bin");
-  WriteFile(path, MakeV0Image({{"w", w}}) + "junk");
+TEST(CheckpointTest, TrailingBytesInsidePayloadFail) {
+  const std::string path = TempPath("birnn_ser_trail.bin");
+  WriteFile(path, SealedImage({Entry("w", {1.0f})}, "junk"));
   Parameter p("w", Tensor(std::vector<int>{1}));
-  EXPECT_FALSE(LoadParameters(path, {&p}).ok());
+  const Status st = LoadParameters(path, {&p});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("trailing"), std::string::npos) << st.message();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, UnknownDtypeFailsNamingTheEntry) {
+  const std::string path = TempPath("birnn_ser_dtype.bin");
+  WriteFile(path, SealedImage({Entry("w", {1.0f}),
+                               Entry("__bf16/w", {0.0f}, /*dtype=*/2)}));
+  Parameter p("w", Tensor(std::vector<int>{1}));
+  std::vector<TypedEntry> extras;
+  const Status st = LoadParameters(path, {&p}, &extras);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("__bf16/w"), std::string::npos) << st.message();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, OtherFormatVersionsFail) {
+  const std::string path = TempPath("birnn_ser_version.bin");
+  Parameter a("a", Tensor(std::vector<int>{1}));
+  // Version 1 (entries without a dtype byte) and a future version 3 are
+  // both refused, even when correctly sealed.
+  for (const uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    WriteFile(path, SealedImage({Entry("a", {1.0f})}, "", version));
+    const Status st = LoadParameters(path, {&a});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << int{version};
+    EXPECT_NE(st.message().find("version"), std::string::npos)
+        << st.message();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, LayoutWithoutSentinelFails) {
+  // The pre-checksum layout stored the entry count right after the magic.
+  std::string image = "BRNNCKPT";
+  AppendU32(&image, 1);
+  image += Entry("w", {1.0f});
+  const std::string path = TempPath("birnn_ser_nosentinel.bin");
+  WriteFile(path, image);
+  Parameter p("w", Tensor(std::vector<int>{1}));
+  const Status st = LoadParameters(path, {&p});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unsupported checkpoint format"),
+            std::string::npos)
+      << st.message();
   std::remove(path.c_str());
 }
 
