@@ -2,10 +2,10 @@
 // serve plane (the full ISSUE-10 loop: stream -> drift -> adapt -> gate ->
 // promote -> serve).
 //
-// Per dataset: train an incumbent detector, host it behind the blocking
-// transport, and hold back ~30% of the rows as an evaluation slice the
-// session never sees. The incumbent's pre-drift F1 on that slice, with a
-// bootstrap CI95 band, is the recovery target. Then the feed drifts: every
+// Per dataset: train an incumbent detector, host it behind the serve
+// plane's epoll reactor, and hold back ~30% of the rows as an evaluation
+// slice the session never sees. The incumbent's pre-drift F1 on that
+// slice, with a bootstrap CI95 band, is the recovery target. Then the feed drifts: every
 // in-dictionary character is remapped through a rank bijection (dictionary
 // rank k -> k+1 mod N) and an out-of-vocabulary marker byte is appended —
 // an information-preserving transform (errors stay exactly as separable as
@@ -22,7 +22,10 @@
 //   4. promote   — an "adapt" with truthful labels while client threads
 //                  keep firing detect requests: every request fired must be
 //                  answered well-formed (zero dropped across the live
-//                  swap), and the candidate must be promoted.
+//                  swap), and the candidate must be promoted. The adapt op
+//                  runs synchronously on its reactor loop, so probes whose
+//                  connections share that loop stall until it returns:
+//                  they are answered late, not dropped.
 //   5. recover   — detect the drifted held-back slice (never streamed,
 //                  never fine-tuned on) against the promoted generation;
 //                  its F1 must climb back into the pre-drift band.
@@ -429,8 +432,6 @@ int Run(int argc, char** argv) {
           std::to_string(::getpid())))
             .string();
     serve::ServerOptions server_options;
-    server_options.mode = serve::ServeMode::kBlocking;
-    server_options.io_threads = n_clients + 2;
     server_options.stream_session.drift.min_cells =
         std::max<int64_t>(4, std::min<int64_t>(16, dr.stream_rows / 2));
     server_options.stream_session.reservoir_capacity = dr.rows + 16;
@@ -545,7 +546,8 @@ int Run(int argc, char** argv) {
     std::cerr << "[adapt] " << dataset << ": feed streamed, adapting\n";
     // Phase 4: live promotion under fire. Client threads spam detect on
     // their own connections for the whole adapt call; every request fired
-    // must come back as a well-formed OK line.
+    // must come back as a well-formed OK line (probes on the adapt
+    // connection's reactor loop wait out the adapt, then are answered).
     {
       std::atomic<bool> stop{false};
       std::vector<ProbeTally> tallies(static_cast<size_t>(n_clients));

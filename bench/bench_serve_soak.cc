@@ -1,16 +1,17 @@
 // Open-loop soak of the epoll reactor serve plane.
 //
-// Train one detector, bundle it, and host it twice: once behind the
-// blocking thread-per-connection baseline (which defines the expected
-// response bytes for every request in the corpus) and once behind the
-// reactor. Then drive the reactor with an *open-loop* load generator —
+// Train one detector and bundle it. A socket-free oracle — a standalone
+// MicroBatcher over a separately loaded copy of the bundle, fed each corpus
+// line through ParseRequest -> Detect -> OkDetectResponse — defines the
+// expected response bytes for every request; the reactor hosts the same
+// bundle. Then drive the reactor with an *open-loop* load generator —
 // thousands of concurrent connections, requests fired on a fixed schedule
 // regardless of when responses come back, latency measured from the
 // intended fire time (no coordinated omission) — followed by an overload
 // burst that pipelines far more work than the admission queue can hold.
 //
 // Gates (process exits nonzero when violated):
-//   (a) every reactor response is byte-identical to the blocking baseline;
+//   (a) every reactor response is byte-identical to the oracle's;
 //   (b) every request fired is answered — zero lost or hung requests,
 //       including across the overload burst;
 //   (c) the overload burst produces typed OVERLOADED sheds (backpressure
@@ -43,8 +44,10 @@
 #include "core/detector.h"
 #include "datagen/datasets.h"
 #include "eval/report.h"
+#include "serve/batcher.h"
 #include "serve/bundle.h"
 #include "serve/json.h"
+#include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "util/flags.h"
@@ -89,7 +92,7 @@ int64_t RaiseFdLimit(int64_t want) {
 /// each with a stable id == its corpus index (the byte-compare key).
 struct Corpus {
   std::vector<std::string> lines;
-  std::vector<std::string> expected;  ///< blocking baseline's response bytes.
+  std::vector<std::string> expected;  ///< the oracle's response bytes.
 };
 
 Corpus BuildCorpus(const data::Table& dirty, int request_cells,
@@ -398,49 +401,31 @@ int Run(int argc, char** argv) {
   server_options.batcher.queue_capacity = flags.GetInt("queue-capacity");
   server_options.batcher.replicas = flags.GetInt("replicas");
 
-  // ---- Blocking baseline defines the expected bytes per corpus line.
+  // ---- The socket-free oracle defines the expected bytes per corpus line:
+  // each line runs ParseRequest -> Detect -> OkDetectResponse on a
+  // standalone batcher over its own copy of the bundle, so neither the
+  // measured server nor its memo can vouch for itself.
   {
-    serve::ModelRegistry registry;
-    if (Status st = registry.LoadBundle(dataset, bundle_dir); !st.ok()) {
-      std::cerr << "bundle load failed: " << st.message() << "\n";
+    StatusOr<serve::LoadedDetector> oracle_detector =
+        serve::LoadDetectorBundle(bundle_dir);
+    if (!oracle_detector.ok()) {
+      std::cerr << "bundle load failed: "
+                << oracle_detector.status().message() << "\n";
       return 1;
     }
-    serve::ServerOptions blocking_options = server_options;
-    blocking_options.mode = serve::ServeMode::kBlocking;
-    serve::Server blocking(&registry, blocking_options);
-    if (Status st = blocking.Start(); !st.ok()) {
-      std::cerr << "blocking server start failed: " << st.message() << "\n";
-      return 1;
-    }
-    const int fd = ConnectTo(blocking.port());
-    std::string buffer;
+    serve::MicroBatcher oracle(*oracle_detector, server_options.batcher);
     for (const std::string& line : corpus.lines) {
-      std::string framed = line + "\n";
-      if (::write(fd, framed.data(), framed.size()) !=
-          static_cast<ssize_t>(framed.size())) {
-        std::cerr << "baseline write failed\n";
-        return 1;
+      StatusOr<serve::Request> request = serve::ParseRequest(line);
+      if (!request.ok()) {
+        corpus.expected.push_back(serve::ErrorResponse("", request.status()));
+        continue;
       }
-      std::string response;
-      for (;;) {
-        const size_t nl = buffer.find('\n');
-        if (nl != std::string::npos) {
-          response.assign(buffer, 0, nl);
-          buffer.erase(0, nl + 1);
-          break;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n <= 0) {
-          std::cerr << "baseline read failed\n";
-          return 1;
-        }
-        buffer.append(chunk, static_cast<size_t>(n));
-      }
-      corpus.expected.push_back(std::move(response));
+      std::vector<serve::CellVerdict> verdicts;
+      const Status status = oracle.Detect(request->cells, &verdicts);
+      corpus.expected.push_back(
+          status.ok() ? serve::OkDetectResponse(request->id, verdicts)
+                      : serve::ErrorResponse(request->id, status));
     }
-    ::close(fd);
-    blocking.Shutdown();
   }
 
   // ---- The reactor under soak.
@@ -450,7 +435,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   serve::ServerOptions reactor_options = server_options;
-  reactor_options.mode = serve::ServeMode::kReactor;
   reactor_options.reactor_threads = flags.GetInt("reactor-threads");
   reactor_options.max_connections = 2 * n_conns + 16;
   serve::Server server(&registry, reactor_options);
@@ -462,7 +446,7 @@ int Run(int argc, char** argv) {
   // Warmup: one sequential pass over the corpus, unmeasured. Populates the
   // replicas' shared verdict memo so the steady phase measures the serving
   // plane, not first-touch model latency — and double-checks the reactor's
-  // bytes against the baseline before any load is applied.
+  // bytes against the oracle before any load is applied.
   {
     const int fd = ConnectTo(server.port());
     std::string buffer;

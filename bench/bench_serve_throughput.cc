@@ -241,21 +241,13 @@ int Run(int argc, char** argv) {
   flags.AddInt("max-delay-us", 2000, "micro-batcher window (microseconds)");
   flags.AddInt("queue-capacity", 4096, "admission queue bound (cells)");
   flags.AddInt("max-concurrency", 8, "highest client concurrency level");
-  flags.AddString("server-mode", "reactor",
-                  "transport: reactor (epoll) or blocking (thread/conn)");
   flags.AddInt("replicas", 1, "engine replicas per served model");
   BenchConfig config =
       ParseCommonFlags(&flags, argc, argv, "bench_serve_throughput");
   const int request_cells = std::max(1, flags.GetInt("request-cells"));
   const int max_concurrency = std::max(1, flags.GetInt("max-concurrency"));
-  const std::string server_mode = flags.GetString("server-mode");
-  if (server_mode != "reactor" && server_mode != "blocking") {
-    std::cerr << "unknown --server-mode: " << server_mode << "\n";
-    return 1;
-  }
 
-  std::cout << "=== Serving throughput (mode=" << server_mode
-            << ", replicas=" << flags.GetInt("replicas")
+  std::cout << "=== Serving throughput (replicas=" << flags.GetInt("replicas")
             << ", request_cells=" << request_cells
             << ", max_batch=" << flags.GetInt("max-batch")
             << ", window=" << flags.GetInt("max-delay-us") << "us) ===\n\n";
@@ -306,10 +298,6 @@ int Run(int argc, char** argv) {
     }
 
     serve::ServerOptions server_options;
-    server_options.mode = server_mode == "blocking"
-                              ? serve::ServeMode::kBlocking
-                              : serve::ServeMode::kReactor;
-    server_options.io_threads = max_concurrency;
     server_options.batcher.max_batch = flags.GetInt("max-batch");
     server_options.batcher.max_delay_us = flags.GetInt("max-delay-us");
     server_options.batcher.queue_capacity = flags.GetInt("queue-capacity");
@@ -378,7 +366,6 @@ int Run(int argc, char** argv) {
     std::ofstream out(config.json_path);
     JsonWriter json(out);
     json.BeginObject();
-    json.Key("server_mode").String(server_mode);
     json.Key("replicas").Int(flags.GetInt("replicas"));
     json.Key("request_cells").Int(request_cells);
     json.Key("max_batch").Int(flags.GetInt("max-batch"));

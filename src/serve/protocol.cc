@@ -1,8 +1,5 @@
 #include "serve/protocol.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 
@@ -469,27 +466,6 @@ std::string AdaptResponse(const std::string& id, const std::string& model,
   AppendJsonString(fields.reason, &out);
   out.push_back('}');
   return out;
-}
-
-bool SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::write(fd, data + sent, size - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteResponseLine(int fd, const std::string& line) {
-  std::string framed;
-  framed.reserve(line.size() + 1);
-  framed.append(line);
-  framed.push_back('\n');
-  return SendAll(fd, framed.data(), framed.size());
 }
 
 }  // namespace birnn::serve

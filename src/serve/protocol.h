@@ -160,14 +160,6 @@ struct AdaptResponseFields {
 std::string AdaptResponse(const std::string& id, const std::string& model,
                           const AdaptResponseFields& fields);
 
-/// write()s the whole buffer, retrying EINTR and short writes (a small
-/// socket send buffer or a signal mid-write must never truncate a
-/// response). False once the connection is broken.
-bool SendAll(int fd, const char* data, size_t size);
-
-/// SendAll of `line` + '\n' — one framed response on a blocking socket.
-bool WriteResponseLine(int fd, const std::string& line);
-
 }  // namespace birnn::serve
 
 #endif  // BIRNN_SERVE_PROTOCOL_H_

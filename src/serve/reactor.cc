@@ -390,8 +390,8 @@ void Reactor::ExtractLines(Loop* loop, Connection* conn) {
   conn->in.erase(0, start);
 
   if (conn->in.size() > static_cast<size_t>(options_.max_line_bytes)) {
-    // Same contract as the blocking server: answer the poison line with a
-    // typed error and close, bounding per-connection memory.
+    // Answer the poison line with a typed error and close, bounding
+    // per-connection memory.
     oversize_closed_.Add(1);
     conn->in.clear();
     conn->in.shrink_to_fit();

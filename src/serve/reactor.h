@@ -63,8 +63,8 @@ struct ReactorOptions {
 /// per-connection sequence number and handed to the Handler, which may
 /// answer synchronously or from any other thread (the micro-batcher's
 /// dispatcher); the reactor delivers responses strictly in request order
-/// per connection, so pipelined clients observe exactly the blocking
-/// server's ordering no matter how batches complete.
+/// per connection, so pipelined clients see responses in the order they
+/// sent requests no matter how batches complete.
 ///
 /// Thread model: every Connection is owned by exactly one loop thread; all
 /// of its state is touched only there. Cross-thread Respond() goes through

@@ -2,14 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -21,10 +19,19 @@
 #include "util/logging.h"
 
 namespace birnn::serve {
+namespace {
+
+/// NOT_FOUND for a request whose "model" resolves to no hosted model.
+Status UnresolvedModel(const std::string& model) {
+  return Status::NotFound(
+      model.empty() ? "no \"model\" given and more than one model is hosted"
+                    : "unknown model: " + model);
+}
+
+}  // namespace
 
 Server::Server(ModelRegistry* registry, ServerOptions options)
     : registry_(registry), options_(std::move(options)) {
-  options_.io_threads = std::max(1, options_.io_threads);
   options_.reactor_threads = std::max(1, options_.reactor_threads);
   options_.max_connections = std::max(1, options_.max_connections);
   options_.backlog = std::max(1, options_.backlog);
@@ -90,39 +97,31 @@ Status Server::Start() {
     port_ = ntohs(bound.sin_port);
   }
 
-  if (options_.mode == ServeMode::kReactor) {
-    ReactorOptions reactor_options;
-    reactor_options.threads = options_.reactor_threads;
-    reactor_options.max_connections = options_.max_connections;
-    reactor_options.max_line_bytes = options_.max_line_bytes;
-    reactor_options.max_output_backlog = options_.max_output_backlog;
-    reactor_options.drain_timeout_ms = options_.drain_timeout_ms;
-    reactor_options.overload_line =
-        ErrorResponse("", Status::Overloaded("connection limit reached"));
-    reactor_options.oversize_line =
-        ErrorResponse("", Status::InvalidArgument("request line too long"));
-    reactor_ = std::make_unique<Reactor>(this, reactor_options);
-    const Status status = reactor_->Start(listen_fd_);
-    if (!status.ok()) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      reactor_.reset();
-      return status;
-    }
-    // The reactor owns the listener from here (closes it on Shutdown).
-  } else {
-    pool_ = std::make_unique<ThreadPool>(options_.io_threads);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
+  ReactorOptions reactor_options;
+  reactor_options.threads = options_.reactor_threads;
+  reactor_options.max_connections = options_.max_connections;
+  reactor_options.max_line_bytes = options_.max_line_bytes;
+  reactor_options.max_output_backlog = options_.max_output_backlog;
+  reactor_options.drain_timeout_ms = options_.drain_timeout_ms;
+  reactor_options.overload_line =
+      ErrorResponse("", Status::Overloaded("connection limit reached"));
+  reactor_options.oversize_line =
+      ErrorResponse("", Status::InvalidArgument("request line too long"));
+  reactor_ = std::make_unique<Reactor>(this, reactor_options);
+  const Status status = reactor_->Start(listen_fd_);
+  if (!status.ok()) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    reactor_.reset();
+    return status;
   }
+  // The reactor owns the listener from here (closes it on Shutdown).
+
   started_ = true;
   BIRNN_LOG(Info) << "serve: listening on " << options_.host << ":" << port_
                   << " (" << models_.size() << " model(s), "
-                  << (options_.mode == ServeMode::kReactor
-                          ? std::to_string(options_.reactor_threads) +
-                                " reactor loop(s)"
-                          : std::to_string(options_.io_threads) +
-                                " io thread(s)")
-                  << ", " << std::max(1, options_.batcher.replicas)
+                  << options_.reactor_threads << " reactor loop(s), "
+                  << std::max(1, options_.batcher.replicas)
                   << " replica(s)/model)";
   return Status::OK();
 }
@@ -137,35 +136,13 @@ void Server::Shutdown() {
     shutting_down_ = true;
   }
 
-  if (reactor_ != nullptr) {
-    // Drain: stop accepting and reading, flush every response for already-
-    // admitted requests (which waits out the batcher callbacks), close.
-    reactor_->Shutdown();
-    listen_fd_ = -1;  // the reactor closed it
-  } else {
-    // 1. Stop accepting: closing the listener makes accept() fail and the
-    //    accept thread exit.
-    if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    if (accept_thread_.joinable()) accept_thread_.join();
+  // Drain: stop accepting and reading, flush every response for already-
+  // admitted requests (which waits out the batcher callbacks), close.
+  reactor_->Shutdown();
+  listen_fd_ = -1;  // the reactor closed it
 
-    // 2. Wake handlers blocked in read(): half-close every open connection
-    //    so their next read returns EOF. Responses already being written
-    //    still flush (write side stays open).
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const int fd : open_connections_) ::shutdown(fd, SHUT_RD);
-    }
-
-    // 3. Let every handler finish answering what it already read.
-    if (pool_ != nullptr) pool_->Wait();
-  }
-
-  // 4. Drain the batchers: every admitted request is answered before Stop
-  //    returns. Taking admin_mu first waits out any in-flight reload.
+  // Then drain the batchers: every admitted request is answered before
+  // Stop returns. Taking admin_mu first waits out any in-flight reload.
   for (auto& [name, entry] : models_) {
     std::lock_guard<std::mutex> admin(entry->admin_mu);
     std::shared_ptr<ServingModel> current;
@@ -175,79 +152,6 @@ void Server::Shutdown() {
     }
     current->batcher->Stop();
   }
-}
-
-void Server::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // A connection that died between SYN and accept() is the peer's
-      // failure, not the listener's — never let it kill the accept loop.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
-        continue;
-      }
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // fd/memory exhaustion: back off instead of spinning; pending
-        // connections wait in the listen backlog.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      return;  // listener closed — shutting down
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (shutting_down_) {
-        ::close(fd);
-        return;
-      }
-      open_connections_.insert(fd);
-    }
-    OBS_COUNTER_ADD("serve/connections", 1);
-    pool_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Server::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool alive = true;
-  while (alive) {
-    const size_t newline = buffer.find('\n');
-    if (newline == std::string::npos) {
-      if (buffer.size() > static_cast<size_t>(options_.max_line_bytes)) {
-        WriteResponseLine(fd, ErrorResponse("", Status::InvalidArgument(
-                                                    "request line too long")));
-        break;
-      }
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;  // peer closed, error, or drain half-close
-      buffer.append(chunk, static_cast<size_t>(n));
-      continue;
-    }
-
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;  // blank keep-alive lines are fine
-
-    StatusOr<Request> request = ParseRequest(line);
-    std::string response;
-    if (!request.ok()) {
-      response = ErrorResponse("", request.status());
-    } else if (request->op == "quit") {
-      break;
-    } else {
-      response = HandleRequest(*request);
-    }
-    alive = WriteResponseLine(fd, response);
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(mutex_);
-  open_connections_.erase(fd);
 }
 
 void Server::OnLine(const Reactor::ConnRef& conn, uint64_t seq,
@@ -264,9 +168,9 @@ void Server::OnLine(const Reactor::ConnRef& conn, uint64_t seq,
     return;
   }
   if (request->op != "detect") {
-    // ping/models/stats/reload/rollback are answered synchronously (reload
-    // is a rare admin op; it briefly stalls this loop's connections but
-    // drains through the batcher threads, so it cannot deadlock).
+    // Every other op is answered synchronously (reload and adapt are rare
+    // admin ops; they briefly stall this loop's connections but drain
+    // through the batcher threads, so they cannot deadlock).
     reactor_->Respond(conn, seq, HandleRequest(*request));
     return;
   }
@@ -278,12 +182,8 @@ void Server::OnLine(const Reactor::ConnRef& conn, uint64_t seq,
   std::string resolved;
   std::shared_ptr<ServingModel> sm = AcquireModel(request->model, &resolved);
   if (sm == nullptr) {
-    const std::string why =
-        request->model.empty()
-            ? "no \"model\" given and more than one model is hosted"
-            : "unknown model: " + request->model;
-    reactor_->Respond(conn, seq,
-                      ErrorResponse(request->id, Status::NotFound(why)));
+    reactor_->Respond(
+        conn, seq, ErrorResponse(request->id, UnresolvedModel(request->model)));
     return;
   }
   std::string id = request->id;
@@ -454,11 +354,7 @@ std::string Server::HandleRequest(const Request& request) {
 
   std::shared_ptr<ServingModel> sm = AcquireModel(request.model, &resolved);
   if (sm == nullptr) {
-    const std::string why =
-        request.model.empty()
-            ? "no \"model\" given and more than one model is hosted"
-            : "unknown model: " + request.model;
-    return ErrorResponse(request.id, Status::NotFound(why));
+    return ErrorResponse(request.id, UnresolvedModel(request.model));
   }
 
   std::string response;
@@ -484,13 +380,8 @@ std::string Server::HandleRequest(const Request& request) {
     response = StatsResponse(request.id, resolved, sm->batcher->stats(),
                              generation,
                              has_session ? &stream_stats : nullptr, &lineage);
-  } else if (request.op == "delta") {
+  } else {  // "delta"
     response = HandleDelta(request, sm);
-  } else {
-    std::vector<CellVerdict> verdicts;
-    const Status status = sm->batcher->Detect(request.cells, &verdicts);
-    response = status.ok() ? OkDetectResponse(request.id, verdicts)
-                           : ErrorResponse(request.id, status);
   }
   ReleaseModel(sm);
   return response;
@@ -561,11 +452,7 @@ std::string Server::HandleAdapt(const Request& request) {
   std::string resolved;
   ModelEntry* entry = ResolveEntry(request.model, &resolved);
   if (entry == nullptr) {
-    const std::string why =
-        request.model.empty()
-            ? "no \"model\" given and more than one model is hosted"
-            : "unknown model: " + request.model;
-    return ErrorResponse(request.id, Status::NotFound(why));
+    return ErrorResponse(request.id, UnresolvedModel(request.model));
   }
   // Adaptation is an admin op: admin_mu serializes it against
   // reload/rollback/shutdown and pins entry->current, so no refcount is

@@ -7,9 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/controller.h"
@@ -19,22 +17,8 @@
 #include "serve/registry.h"
 #include "stream/session.h"
 #include "util/status.h"
-#include "util/threadpool.h"
 
 namespace birnn::serve {
-
-/// Transport for the serve plane.
-enum class ServeMode {
-  /// Epoll reactor (serve/reactor.h): a few event-loop threads multiplex
-  /// thousands of nonblocking connections; detect requests flow through the
-  /// micro-batcher asynchronously. The default.
-  kReactor,
-  /// The classic thread-per-connection blocking transport: one handler
-  /// thread per active connection, synchronous reads and writes. Kept as
-  /// the independently-simple baseline the reactor is byte-compared
-  /// against (tests, soak bench).
-  kBlocking,
-};
 
 struct ServerOptions {
   /// Bind address. Loopback by default — the service has no auth layer, so
@@ -43,23 +27,16 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; read the actual one from port() after
   /// Start() (the tests and the CI smoke job rely on this).
   int port = 0;
-  /// Transport (see ServeMode). Both speak the identical protocol and
-  /// produce byte-identical responses.
-  ServeMode mode = ServeMode::kReactor;
-  /// kBlocking only: connection-handler threads; also the concurrent-
-  /// connection bound (later connections queue in the pool until a handler
-  /// frees up). Clamped to >= 1.
-  int io_threads = 4;
-  /// kReactor only: event-loop threads.
+  /// Event-loop threads.
   int reactor_threads = 2;
-  /// kReactor only: admission cap on concurrently open connections. Above
-  /// it new sockets get a typed OVERLOADED line and an immediate close.
+  /// Admission cap on concurrently open connections. Above it new sockets
+  /// get a typed OVERLOADED line and an immediate close.
   int max_connections = 10000;
-  /// kReactor only: per-connection pending-output bound; above it the
-  /// reactor stops reading that connection until the backlog flushes
-  /// (writable-queue backpressure).
+  /// Per-connection pending-output bound; above it the reactor stops
+  /// reading that connection until the backlog flushes (writable-queue
+  /// backpressure).
   size_t max_output_backlog = 4u << 20;
-  /// kReactor only: bound on the graceful drain in Shutdown().
+  /// Bound on the graceful drain in Shutdown().
   int drain_timeout_ms = 5000;
   /// Listen backlog for not-yet-accepted connections.
   int backlog = 64;
@@ -86,10 +63,12 @@ struct ServerOptions {
 };
 
 /// TCP server speaking the newline-delimited JSON protocol in
-/// serve/protocol.h over either transport (ServeMode). Each hosted model is
-/// served by a MicroBatcher (batcher.replicas engine replicas + shared
-/// verdict memo), so concurrent connections coalesce into shared forward
-/// batches.
+/// serve/protocol.h over an epoll reactor (serve/reactor.h): a few
+/// event-loop threads multiplex nonblocking connections, and detect
+/// requests flow through the micro-batcher asynchronously. Each hosted
+/// model is served by a MicroBatcher (batcher.replicas engine replicas +
+/// shared verdict memo), so concurrent connections coalesce into shared
+/// forward batches.
 ///
 /// Hot reload: ReloadModel() loads a new bundle, atomically swaps it in
 /// (new requests go to the new model), drains the old one — every request
@@ -98,9 +77,9 @@ struct ServerOptions {
 /// RollbackModel() swaps back to the previously-served weights the same
 /// way. Both are also reachable over the wire ("reload" / "rollback" ops).
 ///
-/// Shutdown() drains gracefully in either mode: stop accepting, stop
-/// reading, answer and flush everything already admitted, then stop the
-/// batchers. No admitted request is dropped.
+/// Shutdown() drains gracefully: stop accepting, stop reading, answer and
+/// flush everything already admitted, then stop the batchers. No admitted
+/// request is dropped.
 class Server : public Reactor::Handler {
  public:
   /// `registry` must outlive the server. Models present at Start() get a
@@ -122,13 +101,6 @@ class Server : public Reactor::Handler {
 
   /// Graceful drain, idempotent; also run by the destructor.
   void Shutdown();
-
-  /// Handles one already-parsed request and returns the response line
-  /// (without newline). Exposed for in-process use and tests — the
-  /// blocking transport runs exactly this per line; the reactor runs it
-  /// for every op except "detect" (which goes through the batcher
-  /// asynchronously) and "quit".
-  std::string HandleRequest(const Request& request);
 
   /// Loads the bundle at `dir` and hot-swaps it in under `name`: new
   /// requests see the new model immediately, in-flight requests finish on
@@ -186,8 +158,10 @@ class Server : public Reactor::Handler {
     std::mutex admin_mu;
   };
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
+  /// Answers one already-parsed request synchronously and returns the
+  /// response line (without newline). OnLine runs it for every op except
+  /// "detect" (which goes through the batcher asynchronously) and "quit".
+  std::string HandleRequest(const Request& request);
   /// Applies a delta batch to the model's table session (creating it on
   /// first use) and renders the response line.
   std::string HandleDelta(const Request& request,
@@ -212,16 +186,10 @@ class Server : public Reactor::Handler {
   int listen_fd_ = -1;
   int port_ = 0;
 
-  // kReactor transport.
   std::unique_ptr<Reactor> reactor_;
-
-  // kBlocking transport.
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
 
   mutable std::mutex mutex_;
   std::mutex shutdown_mutex_;  ///< serializes concurrent Shutdown() calls.
-  std::set<int> open_connections_;
   bool shutting_down_ = false;
   bool started_ = false;
 };

@@ -1,7 +1,7 @@
 // adapt subsystem tests: the session's LRU reservoir and drift-alarm
 // reset/re-arm, the adapt::Controller (skip / promote / reject outcomes,
 // deterministic reports, tuple-level train/gate split, candidate bundle
-// round trip), the serve-plane "adapt" op end to end over both transports
+// round trip), the serve-plane "adapt" op end to end over a live socket
 // (promotion bumps the generation, rollback restores byte-identical
 // serving), concurrency under TSAN, and the birnn_adapt_* C API driven
 // from a plain-C translation unit.
@@ -445,10 +445,7 @@ std::string RoundTrip(int fd, const std::string& line) {
   return response;
 }
 
-class AdaptOverSocketsTest
-    : public ::testing::TestWithParam<serve::ServeMode> {};
-
-TEST_P(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
+TEST(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
   const std::string bundle_dir = TempDir("birnn_adapt_serve_bundle");
   ASSERT_TRUE(serve::SaveDetectorBundle(MakeTinyTrained(), bundle_dir).ok());
   serve::ModelRegistry registry;
@@ -458,7 +455,6 @@ TEST_P(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
     ASSERT_TRUE(registry.Add("tiny", std::move(loaded).value()).ok());
   }
   serve::ServerOptions options;
-  options.mode = GetParam();
   options.adapt.min_reservoir_rows = 2;
   options.adapt.bn_only = true;
   options.adapt.f1_band = 1.0;
@@ -523,10 +519,6 @@ TEST_P(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
   std::filesystem::remove_all(bundle_dir);
   std::filesystem::remove_all(options.adapt_bundle_dir);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTransports, AdaptOverSocketsTest,
-                         ::testing::Values(serve::ServeMode::kBlocking,
-                                           serve::ServeMode::kReactor));
 
 TEST(ServeAdaptTest, TooSmallReservoirReportsSkippedWithoutLineage) {
   serve::ModelRegistry registry;

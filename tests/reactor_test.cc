@@ -1,5 +1,7 @@
-// Reactor serve-plane tests: the epoll transport must speak the exact same
-// protocol as the blocking baseline (byte-identical responses), survive
+// Reactor serve-plane tests: the epoll transport must answer a golden
+// transcript byte for byte (literal lines, plus detect lines from a
+// socket-free oracle), frame CRLF and blank keep-alive lines correctly,
+// answer seeded fuzzed request lines with one typed response each, survive
 // hostile and fragmented input, keep pipelined responses in request order,
 // shed typed errors at the connection cap, pause slow readers instead of
 // ballooning, and hot-swap model bundles without dropping one in-flight
@@ -12,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -26,6 +29,7 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "util/rng.h"
 
 namespace birnn::serve {
 namespace {
@@ -115,52 +119,218 @@ std::string DetectRequest(const std::string& id, int salt = 0) {
 
 ServerOptions ReactorOptions4Test() {
   ServerOptions options;
-  options.mode = ServeMode::kReactor;
   options.reactor_threads = 2;
   return options;
 }
 
-// ------------------------------------------- Byte-identity across transports
-
-TEST(ReactorTest, BothTransportsAnswerByteIdentically) {
-  // The reactor's acceptance bar: for the same request stream, its response
-  // bytes must be indistinguishable from the blocking baseline's.
-  ModelRegistry blocking_registry, reactor_registry;
-  ASSERT_TRUE(blocking_registry.Add("tiny", MakeTinyDetector()).ok());
-  ASSERT_TRUE(reactor_registry.Add("tiny", MakeTinyDetector()).ok());
-
-  ServerOptions blocking_options;
-  blocking_options.mode = ServeMode::kBlocking;
-  Server blocking(&blocking_registry, blocking_options);
-  Server reactor(&reactor_registry, ReactorOptions4Test());
-  ASSERT_TRUE(blocking.Start().ok());
-  ASSERT_TRUE(reactor.Start().ok());
-
-  const std::vector<std::string> script = {
-      R"({"id":"p","op":"ping"})",
-      R"({"op":"models"})",
-      DetectRequest("d1", 1),
-      DetectRequest("d2", 2),
-      R"({"op":"detect","model":"nope","cells":[]})",  // NOT_FOUND
-      "garbage {",                                      // INVALID_ARGUMENT
-      R"({"op":"explode"})",                            // unknown op
-      R"({"cells":[{"value":"x"}]})",                   // cell missing attr
-      DetectRequest("d3", 3),
-  };
-
-  const int blocking_fd = ConnectTo(blocking.port());
-  const int reactor_fd = ConnectTo(reactor.port());
-  for (const std::string& line : script) {
-    const std::string expected = RoundTrip(blocking_fd, line);
-    const std::string actual = RoundTrip(reactor_fd, line);
-    EXPECT_EQ(expected, actual) << "request: " << line;
-    EXPECT_FALSE(actual.empty());
-  }
-  ::close(blocking_fd);
-  ::close(reactor_fd);
-  blocking.Shutdown();
-  reactor.Shutdown();
+// The socket-free oracle: the exact response line `detector` produces for
+// one detect request line, through the ParseRequest -> Detect ->
+// OkDetectResponse chain the server runs per line, with no transport.
+std::string OracleDetectResponse(const LoadedDetector& detector,
+                                 const std::string& line) {
+  MicroBatcher batcher(detector);
+  auto request = ParseRequest(line);
+  EXPECT_TRUE(request.ok());
+  std::vector<CellVerdict> verdicts;
+  EXPECT_TRUE(batcher.Detect(request->cells, &verdicts).ok());
+  return OkDetectResponse(request->id, verdicts);
 }
+
+// ------------------------------------------------------ Golden transcript
+
+// One scripted exchange: the raw bytes sent (framing included) and the
+// response line they must produce; an empty `expected` means the bytes are
+// a keep-alive line that must be answered with nothing.
+struct Exchange {
+  std::string sent;
+  std::string expected;
+};
+
+// The golden transcript. Literal lines pin the non-detect responses; detect
+// lines come from the oracle over an independently built copy of the
+// served detector (same seed, same weights).
+std::vector<Exchange> GoldenTranscript() {
+  const LoadedDetector oracle = MakeTinyDetector();
+  const auto detect = [&oracle](const std::string& id, int salt,
+                                const char* framing) {
+    const std::string line = DetectRequest(id, salt);
+    return Exchange{line + framing, OracleDetectResponse(oracle, line)};
+  };
+  return {
+      {R"({"id":"p","op":"ping"})" "\n",
+       R"({"id":"p","status":"OK","pong":true})"},
+      {R"({"op":"models"})" "\n",
+       R"({"id":null,"status":"OK","models":["tiny"]})"},
+      detect("d1", 1, "\n"),
+      {"\n", ""},  // blank keep-alive line
+      detect("d2", 2, "\n"),
+      {"\r\n", ""},  // '\r'-only keep-alive line
+      detect("d2", 2, "\r\n"),  // CRLF twin of the line above
+      {R"({"op":"detect","model":"nope","cells":[]})" "\n",
+       R"({"id":null,"status":"NOT_FOUND","message":"unknown model: nope"})"},
+      {"garbage {\n",
+       R"({"id":null,"status":"INVALID_ARGUMENT",)"
+       R"("message":"expected JSON value"})"},
+      {R"({"op":"explode"})" "\n",
+       R"({"id":null,"status":"INVALID_ARGUMENT",)"
+       R"("message":"unknown op: explode"})"},
+      {R"({"cells":[{"value":"x"}]})" "\n",
+       R"({"id":null,"status":"INVALID_ARGUMENT",)"
+       R"("message":"cell is missing \"attr\""})"},
+      {"\n\r\n\n", ""},  // a run of keep-alive lines
+      detect("d3", 3, "\n"),
+      {R"({"id":"p2","op":"ping"})" "\r\n",
+       R"({"id":"p2","status":"OK","pong":true})"},
+  };
+}
+
+TEST(ReactorTest, AnswersMatchGoldenTranscript) {
+  // The reactor's acceptance bar: every response byte matches the golden
+  // transcript, keep-alive lines answer nothing and shift nothing, and a
+  // CRLF-framed request answers exactly like its '\n' twin.
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
+  Server server(&registry, ReactorOptions4Test());
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<Exchange> transcript = GoldenTranscript();
+
+  // One exchange at a time: each request's bytes alone on the wire.
+  const int fd = ConnectTo(server.port());
+  for (const Exchange& exchange : transcript) {
+    SendRaw(fd, exchange.sent);
+    if (exchange.expected.empty()) continue;
+    EXPECT_EQ(exchange.expected, ReadLine(fd)) << "request: " << exchange.sent;
+  }
+  ::close(fd);
+
+  // The whole transcript pipelined in one write: the same responses, in
+  // order, none for the keep-alive lines.
+  const int pipelined_fd = ConnectTo(server.port());
+  std::string burst;
+  for (const Exchange& exchange : transcript) burst += exchange.sent;
+  SendRaw(pipelined_fd, burst);
+  for (const Exchange& exchange : transcript) {
+    if (exchange.expected.empty()) continue;
+    EXPECT_EQ(exchange.expected, ReadLine(pipelined_fd))
+        << "request: " << exchange.sent;
+  }
+  // Nothing stray is queued behind the last answer.
+  EXPECT_EQ(RoundTrip(pipelined_fd, R"({"id":"end","op":"ping"})"),
+            R"({"id":"end","status":"OK","pong":true})");
+  ::close(pipelined_fd);
+  server.Shutdown();
+}
+
+// --------------------------------------------------- Seeded protocol fuzzing
+
+// One random byte flip, insert, delete or truncation of `line`. Never
+// produces '\n', so a mutant always frames as exactly one request line.
+std::string Mutate(std::string line, Rng* rng) {
+  const auto random_byte = [rng] {
+    char c = '\n';
+    while (c == '\n') c = static_cast<char>(rng->UniformInt(256));
+    return c;
+  };
+  const size_t pos =
+      line.empty() ? 0 : static_cast<size_t>(rng->UniformInt(line.size()));
+  switch (rng->UniformInt(4)) {
+    case 0:  // flip
+      if (!line.empty()) line[pos] = random_byte();
+      break;
+    case 1:  // insert
+      line.insert(line.begin() + static_cast<std::ptrdiff_t>(pos),
+                  random_byte());
+      break;
+    case 2:  // delete
+      if (!line.empty()) line.erase(pos, 1);
+      break;
+    default:  // truncate
+      line.resize(pos);
+      break;
+  }
+  return line;
+}
+
+class ProtocolFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ProtocolFuzzTest, MutatedLinesGetOneTypedResponseEach) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
+  Server server(&registry, ReactorOptions4Test());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::string> seeds;
+  for (const Exchange& exchange : GoldenTranscript()) {
+    if (exchange.expected.empty()) continue;
+    std::string line = exchange.sent.substr(0, exchange.sent.find('\n'));
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    seeds.push_back(std::move(line));
+  }
+
+  // Mutants that would close the connection or change server state are
+  // dropped, so every seed's run is hermetic.
+  Rng rng(GetParam());
+  constexpr size_t kMutants = 200;
+  std::vector<std::string> mutants;
+  while (mutants.size() < kMutants) {
+    std::string line = seeds[rng.UniformInt(seeds.size())];
+    const int rounds = static_cast<int>(rng.UniformRange(1, 4));
+    for (int i = 0; i < rounds; ++i) line = Mutate(std::move(line), &rng);
+    auto request = ParseRequest(line);
+    if (request.ok() &&
+        (request->op == "quit" || request->op == "reload" ||
+         request->op == "rollback" || request->op == "adapt" ||
+         request->op == "delta")) {
+      continue;
+    }
+    mutants.push_back(std::move(line));
+  }
+
+  const int fd = ConnectTo(server.port());
+  std::string burst;
+  for (const std::string& line : mutants) burst += line + "\n";
+  SendRaw(fd, burst);
+
+  const std::vector<std::string> typed_errors = {
+      "INVALID_ARGUMENT", "NOT_FOUND", "FAILED_PRECONDITION", "OUT_OF_RANGE",
+      "INTERNAL", "OVERLOADED", "UNSUPPORTED_BUNDLE"};
+  int answered = 0;
+  for (std::string line : mutants) {
+    // The framer strips one trailing '\r' and skips the empty remainder.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    auto response = JsonValue::Parse(ReadLine(fd));
+    ASSERT_TRUE(response.ok()) << "request: " << line;
+    ASSERT_TRUE(response->is_object()) << "request: " << line;
+    // In order: each response echoes its own request's id (null when the
+    // line never parsed).
+    auto request = ParseRequest(line);
+    EXPECT_EQ(response->GetString("id"), request.ok() ? request->id : "")
+        << "request: " << line;
+    const std::string status = response->GetString("status");
+    if (status != "OK") {
+      EXPECT_NE(std::find(typed_errors.begin(), typed_errors.end(), status),
+                typed_errors.end())
+          << "status " << status << " for request: " << line;
+      ASSERT_NE(response->Find("message"), nullptr) << "request: " << line;
+      EXPECT_TRUE(response->Find("message")->is_string());
+    }
+    if (!request.ok()) {
+      EXPECT_EQ(status, "INVALID_ARGUMENT") << "request: " << line;
+    }
+    ++answered;
+  }
+  EXPECT_GT(answered, 0);
+
+  // The connection survived the barrage.
+  EXPECT_EQ(RoundTrip(fd, R"({"id":"alive","op":"ping"})"),
+            R"({"id":"alive","status":"OK","pong":true})");
+  ::close(fd);
+  server.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzzTest,
+                         ::testing::Range<uint64_t>(0, 8));
 
 // ----------------------------------------------------- Pipelining + ordering
 
@@ -439,12 +609,7 @@ class HotReloadTest : public ::testing::Test {
                                const std::string& id) {
     auto loaded = LoadDetectorBundle(dir);
     EXPECT_TRUE(loaded.ok());
-    MicroBatcher batcher(*loaded);
-    auto request = ParseRequest(DetectRequest(id));
-    EXPECT_TRUE(request.ok());
-    std::vector<CellVerdict> verdicts;
-    EXPECT_TRUE(batcher.Detect(request->cells, &verdicts).ok());
-    return OkDetectResponse(id, verdicts);
+    return OracleDetectResponse(*loaded, DetectRequest(id));
   }
 
   std::string v1_dir_, v2_dir_;
@@ -551,27 +716,6 @@ TEST_F(HotReloadTest, RollbackRestoresPreviousWeights) {
   auto stats = JsonValue::Parse(RoundTrip(fd, R"({"op":"stats"})"));
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->GetNumber("generation"), 3.0);
-  ::close(fd);
-  server.Shutdown();
-}
-
-TEST_F(HotReloadTest, BlockingTransportReloadsToo) {
-  // The reload protocol lives above the transport; the blocking server
-  // must honor it identically.
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.LoadBundle("tiny", v1_dir_).ok());
-  ServerOptions options;
-  options.mode = ServeMode::kBlocking;
-  Server server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const std::string v2_response = ExpectedResponse(v2_dir_, "b");
-  const int fd = ConnectTo(server.port());
-  auto reloaded = JsonValue::Parse(RoundTrip(
-      fd, R"({"op":"reload","dir":")" + v2_dir_ + R"("})"));
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->GetString("status"), "OK");
-  EXPECT_EQ(RoundTrip(fd, DetectRequest("b")), v2_response);
   ::close(fd);
   server.Shutdown();
 }

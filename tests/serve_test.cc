@@ -7,19 +7,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/detector.h"
@@ -131,86 +126,6 @@ TEST(ProtocolTest, ParsesReloadAndRollbackRequests) {
   EXPECT_EQ(ack->GetString("status"), "OK");
   EXPECT_EQ(ack->GetString("model"), "m");
   EXPECT_EQ(ack->GetNumber("generation"), 7.0);
-}
-
-namespace {
-void IgnoreSigusr1(int) {}
-}  // namespace
-
-TEST(ProtocolTest, SendAllSurvivesShortWritesAndEintr) {
-  // A socketpair with minimal send buffer forces write() to go short; a
-  // stream of SIGUSR1s (installed without SA_RESTART) forces EINTR inside
-  // blocked writes. SendAll must still deliver every byte, in order.
-  struct sigaction action {};
-  struct sigaction saved {};
-  action.sa_handler = IgnoreSigusr1;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: write() really returns EINTR
-  ASSERT_EQ(0, sigaction(SIGUSR1, &action, &saved));
-
-  int pair[2];
-  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, pair));
-  const int sndbuf = 1;  // the kernel clamps this to its floor — tiny
-  ::setsockopt(pair[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
-
-  std::string payload;
-  payload.reserve(1 << 20);
-  for (int i = 0; payload.size() < (1 << 20); ++i) {
-    payload += "chunk " + std::to_string(i) + " ";
-  }
-
-  std::atomic<bool> writer_done{false};
-  bool sent_ok = false;
-  std::thread writer([&] {
-    sent_ok = WriteResponseLine(pair[0], payload);
-    writer_done.store(true);
-    ::shutdown(pair[0], SHUT_WR);
-  });
-  const pthread_t writer_handle = writer.native_handle();
-
-  // Pepper the writer with signals while it fights the full socket.
-  std::thread interrupter([&] {
-    while (!writer_done.load()) {
-      pthread_kill(writer_handle, SIGUSR1);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
-  // Drain slowly enough that the send buffer stays full most of the time.
-  std::string received;
-  char chunk[512];
-  for (;;) {
-    const ssize_t n = ::read(pair[1], chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    received.append(chunk, static_cast<size_t>(n));
-  }
-  writer.join();
-  interrupter.join();
-
-  EXPECT_TRUE(sent_ok);
-  ASSERT_EQ(received.size(), payload.size() + 1);
-  EXPECT_EQ(received.back(), '\n');
-  received.pop_back();
-  EXPECT_EQ(received, payload);  // byte-exact despite every interruption
-  ::close(pair[0]);
-  ::close(pair[1]);
-  sigaction(SIGUSR1, &saved, nullptr);
-}
-
-TEST(ProtocolTest, SendAllReportsBrokenPipe) {
-  struct sigaction ignore {};
-  struct sigaction saved {};
-  ignore.sa_handler = SIG_IGN;
-  sigemptyset(&ignore.sa_mask);
-  ASSERT_EQ(0, sigaction(SIGPIPE, &ignore, &saved));
-  int pair[2];
-  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, pair));
-  ::close(pair[1]);
-  const std::string big(1 << 20, 'x');
-  EXPECT_FALSE(SendAll(pair[0], big.data(), big.size()));
-  ::close(pair[0]);
-  sigaction(SIGPIPE, &saved, nullptr);
 }
 
 TEST(ProtocolTest, JsonFloatRoundTripsBits) {

@@ -469,19 +469,14 @@ std::string RoundTrip(int fd, const std::string& line) {
   return response;
 }
 
-class DeltaOverSocketsTest : public ::testing::TestWithParam<serve::ServeMode> {
-};
-
-TEST_P(DeltaOverSocketsTest, DeltasFlowIntoSessionAndStats) {
+TEST(DeltaOverSocketsTest, DeltasFlowIntoSessionAndStats) {
   serve::ModelRegistry registry;
   {
     auto loaded = serve::MakeLoadedDetector(MakeTinyTrained());
     ASSERT_TRUE(loaded.ok());
     ASSERT_TRUE(registry.Add("tiny", std::move(loaded).value()).ok());
   }
-  serve::ServerOptions options;
-  options.mode = GetParam();
-  serve::Server server(&registry, options);
+  serve::Server server(&registry);
   ASSERT_TRUE(server.Start().ok());
   const int fd = ConnectTo(server.port());
 
@@ -524,10 +519,6 @@ TEST_P(DeltaOverSocketsTest, DeltasFlowIntoSessionAndStats) {
   ::close(fd);
   server.Shutdown();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTransports, DeltaOverSocketsTest,
-                         ::testing::Values(serve::ServeMode::kBlocking,
-                                           serve::ServeMode::kReactor));
 
 TEST(DeltaOverSocketsTest, NonStreamCapableModelGetsTypedError) {
   serve::ModelRegistry registry;
