@@ -9,22 +9,6 @@
 #include "util/stopwatch.h"
 
 namespace birnn::core {
-namespace {
-
-/// Batches are padded (by repeating the last real cell) to a multiple of
-/// this row count. The elementwise transcendental sweeps (vecmath.cc) run
-/// libmvec SIMD bodies with scalar tails; keeping every (rows x cols)
-/// activation buffer a multiple of the widest SIMD register (16 floats)
-/// guarantees the tail is never taken, so a cell's values cannot depend on
-/// its position in a batch — the invariant behind "memoized == unmemoized,
-/// bit for bit".
-constexpr int kRowQuantum = 16;
-
-int64_t PaddedRows(int64_t rows) {
-  return (rows + kRowQuantum - 1) / kRowQuantum * kRowQuantum;
-}
-
-}  // namespace
 
 InferenceEngine::InferenceEngine(const ErrorDetectionModel& model,
                                  InferenceOptions options, ThreadPool* pool)
@@ -162,17 +146,13 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
         cells.push_back(plan.unique_cells[static_cast<size_t>(
             plan.order[static_cast<size_t>(i)])]);
       }
-      const int64_t real_rows = pb.end - pb.begin;
-      while (static_cast<int64_t>(cells.size()) < PaddedRows(real_rows)) {
-        cells.push_back(cells.back());
-      }
       MakeBatchInto(ds, cells, pb.padded_len, &batch);
       const BucketedInferenceContext* ctx =
           pb.padded_len < ds.max_len ? &bucketed_ctx_ : nullptr;
       if (want_hidden) {
         model_.ForwardHidden(batch, &hidden, &scratch, ctx,
                              options_.precision);
-        for (int64_t r = 0; r < real_rows; ++r) {
+        for (int64_t r = 0; r < pb.end - pb.begin; ++r) {
           const int32_t u = plan.order[static_cast<size_t>(pb.begin + r)];
           for (int j = 0; j < hidden.cols(); ++j) {
             hidden_unique->at(u, j) = hidden.at(static_cast<int>(r), j);
@@ -181,7 +161,7 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
       } else {
         model_.PredictProbs(batch, &probs, &scratch, ctx,
                             options_.precision);
-        for (int64_t r = 0; r < real_rows; ++r) {
+        for (int64_t r = 0; r < pb.end - pb.begin; ++r) {
           const int32_t u = plan.order[static_cast<size_t>(pb.begin + r)];
           (*p_unique)[static_cast<size_t>(u)] =
               probs[static_cast<size_t>(r)];
@@ -252,18 +232,11 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   stats_.batches = static_cast<int64_t>(plan->batches.size());
   const int dirs = model_.config().bidirectional ? 2 : 1;
   stats_.rnn_steps_dense = stats_.cells * ds.max_len * dirs;
-  int64_t pad_rows = 0;
   for (const PlanBatch& pb : plan->batches) {
     // The forward chain always runs to max_len; bucketing shortens only
     // the backward chain (its pad prefix is warm-started, not re-run).
-    const int64_t real_rows = pb.end - pb.begin;
-    pad_rows += PaddedRows(real_rows) - real_rows;
-    stats_.rnn_steps +=
-        PaddedRows(real_rows) *
-        (ds.max_len + (dirs == 2 ? pb.padded_len : 0));
-    OBS_HISTOGRAM_RECORD("inference/batch_fill",
-                         static_cast<double>(real_rows) /
-                             static_cast<double>(PaddedRows(real_rows)));
+    stats_.rnn_steps += (pb.end - pb.begin) *
+                        (ds.max_len + (dirs == 2 ? pb.padded_len : 0));
   }
   OBS_COUNTER_ADD("inference/cells", stats_.cells);
   OBS_COUNTER_ADD("inference/unique_cells", stats_.unique_cells);
@@ -271,7 +244,6 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   OBS_COUNTER_ADD("inference/batches", stats_.batches);
   OBS_COUNTER_ADD("inference/rnn_steps", stats_.rnn_steps);
   OBS_COUNTER_ADD("inference/rnn_steps_dense", stats_.rnn_steps_dense);
-  OBS_COUNTER_ADD("inference/pad_rows", pad_rows);
 
   RunPlan(ds, *plan, want_hidden, p_unique, hidden_unique);
   stats_.seconds = timer.ElapsedSeconds();
@@ -365,7 +337,7 @@ void CalibrateBatchNormMemoized(ErrorDetectionModel* model,
                                 ThreadPool* pool) {
   if (ds.num_cells() == 0) return;
   InferenceOptions calibrate_options = options;
-  calibrate_options.bucketed = false;  // exact activations only
+  calibrate_options.bucketed = false;  // as documented; bucketing is exact too
   // Calibration defines the model's training-time statistics; they must
   // not drift with the serving precision.
   calibrate_options.precision = nn::Precision::kFp32;

@@ -14,7 +14,7 @@ class ContentMemo;
 
 /// Configuration of the forward-only inference engine.
 struct InferenceOptions {
-  /// Cells per forward batch (before the internal row padding).
+  /// Cells per forward batch.
   int eval_batch = 256;
 
   /// Worker threads for the sweep (0 = run on the calling thread). Used
@@ -26,12 +26,12 @@ struct InferenceOptions {
   /// Predict each distinct cell content once and broadcast the result to
   /// its duplicates. Exact: a cell's prediction is a pure function of its
   /// (attribute id, character sequence, length_norm) key, every kernel on
-  /// the forward path is row-independent, and batches are padded to a
-  /// register-width multiple so no value ever depends on its batch
-  /// position. Real tables repeat values heavily (a `state` column holds
-  /// ~50 distinct strings across thousands of rows), so this alone removes
-  /// most of the sweep's work — `InferenceStats::dedup_factor` reports how
-  /// much.
+  /// the forward path is row-independent, and the activation sweeps are
+  /// batch-size invariant (nn/vecmath.h), so no value ever depends on its
+  /// batch or its position in it. Real tables repeat values heavily (a
+  /// `state` column holds ~50 distinct strings across thousands of rows),
+  /// so this alone removes most of the sweep's work —
+  /// `InferenceStats::dedup_factor` reports how much.
   bool memoize = true;
 
   /// Opt-in: group cells by content length so the *backward* value chain
@@ -66,9 +66,9 @@ struct InferenceStats {
   int64_t unique_cells = 0;   ///< distinct cell contents actually predicted.
   double dedup_factor = 1.0;  ///< cells / unique_cells.
   int64_t batches = 0;        ///< forward batches run.
-  /// Per-direction RNN time steps executed, summed over batches (including
-  /// the internal row padding). The forward chain always runs to max_len;
-  /// bucketing shortens only the backward chain.
+  /// Per-direction RNN time steps executed, summed over the batches' rows.
+  /// The forward chain always runs to max_len; bucketing shortens only the
+  /// backward chain.
   int64_t rnn_steps = 0;
   /// `cells * max_len * directions` — the unoptimized sweep's step count.
   int64_t rnn_steps_dense = 0;

@@ -212,12 +212,8 @@ void ErrorDetectionModel::PredictProbs(const BatchInput& batch,
 
 void ErrorDetectionModel::PrepareBucketedInference(
     BucketedInferenceContext* ctx, nn::Precision precision) const {
-  // 16 identical rows: one full SIMD register, so the elementwise kernels
-  // take the same vector path as the engine's row-padded batches and the
-  // trajectory is bit-identical to running the prefix inline.
-  const std::vector<int> pad_ids(16, 0);
   nn::Tensor pad_step;
-  char_emb_->LookupForward(pad_ids, &pad_step);
+  char_emb_->LookupForward(std::vector<int>{0}, &pad_step);
   value_rnn_->ComputeBackwardPadPrefix(pad_step, config_.max_len,
                                        &ctx->value_traj, precision);
 }

@@ -490,29 +490,14 @@ void StackedBiRecurrent::ComputeBackwardPadPrefix(
     Precision precision) const {
   traj->states.clear();
   if (!bidirectional_) return;
+  BIRNN_CHECK_EQ(pad_step.rows(), 1);
   const auto& cells = cells_[1];
-  const int batch = pad_step.rows();
 
   std::vector<RecurrentTensors> state(cells.size());
   for (size_t l = 0; l < cells.size(); ++l) {
-    state[l] = cells[l].InitialTensors(batch);
+    state[l] = cells[l].InitialTensors(1);
   }
-  const auto record = [&]() {
-    std::vector<RecurrentTensors> row(cells.size());
-    for (size_t l = 0; l < cells.size(); ++l) {
-      row[l].h = Tensor(1, cells[l].units());
-      std::copy(state[l].h.data(), state[l].h.data() + cells[l].units(),
-                row[l].h.data());
-      if (cells[l].type() == CellType::kLstm) {
-        row[l].c = Tensor(1, cells[l].units());
-        std::copy(state[l].c.data(), state[l].c.data() + cells[l].units(),
-                  row[l].c.data());
-      }
-    }
-    traj->states.push_back(std::move(row));
-  };
-
-  record();  // k = 0: the zero initial state.
+  traj->states.push_back(state);  // k = 0: the zero initial state.
   RecurrentTensors next;
   StepScratch step;
   for (int k = 1; k <= max_steps; ++k) {
@@ -523,7 +508,7 @@ void StackedBiRecurrent::ComputeBackwardPadPrefix(
       if (cells[l].type() == CellType::kLstm) std::swap(state[l].c, next.c);
       x = &state[l].h;
     }
-    record();
+    traj->states.push_back(state);
   }
 }
 

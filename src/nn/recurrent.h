@@ -204,13 +204,12 @@ class StackedBiRecurrent {
                     Precision precision = Precision::kFp32) const;
 
   /// Precomputes the backward direction's state trajectory over an all-pad
-  /// prefix of up to `max_steps` steps. `pad_step` must hold the pad input
-  /// embedding replicated over its rows (use a full SIMD register of rows
-  /// so the elementwise kernels take the same vector path as real batches —
-  /// that keeps the warm start bit-identical to running the prefix inline).
-  /// The trajectory is precision-specific: compute it at the precision the
-  /// bucketed sweep will run. Leaves the trajectory empty for
-  /// unidirectional stacks.
+  /// prefix of up to `max_steps` steps. `pad_step` holds the pad input
+  /// embedding as its one row (the step kernels are row-independent and
+  /// batch-size invariant, so the warm start is bit-identical to running
+  /// the prefix inline in any batch). The trajectory is
+  /// precision-specific: compute it at the precision the bucketed sweep
+  /// will run. Leaves the trajectory empty for unidirectional stacks.
   void ComputeBackwardPadPrefix(const Tensor& pad_step, int max_steps,
                                 PadPrefixTrajectory* traj,
                                 Precision precision = Precision::kFp32) const;

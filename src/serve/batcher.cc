@@ -193,9 +193,9 @@ void MicroBatcher::DispatchLoop() {
     lock.unlock();
     queue_cells_.Add(static_cast<double>(-batch_cells));
 
-    // One padded forward batch for everything taken. The engine memoizes
-    // duplicate cell contents within the batch and pads rows to a register
-    // multiple, so each cell's verdict is independent of its batch-mates.
+    // One forward batch for everything taken. The engine memoizes duplicate
+    // cell contents within the batch and its kernels are batch-size
+    // invariant, so each cell's verdict is independent of its batch-mates.
     data::EncodedDataset* batch = &taken.front().encoded;
     data::EncodedDataset merged;
     if (taken.size() > 1) {

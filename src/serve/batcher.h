@@ -87,7 +87,7 @@ struct BatcherStats {
   int64_t memo_evictions = 0;  ///< shard seals that dropped entries.
 };
 
-/// Coalesces concurrent detection requests into padded batches through
+/// Coalesces concurrent detection requests into batches through
 /// core::InferenceEngine replicas. Each of `options.replicas` dispatcher
 /// threads owns a private engine and pulls coalesced batches from the
 /// shared admission queue; callers enqueue encoded cells and are answered
@@ -97,11 +97,11 @@ struct BatcherStats {
 /// a weight change: a hot bundle reload builds a fresh batcher.
 ///
 /// Because the engine's forward path is batch-composition independent
-/// (row-independent kernels, register-width row padding, content-keyed
-/// memoization — see core/inference.h), the verdicts are bit-identical to
-/// running each request alone, no matter how requests interleave or what
-/// max_batch / max_delay_us window is configured. The batching changes
-/// throughput, never answers.
+/// (row-independent kernels, batch-size-invariant activation sweeps,
+/// content-keyed memoization — see core/inference.h), the verdicts are
+/// bit-identical to running each request alone, no matter how requests
+/// interleave or what max_batch / max_delay_us window is configured. The
+/// batching changes throughput, never answers.
 ///
 /// Backpressure: the pending queue is bounded by `queue_capacity` cells;
 /// requests beyond it are refused immediately with Status::Overloaded (the

@@ -231,8 +231,8 @@ TEST(InferenceEngineTest, IndexSubsetAndStats) {
 }
 
 TEST(InferenceEngineTest, BucketedIsInvariantToMemoization) {
-  // Bucketing is approximate w.r.t. the full-padding sweep, but within the
-  // bucketed mode results must still be a pure function of cell content:
+  // Bucketing is exact (BitParityOnAllSixGenerators); here, within the
+  // bucketed mode results must also be a pure function of cell content:
   // memoize on/off and any thread count give identical bits.
   const data::EncodedDataset ds = DuplicateHeavyDataset();
   ErrorDetectionModel model(SmallConfig(ds));
@@ -281,6 +281,69 @@ TEST(InferenceEngineTest, CalibrateMemoizedMatchesReference) {
   ASSERT_EQ(p_ref.size(), p_memo.size());
   for (size_t i = 0; i < p_ref.size(); ++i) {
     EXPECT_NEAR(p_ref[i], p_memo[i], 1e-5f) << "cell " << i;
+  }
+}
+
+/// A cell's probability is a pure function of its content: bit-identical
+/// to its solo (batch-of-1) value at every batch size 1..64 and every
+/// position in the batch — through the raw model and through the engine
+/// (no memoization, so every cell really runs in a batch of that size) —
+/// for every cell family and kernel precision.
+TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
+  const data::EncodedDataset ds = DuplicateHeavyDataset();
+  const int64_t n_cells = ds.num_cells();
+  for (const nn::CellType cell :
+       {nn::CellType::kVanilla, nn::CellType::kGru, nn::CellType::kLstm}) {
+    ModelConfig config = SmallConfig(ds);
+    config.cell_type = cell;
+    ErrorDetectionModel model(config);
+    model.CalibrateBatchNorm(ds);
+    for (const nn::Precision precision :
+         {nn::Precision::kFp32, nn::Precision::kInt8}) {
+      model.PrepareQuantizedInference(precision);
+      const std::string tag = std::string(nn::CellTypeName(cell)) + "/" +
+                              nn::PrecisionName(precision);
+      InferenceScratch scratch;
+      std::vector<float> solo(static_cast<size_t>(n_cells));
+      for (int64_t c = 0; c < n_cells; ++c) {
+        std::vector<float> p;
+        model.PredictProbs(MakeBatch(ds, {c}), &p, &scratch, nullptr,
+                           precision);
+        solo[static_cast<size_t>(c)] = p[0];
+      }
+
+      for (int b = 1; b <= 64; ++b) {
+        // Raw model: a window of b consecutive cells starting at a
+        // size-dependent offset, so each cell lands at varied positions.
+        std::vector<int64_t> window(static_cast<size_t>(b));
+        for (int k = 0; k < b; ++k) {
+          window[static_cast<size_t>(k)] = (13 * b + k) % n_cells;
+        }
+        std::vector<float> raw;
+        model.PredictProbs(MakeBatch(ds, window), &raw, &scratch, nullptr,
+                           precision);
+        for (int k = 0; k < b; ++k) {
+          const int64_t c = window[static_cast<size_t>(k)];
+          ASSERT_EQ(raw[static_cast<size_t>(k)], solo[static_cast<size_t>(c)])
+              << tag << " raw batch " << b << " position " << k;
+        }
+
+        // Engine: every cell of the table, in batches of b plus a tail
+        // batch of n_cells % b.
+        InferenceOptions options;
+        options.eval_batch = b;
+        options.memoize = false;
+        options.precision = precision;
+        InferenceEngine engine(model, options);
+        std::vector<float> swept;
+        engine.PredictProbs(ds, {}, &swept);
+        for (int64_t c = 0; c < n_cells; ++c) {
+          ASSERT_EQ(swept[static_cast<size_t>(c)],
+                    solo[static_cast<size_t>(c)])
+              << tag << " engine batch " << b << " cell " << c;
+        }
+      }
+    }
   }
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "nn/vecmath.h"
 
 namespace birnn::nn {
 namespace {
@@ -142,6 +146,46 @@ TEST(OpsTest, Nonlinearities) {
   SigmoidElem(x, &y);
   EXPECT_NEAR(y[0], 0.268941f, 1e-5);
   EXPECT_FLOAT_EQ(y[1], 0.5f);
+}
+
+uint32_t Bits(float v) {
+  uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Every element of a TanhVec/SigmoidVec sweep must be bit-identical to the
+// same input's value in a 16-aligned sweep, whatever the sweep length, the
+// element's position in it, the buffers' alignment, or in-place operation:
+// the invariant that lets a cell's prediction ignore its batch.
+TEST(OpsTest, ActivationSweepsAreBatchSizeInvariant) {
+  using Sweep = void (*)(const float*, float*, size_t);
+  constexpr int kLen = 256;  // a multiple of 16: the reference takes no tail
+  std::vector<float> src(kLen);
+  for (int i = 0; i < kLen; ++i) {
+    src[static_cast<size_t>(i)] = 6.0f * std::sin(0.37f * i + 0.1f) +
+                                  0.01f * static_cast<float>(i % 7);
+  }
+  for (const Sweep sweep : {static_cast<Sweep>(TanhVec),
+                            static_cast<Sweep>(SigmoidVec)}) {
+    std::vector<float> ref(kLen);
+    sweep(src.data(), ref.data(), kLen);
+    for (size_t n = 1; n <= 64; ++n) {
+      for (const size_t offset : {0, 1, 3, 5, 8, 13, 16, 37}) {
+        std::vector<float> out(kLen, 0.0f);
+        sweep(src.data() + offset, out.data() + (offset + 1) % 16, n);
+        std::vector<float> inplace(src.begin(), src.end());
+        sweep(inplace.data() + offset, inplace.data() + offset, n);
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t want = Bits(ref[offset + i]);
+          ASSERT_EQ(Bits(out[(offset + 1) % 16 + i]), want)
+              << "out of place n=" << n << " offset=" << offset << " i=" << i;
+          ASSERT_EQ(Bits(inplace[offset + i]), want)
+              << "in place n=" << n << " offset=" << offset << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(OpsTest, SoftmaxRowsSumToOneAndOrder) {
