@@ -11,10 +11,8 @@
  *
  * Build & run:  ./build/examples/embed_capi <bundle-dir>
  *
- * Create a stream-capable bundle first, e.g. by running the serve_detector
- * example (which writes hospital.bundle/) with a current build — bundles
- * from before manifest v3 carry no frozen column statistics and are
- * rejected for streaming with BIRNN_UNSUPPORTED_BUNDLE. */
+ * Create a bundle first, e.g. by running the serve_detector example
+ * (which writes hospital.bundle/). */
 
 #include <stdint.h>
 #include <stdio.h>

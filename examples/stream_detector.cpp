@@ -2,9 +2,9 @@
 // the table changes underneath you — without re-detecting the whole table.
 //
 // 1. Train an ETSB-RNN detector on synthetic Hospital data. The trained
-//    state now carries frozen column statistics (per-attribute max value
-//    length, empty/error rates, dictionary fingerprint), which is what
-//    makes a bundle stream-capable (manifest v3).
+//    state carries frozen column statistics (per-attribute max value
+//    length, empty/error rates, dictionary fingerprint), which every
+//    bundle persists and streaming encodes against.
 // 2. Open a stream::TableSession on the detector and replay the dirty
 //    table as inserts. Only the arriving cells are encoded and scored —
 //    bit-identically to the offline run, so the materialized verdict store
@@ -68,8 +68,6 @@ int main() {
       std::move(loaded).value());
   auto session = TableSession::Create(shared);
   if (!session.ok()) {
-    // A pre-v3 bundle (no frozen statistics) fails here with
-    // UNSUPPORTED_BUNDLE — re-save it from a current detector run.
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
     return 1;
   }

@@ -37,9 +37,8 @@ typedef enum birnn_status {
   BIRNN_UNIMPLEMENTED = 6,
   BIRNN_IO_ERROR = 7,
   BIRNN_OVERLOADED = 8,
-  /* Delta ops were attempted against a bundle that carries no frozen
-   * column statistics (pre-v3 manifest). Re-save the bundle from a
-   * current detector run. */
+  /* Reserved: no call returns it. Every bundle now carries the frozen
+   * column statistics streaming needs. Kept so the values stay stable. */
   BIRNN_UNSUPPORTED_BUNDLE = 9
 } birnn_status;
 
@@ -71,13 +70,12 @@ void birnn_detector_free(birnn_detector* detector);
  * on; -1 on a NULL detector. */
 int32_t birnn_detector_n_attrs(const birnn_detector* detector);
 
-/* 1 when the bundle carries the frozen column statistics streaming needs
- * (manifest v3); 0 otherwise (sessions cannot be opened against it). */
+/* 1 for any non-NULL detector (every bundle can stream); 0 on NULL. Kept
+ * for ABI stability. */
 int32_t birnn_detector_stream_capable(const birnn_detector* detector);
 
 /* Opens a streaming session against a loaded detector. The detector may
- * be freed while sessions are live; each session keeps it alive. Fails
- * with BIRNN_UNSUPPORTED_BUNDLE unless birnn_detector_stream_capable(). */
+ * be freed while sessions are live; each session keeps it alive. */
 birnn_status birnn_session_create(const birnn_detector* detector,
                                   birnn_session** out);
 void birnn_session_free(birnn_session* session);
@@ -145,7 +143,7 @@ typedef struct birnn_adapt_options {
   /* Fine-tune worker threads (0 = run on the calling thread). */
   int32_t train_threads;
   /* Optional directory to save a promoted candidate as a full bundle
-   * (manifest v3, re-quantized shadow weights); NULL = don't save. */
+   * (frozen statistics, re-quantized shadow weights); NULL = don't save. */
   const char* candidate_dir;
 } birnn_adapt_options;
 

@@ -277,18 +277,7 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
   candidate.prepare = incumbent.prepare();
   candidate.train_unique_cells = sweep.stats().unique_cells;
   candidate.content_fingerprint = core::DatasetContentFingerprint(all);
-  candidate.attr_empty_rate.assign(static_cast<size_t>(n_attrs), 0.0f);
-  candidate.attr_error_rate.assign(static_cast<size_t>(n_attrs), 0.0f);
-  for (int a = 0; a < n_attrs; ++a) {
-    const size_t s = static_cast<size_t>(a);
-    if (attr_cells[s] > 0) {
-      candidate.attr_empty_rate[s] = static_cast<float>(attr_empties[s]) /
-                                     static_cast<float>(attr_cells[s]);
-      candidate.attr_error_rate[s] = static_cast<float>(attr_errors[s]) /
-                                     static_cast<float>(attr_cells[s]);
-    }
-  }
-  candidate.has_frozen_stats = true;
+  core::FreezeColumnStats(attr_cells, attr_empties, attr_errors, &candidate);
   candidate.model = std::move(model);
 
   if (!options_.candidate_dir.empty()) {

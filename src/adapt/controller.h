@@ -57,7 +57,7 @@ struct ControllerOptions {
   int eval_batch = 256;
 
   /// When non-empty, a promoted candidate is also saved here as a full
-  /// detector bundle (manifest v3, re-quantized shadow weights) — the
+  /// detector bundle (frozen statistics, re-quantized shadow weights) — the
   /// directory the serve plane hands to its hot-reload path.
   std::string candidate_dir;
 

@@ -11,24 +11,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/hash.h"
 #include "util/stopwatch.h"
 
 namespace birnn::core {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 constexpr char kSegmentMagic[8] = {'B', 'R', 'N', 'M', 'E', 'M', 'O', '1'};
 constexpr int64_t kSlotBytes = 16;  // hash(8) + p_error(4) + key_off(4).
-
-uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void PutVarint(uint32_t v, std::vector<uint8_t>* out) {
   while (v >= 0x80) {
@@ -187,13 +177,8 @@ bool StoredKeyMatchesCell(const uint8_t* key, size_t key_len,
 uint64_t PackedKeyContentHash(const uint8_t* key, size_t key_len) {
   const uint8_t* p = key;
   const uint8_t* end = key + key_len;
-  uint64_t h = kFnvOffset;
-  const auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (b * 8)) & 0xFFu;
-      h *= kFnvPrime;
-    }
-  };
+  uint64_t h = util::kFnv1aOffset;
+  const auto mix = [&h](uint64_t v) { h = util::Fnv1aMixU64(h, v); };
   uint32_t attr;
   size_t n = GetVarint(p, end, &attr);
   if (n == 0) return 0;
@@ -222,15 +207,15 @@ uint64_t PackedKeyContentHash(const uint8_t* key, size_t key_len) {
 }
 
 uint64_t DatasetContentFingerprint(const data::EncodedDataset& ds) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = util::kFnv1aOffset;
   const uint64_t shape[4] = {static_cast<uint64_t>(ds.num_cells()),
                              static_cast<uint64_t>(ds.max_len),
                              static_cast<uint64_t>(ds.vocab),
                              static_cast<uint64_t>(ds.n_attrs)};
-  h = FnvMix(h, shape, sizeof(shape));
+  h = util::Fnv1aMix(h, shape, sizeof(shape));
   for (int64_t i = 0; i < ds.num_cells(); ++i) {
     const uint64_t ch = ds.CellContentHash(i);
-    h = FnvMix(h, &ch, 8);
+    h = util::Fnv1aMix(h, &ch, 8);
   }
   return h;
 }
@@ -349,12 +334,13 @@ Status SpillSegment::Write(const std::string& path,
     body.append(slot, 8);
   }
   body.append(reinterpret_cast<const char*>(blob.data()), blob.size());
-  const uint64_t checksum = FnvMix(kFnvOffset, body.data(), body.size());
+  const uint64_t checksum = util::Fnv1a(body.data(), body.size());
   PutU64(checksum, &body);
 
-  // Atomic publish: a crashed or failed write can never leave a partial
-  // segment under the final name (same discipline as checkpoint v1 and the
-  // eval artifact cache).
+  // Atomic publish: a failed write can never leave a partial segment under
+  // the final name. Unlike util::WriteFileAtomic there is no fsync: a
+  // segment is process-lifetime scratch, unlinked when the memo is
+  // destroyed, so durability would only add latency to the seal path.
   const std::string tmp =
       path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
   FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -412,7 +398,7 @@ StatusOr<SpillSegment> SpillSegment::Open(const std::string& path) {
 
   // Streaming checksum: the segment is validated once at open without ever
   // being resident; Find() afterwards trusts the file.
-  uint64_t h = kFnvOffset;
+  uint64_t h = util::kFnv1aOffset;
   char buf[1 << 16];
   int64_t off = 0;
   const int64_t body_size = file_size - 8;
@@ -422,7 +408,7 @@ StatusOr<SpillSegment> SpillSegment::Open(const std::string& path) {
     if (!PReadAll(fd, buf, n, off)) {
       return Status::IoError("spill segment unreadable: " + path);
     }
-    h = FnvMix(h, buf, n);
+    h = util::Fnv1aMix(h, buf, n);
     off += static_cast<int64_t>(n);
   }
   uint64_t stored;

@@ -111,8 +111,8 @@ struct SpillRecord {
 
 /// An immutable on-disk memo segment: a sorted-by-hash slot array plus a
 /// packed-key blob, FNV-1a checksummed and written atomically (tmp +
-/// rename, the checkpoint-v1 discipline). Lookups binary-search the slot
-/// array with pread — a sealed segment costs a file descriptor, not RAM.
+/// rename, no fsync: process-lifetime scratch). Lookups binary-search the
+/// slot array with pread — a sealed segment costs a file descriptor, not RAM.
 class SpillSegment {
  public:
   SpillSegment() = default;

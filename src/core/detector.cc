@@ -14,6 +14,22 @@
 
 namespace birnn::core {
 
+void FreezeColumnStats(const std::vector<int64_t>& cells,
+                       const std::vector<int64_t>& empties,
+                       const std::vector<int64_t>& errors,
+                       TrainedDetector* trained) {
+  trained->attr_empty_rate.assign(cells.size(), 0.0f);
+  trained->attr_error_rate.assign(cells.size(), 0.0f);
+  for (size_t a = 0; a < cells.size(); ++a) {
+    if (cells[a] == 0) continue;
+    trained->attr_empty_rate[a] =
+        static_cast<float>(empties[a]) / static_cast<float>(cells[a]);
+    trained->attr_error_rate[a] =
+        static_cast<float>(errors[a]) / static_cast<float>(cells[a]);
+  }
+  trained->has_frozen_stats = true;
+}
+
 ErrorDetector::ErrorDetector(DetectorOptions options)
     : options_(std::move(options)) {}
 
@@ -162,9 +178,9 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
     }
     trained->prepare = options_.prepare;
     trained->options = options_;
-    // Frozen column statistics for streaming drift baselines (manifest
-    // v3): empty rates from the prepared frame, error rates from the
-    // sweep's predictions — both per attribute over the whole table.
+    // Frozen column statistics for streaming drift baselines: empty rates
+    // from the prepared frame, error rates from the sweep's predictions —
+    // both per attribute over the whole table.
     const size_t n_attrs = static_cast<size_t>(frame.num_attrs());
     std::vector<int64_t> attr_cells(n_attrs, 0);
     std::vector<int64_t> attr_empties(n_attrs, 0);
@@ -176,18 +192,7 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
       if (cells[i].empty) ++attr_empties[a];
       if (report.predicted[i] != 0) ++attr_errors[a];
     }
-    trained->attr_empty_rate.assign(n_attrs, 0.0f);
-    trained->attr_error_rate.assign(n_attrs, 0.0f);
-    for (size_t a = 0; a < n_attrs; ++a) {
-      if (attr_cells[a] == 0) continue;
-      trained->attr_empty_rate[a] =
-          static_cast<float>(attr_empties[a]) /
-          static_cast<float>(attr_cells[a]);
-      trained->attr_error_rate[a] =
-          static_cast<float>(attr_errors[a]) /
-          static_cast<float>(attr_cells[a]);
-    }
-    trained->has_frozen_stats = true;
+    FreezeColumnStats(attr_cells, attr_empties, attr_errors, trained);
     // Memo pre-size hint + provenance: the sweep already counted the
     // distinct contents, the fingerprint is one extra hash pass.
     trained->train_unique_cells = report.inference.unique_cells;

@@ -119,16 +119,25 @@ struct TrainedDetector {
   /// core::DatasetContentFingerprint of the encoded training frame (0 when
   /// unknown) — lets operators recognize which table a bundle came from.
   uint64_t content_fingerprint = 0;
-  /// Frozen train-time column statistics (bundle manifest v3): per-attribute
-  /// empty-value rate over the prepared frame and per-attribute predicted-
-  /// error rate of the whole-table sweep. Streaming sessions diff their
+  /// Frozen train-time column statistics: per-attribute empty-value rate
+  /// over the prepared frame and per-attribute predicted-error rate of the
+  /// whole-table sweep, both sized n_attrs. Streaming sessions diff their
   /// live ingest statistics against these to raise drift alarms without
-  /// ever rescanning the training table. Both are sized n_attrs when
-  /// `has_frozen_stats` is set.
+  /// ever rescanning the training table.
   std::vector<float> attr_empty_rate;
   std::vector<float> attr_error_rate;
+  /// Must be true: saving or serving a detector without the statistics
+  /// above fails with InvalidArgument.
   bool has_frozen_stats = false;
 };
+
+/// Sets `trained`'s frozen column statistics from per-attribute counts of
+/// cells, empty cells and predicted errors (rates stay 0 for an attribute
+/// without cells) and marks them present.
+void FreezeColumnStats(const std::vector<int64_t>& cells,
+                       const std::vector<int64_t>& empties,
+                       const std::vector<int64_t>& errors,
+                       TrainedDetector* trained);
 
 /// The paper's end-to-end system: data preparation -> trainset selection ->
 /// user labeling -> training -> per-cell error detection.

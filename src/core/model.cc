@@ -20,6 +20,10 @@ Status ModelConfig::Validate() const {
   if (units < 1 || stacks < 1) {
     return Status::InvalidArgument("units and stacks must be >= 1");
   }
+  if (char_emb_dim < 1 || attr_emb_dim < 1 || attr_units < 1 ||
+      length_dense_dim < 1 || hidden_dense_dim < 1) {
+    return Status::InvalidArgument("layer widths must be >= 1");
+  }
   return Status::OK();
 }
 
@@ -86,6 +90,29 @@ ErrorDetectionModel::ErrorDetectionModel(const ModelConfig& config)
                                               config.hidden_dense_dim, 2,
                                               nn::Dense::Activation::kNone,
                                               &rng);
+}
+
+double ErrorDetectionModel::ParameterCount(const ModelConfig& c) {
+  const double dirs = c.bidirectional ? 2.0 : 1.0;
+  // Per direction, a stack's first level reads `input` and the others read
+  // `units`; each level holds Wx, Wh and a bias for every gate block.
+  const auto rnn = [&](double input, double units) {
+    return dirs * nn::GateCount(c.cell_type) * units *
+           (input + units + 1.0 + (c.stacks - 1.0) * (2.0 * units + 1.0));
+  };
+  const bool attr = c.enriched && c.use_attr_branch;
+  const bool length = c.enriched && c.use_length_branch;
+  const double concat = dirs * (c.units + (attr ? c.attr_units : 0)) +
+                        (length ? c.length_dense_dim : 0);
+  const double hidden = c.hidden_dense_dim;
+  return static_cast<double>(c.vocab) * c.char_emb_dim +
+         rnn(c.char_emb_dim, c.units) +
+         (attr ? static_cast<double>(c.n_attrs) * c.attr_emb_dim +
+                     rnn(c.attr_emb_dim, c.attr_units)
+               : 0.0) +
+         (length ? 2.0 * c.length_dense_dim : 0.0) +
+         // hidden dense, batch-norm gamma/beta, 2-way output dense.
+         (concat + 1.0) * hidden + 2.0 * hidden + (hidden + 1.0) * 2.0;
 }
 
 int ErrorDetectionModel::ConcatDim() const {

@@ -221,6 +221,11 @@ class ErrorDetectionModel {
   const std::string& name() const { return name_; }
   size_t NumWeights();
 
+  /// The number of floats in Params() of a model built from `config`,
+  /// computed without building it, in double so that no config overflows
+  /// it. Lets a loader refuse a config its weights file cannot back.
+  static double ParameterCount(const ModelConfig& config);
+
  private:
   int ConcatDim() const;
 

@@ -1,5 +1,7 @@
 #include "data/dictionary.h"
 
+#include "util/hash.h"
+
 namespace birnn::data {
 
 CharIndex CharIndex::Build(const CellFrame& frame) {
@@ -83,15 +85,8 @@ std::vector<int> CharIndex::Encode(const std::string& s,
 }
 
 uint64_t CharIndex::Fingerprint() const {
-  constexpr uint64_t kOffset = 1469598103934665603ULL;
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t h = kOffset;
-  const auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (b * 8)) & 0xFFu;
-      h *= kPrime;
-    }
-  };
+  uint64_t h = util::kFnv1aOffset;
+  const auto mix = [&h](uint64_t v) { h = util::Fnv1aMixU64(h, v); };
   mix(static_cast<uint64_t>(static_cast<uint32_t>(num_chars_)));
   for (int c = 0; c < 256; ++c) {
     mix(static_cast<uint64_t>(

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace birnn::data {
@@ -18,15 +19,8 @@ int EncodedDataset::effective_len(int64_t i) const {
 uint64_t EncodedDataset::CellContentHash(int64_t i) const {
   // FNV-1a, mixing the attribute id, the length_norm bit pattern and the
   // character ids up to the effective length.
-  constexpr uint64_t kOffset = 1469598103934665603ULL;
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t h = kOffset;
-  const auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (b * 8)) & 0xFFu;
-      h *= kPrime;
-    }
-  };
+  uint64_t h = util::kFnv1aOffset;
+  const auto mix = [&h](uint64_t v) { h = util::Fnv1aMixU64(h, v); };
   mix(static_cast<uint64_t>(static_cast<uint32_t>(attrs[static_cast<size_t>(i)])));
   uint32_t len_bits = 0;
   static_assert(sizeof(len_bits) == sizeof(float));

@@ -1,7 +1,6 @@
 #include "eval/cache.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
@@ -11,6 +10,8 @@
 #include <sstream>
 
 #include "obs/obs.h"
+#include "util/file.h"
+#include "util/hash.h"
 
 namespace birnn::eval {
 
@@ -36,7 +37,7 @@ bool ParseHexDouble(const std::string& token, double* out) {
 }  // namespace
 
 uint64_t FingerprintTable(const data::Table& table) {
-  Fnv1a64 h;
+  util::Fnv1a64 h;
   h.AddU64(static_cast<uint64_t>(table.num_rows()));
   h.AddU64(static_cast<uint64_t>(table.num_columns()));
   for (const std::string& name : table.column_names()) {
@@ -53,7 +54,7 @@ uint64_t FingerprintTable(const data::Table& table) {
 }
 
 uint64_t FingerprintPair(const datagen::DatasetPair& pair) {
-  Fnv1a64 h;
+  util::Fnv1a64 h;
   h.Add(pair.name);
   h.AddU64(FingerprintTable(pair.dirty));
   h.AddU64(FingerprintTable(pair.clean));
@@ -72,7 +73,7 @@ std::string ArtifactCache::ResolveDir(const std::string& dir) {
 uint64_t ArtifactCache::Key(uint64_t dataset_fingerprint,
                             const std::string& job_config,
                             uint32_t schema_version) {
-  Fnv1a64 h;
+  util::Fnv1a64 h;
   h.AddU64(schema_version);
   h.AddU64(dataset_fingerprint);
   h.Add(job_config);
@@ -187,38 +188,27 @@ Status ArtifactCache::Store(uint64_t key, const JobOutcome& outcome) {
                            std::strerror(errno));
   }
 
-  const std::string path = EntryPath(key);
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::IoError("cannot write " + tmp);
-    char keyhex[32];
-    std::snprintf(keyhex, sizeof(keyhex), "%016llx",
-                  static_cast<unsigned long long>(key));
-    out << "birnn-artifact v1\n";
-    out << "schema " << kCacheSchemaVersion << "\n";
-    out << "key " << keyhex << "\n";
-    out << "precision " << HexDouble(outcome.metrics.precision) << "\n";
-    out << "recall " << HexDouble(outcome.metrics.recall) << "\n";
-    out << "f1 " << HexDouble(outcome.metrics.f1) << "\n";
-    out << "accuracy " << HexDouble(outcome.metrics.accuracy) << "\n";
-    out << "train_seconds " << HexDouble(outcome.train_seconds) << "\n";
-    out << "train_cpu_seconds " << HexDouble(outcome.train_cpu_seconds)
-        << "\n";
-    out << "epochs " << outcome.history.size() << "\n";
-    for (const core::EpochStats& e : outcome.history) {
-      out << "e " << e.epoch << " " << HexDouble(e.train_loss) << " "
-          << HexDouble(e.train_accuracy) << " " << HexDouble(e.test_accuracy)
-          << " " << (e.has_test ? 1 : 0) << "\n";
-    }
-    out << "end\n";
-    if (!out) return Status::IoError("short write to " + tmp);
+  char keyhex[32];
+  std::snprintf(keyhex, sizeof(keyhex), "%016llx",
+                static_cast<unsigned long long>(key));
+  std::ostringstream out;
+  out << "birnn-artifact v1\n";
+  out << "schema " << kCacheSchemaVersion << "\n";
+  out << "key " << keyhex << "\n";
+  out << "precision " << HexDouble(outcome.metrics.precision) << "\n";
+  out << "recall " << HexDouble(outcome.metrics.recall) << "\n";
+  out << "f1 " << HexDouble(outcome.metrics.f1) << "\n";
+  out << "accuracy " << HexDouble(outcome.metrics.accuracy) << "\n";
+  out << "train_seconds " << HexDouble(outcome.train_seconds) << "\n";
+  out << "train_cpu_seconds " << HexDouble(outcome.train_cpu_seconds) << "\n";
+  out << "epochs " << outcome.history.size() << "\n";
+  for (const core::EpochStats& e : outcome.history) {
+    out << "e " << e.epoch << " " << HexDouble(e.train_loss) << " "
+        << HexDouble(e.train_accuracy) << " " << HexDouble(e.test_accuracy)
+        << " " << (e.has_test ? 1 : 0) << "\n";
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " -> " + path);
-  }
+  out << "end\n";
+  BIRNN_RETURN_IF_ERROR(util::WriteFileAtomic(EntryPath(key), out.str()));
   stores_.Add(1);
   return Status::OK();
 }

@@ -33,7 +33,6 @@ StatusOr<CellType> ParseCellType(const std::string& name) {
   return Status::NotFound("unknown cell type: " + name);
 }
 
-namespace {
 int GateCount(CellType type) {
   switch (type) {
     case CellType::kVanilla:
@@ -45,7 +44,6 @@ int GateCount(CellType type) {
   }
   return 1;
 }
-}  // namespace
 
 int RecurrentCell::gate_count() const { return GateCount(type_); }
 
@@ -619,30 +617,25 @@ Status StackedBiRecurrent::ImportQuantized(
   for (const auto& dir : cells_) {
     for (const auto& cell : dir) {
       TypedEntry wx_q, wx_s, wh_q, wh_s;
-      const bool has_wx = TakeEntry(entries, "__q8/" + cell.wx_name(), &wx_q);
-      const bool has_wxs =
-          TakeEntry(entries, "__q8s/" + cell.wx_name(), &wx_s);
-      const bool has_wh = TakeEntry(entries, "__q8/" + cell.wh_name(), &wh_q);
-      const bool has_whs =
-          TakeEntry(entries, "__q8s/" + cell.wh_name(), &wh_s);
-      if (has_wx != has_wxs || has_wx != has_wh || has_wh != has_whs) {
-        return Status::InvalidArgument("incomplete int8 entry set for " +
+      if (!TakeEntry(entries, "__q8/" + cell.wx_name(), &wx_q) ||
+          !TakeEntry(entries, "__q8s/" + cell.wx_name(), &wx_s) ||
+          !TakeEntry(entries, "__q8/" + cell.wh_name(), &wh_q) ||
+          !TakeEntry(entries, "__q8s/" + cell.wh_name(), &wh_s)) {
+        return Status::InvalidArgument("missing int8 entry set for " +
                                        cell.wx_name());
       }
-      if (has_wx) {
-        auto wx = Int8FromEntries(wx_q, wx_s);
-        if (!wx.ok()) return wx.status();
-        auto wh = Int8FromEntries(wh_q, wh_s);
-        if (!wh.ok()) return wh.status();
-        if (wx->rows != cell.units() * cell.gate_count() ||
-            wx->cols != cell.input_dim() ||
-            wh->rows != cell.units() * cell.gate_count() ||
-            wh->cols != cell.units()) {
-          return Status::InvalidArgument("int8 shape mismatch for " +
-                                         cell.wx_name());
-        }
-        cell.InstallInt8(std::move(*wx), std::move(*wh));
+      auto wx = Int8FromEntries(wx_q, wx_s);
+      if (!wx.ok()) return wx.status();
+      auto wh = Int8FromEntries(wh_q, wh_s);
+      if (!wh.ok()) return wh.status();
+      if (wx->rows != cell.units() * cell.gate_count() ||
+          wx->cols != cell.input_dim() ||
+          wh->rows != cell.units() * cell.gate_count() ||
+          wh->cols != cell.units()) {
+        return Status::InvalidArgument("int8 shape mismatch for " +
+                                       cell.wx_name());
       }
+      cell.InstallInt8(std::move(*wx), std::move(*wh));
     }
   }
   return Status::OK();

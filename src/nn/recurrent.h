@@ -25,6 +25,8 @@ enum class CellType {
 
 const char* CellTypeName(CellType type);
 StatusOr<CellType> ParseCellType(const std::string& name);
+/// Gate blocks per cell: the width multiplier of its Wx, Wh and bias.
+int GateCount(CellType type);
 
 /// Recurrent state: hidden vector plus (LSTM only) a cell vector.
 struct RecurrentState {
@@ -241,8 +243,8 @@ class StackedBiRecurrent {
   void ExportQuantized(std::vector<TypedEntry>* entries) const;
 
   /// Installs shadow weights from `entries` (consuming recognized names).
-  /// Cells without entries keep preparing on demand; an incomplete entry
-  /// set, or a shape or scale mismatch, fails.
+  /// Every cell needs its complete entry set; a missing entry, or a shape
+  /// or scale mismatch, fails.
   Status ImportQuantized(std::map<std::string, TypedEntry>* entries) const;
 
   std::vector<Parameter*> Params() const;

@@ -7,6 +7,9 @@
 #include <map>
 #include <sstream>
 
+#include "util/file.h"
+#include "util/hash.h"
+
 namespace birnn::nn {
 
 size_t DtypeSize(uint8_t dtype) {
@@ -23,15 +26,6 @@ namespace {
 constexpr char kMagic[8] = {'B', 'R', 'N', 'N', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersionSentinel = 0xFFFFFFFFu;
 constexpr uint8_t kFormatVersion = 2;
-
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 void AppendU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -206,23 +200,6 @@ std::string HexU64(uint64_t v) {
   return out.str();
 }
 
-/// Frames a payload with the magic/sentinel/version header and trailing
-/// FNV-1a checksum.
-Status WriteCheckpoint(const std::string& payload, const std::string& path) {
-  const uint64_t checksum = Fnv1a(payload.data(), payload.size());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  const uint32_t sentinel = kVersionSentinel;
-  out.write(reinterpret_cast<const char*>(&sentinel), sizeof(sentinel));
-  out.write(reinterpret_cast<const char*>(&kFormatVersion),
-            sizeof(kFormatVersion));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
 }  // namespace
 
 std::vector<Tensor> SnapshotParams(const std::vector<Parameter*>& params) {
@@ -244,31 +221,35 @@ void RestoreParams(const std::vector<Tensor>& snapshot,
 
 Status SaveParameters(const std::vector<Parameter*>& params,
                       const std::string& path,
-                      const std::vector<TypedEntry>& extras) {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(params.size() + extras.size()));
+                      const std::vector<TypedEntry>& extras,
+                      uint64_t* checksum) {
+  std::string image(kMagic, sizeof(kMagic));
+  AppendU32(&image, kVersionSentinel);
+  image.push_back(static_cast<char>(kFormatVersion));
+  const size_t header = image.size();
+  AppendU32(&image, static_cast<uint32_t>(params.size() + extras.size()));
   for (const Parameter* p : params) {
-    AppendTypedEntry(&payload, p->name, kDtypeF32, p->value.shape(),
+    AppendTypedEntry(&image, p->name, kDtypeF32, p->value.shape(),
                      reinterpret_cast<const char*>(p->value.data()),
                      p->value.size() * sizeof(float));
   }
   for (const TypedEntry& e : extras) {
     BIRNN_CHECK_EQ(e.bytes.size(), ShapeSize(e.shape) * DtypeSize(e.dtype))
         << "typed entry payload/shape mismatch for " << e.name;
-    AppendTypedEntry(&payload, e.name, e.dtype, e.shape, e.bytes.data(),
+    AppendTypedEntry(&image, e.name, e.dtype, e.shape, e.bytes.data(),
                      e.bytes.size());
   }
-  return WriteCheckpoint(payload, path);
-}
-
-Status LoadParameters(const std::string& path,
-                      const std::vector<Parameter*>& params) {
-  return LoadParameters(path, params, nullptr);
+  const uint64_t sum =
+      util::Fnv1a(image.data() + header, image.size() - header);
+  AppendBytes(&image, &sum, sizeof(sum));
+  BIRNN_RETURN_IF_ERROR(util::WriteFileAtomic(path, image));
+  if (checksum != nullptr) *checksum = sum;
+  return Status::OK();
 }
 
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params,
-                      std::vector<TypedEntry>* extras) {
+                      std::vector<TypedEntry>* extras, uint64_t* checksum) {
   if (extras != nullptr) extras->clear();
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for read: " + path);
@@ -302,7 +283,7 @@ Status LoadParameters(const std::string& path,
   const size_t payload_size = r.remaining() - sizeof(uint64_t);
   uint64_t stored = 0;
   std::memcpy(&stored, image.data() + r.pos + payload_size, sizeof(stored));
-  const uint64_t actual = Fnv1a(image.data() + r.pos, payload_size);
+  const uint64_t actual = util::Fnv1a(image.data() + r.pos, payload_size);
   if (stored != actual) {
     return Status::IoError(
         "checkpoint checksum mismatch (truncated or corrupted file): " +
@@ -310,7 +291,9 @@ Status LoadParameters(const std::string& path,
         HexU64(actual));
   }
   Reader payload{image.data() + r.pos, payload_size};
-  return ParseEntries(&payload, params, path, extras);
+  BIRNN_RETURN_IF_ERROR(ParseEntries(&payload, params, path, extras));
+  if (checksum != nullptr) *checksum = actual;
+  return Status::OK();
 }
 
 }  // namespace birnn::nn

@@ -49,10 +49,13 @@ void RestoreParams(const std::vector<Tensor>& snapshot,
 /// Little-endian (the only platform we target). The fp32 parameters are
 /// written first, then `extras` (typed blobs — the pre-quantized shadow
 /// weights). The trailing checksum makes truncated or bit-flipped files
-/// fail loudly instead of loading garbage weights.
+/// fail loudly instead of loading garbage weights. The file is replaced
+/// durably (util::WriteFileAtomic); `checksum`, when non-null, receives
+/// the trailer so a bundle manifest can bind itself to this exact file.
 Status SaveParameters(const std::vector<Parameter*>& params,
                       const std::string& path,
-                      const std::vector<TypedEntry>& extras = {});
+                      const std::vector<TypedEntry>& extras = {},
+                      uint64_t* checksum = nullptr);
 
 /// Loads a checkpoint saved by SaveParameters. Verifies the payload
 /// checksum, then matches f32 entries to parameters by name; a missing,
@@ -61,12 +64,12 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 /// matches no parameter, i.e. the "__q8s/..." quantization scales — are
 /// returned through `extras` when non-null and rejected otherwise, so a
 /// checkpoint that does not exactly cover the parameter list is treated as
-/// drift, not silently accepted.
+/// drift, not silently accepted. On success `checksum`, when non-null,
+/// receives the verified trailer of the image that was parsed.
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params,
-                      std::vector<TypedEntry>* extras);
-Status LoadParameters(const std::string& path,
-                      const std::vector<Parameter*>& params);
+                      std::vector<TypedEntry>* extras = nullptr,
+                      uint64_t* checksum = nullptr);
 
 }  // namespace birnn::nn
 

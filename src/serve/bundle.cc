@@ -4,15 +4,18 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <sstream>
+#include <system_error>
+#include <type_traits>
 
 #include "nn/recurrent.h"
 #include "nn/serialize.h"
+#include "util/file.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -20,15 +23,8 @@ namespace birnn::serve {
 
 namespace {
 
-constexpr char kManifestHeader[] = "birnn-detector-bundle";
-/// Version 2 = model architecture + encoding state only.
-constexpr int kBundleVersion = 2;
-/// Version 3 = manifest additionally carries frozen train-time column
-/// statistics: a `char_fingerprint` line (dictionary integrity check) and
-/// one `attr_stats` line per attribute (empty/error-rate drift baselines).
-/// Streaming delta sessions require a v3 bundle; v2 still loads for batch
-/// detection.
-constexpr int kBundleVersionStream = 3;
+/// The manifest's first line: version 4 is the only one written or read.
+constexpr char kManifestHeader[] = "birnn-detector-bundle 4";
 constexpr char kBnMeanName[] = "__bn/running_mean";
 constexpr char kBnVarName[] = "__bn/running_var";
 
@@ -39,134 +35,229 @@ std::string WeightsPath(const std::string& dir) {
   return dir + "/weights.ckpt";
 }
 
-/// Key/value view of the manifest: single-valued lines keyed by their first
-/// token, plus the repeated `attr` lines collected separately.
-struct Manifest {
-  int version = 0;
-  std::map<std::string, std::string> values;
-  struct Attr {
-    int index = 0;
-    int32_t max_value_len = 0;
-    std::string name;
-  };
-  std::vector<Attr> attrs;
-  struct AttrStats {
-    int index = 0;
-    float empty_rate = 0.0f;
-    float error_rate = 0.0f;
-  };
-  std::vector<AttrStats> attr_stats;
+/// The field table: every scalar manifest key, named once, in file order.
+/// SaveDetectorBundle drives it with a writer and LoadDetectorBundle with a
+/// reader, so the two cannot disagree on a key. The last two keys are not
+/// TrainedDetector fields but digests the writer derives and the reader
+/// verifies: the `chars` dictionary's fingerprint and the trailer of the
+/// weights.ckpt this manifest commits.
+template <typename Visitor, typename Trained>
+void VisitScalars(Visitor&& v, Trained& t, uint64_t& char_fingerprint,
+                  uint64_t& weights_checksum) {
+  v("cell_type", t.config.cell_type);
+  v("vocab", t.config.vocab);
+  v("max_len", t.config.max_len);
+  v("n_attrs", t.config.n_attrs);
+  v("char_emb_dim", t.config.char_emb_dim);
+  v("units", t.config.units);
+  v("stacks", t.config.stacks);
+  v("bidirectional", t.config.bidirectional);
+  v("enriched", t.config.enriched);
+  v("use_attr_branch", t.config.use_attr_branch);
+  v("use_length_branch", t.config.use_length_branch);
+  v("attr_emb_dim", t.config.attr_emb_dim);
+  v("attr_units", t.config.attr_units);
+  v("length_dense_dim", t.config.length_dense_dim);
+  v("hidden_dense_dim", t.config.hidden_dense_dim);
+  v("seed", t.config.seed);
+  v("prepare_max_value_len", t.prepare.max_value_len);
+  v("prepare_trim_leading_whitespace", t.prepare.trim_leading_whitespace);
+  v("prepare_treat_nan_as_empty", t.prepare.treat_nan_as_empty);
+  v("train_unique_cells", t.train_unique_cells);
+  v("content_fingerprint", t.content_fingerprint);
+  v("char_fingerprint", char_fingerprint);
+  v("weights_checksum", weights_checksum);
+}
 
-  StatusOr<std::string> Get(const std::string& key) const {
-    auto it = values.find(key);
-    if (it == values.end()) {
-      return Status::InvalidArgument("manifest missing key: " + key);
-    }
-    return it->second;
+template <typename T>
+std::string FormatValue(T v) {
+  if constexpr (std::is_same_v<T, nn::CellType>) {
+    return nn::CellTypeName(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return v ? "1" : "0";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];  // the shortest exact round trip, whatever the locale.
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  } else {
+    return std::to_string(v);
   }
-  StatusOr<int64_t> GetInt(const std::string& key) const {
-    BIRNN_ASSIGN_OR_RETURN(std::string text, Get(key));
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("manifest key " + key +
-                                     " is not an integer: " + text);
-    }
-    return static_cast<int64_t>(v);
-  }
-};
+}
 
-StatusOr<Manifest> ReadManifest(const std::string& path) {
-  std::ifstream in(path);
+/// The reader's only number parsing: the whole token must be the value,
+/// and it must fit the destination type (std::from_chars reports
+/// out-of-range instead of narrowing).
+template <typename T>
+bool ParseValue(std::string_view token, T* out) {
+  if constexpr (std::is_same_v<T, nn::CellType>) {
+    auto type = nn::ParseCellType(std::string(token));
+    if (type.ok()) *out = *type;
+    return type.ok();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *out = token == "1";
+    return token == "0" || token == "1";
+  } else {
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+  }
+}
+
+/// Manifest lines grouped by key (their first token), each kept as the
+/// text after the key. Scalar keys must occur once; `attr` and
+/// `attr_stats` occur once per attribute.
+using ManifestLines = std::map<std::string, std::vector<std::string>>;
+
+/// Reads `path`, verifies its header and its closing `checksum` line (the
+/// FNV-1a of every byte before that line), and groups its lines by key.
+StatusOr<ManifestLines> ReadManifest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open manifest: " + path);
-  Manifest m;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (first) {
-      int version = -1;
-      ls >> version;
-      if (key != kManifestHeader ||
-          (version != kBundleVersion && version != kBundleVersionStream)) {
-        return Status::InvalidArgument(
-            "not a v" + std::to_string(kBundleVersion) + "-v" +
-            std::to_string(kBundleVersionStream) +
-            " detector bundle manifest: " + path);
-      }
-      m.version = version;
-      first = false;
-      continue;
-    }
-    if (key == "attr") {
-      Manifest::Attr attr;
-      ls >> attr.index >> attr.max_value_len;
-      if (!ls) return Status::InvalidArgument("malformed attr line: " + line);
-      std::getline(ls, attr.name);
-      attr.name = TrimLeft(attr.name);
-      m.attrs.push_back(std::move(attr));
-      continue;
-    }
-    if (key == "attr_stats") {
-      Manifest::AttrStats stats;
-      ls >> stats.index >> stats.empty_rate >> stats.error_rate;
-      if (!ls) {
-        return Status::InvalidArgument("malformed attr_stats line: " + line);
-      }
-      m.attr_stats.push_back(stats);
-      continue;
-    }
-    std::string rest;
-    std::getline(ls, rest);
-    m.values[key] = std::string(TrimLeft(rest));
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const size_t seal = text.rfind("\nchecksum ");
+  const size_t digits = seal + sizeof("\nchecksum ") - 1;
+  uint64_t stored = 0;
+  if (seal == std::string::npos || text.back() != '\n' ||
+      !ParseValue(std::string_view(text).substr(digits,
+                                                text.size() - digits - 1),
+                  &stored)) {
+    return Status::IoError("manifest has no checksum line (truncated?): " +
+                           path);
   }
-  if (first) return Status::InvalidArgument("empty manifest: " + path);
+  if (stored != util::Fnv1a(text.data(), seal + 1)) {
+    return Status::IoError(
+        "manifest checksum mismatch (truncated or corrupted file): " + path);
+  }
+  const std::vector<std::string> lines =
+      Split(std::string_view(text).substr(0, seal), '\n');
+  if (lines[0] != kManifestHeader) {
+    return Status::InvalidArgument("not a v4 detector bundle manifest: " +
+                                   path);
+  }
+  ManifestLines m;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const size_t space = lines[i].find(' ');
+    if (space == std::string::npos) {
+      return Status::InvalidArgument("malformed manifest line: " + lines[i]);
+    }
+    m[lines[i].substr(0, space)].push_back(lines[i].substr(space + 1));
+  }
   return m;
+}
+
+/// Consumes the `chars`, `attr` and `attr_stats` lines into `t`'s
+/// dictionary and per-attribute vectors (t->config holds n_attrs).
+Status ParseVectorLines(ManifestLines* m, core::TrainedDetector* t) {
+  const std::vector<std::string>& chars = (*m)["chars"];
+  const std::vector<std::string> tok =
+      chars.size() == 1 ? Split(chars[0], ' ') : std::vector<std::string>();
+  int num_chars = 0;
+  std::array<int, 256> table{};
+  bool ok = tok.size() == 257 && ParseValue(tok[0], &num_chars);
+  for (size_t c = 0; ok && c < table.size(); ++c) {
+    ok = ParseValue(tok[c + 1], &table[c]);
+  }
+  if (!ok) return Status::InvalidArgument("missing or malformed chars line");
+  BIRNN_ASSIGN_OR_RETURN(t->chars,
+                         data::CharIndex::FromIndexTable(table, num_chars));
+
+  // Exactly one attr and one attr_stats line per attribute, in index order.
+  const std::vector<std::string>& attrs = (*m)["attr"];
+  const std::vector<std::string>& stats = (*m)["attr_stats"];
+  const size_t n = static_cast<size_t>(std::max(0, t->config.n_attrs));
+  if (attrs.size() != n || stats.size() != n) {
+    return Status::InvalidArgument(
+        "manifest needs one attr and one attr_stats line per attribute");
+  }
+  t->attr_names.assign(n, "");
+  t->attr_max_value_len.assign(n, 0);
+  t->attr_empty_rate.assign(n, 0.0f);
+  t->attr_error_rate.assign(n, 0.0f);
+  for (size_t a = 0; a < n; ++a) {
+    // attr <index> <max_value_len> <name: the rest of the line>
+    const std::vector<std::string> attr = Split(attrs[a], ' ');
+    size_t index = n;
+    if (attr.size() < 3 || !ParseValue(attr[0], &index) || index != a ||
+        !ParseValue(attr[1], &t->attr_max_value_len[a]) ||
+        t->attr_max_value_len[a] < 0) {
+      return Status::InvalidArgument("malformed attr line: " + attrs[a]);
+    }
+    t->attr_names[a] = attrs[a].substr(attr[0].size() + attr[1].size() + 2);
+    const std::vector<std::string> stat = Split(stats[a], ' ');
+    float& empty = t->attr_empty_rate[a];
+    float& error = t->attr_error_rate[a];
+    if (stat.size() != 3 || !ParseValue(stat[0], &index) || index != a ||
+        !ParseValue(stat[1], &empty) || !ParseValue(stat[2], &error) ||
+        !(empty >= 0.0f && empty <= 1.0f) ||
+        !(error >= 0.0f && error <= 1.0f)) {
+      return Status::InvalidArgument("malformed attr_stats line: " + stats[a]);
+    }
+  }
+  m->erase("chars");
+  m->erase("attr");
+  m->erase("attr_stats");
+  return Status::OK();
+}
+
+/// The one validation of a detector's persisted state, shared by the save,
+/// the load and the in-memory path.
+Status ValidateTrained(const core::TrainedDetector& t) {
+  if (t.model == nullptr) {
+    return Status::InvalidArgument("TrainedDetector has no model");
+  }
+  if (!t.has_frozen_stats) {
+    return Status::InvalidArgument(
+        "TrainedDetector carries no frozen column statistics");
+  }
+  const size_t n = static_cast<size_t>(t.config.n_attrs);
+  if (t.attr_names.size() != n || t.attr_max_value_len.size() != n ||
+      t.attr_empty_rate.size() != n || t.attr_error_rate.size() != n) {
+    return Status::InvalidArgument(
+        "attribute metadata does not match config.n_attrs");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 int LoadedDetector::AttrIndex(const std::string& name) const {
-  for (size_t i = 0; i < attr_names_.size(); ++i) {
-    if (attr_names_[i] == name) return static_cast<int>(i);
+  for (size_t i = 0; i < trained_.attr_names.size(); ++i) {
+    if (trained_.attr_names[i] == name) return static_cast<int>(i);
   }
   return -1;
 }
 
 void LoadedDetector::InitQueryDataset(data::EncodedDataset* ds) const {
   *ds = data::EncodedDataset();
-  ds->max_len = config_.max_len;
-  ds->vocab = config_.vocab;
-  ds->n_attrs = config_.n_attrs;
+  ds->max_len = trained_.config.max_len;
+  ds->vocab = trained_.config.vocab;
+  ds->n_attrs = trained_.config.n_attrs;
 }
 
 Status LoadedDetector::AppendQueryCell(int attr, const std::string& raw,
                                        data::EncodedDataset* ds,
                                        EncodedCellInfo* info) const {
-  if (attr < 0 || attr >= config_.n_attrs) {
+  if (attr < 0 || attr >= n_attrs()) {
     return Status::InvalidArgument("attribute index out of range: " +
                                    std::to_string(attr));
   }
+  const data::PrepareOptions& prepare = trained_.prepare;
   // The training-time prepare pipeline, replayed on one value: trim
   // leading whitespace, truncate to the training max value length, then
   // length_norm against the training frame's per-attribute maximum (the
   // same float division as data::PrepareData).
-  std::string value = prepare_.trim_leading_whitespace ? TrimLeft(raw) : raw;
-  if (static_cast<int>(value.size()) > prepare_.max_value_len) {
-    value.resize(static_cast<size_t>(prepare_.max_value_len));
+  std::string value = prepare.trim_leading_whitespace ? TrimLeft(raw) : raw;
+  if (static_cast<int>(value.size()) > prepare.max_value_len) {
+    value.resize(static_cast<size_t>(prepare.max_value_len));
   }
-  const int32_t mx = attr_max_value_len_[static_cast<size_t>(attr)];
+  const int32_t mx = trained_.attr_max_value_len[static_cast<size_t>(attr)];
   const float length_norm =
       mx == 0 ? 0.0f
               : static_cast<float>(value.size()) / static_cast<float>(mx);
   if (info != nullptr) {
     info->prepared_len = static_cast<int>(value.size());
     info->empty = value.empty() ||
-                  (prepare_.treat_nan_as_empty &&
+                  (prepare.treat_nan_as_empty &&
                    (value == "NaN" || value == "nan"));
   }
   // A novel value can exceed the training frame's global max_len (the
@@ -176,7 +267,7 @@ Status LoadedDetector::AppendQueryCell(int attr, const std::string& raw,
     value.resize(static_cast<size_t>(ds->max_len));
   }
   int64_t oov = 0;
-  const std::vector<int> ids = chars_.Encode(value, &oov);
+  const std::vector<int> ids = trained_.chars.Encode(value, &oov);
   if (info != nullptr) info->oov_chars = oov;
   const size_t base = ds->seqs.size();
   ds->seqs.resize(base + static_cast<size_t>(ds->max_len), 0);
@@ -200,7 +291,7 @@ StatusOr<data::EncodedDataset> LoadedDetector::EncodeQueries(
   for (const CellQuery& q : cells) {
     int attr = q.attr;
     if (attr < 0 && !q.attr_name.empty()) attr = AttrIndex(q.attr_name);
-    if (attr < 0 || attr >= config_.n_attrs) {
+    if (attr < 0 || attr >= n_attrs()) {
       return Status::InvalidArgument(
           q.attr_name.empty()
               ? "attribute index out of range: " + std::to_string(q.attr)
@@ -213,89 +304,11 @@ StatusOr<data::EncodedDataset> LoadedDetector::EncodeQueries(
 
 Status SaveDetectorBundle(const core::TrainedDetector& trained,
                           const std::string& dir) {
-  if (trained.model == nullptr) {
-    return Status::InvalidArgument("TrainedDetector has no model");
-  }
-  const core::ModelConfig& config = trained.config;
-  if (static_cast<int>(trained.attr_names.size()) != config.n_attrs ||
-      static_cast<int>(trained.attr_max_value_len.size()) != config.n_attrs) {
-    return Status::InvalidArgument(
-        "attribute metadata does not match config.n_attrs");
-  }
+  BIRNN_RETURN_IF_ERROR(ValidateTrained(trained));
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IoError("cannot create bundle dir " + dir + ": " +
                            std::strerror(errno));
   }
-
-  if (trained.has_frozen_stats &&
-      (static_cast<int>(trained.attr_empty_rate.size()) != config.n_attrs ||
-       static_cast<int>(trained.attr_error_rate.size()) != config.n_attrs)) {
-    return Status::InvalidArgument(
-        "frozen column statistics do not match config.n_attrs");
-  }
-
-  std::ofstream out(ManifestPath(dir));
-  if (!out) return Status::IoError("cannot write " + ManifestPath(dir));
-  const int version =
-      trained.has_frozen_stats ? kBundleVersionStream : kBundleVersion;
-  out << kManifestHeader << ' ' << version << '\n';
-  out << "cell_type " << nn::CellTypeName(config.cell_type) << '\n';
-  out << "vocab " << config.vocab << '\n';
-  out << "max_len " << config.max_len << '\n';
-  out << "n_attrs " << config.n_attrs << '\n';
-  out << "char_emb_dim " << config.char_emb_dim << '\n';
-  out << "units " << config.units << '\n';
-  out << "stacks " << config.stacks << '\n';
-  out << "bidirectional " << (config.bidirectional ? 1 : 0) << '\n';
-  out << "enriched " << (config.enriched ? 1 : 0) << '\n';
-  out << "use_attr_branch " << (config.use_attr_branch ? 1 : 0) << '\n';
-  out << "use_length_branch " << (config.use_length_branch ? 1 : 0) << '\n';
-  out << "attr_emb_dim " << config.attr_emb_dim << '\n';
-  out << "attr_units " << config.attr_units << '\n';
-  out << "length_dense_dim " << config.length_dense_dim << '\n';
-  out << "hidden_dense_dim " << config.hidden_dense_dim << '\n';
-  out << "seed " << config.seed << '\n';
-  out << "prepare_max_value_len " << trained.prepare.max_value_len << '\n';
-  out << "prepare_trim_leading_whitespace "
-      << (trained.prepare.trim_leading_whitespace ? 1 : 0) << '\n';
-  out << "prepare_treat_nan_as_empty "
-      << (trained.prepare.treat_nan_as_empty ? 1 : 0) << '\n';
-  // Optional memo pre-size hint + provenance (ReadManifest ignores unknown
-  // keys, so old loaders skip these; omitted when the detector predates
-  // them, keeping the historical byte layout for such bundles).
-  if (trained.train_unique_cells > 0) {
-    out << "train_unique_cells " << trained.train_unique_cells << '\n';
-  }
-  if (trained.content_fingerprint != 0) {
-    out << "content_fingerprint " << trained.content_fingerprint << '\n';
-  }
-  out << "chars " << trained.chars.num_chars();
-  for (const int idx : trained.chars.index_table()) out << ' ' << idx;
-  out << '\n';
-  for (int a = 0; a < config.n_attrs; ++a) {
-    out << "attr " << a << ' '
-        << trained.attr_max_value_len[static_cast<size_t>(a)] << ' '
-        << trained.attr_names[static_cast<size_t>(a)] << '\n';
-  }
-  if (trained.has_frozen_stats) {
-    // v3 frozen column statistics: the dictionary fingerprint ties the
-    // `chars` line to the exact train-time index table (a corrupted or
-    // hand-edited manifest fails fast instead of silently desyncing the
-    // streaming encoder), and the per-attribute rates are the drift
-    // baselines. %.9g round-trips any float exactly.
-    out << "char_fingerprint " << trained.chars.Fingerprint() << '\n';
-    char buf[96];
-    for (int a = 0; a < config.n_attrs; ++a) {
-      std::snprintf(buf, sizeof(buf), "attr_stats %d %.9g %.9g", a,
-                    static_cast<double>(
-                        trained.attr_empty_rate[static_cast<size_t>(a)]),
-                    static_cast<double>(
-                        trained.attr_error_rate[static_cast<size_t>(a)]));
-      out << buf << '\n';
-    }
-  }
-  if (!out) return Status::IoError("write failed: " + ManifestPath(dir));
-  out.close();
 
   // Weights + batch-norm running statistics (which are state, not trainable
   // parameters, and therefore ride along as pseudo entries).
@@ -309,194 +322,113 @@ Status SaveDetectorBundle(const core::TrainedDetector& trained,
   // instead of re-deriving them.
   std::vector<nn::TypedEntry> extras;
   trained.model->ExportQuantized(&extras);
-  return nn::SaveParameters(params, WeightsPath(dir), extras);
+  // Weights first, the manifest last: the manifest is the commit record.
+  // It carries the checkpoint's trailer, so a crash between the two
+  // renames leaves new weights beside the old manifest, which fails to
+  // load with a typed error instead of loading as a mix.
+  uint64_t char_fingerprint = trained.chars.Fingerprint();
+  uint64_t weights_checksum = 0;
+  BIRNN_RETURN_IF_ERROR(nn::SaveParameters(params, WeightsPath(dir), extras,
+                                           &weights_checksum));
+
+  std::string manifest = std::string(kManifestHeader) + "\nchars " +
+                         std::to_string(trained.chars.num_chars());
+  for (const int idx : trained.chars.index_table()) {
+    manifest += ' ' + std::to_string(idx);
+  }
+  manifest += '\n';
+  for (size_t a = 0; a < trained.attr_names.size(); ++a) {
+    manifest += "attr " + std::to_string(a) + ' ' +
+                std::to_string(trained.attr_max_value_len[a]) + ' ' +
+                trained.attr_names[a] + '\n';
+    manifest += "attr_stats " + std::to_string(a) + ' ' +
+                FormatValue(trained.attr_empty_rate[a]) + ' ' +
+                FormatValue(trained.attr_error_rate[a]) + '\n';
+  }
+  VisitScalars(
+      [&manifest](const char* key, const auto& value) {
+        manifest += std::string(key) + ' ' + FormatValue(value) + '\n';
+      },
+      trained, char_fingerprint, weights_checksum);
+  manifest += "checksum " +
+              std::to_string(util::Fnv1a(manifest.data(), manifest.size())) +
+              '\n';
+  return util::WriteFileAtomic(ManifestPath(dir), manifest);
 }
 
 StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir) {
-  BIRNN_ASSIGN_OR_RETURN(Manifest m, ReadManifest(ManifestPath(dir)));
-
-  core::ModelConfig config;
-  BIRNN_ASSIGN_OR_RETURN(std::string cell_type, m.Get("cell_type"));
-  BIRNN_ASSIGN_OR_RETURN(config.cell_type, nn::ParseCellType(cell_type));
-  BIRNN_ASSIGN_OR_RETURN(int64_t vocab, m.GetInt("vocab"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t max_len, m.GetInt("max_len"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t n_attrs, m.GetInt("n_attrs"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t char_emb_dim, m.GetInt("char_emb_dim"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t units, m.GetInt("units"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t stacks, m.GetInt("stacks"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t bidirectional, m.GetInt("bidirectional"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t enriched, m.GetInt("enriched"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t use_attr, m.GetInt("use_attr_branch"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t use_length, m.GetInt("use_length_branch"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t attr_emb_dim, m.GetInt("attr_emb_dim"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t attr_units, m.GetInt("attr_units"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t length_dense, m.GetInt("length_dense_dim"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t hidden_dense, m.GetInt("hidden_dense_dim"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t seed, m.GetInt("seed"));
-  config.vocab = static_cast<int>(vocab);
-  config.max_len = static_cast<int>(max_len);
-  config.n_attrs = static_cast<int>(n_attrs);
-  config.char_emb_dim = static_cast<int>(char_emb_dim);
-  config.units = static_cast<int>(units);
-  config.stacks = static_cast<int>(stacks);
-  config.bidirectional = bidirectional != 0;
-  config.enriched = enriched != 0;
-  config.use_attr_branch = use_attr != 0;
-  config.use_length_branch = use_length != 0;
-  config.attr_emb_dim = static_cast<int>(attr_emb_dim);
-  config.attr_units = static_cast<int>(attr_units);
-  config.length_dense_dim = static_cast<int>(length_dense);
-  config.hidden_dense_dim = static_cast<int>(hidden_dense);
-  config.seed = static_cast<uint64_t>(seed);
-  BIRNN_RETURN_IF_ERROR(config.Validate());
-
-  LoadedDetector det;
-  det.config_ = config;
-
-  BIRNN_ASSIGN_OR_RETURN(std::string chars_line, m.Get("chars"));
-  {
-    std::istringstream cs(chars_line);
-    int num_chars = -1;
-    cs >> num_chars;
-    std::array<int, 256> table{};
-    for (int c = 0; c < 256; ++c) cs >> table[static_cast<size_t>(c)];
-    if (!cs) return Status::InvalidArgument("malformed chars line");
-    BIRNN_ASSIGN_OR_RETURN(det.chars_,
-                           data::CharIndex::FromIndexTable(table, num_chars));
-    if (det.chars_.vocab_size() != config.vocab) {
-      return Status::InvalidArgument("dictionary size does not match vocab");
-    }
+  BIRNN_ASSIGN_OR_RETURN(ManifestLines m, ReadManifest(ManifestPath(dir)));
+  core::TrainedDetector t;
+  uint64_t char_fingerprint = 0;
+  uint64_t committed_checksum = 0;
+  Status status;  // the first bad key sticks.
+  VisitScalars(
+      [&m, &status](const char* key, auto& field) {
+        if (!status.ok()) return;
+        const auto it = m.find(key);
+        if (it == m.end() || it->second.size() != 1 ||
+            !ParseValue(it->second[0], &field)) {
+          status = Status::InvalidArgument(
+              std::string("manifest key ") + key +
+              " is missing, repeated or malformed");
+        } else {
+          m.erase(it);
+        }
+      },
+      t, char_fingerprint, committed_checksum);
+  BIRNN_RETURN_IF_ERROR(status);
+  BIRNN_RETURN_IF_ERROR(ParseVectorLines(&m, &t));
+  if (!m.empty()) {
+    return Status::InvalidArgument("unknown manifest key: " + m.begin()->first);
+  }
+  BIRNN_RETURN_IF_ERROR(t.config.Validate());
+  if (t.chars.vocab_size() != t.config.vocab) {
+    return Status::InvalidArgument("dictionary size does not match vocab");
+  }
+  if (char_fingerprint != t.chars.Fingerprint()) {
+    return Status::InvalidArgument(
+        "char_fingerprint does not match the manifest dictionary");
   }
 
-  det.attr_names_.assign(static_cast<size_t>(config.n_attrs), "");
-  det.attr_max_value_len_.assign(static_cast<size_t>(config.n_attrs), -1);
-  for (const Manifest::Attr& attr : m.attrs) {
-    if (attr.index < 0 || attr.index >= config.n_attrs ||
-        attr.max_value_len < 0) {
-      return Status::InvalidArgument("attr line out of range");
-    }
-    det.attr_names_[static_cast<size_t>(attr.index)] = attr.name;
-    det.attr_max_value_len_[static_cast<size_t>(attr.index)] =
-        attr.max_value_len;
+  // The weights file bounds the model a manifest may ask for, so a crafted
+  // config cannot make the constructor allocate memory no checkpoint backs.
+  struct stat st;
+  if (::stat(WeightsPath(dir).c_str(), &st) != 0) {
+    return Status::IoError("cannot stat " + WeightsPath(dir));
   }
-  for (const int32_t mx : det.attr_max_value_len_) {
-    if (mx < 0) return Status::InvalidArgument("manifest missing attr line");
+  if (sizeof(float) * core::ErrorDetectionModel::ParameterCount(t.config) >
+      static_cast<double>(st.st_size)) {
+    return Status::InvalidArgument("manifest config needs more parameter "
+                                   "bytes than weights.ckpt holds: " + dir);
   }
 
-  BIRNN_ASSIGN_OR_RETURN(int64_t max_value_len,
-                         m.GetInt("prepare_max_value_len"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t trim,
-                         m.GetInt("prepare_trim_leading_whitespace"));
-  BIRNN_ASSIGN_OR_RETURN(int64_t nan_empty,
-                         m.GetInt("prepare_treat_nan_as_empty"));
-  det.prepare_.max_value_len = static_cast<int>(max_value_len);
-  det.prepare_.trim_leading_whitespace = trim != 0;
-  det.prepare_.treat_nan_as_empty = nan_empty != 0;
-
-  // Optional keys (absent in pre-PR-8 bundles; both default to 0).
-  if (m.values.count("train_unique_cells") > 0) {
-    BIRNN_ASSIGN_OR_RETURN(int64_t unique_cells,
-                           m.GetInt("train_unique_cells"));
-    det.expected_unique_cells_ = std::max<int64_t>(0, unique_cells);
-  }
-  if (m.values.count("content_fingerprint") > 0) {
-    const std::string& text = m.values.at("content_fingerprint");
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-      return Status::InvalidArgument(
-          "manifest key content_fingerprint is not an integer: " + text);
-    }
-    det.content_fingerprint_ = static_cast<uint64_t>(v);
-  }
-
-  // v3: frozen column statistics. The dictionary fingerprint is verified
-  // against the reconstructed CharIndex — a v3 bundle whose chars line no
-  // longer matches its fingerprint is rejected rather than risking a
-  // streaming encoder that disagrees with the train-time one.
-  if (m.version >= kBundleVersionStream) {
-    BIRNN_ASSIGN_OR_RETURN(std::string fp_text, m.Get("char_fingerprint"));
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long fp = std::strtoull(fp_text.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0') {
-      return Status::InvalidArgument(
-          "manifest key char_fingerprint is not an integer: " + fp_text);
-    }
-    if (static_cast<uint64_t>(fp) != det.chars_.Fingerprint()) {
-      return Status::InvalidArgument(
-          "char_fingerprint does not match the manifest dictionary");
-    }
-    det.attr_empty_rate_.assign(static_cast<size_t>(config.n_attrs), -1.0f);
-    det.attr_error_rate_.assign(static_cast<size_t>(config.n_attrs), -1.0f);
-    for (const Manifest::AttrStats& stats : m.attr_stats) {
-      if (stats.index < 0 || stats.index >= config.n_attrs) {
-        return Status::InvalidArgument("attr_stats line out of range");
-      }
-      det.attr_empty_rate_[static_cast<size_t>(stats.index)] =
-          stats.empty_rate;
-      det.attr_error_rate_[static_cast<size_t>(stats.index)] =
-          stats.error_rate;
-    }
-    for (const float r : det.attr_empty_rate_) {
-      if (r < 0.0f) {
-        return Status::InvalidArgument("manifest missing attr_stats line");
-      }
-    }
-    det.has_frozen_stats_ = true;
-  }
-
-  det.model_ = std::make_unique<core::ErrorDetectionModel>(config);
-  std::vector<nn::Parameter*> params = det.model_->Params();
-  nn::Parameter bn_mean(kBnMeanName,
-                        nn::Tensor(std::vector<int>{config.hidden_dense_dim}));
-  nn::Parameter bn_var(kBnVarName,
-                       nn::Tensor(std::vector<int>{config.hidden_dense_dim}));
+  t.model = std::make_unique<core::ErrorDetectionModel>(t.config);
+  std::vector<nn::Parameter*> params = t.model->Params();
+  const std::vector<int> bn_shape{t.config.hidden_dense_dim};
+  nn::Parameter bn_mean(kBnMeanName, nn::Tensor(bn_shape));
+  nn::Parameter bn_var(kBnVarName, nn::Tensor(bn_shape));
   params.push_back(&bn_mean);
   params.push_back(&bn_var);
   std::vector<nn::TypedEntry> extras;
-  BIRNN_RETURN_IF_ERROR(
-      nn::LoadParameters(WeightsPath(dir), params, &extras));
-  det.model_->SetBatchNormStats(std::move(bn_mean.value),
-                                std::move(bn_var.value));
-  if (!extras.empty()) {
-    BIRNN_RETURN_IF_ERROR(det.model_->ImportQuantized(std::move(extras)));
+  uint64_t weights_checksum = 0;
+  BIRNN_RETURN_IF_ERROR(nn::LoadParameters(WeightsPath(dir), params, &extras,
+                                           &weights_checksum));
+  if (weights_checksum != committed_checksum) {
+    return Status::IoError(
+        "weights.ckpt is not the checkpoint the manifest commits (torn "
+        "bundle): " + dir);
   }
-  return det;
+  t.model->SetBatchNormStats(std::move(bn_mean.value), std::move(bn_var.value));
+  BIRNN_RETURN_IF_ERROR(t.model->ImportQuantized(std::move(extras)));
+  t.has_frozen_stats = true;
+  return MakeLoadedDetector(std::move(t));
 }
 
 StatusOr<LoadedDetector> MakeLoadedDetector(core::TrainedDetector trained) {
-  if (trained.model == nullptr) {
-    return Status::InvalidArgument("TrainedDetector has no model");
-  }
-  if (static_cast<int>(trained.attr_names.size()) != trained.config.n_attrs ||
-      static_cast<int>(trained.attr_max_value_len.size()) !=
-          trained.config.n_attrs) {
-    return Status::InvalidArgument(
-        "attribute metadata does not match config.n_attrs");
-  }
+  BIRNN_RETURN_IF_ERROR(ValidateTrained(trained));
+  trained.train_unique_cells = std::max<int64_t>(0, trained.train_unique_cells);
   LoadedDetector det;
-  det.config_ = trained.config;
-  det.model_ = std::move(trained.model);
-  det.chars_ = trained.chars;
-  det.attr_names_ = std::move(trained.attr_names);
-  det.attr_max_value_len_ = std::move(trained.attr_max_value_len);
-  det.prepare_ = trained.prepare;
-  det.expected_unique_cells_ = std::max<int64_t>(0, trained.train_unique_cells);
-  det.content_fingerprint_ = trained.content_fingerprint;
-  if (trained.has_frozen_stats) {
-    if (static_cast<int>(trained.attr_empty_rate.size()) !=
-            trained.config.n_attrs ||
-        static_cast<int>(trained.attr_error_rate.size()) !=
-            trained.config.n_attrs) {
-      return Status::InvalidArgument(
-          "frozen column statistics do not match config.n_attrs");
-    }
-    det.attr_empty_rate_ = std::move(trained.attr_empty_rate);
-    det.attr_error_rate_ = std::move(trained.attr_error_rate);
-    det.has_frozen_stats_ = true;
-  }
+  det.trained_ = std::move(trained);
   return det;
 }
 

@@ -1,7 +1,6 @@
 #ifndef BIRNN_SERVE_BUNDLE_H_
 #define BIRNN_SERVE_BUNDLE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,60 +33,56 @@ struct EncodedCellInfo {
 /// A detector reconstructed from a bundle: the trained model plus
 /// everything needed to encode serving-time cells exactly as the training
 /// frame's cells were encoded (dictionary, per-attribute length_norm
-/// denominators, prepare transforms). Movable, not copyable; safe to share
-/// read-only across threads once loaded.
+/// denominators, prepare transforms), and the frozen train-time column
+/// statistics streaming sessions diff their live ingest against. Movable,
+/// not copyable; safe to share read-only across threads once loaded.
 class LoadedDetector {
  public:
-  LoadedDetector() = default;
-  LoadedDetector(LoadedDetector&&) = default;
-  LoadedDetector& operator=(LoadedDetector&&) = default;
-
-  const core::ModelConfig& config() const { return config_; }
-  const core::ErrorDetectionModel& model() const { return *model_; }
-  const std::vector<std::string>& attr_names() const { return attr_names_; }
-  int n_attrs() const { return config_.n_attrs; }
+  const core::ModelConfig& config() const { return trained_.config; }
+  const core::ErrorDetectionModel& model() const { return *trained_.model; }
+  const std::vector<std::string>& attr_names() const {
+    return trained_.attr_names;
+  }
+  int n_attrs() const { return trained_.config.n_attrs; }
 
   /// Index of a named attribute, or -1 if absent.
   int AttrIndex(const std::string& name) const;
 
   /// Distinct cell contents in the table this detector was trained on (0
-  /// when the bundle predates the manifest key). The serve plane uses it to
-  /// pre-size the cross-request verdict memo, so the first whole-table
-  /// sweep never grows through rehashes.
-  int64_t expected_unique_cells() const { return expected_unique_cells_; }
+  /// when unknown). The serve plane uses it to pre-size the cross-request
+  /// verdict memo, so the first whole-table sweep never grows through
+  /// rehashes.
+  int64_t expected_unique_cells() const {
+    return trained_.train_unique_cells;
+  }
 
   /// core::DatasetContentFingerprint of the encoded training frame (0 when
   /// unknown): identifies *which* table the bundle was trained on.
-  uint64_t content_fingerprint() const { return content_fingerprint_; }
+  uint64_t content_fingerprint() const {
+    return trained_.content_fingerprint;
+  }
 
-  /// Frozen train-time statistics (bundle manifest v3). A detector carries
-  /// them when it came from a current ErrorDetector run or a v3 bundle;
-  /// streaming sessions require them (typed UNSUPPORTED_BUNDLE otherwise)
-  /// so a delta's length_norm/encoding is provably the train-time one and
-  /// drift alarms have baselines to diff against.
-  bool stream_capable() const { return has_frozen_stats_; }
   /// data::CharIndex::Fingerprint of the train-time dictionary.
-  uint64_t char_fingerprint() const { return chars_.Fingerprint(); }
+  uint64_t char_fingerprint() const { return trained_.chars.Fingerprint(); }
   /// Longest value_x per attribute over the training frame — the frozen
   /// length_norm denominators.
   const std::vector<int32_t>& attr_max_value_len() const {
-    return attr_max_value_len_;
+    return trained_.attr_max_value_len;
   }
-  /// Per-attribute empty-value rate of the prepared training frame (empty
-  /// when !stream_capable()).
+  /// Per-attribute empty-value rate of the prepared training frame.
   const std::vector<float>& attr_empty_rate() const {
-    return attr_empty_rate_;
+    return trained_.attr_empty_rate;
   }
   /// Per-attribute predicted-error rate of the training table's
-  /// whole-table sweep (empty when !stream_capable()).
+  /// whole-table sweep.
   const std::vector<float>& attr_error_rate() const {
-    return attr_error_rate_;
+    return trained_.attr_error_rate;
   }
-  const data::PrepareOptions& prepare() const { return prepare_; }
+  const data::PrepareOptions& prepare() const { return trained_.prepare; }
   /// The frozen train-time character dictionary — a fine-tuned candidate
   /// bundle keeps it verbatim so encodings stay comparable across
   /// generations (adapt/controller.h).
-  const data::CharIndex& chars() const { return chars_; }
+  const data::CharIndex& chars() const { return trained_.chars; }
 
   /// Prepares `ds` to receive AppendQueryCell cells (clears it and installs
   /// the detector's max_len / vocab / n_attrs shape).
@@ -115,46 +110,44 @@ class LoadedDetector {
       const std::vector<CellQuery>& cells) const;
 
  private:
-  friend StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir);
   friend StatusOr<LoadedDetector> MakeLoadedDetector(
       core::TrainedDetector trained);
 
-  core::ModelConfig config_;
-  std::unique_ptr<core::ErrorDetectionModel> model_;
-  data::CharIndex chars_;
-  std::vector<std::string> attr_names_;
-  std::vector<int32_t> attr_max_value_len_;
-  data::PrepareOptions prepare_;
-  int64_t expected_unique_cells_ = 0;
-  uint64_t content_fingerprint_ = 0;
-  std::vector<float> attr_empty_rate_;
-  std::vector<float> attr_error_rate_;
-  bool has_frozen_stats_ = false;
+  core::TrainedDetector trained_;
 };
 
 /// Writes a trained detector to `dir` (created if missing) as a two-file
 /// bundle:
-///   manifest.txt — model architecture + encoding state (dictionary index
-///                  table, attribute names, length_norm denominators,
-///                  prepare options), line-oriented text;
 ///   weights.ckpt — checkpoint (nn/serialize.h) of every model parameter,
 ///                  the batch-norm running statistics as the pseudo
 ///                  entries "__bn/running_mean" / "__bn/running_var", and
 ///                  the pre-quantized int8 shadow weights "__q8/..." /
-///                  "__q8s/..." of the recurrent stacks.
-/// The manifest is version 3 when the detector carries frozen column
-/// statistics and version 2 otherwise.
+///                  "__q8s/..." of the recurrent stacks;
+///   manifest.txt — version 4, line-oriented text: the dictionary index
+///                  table, one `attr` and one `attr_stats` line per
+///                  attribute, then one line per scalar key (model
+///                  architecture, prepare options, memo hint, provenance,
+///                  `char_fingerprint`, and `weights_checksum`, the
+///                  checkpoint's FNV-1a trailer), closed by a `checksum`
+///                  line over every byte before it.
+/// Each file is replaced durably (util::WriteFileAtomic), weights first and
+/// the manifest last, so after a crash at any point the directory loads as
+/// the old bundle, the new one, or a typed error. Fails with
+/// InvalidArgument unless `trained` carries frozen column statistics.
 Status SaveDetectorBundle(const core::TrainedDetector& trained,
                           const std::string& dir);
 
 /// Reconstructs a detector from a bundle directory without retraining.
-/// Accepts manifest versions 2 and 3; the shipped int8 shadow weights are
-/// installed into the model, making int8 sweeps start instantly, and a v3
-/// bundle's frozen column statistics make the detector stream_capable().
+/// Accepts only manifest version 4 with intact checksums whose
+/// `weights_checksum` names the checkpoint beside it; the shipped int8
+/// shadow weights are installed into the model, making int8 sweeps start
+/// instantly. Every malformed, torn or oversized bundle is a typed error.
 StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir);
 
 /// Builds a LoadedDetector directly from in-memory trained artifacts
-/// (consumes the model). The no-disk path for in-process serving and tests.
+/// (consumes the model): the no-disk path for in-process serving and tests,
+/// and the last step of LoadDetectorBundle. Same validation as
+/// SaveDetectorBundle.
 StatusOr<LoadedDetector> MakeLoadedDetector(core::TrainedDetector trained);
 
 /// Appends every cell of `src` to `dst` (shapes must match). The micro-

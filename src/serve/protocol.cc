@@ -197,7 +197,6 @@ std::string StatusCodeToProtocolString(StatusCode code) {
     case StatusCode::kOutOfRange: return "OUT_OF_RANGE";
     case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kOverloaded: return "OVERLOADED";
-    case StatusCode::kUnsupportedBundle: return "UNSUPPORTED_BUNDLE";
     default: return "UNKNOWN";
   }
 }

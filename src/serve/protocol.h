@@ -28,8 +28,7 @@ namespace birnn::serve {
 ///   - "id" is echoed verbatim in the response (any string; optional).
 ///   - "dir" is the bundle directory for "reload"; ignored otherwise.
 ///
-/// Delta request (op "delta"; requires a stream-capable v3 bundle, else the
-/// response is a typed UNSUPPORTED_BUNDLE error):
+/// Delta request (op "delta"):
 ///   {"op": "delta", "model": "beers", "deltas": [
 ///     {"kind": "insert", "row": 41, "values": ["Pale Ale", "Chicago"]},
 ///     {"kind": "update", "row": 41, "attr": 1, "value": "Evanston"},

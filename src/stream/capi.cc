@@ -51,8 +51,7 @@ int32_t birnn_detector_n_attrs(const birnn_detector* detector) {
 }
 
 int32_t birnn_detector_stream_capable(const birnn_detector* detector) {
-  if (detector == nullptr || detector->impl == nullptr) return 0;
-  return detector->impl->stream_capable() ? 1 : 0;
+  return detector == nullptr || detector->impl == nullptr ? 0 : 1;
 }
 
 birnn_status birnn_session_create(const birnn_detector* detector,

@@ -51,8 +51,6 @@ inline birnn_status MapCode(birnn::StatusCode code) {
       return BIRNN_IO_ERROR;
     case StatusCode::kOverloaded:
       return BIRNN_OVERLOADED;
-    case StatusCode::kUnsupportedBundle:
-      return BIRNN_UNSUPPORTED_BUNDLE;
   }
   return BIRNN_INTERNAL;
 }

@@ -28,11 +28,6 @@ StatusOr<std::unique_ptr<TableSession>> TableSession::Create(
   if (detector == nullptr) {
     return Status::InvalidArgument("TableSession needs a detector");
   }
-  if (!detector->stream_capable()) {
-    return Status::UnsupportedBundle(
-        "bundle carries no frozen column statistics (manifest v3): "
-        "re-save it from a current detector run to stream deltas");
-  }
   // Pre-size the verdict memo for the table the detector was trained on
   // unless the caller chose a hint themselves.
   if (options.memo.expected_entries == 0) {

@@ -141,13 +141,10 @@ struct SessionStats {
 /// verdicts are kept in a versioned store; live ingest statistics are
 /// diffed against the frozen train-time baselines to latch drift alarms.
 ///
-/// Thread-safe: all public methods may be called concurrently. Requires a
-/// stream_capable() (manifest v3) bundle — Create fails with
-/// UNSUPPORTED_BUNDLE otherwise.
+/// Thread-safe: all public methods may be called concurrently.
 class TableSession {
  public:
-  /// `detector` must be stream_capable(); it is shared (and kept alive) by
-  /// the session.
+  /// `detector` is shared (and kept alive) by the session.
   static StatusOr<std::unique_ptr<TableSession>> Create(
       std::shared_ptr<const serve::LoadedDetector> detector,
       SessionOptions options = {});

@@ -22,8 +22,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IoError";
     case StatusCode::kOverloaded:
       return "Overloaded";
-    case StatusCode::kUnsupportedBundle:
-      return "UnsupportedBundle";
   }
   return "Unknown";
 }

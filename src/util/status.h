@@ -22,11 +22,6 @@ enum class StatusCode {
   /// Load-shedding signal: the request was refused because an admission
   /// queue is full (serve::MicroBatcher backpressure). Retryable.
   kOverloaded,
-  /// The operation needs bundle metadata this bundle does not carry (e.g.
-  /// streaming delta ops against a pre-v3 bundle without frozen column
-  /// statistics). Not retryable: re-save the bundle from a current
-  /// detector run.
-  kUnsupportedBundle,
 };
 
 /// Returns a short human-readable name for `code` (e.g. "InvalidArgument").
@@ -71,9 +66,6 @@ class Status {
   }
   static Status Overloaded(std::string msg) {
     return Status(StatusCode::kOverloaded, std::move(msg));
-  }
-  static Status UnsupportedBundle(std::string msg) {
-    return Status(StatusCode::kUnsupportedBundle, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -262,12 +262,11 @@ TEST(ControllerTest, PromotesWithinBandResetsAlarmsAndSavesTheBundle) {
   EXPECT_EQ(s.stats().drift_alarms, 0);
   EXPECT_EQ(s.stats().drift_resets, 1);
 
-  // The saved candidate is a full stream-capable v3 bundle with the
-  // incumbent's frozen encoding and freshly recomputed column statistics.
+  // The saved candidate is a full bundle with the incumbent's frozen
+  // encoding and freshly recomputed column statistics.
   EXPECT_EQ(report->candidate_dir, options.candidate_dir);
   auto loaded = serve::LoadDetectorBundle(options.candidate_dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->stream_capable());
   EXPECT_EQ(loaded->n_attrs(), 3);
   EXPECT_EQ(loaded->char_fingerprint(), incumbent->char_fingerprint());
   std::filesystem::remove_all(options.candidate_dir);

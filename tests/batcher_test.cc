@@ -41,6 +41,9 @@ LoadedDetector MakeTinyDetector() {
   trained.model = std::make_unique<core::ErrorDetectionModel>(config);
   trained.attr_names = {"id", "name", "score"};
   trained.attr_max_value_len = {8, 12, 6};
+  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
+  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
+  trained.has_frozen_stats = true;
   auto loaded = MakeLoadedDetector(std::move(trained));
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   return std::move(loaded).value();

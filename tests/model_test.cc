@@ -77,6 +77,32 @@ TEST(ModelTest, EnrichedHasMoreWeights) {
   EXPECT_GT(etsb.Params().size(), tsb.Params().size());
 }
 
+TEST(ModelTest, ParameterCountMatchesTheBuiltModel) {
+  for (const nn::CellType type :
+       {nn::CellType::kVanilla, nn::CellType::kGru, nn::CellType::kLstm}) {
+    for (const bool enriched : {false, true}) {
+      for (const int stacks : {1, 3}) {
+        for (const int branches : {0, 1, 2}) {
+          ModelConfig config = SmallConfig(enriched);
+          config.cell_type = type;
+          config.stacks = stacks;
+          config.bidirectional = stacks == 1;
+          config.use_attr_branch = branches != 1;
+          config.use_length_branch = branches != 2;
+          ErrorDetectionModel model(config);
+          EXPECT_EQ(ErrorDetectionModel::ParameterCount(config),
+                    static_cast<double>(model.NumWeights()))
+              << nn::CellTypeName(type) << " enriched " << enriched
+              << " stacks " << stacks << " branches " << branches;
+        }
+      }
+    }
+  }
+  ModelConfig zero_width = SmallConfig(true);
+  zero_width.hidden_dense_dim = 0;
+  EXPECT_FALSE(zero_width.Validate().ok());
+}
+
 class ModelForwardTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ModelForwardTest, LogitsShapeAndProbRange) {

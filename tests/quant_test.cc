@@ -309,6 +309,9 @@ core::TrainedDetector MakeTinyTrained() {
   trained.model = std::make_unique<core::ErrorDetectionModel>(config);
   trained.attr_names = {"a", "b"};
   trained.attr_max_value_len = {8, 10};
+  trained.attr_empty_rate = {0.0f, 0.0f};
+  trained.attr_error_rate = {0.0f, 0.0f};
+  trained.has_frozen_stats = true;
   return trained;
 }
 

@@ -55,6 +55,9 @@ core::TrainedDetector MakeTinyTrained(uint64_t seed = 99) {
   trained.model = std::make_unique<core::ErrorDetectionModel>(config);
   trained.attr_names = {"id", "name", "score"};
   trained.attr_max_value_len = {8, 12, 6};
+  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
+  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
+  trained.has_frozen_stats = true;
   return trained;
 }
 
@@ -293,7 +296,7 @@ TEST_P(ProtocolFuzzTest, MutatedLinesGetOneTypedResponseEach) {
 
   const std::vector<std::string> typed_errors = {
       "INVALID_ARGUMENT", "NOT_FOUND", "FAILED_PRECONDITION", "OUT_OF_RANGE",
-      "INTERNAL", "OVERLOADED", "UNSUPPORTED_BUNDLE"};
+      "INTERNAL", "OVERLOADED"};
   int answered = 0;
   for (std::string line : mutants) {
     // The framer strips one trailing '\r' and skips the empty remainder.
@@ -718,6 +721,33 @@ TEST_F(HotReloadTest, RollbackRestoresPreviousWeights) {
   EXPECT_EQ(stats->GetNumber("generation"), 3.0);
   ::close(fd);
   server.Shutdown();
+}
+
+TEST_F(HotReloadTest, ReloadOntoATornBundleAnswersAnErrorAndKeepsServing) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.LoadBundle("tiny", v1_dir_).ok());
+  Server server(&registry, ReactorOptions4Test());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string v1_response = ExpectedResponse(v1_dir_, "t");
+
+  // A re-save of v2 over a copy of v1 that stopped between its two renames:
+  // v2's weights under v1's manifest.
+  const std::string torn_dir = TempDir("birnn_reload_torn");
+  std::filesystem::copy(v1_dir_, torn_dir);
+  std::filesystem::copy_file(v2_dir_ + "/weights.ckpt",
+                             torn_dir + "/weights.ckpt",
+                             std::filesystem::copy_options::overwrite_existing);
+
+  const int fd = ConnectTo(server.port());
+  auto reloaded = JsonValue::Parse(RoundTrip(
+      fd, R"({"op":"reload","dir":")" + torn_dir + R"("})"));
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_NE(reloaded->GetString("status"), "OK");
+  EXPECT_EQ(RoundTrip(fd, DetectRequest("t")), v1_response);
+  EXPECT_EQ(server.ModelGeneration("tiny"), 1);
+  ::close(fd);
+  server.Shutdown();
+  std::filesystem::remove_all(torn_dir);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "data/dictionary.h"
+#include "data/encoding.h"
 #include "nn/graph.h"
 #include "nn/init.h"
 #include "nn/serialize.h"
@@ -294,6 +296,38 @@ TEST(CheckpointTest, LayoutWithoutSentinelFails) {
   EXPECT_NE(st.message().find("unsupported checkpoint format"),
             std::string::npos)
       << st.message();
+  std::remove(path.c_str());
+}
+
+TEST(HashPinTest, PersistedDigestsAreUnchanged) {
+  // Digests that reach disk or the wire: the manifest's char_fingerprint,
+  // the memo's content hash and the checkpoint trailer. Recorded from the
+  // per-module FNV-1a copies these now share one implementation with.
+  const data::CharIndex chars = data::CharIndex::BuildFromStrings(
+      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
+  EXPECT_EQ(chars.Fingerprint(), 0xd6b9d4ceeb194ce4ULL);
+
+  data::EncodedDataset ds;
+  ds.max_len = 5;
+  ds.vocab = chars.vocab_size();
+  ds.n_attrs = 3;
+  ds.seqs = {7, 3, 19, 0, 0};
+  ds.attrs = {2};
+  ds.length_norm = {0.375f};
+  ds.labels = {0};
+  ds.row_ids = {0};
+  EXPECT_EQ(ds.CellContentHash(0), 0x7523d76b32836c6bULL);
+
+  Parameter w("w", Tensor::FromMatrix(2, 3, {0.5f, -1.25f, 3.0f, 0.0f,
+                                         1e-3f, -7.5f}));
+  const std::string path = TempPath("birnn_hash_pin.ckpt");
+  ASSERT_TRUE(SaveParameters({&w}, path).ok());
+  const std::string image = ReadFile(path);
+  ASSERT_GE(image.size(), sizeof(uint64_t));
+  uint64_t trailer = 0;
+  std::memcpy(&trailer, image.data() + image.size() - sizeof(trailer),
+              sizeof(trailer));
+  EXPECT_EQ(trailer, 0x6bb5a3d3aba82d87ULL);
   std::remove(path.c_str());
 }
 

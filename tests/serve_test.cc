@@ -1,4 +1,5 @@
-// serve subsystem tests: bundle save/load round trips, the model registry,
+// serve subsystem tests: bundle save/load round trips, crafted manifests,
+// seeded loader fuzzing and the crash states of a re-save, the model registry,
 // the line protocol, the TCP server end to end over real sockets, and the
 // headline invariant — a served detector answers bit-identically to the
 // offline ErrorDetector run that produced its bundle.
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/detector.h"
+#include "core/inference.h"
 #include "core/model.h"
 #include "datagen/datasets.h"
 #include "serve/batcher.h"
@@ -26,6 +28,9 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "util/file.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace birnn::serve {
 namespace {
@@ -51,6 +56,9 @@ core::TrainedDetector MakeTinyTrained() {
   trained.model = std::make_unique<core::ErrorDetectionModel>(config);
   trained.attr_names = {"id", "name", "score"};
   trained.attr_max_value_len = {8, 12, 6};
+  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
+  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
+  trained.has_frozen_stats = true;
   return trained;
 }
 
@@ -76,6 +84,70 @@ std::string TempDir(const char* name) {
       (std::filesystem::temp_directory_path() / name).string();
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Replaces the manifest's trailing checksum line with the FNV-1a of the
+// bytes above it, as the writer would: an edited manifest then reaches the
+// parser instead of failing its integrity check.
+std::string ResealManifest(std::string text) {
+  const size_t seal = text.rfind("\nchecksum ");
+  if (seal != std::string::npos) text.resize(seal + 1);
+  if (!text.empty() && text.back() != '\n') text += '\n';
+  return text + "checksum " +
+         std::to_string(util::Fnv1a(text.data(), text.size())) + "\n";
+}
+
+// Recomputes a checkpoint image's FNV-1a trailer over its payload (the
+// bytes between the 13-byte header and the 8-byte trailer).
+std::string ResealCheckpoint(std::string image) {
+  constexpr size_t kHeader = 13;
+  if (image.size() < kHeader + sizeof(uint64_t)) return image;
+  const size_t payload = image.size() - kHeader - sizeof(uint64_t);
+  const uint64_t sum = util::Fnv1a(image.data() + kHeader, payload);
+  std::memcpy(image.data() + kHeader + payload, &sum, sizeof(sum));
+  return image;
+}
+
+// Rewrites the manifest line that starts with `prefix` to `line`, resealed.
+void EditManifestLine(const std::string& dir, const std::string& prefix,
+                      const std::string& line) {
+  std::string text = ReadFile(dir + "/manifest.txt");
+  const size_t at = text.find("\n" + prefix + " ");
+  ASSERT_NE(at, std::string::npos) << prefix;
+  const size_t end = text.find('\n', at + 1);
+  text.replace(at + 1, end - at - 1, line);
+  WriteFile(dir + "/manifest.txt", ResealManifest(std::move(text)));
+}
+
+// p_error of every probe cell, straight through the inference engine.
+std::vector<float> ProbeProbs(const LoadedDetector& detector,
+                              const data::EncodedDataset& probe) {
+  core::InferenceEngine engine(detector.model(), core::InferenceOptions());
+  std::vector<float> probs;
+  engine.PredictProbs(probe, {}, &probs);
+  return probs;
+}
+
+std::vector<float> ProbeProbs(const LoadedDetector& detector) {
+  auto probe = detector.EncodeQueries(MakeQueries(24));
+  EXPECT_TRUE(probe.ok()) << probe.status().ToString();
+  return ProbeProbs(detector, *probe);
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
 // ----------------------------------------------------------------- Protocol
@@ -249,6 +321,191 @@ TEST(BundleTest, LoadFailsCleanlyOnBadInput) {
     out << "not-a-bundle 1\n";
   }
   EXPECT_FALSE(LoadDetectorBundle(dir).ok());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BundleTest, OutOfRangeIntegerIsRejectedNotNarrowed) {
+  // 4294967304 = 2^32 + 8 must not load as units=8.
+  const std::string dir = TempDir("birnn_bundle_narrowing");
+  ASSERT_TRUE(SaveDetectorBundle(MakeTinyTrained(), dir).ok());
+  EditManifestLine(dir, "units", "units 4294967304");
+  const auto loaded = LoadDetectorBundle(dir);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BundleTest, TrailingBytesAfterANumberAreRejected) {
+  const std::string dir = TempDir("birnn_bundle_trailing_bytes");
+  ASSERT_TRUE(SaveDetectorBundle(MakeTinyTrained(), dir).ok());
+  EditManifestLine(dir, "attr_stats 2", "attr_stats 2 0 0.0625junk");
+  const auto loaded = LoadDetectorBundle(dir);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BundleTest, ConfigLargerThanItsWeightsIsRejectedBeforeAllocating) {
+  // units 200000 would need ~160 GB of recurrent weights: the load must
+  // refuse it from the weights file size, not die in the allocator.
+  const std::string dir = TempDir("birnn_bundle_oversized");
+  ASSERT_TRUE(SaveDetectorBundle(MakeTinyTrained(), dir).ok());
+  EditManifestLine(dir, "units", "units 200000");
+  const auto loaded = LoadDetectorBundle(dir);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("parameter bytes"),
+            std::string::npos)
+      << loaded.status().message();
+  std::filesystem::remove_all(dir);
+}
+
+// One random byte flip, insert or delete, or a truncation, of `bytes`.
+std::string MutateBytes(std::string bytes, Rng* rng) {
+  const size_t pos =
+      bytes.empty() ? 0 : static_cast<size_t>(rng->UniformInt(bytes.size()));
+  const char byte = static_cast<char>(rng->UniformInt(256));
+  switch (rng->UniformInt(4)) {
+    case 0:
+      if (!bytes.empty()) bytes[pos] = byte;
+      break;
+    case 1:
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), byte);
+      break;
+    case 2:
+      if (!bytes.empty()) bytes.erase(pos, 1);
+      break;
+    default:
+      bytes.resize(pos);
+      break;
+  }
+  return bytes;
+}
+
+class BundleFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BundleFuzzTest, MutantsLoadAsTheOriginalOrFailTyped) {
+  // Mutants of a saved bundle's two files. Half re-seal each file's own
+  // checksum (the manifest's `checksum` line, the checkpoint trailer) so
+  // they reach the parsers; the manifest's `weights_checksum` is never
+  // rewritten, so it still names the original checkpoint. Every mutant
+  // must fail with a typed status or load exactly the original weights;
+  // a mutant that also declares the original encoding must answer the
+  // probe bit for bit like the original. A re-sealed manifest can validly
+  // declare another encoding (say, an attribute's max length), which is a
+  // different bundle, not a corrupt one: those only have to answer.
+  const std::string dir = TempDir(
+      ("birnn_bundle_fuzz_" + std::to_string(GetParam())).c_str());
+  ASSERT_TRUE(SaveDetectorBundle(MakeTinyTrained(), dir).ok());
+  const auto original = LoadDetectorBundle(dir);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const auto probe = original->EncodeQueries(MakeQueries(24));
+  ASSERT_TRUE(probe.ok());
+  const std::vector<float> expected = ProbeProbs(*original, *probe);
+  const std::vector<const nn::Parameter*> weights =
+      original->model().ConstParams();
+  const std::string manifest_path = dir + "/manifest.txt";
+  const std::string weights_path = dir + "/weights.ckpt";
+  const std::string manifest = ReadFile(manifest_path);
+  const std::string checkpoint = ReadFile(weights_path);
+
+  Rng rng(GetParam());
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string m = manifest;
+    std::string w = checkpoint;
+    std::string& victim = rng.UniformInt(2) == 0 ? m : w;
+    const int64_t rounds = rng.UniformRange(1, 3);
+    for (int64_t r = 0; r < rounds; ++r) victim = MutateBytes(victim, &rng);
+    if (rng.UniformInt(2) == 0) {
+      m = ResealManifest(std::move(m));
+      w = ResealCheckpoint(std::move(w));
+    }
+    WriteFile(manifest_path, m);
+    WriteFile(weights_path, w);
+
+    const auto loaded = LoadDetectorBundle(dir);
+    if (!loaded.ok()) {
+      ++rejected;
+      EXPECT_FALSE(loaded.status().message().empty());
+      continue;
+    }
+    const std::vector<const nn::Parameter*> got =
+        loaded->model().ConstParams();
+    ASSERT_EQ(got.size(), weights.size()) << "mutant " << i;
+    for (size_t p = 0; p < got.size(); ++p) {
+      ASSERT_EQ(got[p]->name, weights[p]->name) << "mutant " << i;
+      ASSERT_EQ(got[p]->value.shape(), weights[p]->value.shape());
+      ASSERT_EQ(0, std::memcmp(got[p]->value.data(), weights[p]->value.data(),
+                               weights[p]->value.size() * sizeof(float)))
+          << "mutant " << i << " changed " << weights[p]->name;
+    }
+    const auto encoded = loaded->EncodeQueries(MakeQueries(24));
+    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+    const std::vector<float> probs = ProbeProbs(*loaded, *encoded);
+    if (encoded->max_len == probe->max_len && encoded->seqs == probe->seqs &&
+        encoded->attrs == probe->attrs &&
+        SameBits(encoded->length_norm, probe->length_norm)) {
+      EXPECT_TRUE(SameBits(probs, expected)) << "mutant " << i;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BundleFuzzTest,
+                         ::testing::Range<uint64_t>(0, 8));
+
+TEST(BundleCrashTest, EveryStateTheWriteOrderLeavesLoadsWholeOrFailsTyped) {
+  // SaveDetectorBundle renames weights.ckpt into place first and
+  // manifest.txt last. Re-saving B over A can therefore stop with: temp
+  // files beside A, B's weights beside A's manifest, or all of B.
+  const std::string a = TempDir("birnn_crash_a");
+  const std::string b = TempDir("birnn_crash_b");
+  ASSERT_TRUE(SaveDetectorBundle(MakeTinyTrained(), a).ok());
+  core::TrainedDetector other = MakeTinyTrained();
+  other.config.seed = 1234;
+  other.model = std::make_unique<core::ErrorDetectionModel>(other.config);
+  ASSERT_TRUE(SaveDetectorBundle(other, b).ok());
+  const auto a_loaded = LoadDetectorBundle(a);
+  const auto b_loaded = LoadDetectorBundle(b);
+  ASSERT_TRUE(a_loaded.ok() && b_loaded.ok());
+  const std::vector<float> a_probs = ProbeProbs(*a_loaded);
+  const std::vector<float> b_probs = ProbeProbs(*b_loaded);
+  ASSERT_FALSE(SameBits(a_probs, b_probs));
+  const std::string b_weights = ReadFile(b + "/weights.ckpt");
+
+  // Crash before either rename: stray temp files, A intact.
+  WriteFile(a + "/weights.ckpt.tmp.1.0", b_weights);
+  WriteFile(a + "/manifest.txt.tmp.1.1", ReadFile(b + "/manifest.txt"));
+  auto loaded = LoadDetectorBundle(a);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(SameBits(ProbeProbs(*loaded), a_probs));
+
+  // Crash between the renames: B's weights under A's manifest.
+  WriteFile(a + "/weights.ckpt", b_weights);
+  loaded = LoadDetectorBundle(a);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+      << loaded.status().ToString();
+
+  // Both renames done: all of B.
+  WriteFile(a + "/manifest.txt", ReadFile(b + "/manifest.txt"));
+  loaded = LoadDetectorBundle(a);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(SameBits(ProbeProbs(*loaded), b_probs));
+  std::filesystem::remove_all(a);
+  std::filesystem::remove_all(b);
+}
+
+TEST(BundleCrashTest, FailedAtomicWriteLeavesNoTempFile) {
+  // Renaming a file over a directory fails after the temp file is written.
+  const std::string dir = TempDir("birnn_atomic_write_fail");
+  std::filesystem::create_directories(dir + "/target");
+  const Status st = util::WriteFileAtomic(dir + "/target", "payload");
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "target");
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,4 +1,4 @@
-// stream subsystem tests: bundle manifest v3 round trips, the CDC table
+// stream subsystem tests: frozen-statistics bundle round trips, the CDC table
 // session (replay-as-inserts equivalence against the offline report,
 // incremental re-scoring minimality, versioned verdicts, drift alarms,
 // concurrency under TSAN), the serve-plane "delta" op end to end over real
@@ -64,9 +64,8 @@ core::TrainedDetector MakeTinyTrained(bool frozen_stats = true) {
   return trained;
 }
 
-std::shared_ptr<const serve::LoadedDetector> MakeTinyShared(
-    bool frozen_stats = true) {
-  auto loaded = serve::MakeLoadedDetector(MakeTinyTrained(frozen_stats));
+std::shared_ptr<const serve::LoadedDetector> MakeTinyShared() {
+  auto loaded = serve::MakeLoadedDetector(MakeTinyTrained());
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   return std::make_shared<const serve::LoadedDetector>(
       std::move(loaded).value());
@@ -90,38 +89,21 @@ TEST(BundleV3Test, FrozenStatsSurviveSaveLoad) {
   const std::string dir = TempDir("birnn_stream_v3_roundtrip");
   ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
 
-  // The manifest advertises version 3 and carries the new lines.
+  // The manifest advertises version 4 and carries the frozen stats.
   std::ifstream in(dir + "/manifest.txt");
   std::string manifest((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
-  EXPECT_NE(manifest.find("birnn-detector-bundle 3"), std::string::npos);
+  EXPECT_NE(manifest.find("birnn-detector-bundle 4"), std::string::npos);
   EXPECT_NE(manifest.find("char_fingerprint"), std::string::npos);
   EXPECT_NE(manifest.find("attr_stats"), std::string::npos);
 
   auto loaded = serve::LoadDetectorBundle(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->stream_capable());
   EXPECT_EQ(loaded->char_fingerprint(), fingerprint);
   ASSERT_EQ(loaded->attr_empty_rate().size(), 3u);
   EXPECT_EQ(loaded->attr_empty_rate()[0], 0.125f);
   EXPECT_EQ(loaded->attr_empty_rate()[2], 0.75f);
   EXPECT_EQ(loaded->attr_error_rate()[1], 0.5f);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(BundleV3Test, PreV3BundlesStillLoadButAreNotStreamCapable) {
-  const core::TrainedDetector trained = MakeTinyTrained(false);
-  const std::string dir = TempDir("birnn_stream_v2_compat");
-  ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
-
-  std::ifstream in(dir + "/manifest.txt");
-  std::string manifest((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_NE(manifest.find("birnn-detector-bundle 2"), std::string::npos);
-
-  auto loaded = serve::LoadDetectorBundle(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->stream_capable());
   std::filesystem::remove_all(dir);
 }
 
@@ -149,15 +131,19 @@ TEST(BundleV3Test, TamperedDictionaryIsRejectedByFingerprint) {
   std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------------------ TableSession
-
-TEST(TableSessionTest, RequiresStreamCapableBundle) {
-  auto session = TableSession::Create(MakeTinyShared(false));
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kUnsupportedBundle);
-  EXPECT_EQ(serve::StatusCodeToProtocolString(session.status().code()),
-            "UNSUPPORTED_BUNDLE");
+TEST(BundleV3Test, DetectorsWithoutFrozenStatsAreRejected) {
+  // Every bundle carries frozen column statistics: a detector without them
+  // can be neither saved nor served.
+  const std::string dir = TempDir("birnn_stream_no_frozen_stats");
+  const Status saved = serve::SaveDetectorBundle(MakeTinyTrained(false), dir);
+  EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument) << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.txt"));
+  const auto loaded = serve::MakeLoadedDetector(MakeTinyTrained(false));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
 }
+
+// ------------------------------------------------------------ TableSession
 
 TEST(TableSessionTest, AppliesDeltasWithVersionedVerdicts) {
   auto session = TableSession::Create(MakeTinyShared());
@@ -515,27 +501,6 @@ TEST(DeltaOverSocketsTest, DeltasFlowIntoSessionAndStats) {
   EXPECT_EQ(scored->as_number(), 4.0);
   ASSERT_NE(stats->Find("stream_rows"), nullptr);
   EXPECT_EQ(stats->Find("stream_rows")->as_number(), 1.0);
-
-  ::close(fd);
-  server.Shutdown();
-}
-
-TEST(DeltaOverSocketsTest, NonStreamCapableModelGetsTypedError) {
-  serve::ModelRegistry registry;
-  {
-    auto loaded = serve::MakeLoadedDetector(MakeTinyTrained(false));
-    ASSERT_TRUE(loaded.ok());
-    ASSERT_TRUE(registry.Add("old", std::move(loaded).value()).ok());
-  }
-  serve::Server server(&registry);
-  ASSERT_TRUE(server.Start().ok());
-  const int fd = ConnectTo(server.port());
-
-  auto response = serve::JsonValue::Parse(RoundTrip(
-      fd, R"({"id":"d","op":"delta","deltas":[)"
-          R"({"kind":"insert","row":1,"values":["a","b","c"]}]})"));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->GetString("status"), "UNSUPPORTED_BUNDLE");
 
   ::close(fd);
   server.Shutdown();
