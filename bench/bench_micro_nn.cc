@@ -21,21 +21,54 @@
 namespace birnn {
 namespace {
 
+// The three GEMM kernels on the model's shapes, as (n, k, m): the RNN
+// step's 75-cell batches at input widths 32/64/128 with 64 hidden units,
+// the GRU's three stacked gates (m = 192), the batched input projection
+// over a 4096-cell step and a 256-cell sweep batch. MatMul computes
+// (n,k)*(k,m), MatMulTransposeAAcc (n,k)^T*(n,m) and MatMulTransposeBAcc
+// (n,k)*(m,k)^T; each reports GFLOP/s at 2*n*k*m flops per call.
+enum class Gemm { kMatMul, kTransposeA, kTransposeB };
+
+template <Gemm kKernel>
 void BM_MatMul(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
   Rng rng(1);
-  nn::Tensor a(n, n);
-  nn::Tensor b(n, n);
+  nn::Tensor a(n, k);
+  nn::Tensor b = kKernel == Gemm::kMatMul        ? nn::Tensor(k, m)
+                 : kKernel == Gemm::kTransposeA ? nn::Tensor(n, m)
+                                                : nn::Tensor(m, k);
   nn::NormalInit(&a, 1.0f, &rng);
   nn::NormalInit(&b, 1.0f, &rng);
-  nn::Tensor c;
+  nn::Tensor c = kKernel == Gemm::kTransposeA ? nn::Tensor(k, m)
+                                              : nn::Tensor(n, m);
   for (auto _ : state) {
-    nn::MatMul(a, b, &c);
+    if constexpr (kKernel == Gemm::kMatMul) {
+      nn::MatMul(a, b, &c);
+    } else if constexpr (kKernel == Gemm::kTransposeA) {
+      nn::MatMulTransposeAAcc(a, b, &c);
+    } else {
+      nn::MatMulTransposeBAcc(a, b, &c);
+    }
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);
+  state.counters["GFLOP"] = benchmark::Counter(
+      2e-9 * n * k * m, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+
+void GemmShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "k", "m"});
+  b->Args({75, 32, 64});
+  b->Args({75, 64, 64});
+  b->Args({75, 64, 192});
+  b->Args({4096, 32, 64});
+  b->Args({256, 64, 64});
+}
+BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kMatMul)->Apply(GemmShapes);
+BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kTransposeA)->Apply(GemmShapes);
+BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kTransposeB)->Apply(GemmShapes);
 
 void BM_RnnStepForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

@@ -172,17 +172,19 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
 
   // Shard contiguous batch ranges over the workers. Every batch's inputs
   // and output slots are fixed by the plan, so the shard boundaries (and
-  // the thread count) cannot change any result bit.
+  // the thread count) cannot change any result bit. The engine's own pool
+  // is only built once more than one chunk will run.
   ThreadPool* pool = external_pool_;
-  std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr && options_.threads > 0) {
-    own_pool = std::make_unique<ThreadPool>(options_.threads);
-    pool = own_pool.get();
-  }
-  const int workers = pool != nullptr ? pool->num_threads() : 0;
+  const int workers =
+      pool != nullptr ? pool->num_threads() : options_.threads;
   if (workers <= 1 || n_batches <= 1) {
     run_range(0, n_batches);
     return;
+  }
+  std::unique_ptr<ThreadPool> own_pool;
+  if (pool == nullptr) {
+    own_pool = std::make_unique<ThreadPool>(workers);
+    pool = own_pool.get();
   }
   const int64_t n_chunks = std::min<int64_t>(workers, n_batches);
   std::vector<std::function<void()>> tasks;

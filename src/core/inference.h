@@ -88,8 +88,8 @@ class InferenceEngine {
  public:
   /// `model` must outlive the engine. `pool` (optional, not owned) is used
   /// for the sweep when non-null; otherwise the engine runs inline unless
-  /// `options.threads > 0`, in which case it creates its own pool per
-  /// sweep.
+  /// `options.threads > 1`, in which case it creates its own pool for
+  /// each sweep that has more than one batch.
   explicit InferenceEngine(const ErrorDetectionModel& model,
                            InferenceOptions options = {},
                            ThreadPool* pool = nullptr);

@@ -2,39 +2,172 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "nn/vecmath.h"
 
 namespace birnn::nn {
 
 namespace {
-void EnsureShapeZeroed(Tensor* t, int rows, int cols) {
-  t->Resize(rows, cols);
-}
-}  // namespace
 
-void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
-  BIRNN_CHECK_EQ(a.rank(), 2);
-  BIRNN_CHECK_EQ(b.rank(), 2);
-  BIRNN_CHECK_EQ(a.cols(), b.rows());
-  EnsureShapeZeroed(out, a.rows(), b.cols());
-  MatMulAcc(a, b, out);
+// Lane count of the GEMM register tile, fixed at compile time. At plain
+// SSE2 a 4-lane tile measured no faster than the loops on the
+// bench_micro_nn GEMM shapes (0.97-1.07x), so there the loops below
+// compute every element.
+#if defined(__AVX512F__)
+#define BIRNN_GEMM_LANES 16
+#elif defined(__AVX2__)
+#define BIRNN_GEMM_LANES 8
+#endif
+
+// The part of c(rows, cols) that the tiles cover: whole 4-row blocks by
+// whole vectors of columns.
+struct TiledExtent {
+  int rows = 0;
+  int cols = 0;
+};
+
+#ifdef BIRNN_GEMM_LANES
+constexpr int kLanes = BIRNN_GEMM_LANES;
+// Vectors per tile row: 64 columns at AVX-512, 32 at AVX2.
+constexpr int kTileVecs = 4;
+
+using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+inline Vec LoadVec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
 
-void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int n = a.rows();
-  const int k = a.cols();
-  const int m = b.cols();
-  BIRNN_CHECK_EQ(b.rows(), k);
-  BIRNN_CHECK_EQ(out->rows(), n);
-  BIRNN_CHECK_EQ(out->cols(), m);
-  const float* __restrict pa = a.data();
-  const float* __restrict pb = b.data();
-  float* __restrict pc = out->data();
-  // i-k-j order with the k loop register-blocked by 4: each pass over a row
-  // of c performs four fused multiply-adds per load/store of c[j], and the
-  // inner j loop stays contiguous so it vectorizes.
-  for (int i = 0; i < n; ++i) {
+inline void StoreVec(float* p, const Vec& v) { std::memcpy(p, &v, sizeof(v)); }
+
+// True when all four are +0 or -0. In the default floating-point
+// environment (denormals not treated as zero) this is the loops'
+// `x == 0.0f` test on each, without the compare chain that costs the tile
+// about 15% of its speed.
+inline bool AllZero(float x0, float x1, float x2, float x3) {
+  uint32_t u[4];
+  const float x[4] = {x0, x1, x2, x3};
+  std::memcpy(u, x, sizeof(u));
+  return ((u[0] | u[1] | u[2] | u[3]) << 1) == 0;
+}
+
+// c(4, kVecs * kLanes) += A(4, red) * B(red, kVecs * kLanes), with A(r, t)
+// at a[r * ars + t * ats], B row t at b + t * ld and c row r at c + r * ld.
+// The accumulators are held across the whole reduction instead of being
+// loaded and stored per block, and each 4-block of B rows is loaded once
+// for all four output rows. Per output element this is the loops' exact
+// sequence of operations (see GemmRowsAcc): the 4-blocks in increasing
+// order, each added as the single expression
+// `c += a0*b0 + a1*b1 + a2*b2 + a3*b3` unless that row's four coefficients
+// are all zero, then the tail one term at a time. GCC's default
+// -ffp-contract=fast contracts the expression here as in the loops;
+// OpsTest.TiledGemmIsBitIdenticalToReferenceLoops checks the bits at each
+// lane width.
+template <int kVecs>
+void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
+              float* c, size_t ld, int red) {
+  Vec acc[4][kVecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = LoadVec(c + r * ld + v * kLanes);
+    }
+  }
+  int t = 0;
+  for (; t + 4 <= red; t += 4) {
+    Vec x[4][kVecs];
+#pragma GCC unroll 4
+    for (int q = 0; q < 4; ++q) {
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        x[q][v] = LoadVec(b + (t + q) * ld + v * kLanes);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+      const float* ar = a + r * ars + t * ats;
+      const float a0 = ar[0];
+      const float a1 = ar[ats];
+      const float a2 = ar[2 * ats];
+      const float a3 = ar[3 * ats];
+      if (AllZero(a0, a1, a2, a3)) continue;
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] += a0 * x[0][v] + a1 * x[1][v] + a2 * x[2][v] + a3 * x[3][v];
+      }
+    }
+  }
+  for (; t < red; ++t) {
+    const float* bt = b + t * ld;
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+      const float av = a[r * ars + t * ats];
+      if (av == 0.0f) continue;
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] += av * LoadVec(bt + v * kLanes);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      StoreVec(c + r * ld + v * kLanes, acc[r][v]);
+    }
+  }
+}
+
+// Runs tiles of kVecs vectors, then of half as many, and so on, across
+// the columns [j, cols) of four c rows. Afterwards fewer than kLanes
+// columns are left to the loops.
+template <int kVecs>
+void TileColumns(const float* a, size_t ars, size_t ats, const float* b,
+                 float* c, size_t ld, int red, int j, int cols) {
+  for (; j + kVecs * kLanes <= cols; j += kVecs * kLanes) {
+    GemmTile<kVecs>(a, ars, ats, b + j, c + j, ld, red);
+  }
+  if constexpr (kVecs > 1) {
+    TileColumns<kVecs / 2>(a, ars, ats, b, c, ld, red, j, cols);
+  }
+}
+
+// Runs the tiles for c(rows, cols) += A(rows, red) * B(red, cols), with A
+// addressed as in GemmTile and B, c row-major with `cols` columns. Returns
+// the extent they covered; the caller's loops compute the rest.
+TiledExtent TiledGemmAcc(const float* a, size_t ars, size_t ats,
+                         const float* b, float* c, int rows, int red,
+                         int cols) {
+  TiledExtent done;
+  done.rows = rows / 4 * 4;
+  done.cols = cols / kLanes * kLanes;
+  const size_t ld = static_cast<size_t>(cols);
+  for (int i = 0; i < done.rows; i += 4) {
+    TileColumns<kTileVecs>(a + static_cast<size_t>(i) * ars, ars, ats, b,
+                           c + static_cast<size_t>(i) * ld, ld, red, 0, cols);
+  }
+  return done;
+}
+#else
+TiledExtent TiledGemmAcc(const float*, size_t, size_t, const float*, float*,
+                         int, int, int) {
+  return {};
+}
+#endif  // BIRNN_GEMM_LANES
+
+// c(n, m) += a(n, k) * b(k, m), rows [i_begin, i_end) and columns
+// [j_begin, j_end) only: the loop the tiles reproduce. i-k-j order with
+// the k loop blocked by 4, so each pass over a row of c performs four
+// multiply-adds per load/store of c[j] and the j loop vectorizes.
+void GemmRowsAcc(const float* __restrict pa, const float* __restrict pb,
+                 float* __restrict pc, int k, int m, int i_begin, int i_end,
+                 int j_begin, int j_end) {
+  if (j_begin >= j_end) return;
+  for (int i = i_begin; i < i_end; ++i) {
     const float* __restrict arow = pa + static_cast<size_t>(i) * k;
     float* __restrict crow = pc + static_cast<size_t>(i) * m;
     int kk = 0;
@@ -48,7 +181,7 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
       const float* __restrict b1 = b0 + m;
       const float* __restrict b2 = b1 + m;
       const float* __restrict b3 = b2 + m;
-      for (int j = 0; j < m; ++j) {
+      for (int j = j_begin; j < j_end; ++j) {
         crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
       }
     }
@@ -56,23 +189,27 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
       const float av = arow[kk];
       if (av == 0.0f) continue;
       const float* __restrict brow = pb + static_cast<size_t>(kk) * m;
-      for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
+      for (int j = j_begin; j < j_end; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int n = a.rows();
-  const int k = a.cols();
-  const int m = b.cols();
-  BIRNN_CHECK_EQ(b.rows(), n);
-  BIRNN_CHECK_EQ(out->rows(), k);
-  BIRNN_CHECK_EQ(out->cols(), m);
-  const float* __restrict pa = a.data();
-  const float* __restrict pb = b.data();
-  float* __restrict pc = out->data();
-  // Blocked over four rows of a/b at a time so every c row written in the
-  // kk loop receives four rank-1 contributions per pass.
+// c(n, m) += a(n, k) * b(k, m) on raw row-major buffers.
+void GemmAcc(const float* pa, const float* pb, float* pc, int n, int k,
+             int m) {
+  const TiledExtent t = TiledGemmAcc(pa, static_cast<size_t>(k), 1, pb, pc,
+                                     n, k, m);
+  GemmRowsAcc(pa, pb, pc, k, m, 0, t.rows, t.cols, m);
+  GemmRowsAcc(pa, pb, pc, k, m, t.rows, n, 0, m);
+}
+
+// c(k, m) += a(n, k)^T * b(n, m), c rows [kk_begin, kk_end) and columns
+// [j_begin, j_end) only. Blocked over four rows of a/b at a time so every
+// c row written in the kk loop receives four rank-1 contributions per pass.
+void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
+                       float* __restrict pc, int n, int k, int m,
+                       int kk_begin, int kk_end, int j_begin, int j_end) {
+  if (kk_begin >= kk_end || j_begin >= j_end) return;
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     const float* __restrict a0 = pa + static_cast<size_t>(i) * k;
@@ -83,14 +220,14 @@ void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
     const float* __restrict b1 = b0 + m;
     const float* __restrict b2 = b1 + m;
     const float* __restrict b3 = b2 + m;
-    for (int kk = 0; kk < k; ++kk) {
+    for (int kk = kk_begin; kk < kk_end; ++kk) {
       const float w0 = a0[kk];
       const float w1 = a1[kk];
       const float w2 = a2[kk];
       const float w3 = a3[kk];
       if (w0 == 0.0f && w1 == 0.0f && w2 == 0.0f && w3 == 0.0f) continue;
       float* __restrict crow = pc + static_cast<size_t>(kk) * m;
-      for (int j = 0; j < m; ++j) {
+      for (int j = j_begin; j < j_end; ++j) {
         crow[j] += w0 * b0[j] + w1 * b1[j] + w2 * b2[j] + w3 * b3[j];
       }
     }
@@ -98,13 +235,51 @@ void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
   for (; i < n; ++i) {
     const float* __restrict arow = pa + static_cast<size_t>(i) * k;
     const float* __restrict brow = pb + static_cast<size_t>(i) * m;
-    for (int kk = 0; kk < k; ++kk) {
+    for (int kk = kk_begin; kk < kk_end; ++kk) {
       const float av = arow[kk];
       if (av == 0.0f) continue;
       float* __restrict crow = pc + static_cast<size_t>(kk) * m;
-      for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
+      for (int j = j_begin; j < j_end; ++j) crow[j] += av * brow[j];
     }
   }
+}
+
+}  // namespace
+
+void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
+  BIRNN_CHECK_EQ(a.rank(), 2);
+  BIRNN_CHECK_EQ(b.rank(), 2);
+  BIRNN_CHECK_EQ(a.cols(), b.rows());
+  out->Resize(a.rows(), b.cols());
+  MatMulAcc(a, b, out);
+}
+
+void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
+  const int n = a.rows();
+  const int k = a.cols();
+  const int m = b.cols();
+  BIRNN_CHECK_EQ(b.rows(), k);
+  BIRNN_CHECK_EQ(out->rows(), n);
+  BIRNN_CHECK_EQ(out->cols(), m);
+  GemmAcc(a.data(), b.data(), out->data(), n, k, m);
+}
+
+void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
+  const int n = a.rows();
+  const int k = a.cols();
+  const int m = b.cols();
+  BIRNN_CHECK_EQ(b.rows(), n);
+  BIRNN_CHECK_EQ(out->rows(), k);
+  BIRNN_CHECK_EQ(out->cols(), m);
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = out->data();
+  // The tiles run over output rows kk..kk+3 with the reduction over the
+  // rows of a and b; coefficient (kk, i) is a[i * k + kk].
+  const TiledExtent t =
+      TiledGemmAcc(pa, 1, static_cast<size_t>(k), pb, pc, k, n, m);
+  TransposeARowsAcc(pa, pb, pc, n, k, m, 0, t.rows, t.cols, m);
+  TransposeARowsAcc(pa, pb, pc, n, k, m, t.rows, k, 0, m);
 }
 
 void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -114,17 +289,14 @@ void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out) {
   BIRNN_CHECK_EQ(b.cols(), m);
   BIRNN_CHECK_EQ(out->rows(), n);
   BIRNN_CHECK_EQ(out->cols(), k);
-  const float* __restrict pa = a.data();
-  const float* __restrict pb = b.data();
-  float* __restrict pc = out->data();
   // The natural formulation is a row-times-row dot product, but a float
   // reduction cannot be vectorized under strict FP semantics. Instead,
   // transpose b into a (thread-local, reused) scratch buffer and run the
-  // same broadcast-FMA i-k-j pattern as MatMulAcc, which keeps the inner
-  // loop contiguous and reduction-free. The transpose is O(k*m) against
-  // O(n*k*m) compute.
+  // same GEMM as MatMulAcc, which keeps the inner loop contiguous and
+  // reduction-free. The transpose is O(k*m) against O(n*k*m) compute.
   thread_local std::vector<float> bt_scratch;
   bt_scratch.resize(static_cast<size_t>(m) * k);
+  const float* __restrict pb = b.data();
   float* __restrict pt = bt_scratch.data();
   for (int kk = 0; kk < k; ++kk) {
     const float* __restrict brow = pb + static_cast<size_t>(kk) * m;
@@ -132,31 +304,7 @@ void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out) {
       pt[static_cast<size_t>(j) * k + kk] = brow[j];
     }
   }
-  for (int i = 0; i < n; ++i) {
-    const float* __restrict arow = pa + static_cast<size_t>(i) * m;
-    float* __restrict crow = pc + static_cast<size_t>(i) * k;
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      const float a0 = arow[j];
-      const float a1 = arow[j + 1];
-      const float a2 = arow[j + 2];
-      const float a3 = arow[j + 3];
-      if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-      const float* __restrict t0 = pt + static_cast<size_t>(j) * k;
-      const float* __restrict t1 = t0 + k;
-      const float* __restrict t2 = t1 + k;
-      const float* __restrict t3 = t2 + k;
-      for (int kk = 0; kk < k; ++kk) {
-        crow[kk] += a0 * t0[kk] + a1 * t1[kk] + a2 * t2[kk] + a3 * t3[kk];
-      }
-    }
-    for (; j < m; ++j) {
-      const float av = arow[j];
-      if (av == 0.0f) continue;
-      const float* __restrict trow = pt + static_cast<size_t>(j) * k;
-      for (int kk = 0; kk < k; ++kk) crow[kk] += av * trow[kk];
-    }
-  }
+  GemmAcc(a.data(), pt, out->data(), n, m, k);
 }
 
 void AddBias(const Tensor& x, const Tensor& bias, Tensor* out) {

@@ -12,16 +12,29 @@ namespace birnn::nn {
 /// compatibility; `out` parameters are fully overwritten unless the name says
 /// "Acc" (accumulate).
 
+/// The four GEMM kernels share one per-element contract: each output
+/// element adds the 4-blocks of the reduction index in increasing order,
+/// each as one `c += a0*b0 + a1*b1 + a2*b2 + a3*b3`, skips a block whose
+/// four coefficients (for that output row) are all zero, then adds the
+/// reduction tail one term at a time. With AVX-512 or AVX2 the bulk runs as
+/// register tiles of 4 output rows by 4 vectors (64 or 32 columns); the
+/// rows and columns left over, and every element at SSE2, run as plain
+/// loops. Both paths follow the contract, so the results do not depend on
+/// an element's position in the output or on the SIMD width's tiling.
+
 /// out = a(n,k) * b(k,m). `out` is resized/zeroed internally.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
 
 /// out += a * b (accumulating matmul); `out` must already be (n,m).
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out);
 
-/// out += a^T * b where a is (n,k), b is (n,m), out is (k,m).
+/// out += a^T * b where a is (n,k), b is (n,m), out is (k,m). The
+/// reduction runs over the rows of a and b; the coefficients of output row
+/// kk are column kk of a.
 void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out);
 
-/// out += a * b^T where a is (n,m), b is (k,m), out is (n,k).
+/// out += a * b^T where a is (n,m), b is (k,m), out is (n,k). b is
+/// transposed into thread-local scratch, then the MatMulAcc kernel runs.
 void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out);
 
 /// out = x(n,m) with bias(m) or bias(1,m) added to every row.

@@ -3,11 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "nn/vecmath.h"
+#include "util/rng.h"
 
 namespace birnn::nn {
 namespace {
@@ -111,6 +113,211 @@ TEST(OpsTest, MatMulTransposeVariantsMatchExplicit) {
   Tensor got2(2, 3);
   MatMulTransposeBAcc(x, b, &got2);
   EXPECT_TRUE(got2.AllClose(expected2));
+}
+
+// The three GEMM loops as they stood before the register tiles, kept as
+// the reference the tiled kernels must match bit for bit.
+void RefMatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
+  const int n = a.rows();
+  const int k = a.cols();
+  const int m = b.cols();
+  const float* __restrict pa = a.data();
+  const float* __restrict pb = b.data();
+  float* __restrict pc = out->data();
+  for (int i = 0; i < n; ++i) {
+    const float* __restrict arow = pa + static_cast<size_t>(i) * k;
+    float* __restrict crow = pc + static_cast<size_t>(i) * m;
+    int kk = 0;
+    for (; kk + 4 <= k; kk += 4) {
+      const float a0 = arow[kk];
+      const float a1 = arow[kk + 1];
+      const float a2 = arow[kk + 2];
+      const float a3 = arow[kk + 3];
+      if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
+      const float* __restrict b0 = pb + static_cast<size_t>(kk) * m;
+      const float* __restrict b1 = b0 + m;
+      const float* __restrict b2 = b1 + m;
+      const float* __restrict b3 = b2 + m;
+      for (int j = 0; j < m; ++j) {
+        crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+      }
+    }
+    for (; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* __restrict brow = pb + static_cast<size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void RefMatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
+  const int n = a.rows();
+  const int k = a.cols();
+  const int m = b.cols();
+  const float* __restrict pa = a.data();
+  const float* __restrict pb = b.data();
+  float* __restrict pc = out->data();
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* __restrict a0 = pa + static_cast<size_t>(i) * k;
+    const float* __restrict a1 = a0 + k;
+    const float* __restrict a2 = a1 + k;
+    const float* __restrict a3 = a2 + k;
+    const float* __restrict b0 = pb + static_cast<size_t>(i) * m;
+    const float* __restrict b1 = b0 + m;
+    const float* __restrict b2 = b1 + m;
+    const float* __restrict b3 = b2 + m;
+    for (int kk = 0; kk < k; ++kk) {
+      const float w0 = a0[kk];
+      const float w1 = a1[kk];
+      const float w2 = a2[kk];
+      const float w3 = a3[kk];
+      if (w0 == 0.0f && w1 == 0.0f && w2 == 0.0f && w3 == 0.0f) continue;
+      float* __restrict crow = pc + static_cast<size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) {
+        crow[j] += w0 * b0[j] + w1 * b1[j] + w2 * b2[j] + w3 * b3[j];
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    const float* __restrict arow = pa + static_cast<size_t>(i) * k;
+    const float* __restrict brow = pb + static_cast<size_t>(i) * m;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      float* __restrict crow = pc + static_cast<size_t>(kk) * m;
+      for (int j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void RefMatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out) {
+  const int n = a.rows();
+  const int m = a.cols();
+  const int k = b.rows();
+  const float* __restrict pa = a.data();
+  const float* __restrict pb = b.data();
+  float* __restrict pc = out->data();
+  std::vector<float> bt(static_cast<size_t>(m) * k);
+  float* __restrict pt = bt.data();
+  for (int kk = 0; kk < k; ++kk) {
+    const float* __restrict brow = pb + static_cast<size_t>(kk) * m;
+    for (int j = 0; j < m; ++j) pt[static_cast<size_t>(j) * k + kk] = brow[j];
+  }
+  for (int i = 0; i < n; ++i) {
+    const float* __restrict arow = pa + static_cast<size_t>(i) * m;
+    float* __restrict crow = pc + static_cast<size_t>(i) * k;
+    int j = 0;
+    for (; j + 4 <= m; j += 4) {
+      const float a0 = arow[j];
+      const float a1 = arow[j + 1];
+      const float a2 = arow[j + 2];
+      const float a3 = arow[j + 3];
+      if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
+      const float* __restrict t0 = pt + static_cast<size_t>(j) * k;
+      const float* __restrict t1 = t0 + k;
+      const float* __restrict t2 = t1 + k;
+      const float* __restrict t3 = t2 + k;
+      for (int kk = 0; kk < k; ++kk) {
+        crow[kk] += a0 * t0[kk] + a1 * t1[kk] + a2 * t2[kk] + a3 * t3[kk];
+      }
+    }
+    for (; j < m; ++j) {
+      const float av = arow[j];
+      if (av == 0.0f) continue;
+      const float* __restrict trow = pt + static_cast<size_t>(j) * k;
+      for (int kk = 0; kk < k; ++kk) crow[kk] += av * trow[kk];
+    }
+  }
+}
+
+// A (rows, cols) operand of random normals in which aligned 4-runs along
+// rows and along columns are zeroed (so every kernel's zero-block skip
+// fires, some runs mixing 0 and -0), and about one entry in 64 is
+// `special`.
+Tensor GemmOperand(int rows, int cols, float special, Rng* rng) {
+  Tensor t(rows, cols);
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = rng->Bernoulli(1.0 / 64) ? special
+                                    : static_cast<float>(rng->Normal());
+  }
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c + 4 <= cols; c += 4) {
+      if (!rng->Bernoulli(0.2)) continue;
+      for (int d = 0; d < 4; ++d) t.at(r, c + d) = d % 2 == 0 ? 0.0f : -0.0f;
+    }
+  }
+  for (int c = 0; c < cols; ++c) {
+    for (int r = 0; r + 4 <= rows; r += 4) {
+      if (!rng->Bernoulli(0.2)) continue;
+      for (int d = 0; d < 4; ++d) t.at(r + d, c) = 0.0f;
+    }
+  }
+  return t;
+}
+
+// Succeeds when a kernel's result `got` has the shape and every bit of
+// the reference loop's result `want`.
+::testing::AssertionResult SameBits(const char* kernel, int n, int k, int m,
+                                    const Tensor& got, const Tensor& want) {
+  if (got.shape() == want.shape() &&
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+          0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << kernel << " differs from the reference loop at n=" << n
+         << " k=" << k << " m=" << m;
+}
+
+// The register-tiled GEMM kernels must reproduce the reference loops'
+// bits on every input: zero 4-blocks (the skip), -0 in the coefficients
+// and accumulators, inf/NaN in B, and every row, reduction and column
+// tail. Run at SSE2, AVX2 and AVX-512 builds, this checks each lane width.
+TEST(OpsTest, TiledGemmIsBitIdenticalToReferenceLoops) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(18);
+  for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 75, 256}) {
+    for (const int k : {1, 3, 4, 7, 32, 64, 128}) {
+      for (const int m : {2, 32, 63, 64, 65, 128, 192, 256}) {
+        // out(n, m) = a(n, k) * b(k, m), then += on a nonzero start.
+        const Tensor a = GemmOperand(n, k, -0.0f, &rng);
+        const Tensor b = GemmOperand(k, m, rng.Bernoulli(0.5) ? kInf : kNaN,
+                                     &rng);
+        const Tensor c0 = GemmOperand(n, m, -0.0f, &rng);
+        Tensor want(n, m);
+        RefMatMulAcc(a, b, &want);
+        Tensor got(3, 5);  // MatMul must resize and zero it.
+        got.Fill(1.0f);
+        MatMul(a, b, &got);
+        ASSERT_TRUE(SameBits("MatMul", n, k, m, got, want));
+        want = c0;
+        RefMatMulAcc(a, b, &want);
+        got = c0;
+        MatMulAcc(a, b, &got);
+        ASSERT_TRUE(SameBits("MatMulAcc", n, k, m, got, want));
+
+        // out(k, m) += a(n, k)^T * bn(n, m): the reduction runs over n.
+        const Tensor bn = GemmOperand(n, m, kNaN, &rng);
+        const Tensor ck = GemmOperand(k, m, -0.0f, &rng);
+        want = ck;
+        RefMatMulTransposeAAcc(a, bn, &want);
+        got = ck;
+        MatMulTransposeAAcc(a, bn, &got);
+        ASSERT_TRUE(SameBits("MatMulTransposeAAcc", n, k, m, got, want));
+
+        // out(n, m) += a(n, k) * bt(m, k)^T.
+        const Tensor bt = GemmOperand(m, k, kInf, &rng);
+        want = c0;
+        RefMatMulTransposeBAcc(a, bt, &want);
+        got = c0;
+        MatMulTransposeBAcc(a, bt, &got);
+        ASSERT_TRUE(SameBits("MatMulTransposeBAcc", n, k, m, got, want));
+      }
+    }
+  }
 }
 
 TEST(OpsTest, AddBiasBroadcastsOverRows) {
