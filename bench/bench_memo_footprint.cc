@@ -1,20 +1,19 @@
 // Warehouse-scale memo footprint: streams a duplicate-heavy synthetic
 // table (datagen/synthetic.h) through the cross-sweep verdict memo in
-// bounded chunks — the full table is never resident — and compares four
+// bounded chunks — the full table is never resident — and compares three
 // memo arms over the identical cell stream:
 //   legacy     — the PR 7 unordered_map<hash, vector<Entry>> VerdictMemo
 //                (replicated below as the baseline; the live code now runs
 //                the succinct index),
 //   succinct   — core::ContentMemo, unbounded, pre-sized,
-//   evict      — ContentMemo under --budget-mb, overflowing shards dropped,
-//   spill      — ContentMemo under --budget-mb, overflowing shards sealed
-//                into checksummed on-disk segments.
+//   evict      — ContentMemo with capacity a quarter of the table's unique
+//                cells, so full shards are dropped throughout the sweep.
 // Every arm must produce bit-identical p_error streams (compared per
 // chunk); the bench reports cells/sec, probe ns/cell, resident bytes,
 // bytes/unique-cell, bloom accounting and peak RSS to --json
 // (BENCH_memo.json), and with --gate fails on any verdict mismatch, a
-// bytes ratio below --min-bytes-ratio, a budget overrun, or an RSS cap
-// overrun.
+// bytes ratio below --min-bytes-ratio, an evict arm that never evicted or
+// held more entries than its capacity, or an RSS cap overrun.
 //
 // A second section replays the real-table serving shape (beers / hospital
 // / tax by default): populate once, then --reps all-hit sweeps, gating the
@@ -240,6 +239,7 @@ struct Arm {
   int64_t cells = 0;
   int64_t mismatches = 0;  ///< float-bit differences vs the reference arm.
   int64_t max_bytes = 0;   ///< high-water resident bytes observed.
+  int64_t max_entries = 0; ///< high-water live entries observed.
   uint64_t checksum = 1469598103934665603ULL;  ///< FNV over prob bits.
 };
 
@@ -279,13 +279,10 @@ int Run(int argc, char** argv) {
   flags.AddInt("cols", 2, "synthetic table columns");
   flags.AddInt("uniques", 100000, "distinct cell contents per column");
   flags.AddInt("chunk-rows", 65536, "rows streamed per sweep chunk");
-  flags.AddInt("budget-mb", 24,
-               "memo byte budget for the evict/spill arms (MiB)");
   flags.AddInt("eval-batch", 256, "cells per forward batch");
-  flags.AddString("spill-dir", "/tmp/birnn-memo-spill",
-                  "directory for the spill arm's segments");
   flags.AddBool("gate", false,
-                "exit nonzero on parity/bytes-ratio/budget/RSS failures");
+                "exit nonzero on parity/bytes-ratio/eviction/speed/RSS "
+                "failures");
   flags.AddDouble("min-bytes-ratio", 4.0,
                   "gate: legacy bytes / succinct bytes lower bound");
   flags.AddDouble("min-speed-ratio", 0.95,
@@ -304,16 +301,17 @@ int Run(int argc, char** argv) {
   spec.seed = config.seed;
   const int64_t chunk_rows =
       std::max<int64_t>(1, flags.GetInt("chunk-rows"));
-  const int64_t budget_bytes =
-      static_cast<int64_t>(flags.GetInt("budget-mb")) * (1 << 20);
   const int eval_batch = flags.GetInt("eval-batch");
 
   std::cout << "=== Memo footprint (rows=" << spec.rows << ", cols="
             << spec.cols << ", uniques/col=" << spec.uniques_per_col
-            << ", budget=" << flags.GetInt("budget-mb") << " MiB) ===\n\n";
+            << ") ===\n\n";
 
   const datagen::SyntheticDataGen gen(spec);
   const int64_t total_uniques = gen.total_unique_cells();
+  // A quarter of the uniques: the evict arm drops shards all through the
+  // sweep, whatever the table's scale.
+  const int64_t evict_capacity = std::max<int64_t>(16, total_uniques / 4);
 
   // Tiny model: the bench measures the memo layer, not the forward path —
   // but predictions still flow through the real engine so parity means
@@ -355,20 +353,9 @@ int Run(int argc, char** argv) {
     Arm evict;
     evict.name = "evict";
     core::ContentMemoOptions evict_options;
-    evict_options.capacity = total_uniques * 2 + 1024;
-    evict_options.budget_bytes = budget_bytes;
+    evict_options.capacity = evict_capacity;
     arms.push_back(std::move(evict));
     arms.back().memo = std::make_unique<core::ContentMemo>(evict_options);
-
-    Arm spill;
-    spill.name = "spill";
-    core::ContentMemoOptions spill_options;
-    spill_options.capacity = total_uniques * 2 + 1024;
-    spill_options.budget_bytes = budget_bytes;
-    spill_options.spill = true;
-    spill_options.spill_dir = flags.GetString("spill-dir");
-    arms.push_back(std::move(spill));
-    arms.back().memo = std::make_unique<core::ContentMemo>(spill_options);
   }
 
   // Stream the table once per arm, chunk-interleaved: each chunk is
@@ -398,19 +385,23 @@ int Run(int argc, char** argv) {
       }
       const int64_t bytes = arm.legacy != nullptr ? arm.legacy->ApproxBytes()
                                                   : arm.memo->bytes();
+      const int64_t entries = arm.legacy != nullptr ? arm.legacy->entries()
+                                                    : arm.memo->entries();
       arm.max_bytes = std::max(arm.max_bytes, bytes);
+      arm.max_entries = std::max(arm.max_entries, entries);
     }
   }
 
   // ---- Report the synthetic section ----
   const int64_t total_cells = arms[0].cells;
   eval::TableWriter writer({"Arm", "Cells/s", "Probe ns", "Bytes", "MaxBytes",
-                            "B/unique", "Entries", "Evict", "Spill", "Mism"});
+                            "B/unique", "Entries", "MaxEntries", "Evict",
+                            "Mism"});
   double legacy_bytes = 0.0, succinct_bytes = 0.0;
-  bool budget_ok = true;
+  bool evict_ok = true;
   int64_t total_mismatches = 0;
   for (Arm& arm : arms) {
-    int64_t final_bytes, entries, evictions = 0, spilled = 0;
+    int64_t final_bytes, entries, evictions = 0;
     double probe_ns;
     core::ContentMemoStats stats;
     if (arm.legacy != nullptr) {
@@ -425,15 +416,14 @@ int Run(int argc, char** argv) {
       final_bytes = stats.bytes;
       entries = stats.entries;
       evictions = stats.evictions;
-      spilled = stats.spilled_segments;
       probe_ns = stats.lookups > 0
                      ? stats.probe_seconds * 1e9 /
                            static_cast<double>(stats.lookups)
                      : 0.0;
       if (arm.name == "succinct") {
         succinct_bytes = static_cast<double>(final_bytes);
-      } else if (arm.max_bytes > budget_bytes) {
-        budget_ok = false;
+      } else if (evictions == 0 || arm.max_entries > evict_capacity) {
+        evict_ok = false;
       }
     }
     total_mismatches += arm.mismatches;
@@ -447,7 +437,7 @@ int Run(int argc, char** argv) {
     writer.AddRow({arm.name, FormatFixed(cps, 0), FormatFixed(probe_ns, 0),
                    std::to_string(final_bytes), std::to_string(arm.max_bytes),
                    FormatFixed(per_unique, 1), std::to_string(entries),
-                   std::to_string(evictions), std::to_string(spilled),
+                   std::to_string(arm.max_entries), std::to_string(evictions),
                    std::to_string(arm.mismatches)});
   }
   writer.Print(std::cout);
@@ -581,7 +571,7 @@ int Run(int argc, char** argv) {
     json.Key("cols").Int(spec.cols);
     json.Key("uniques_per_col").Int(spec.uniques_per_col);
     json.Key("chunk_rows").Int(chunk_rows);
-    json.Key("budget_bytes").Int(budget_bytes);
+    json.Key("evict_capacity").Int(evict_capacity);
     json.Key("seed").Int(static_cast<int64_t>(config.seed));
     json.Key("cells").Int(total_cells);
     json.Key("unique_cells").Int(total_uniques);
@@ -632,12 +622,9 @@ int Run(int argc, char** argv) {
                         : 0.0);
         json.Key("evictions").Int(stats.evictions);
         json.Key("evicted_entries").Int(stats.evicted_entries);
-        json.Key("spilled_segments").Int(stats.spilled_segments);
-        json.Key("spilled_entries").Int(stats.spilled_entries);
-        json.Key("spill_hits").Int(stats.spill_hits);
-        json.Key("spill_failures").Int(stats.spill_failures);
       }
       json.Key("max_bytes").Int(arm.max_bytes);
+      json.Key("max_entries").Int(arm.max_entries);
       json.Key("mismatches").Int(arm.mismatches);
       char hex[32];
       std::snprintf(hex, sizeof(hex), "%016llx",
@@ -665,7 +652,7 @@ int Run(int argc, char** argv) {
     json.Key("gates").BeginObject();
     json.Key("parity_ok").Bool(parity_ok);
     json.Key("bytes_ratio_ok").Bool(ratio_ok);
-    json.Key("budget_ok").Bool(budget_ok);
+    json.Key("evict_ok").Bool(evict_ok);
     json.Key("speed_ok").Bool(speed_ok);
     json.Key("rss_ok").Bool(rss_ok);
     json.EndObject();
@@ -679,13 +666,16 @@ int Run(int argc, char** argv) {
     std::cout << "GATE: bytes ratio " << FormatFixed(bytes_ratio, 2)
               << "x below " << FormatFixed(min_bytes_ratio, 2) << "x\n";
   }
-  if (!budget_ok) std::cout << "GATE: budgeted arm exceeded --budget-mb\n";
+  if (!evict_ok) {
+    std::cout << "GATE: evict arm never evicted or held more than "
+              << evict_capacity << " entries\n";
+  }
   if (!speed_ok) {
     std::cout << "GATE: succinct all-hit sweep slower than "
               << FormatFixed(min_speed_ratio, 2) << "x legacy\n";
   }
   if (!rss_ok) std::cout << "GATE: peak RSS above --rss-cap-mb\n";
-  const bool ok = parity_ok && ratio_ok && budget_ok && speed_ok && rss_ok;
+  const bool ok = parity_ok && ratio_ok && evict_ok && speed_ok && rss_ok;
   if (!ok && flags.GetBool("gate")) return 1;
   return 0;
 }

@@ -1,14 +1,7 @@
 #include "core/content_index.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "util/hash.h"
@@ -17,8 +10,8 @@
 namespace birnn::core {
 namespace {
 
-constexpr char kSegmentMagic[8] = {'B', 'R', 'N', 'M', 'E', 'M', 'O', '1'};
-constexpr int64_t kSlotBytes = 16;  // hash(8) + p_error(4) + key_off(4).
+/// Bloom prefilter density: ~1% false positives.
+constexpr double kBloomBitsPerKey = 10.0;
 
 void PutVarint(uint32_t v, std::vector<uint8_t>* out) {
   while (v >= 0x80) {
@@ -59,32 +52,7 @@ uint64_t SlotFor(uint64_t hash, uint64_t slots) {
       (static_cast<unsigned __int128>(hash) * slots) >> 64);
 }
 
-/// Bytes per in-memory table slot (hash tag + arena position).
-constexpr int64_t kTableSlotBytes = 8;
-
 uint32_t HashTag(uint64_t hash) { return static_cast<uint32_t>(hash >> 32); }
-
-bool PReadAll(int fd, void* buf, size_t n, int64_t off) {
-  auto* p = static_cast<uint8_t*>(buf);
-  while (n > 0) {
-    ssize_t r = ::pread(fd, p, n, static_cast<off_t>(off));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    p += r;
-    n -= static_cast<size_t>(r);
-    off += r;
-  }
-  return true;
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out->append(b, 8);
-}
 
 }  // namespace
 
@@ -276,208 +244,13 @@ bool BlockedBloom::MayContain(uint64_t hash) const {
 }
 
 // ---------------------------------------------------------------------------
-// SpillSegment
-// ---------------------------------------------------------------------------
-
-SpillSegment::~SpillSegment() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-SpillSegment::SpillSegment(SpillSegment&& other) noexcept
-    : fd_(other.fd_),
-      count_(other.count_),
-      blob_offset_(other.blob_offset_),
-      blob_size_(other.blob_size_),
-      path_(std::move(other.path_)) {
-  other.fd_ = -1;
-}
-
-SpillSegment& SpillSegment::operator=(SpillSegment&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    count_ = other.count_;
-    blob_offset_ = other.blob_offset_;
-    blob_size_ = other.blob_size_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-Status SpillSegment::Write(const std::string& path,
-                           std::vector<SpillRecord> records) {
-  std::sort(records.begin(), records.end(),
-            [](const SpillRecord& a, const SpillRecord& b) {
-              return a.hash < b.hash;
-            });
-
-  std::string body;
-  body.reserve(32 + records.size() * (kSlotBytes + 16));
-  body.append(kSegmentMagic, 8);
-  PutU64(static_cast<uint64_t>(records.size()), &body);
-
-  std::vector<uint8_t> blob;
-  std::vector<uint32_t> offsets;
-  offsets.reserve(records.size());
-  for (const SpillRecord& r : records) {
-    offsets.push_back(static_cast<uint32_t>(blob.size()));
-    PutVarint(static_cast<uint32_t>(r.key.size()), &blob);
-    blob.insert(blob.end(), r.key.begin(), r.key.end());
-  }
-  PutU64(static_cast<uint64_t>(blob.size()), &body);
-  for (size_t i = 0; i < records.size(); ++i) {
-    PutU64(records[i].hash, &body);
-    char slot[8];
-    std::memcpy(slot, &records[i].p_error, 4);
-    std::memcpy(slot + 4, &offsets[i], 4);
-    body.append(slot, 8);
-  }
-  body.append(reinterpret_cast<const char*>(blob.data()), blob.size());
-  const uint64_t checksum = util::Fnv1a(body.data(), body.size());
-  PutU64(checksum, &body);
-
-  // Atomic publish: a failed write can never leave a partial segment under
-  // the final name. Unlike util::WriteFileAtomic there is no fsync: a
-  // segment is process-lifetime scratch, unlinked when the memo is
-  // destroyed, so durability would only add latency to the seal path.
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create spill segment " + tmp);
-  }
-  const bool written =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!written || !closed) {
-    std::remove(tmp.c_str());
-    return Status::IoError("short write to spill segment " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot publish spill segment " + path);
-  }
-  return Status::OK();
-}
-
-StatusOr<SpillSegment> SpillSegment::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open spill segment " + path);
-  }
-  SpillSegment seg;
-  seg.fd_ = fd;
-  seg.path_ = path;
-
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 32 + 8) {
-    return Status::IoError("spill segment truncated: " + path);
-  }
-  const int64_t file_size = static_cast<int64_t>(st.st_size);
-
-  char header[24];
-  if (!PReadAll(fd, header, sizeof(header), 0)) {
-    return Status::IoError("spill segment unreadable: " + path);
-  }
-  if (std::memcmp(header, kSegmentMagic, 8) != 0) {
-    return Status::IoError("spill segment bad magic: " + path);
-  }
-  uint64_t count, blob_size;
-  std::memcpy(&count, header + 8, 8);
-  std::memcpy(&blob_size, header + 16, 8);
-  const int64_t expect =
-      24 + static_cast<int64_t>(count) * kSlotBytes +
-      static_cast<int64_t>(blob_size) + 8;
-  if (count > (1ULL << 40) || expect != file_size) {
-    return Status::IoError("spill segment shape mismatch: " + path);
-  }
-  seg.count_ = static_cast<int64_t>(count);
-  seg.blob_offset_ = 24 + seg.count_ * kSlotBytes;
-  seg.blob_size_ = static_cast<int64_t>(blob_size);
-
-  // Streaming checksum: the segment is validated once at open without ever
-  // being resident; Find() afterwards trusts the file.
-  uint64_t h = util::kFnv1aOffset;
-  char buf[1 << 16];
-  int64_t off = 0;
-  const int64_t body_size = file_size - 8;
-  while (off < body_size) {
-    const size_t n = static_cast<size_t>(
-        std::min<int64_t>(body_size - off, static_cast<int64_t>(sizeof(buf))));
-    if (!PReadAll(fd, buf, n, off)) {
-      return Status::IoError("spill segment unreadable: " + path);
-    }
-    h = util::Fnv1aMix(h, buf, n);
-    off += static_cast<int64_t>(n);
-  }
-  uint64_t stored;
-  if (!PReadAll(fd, &stored, 8, body_size) || stored != h) {
-    return Status::IoError("spill segment checksum mismatch: " + path);
-  }
-  return seg;
-}
-
-bool SpillSegment::ReadSlot(int64_t index, uint64_t* hash, float* p_error,
-                            uint32_t* key_off) const {
-  char slot[kSlotBytes];
-  if (!PReadAll(fd_, slot, sizeof(slot), 24 + index * kSlotBytes)) {
-    return false;
-  }
-  std::memcpy(hash, slot, 8);
-  std::memcpy(p_error, slot + 8, 4);
-  std::memcpy(key_off, slot + 12, 4);
-  return true;
-}
-
-bool SpillSegment::Find(uint64_t hash, const uint8_t* key, size_t key_len,
-                        float* p_error) const {
-  if (fd_ < 0 || count_ == 0) return false;
-  // lower_bound over the sorted slot array.
-  int64_t lo = 0, hi = count_;
-  while (lo < hi) {
-    const int64_t mid = lo + (hi - lo) / 2;
-    uint64_t h;
-    float p;
-    uint32_t off;
-    if (!ReadSlot(mid, &h, &p, &off)) return false;
-    if (h < hash) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  // Scan the (almost always length-1) equal-hash run, confirming exactly.
-  std::vector<uint8_t> stored(key_len + 5);
-  for (int64_t i = lo; i < count_; ++i) {
-    uint64_t h;
-    float p;
-    uint32_t off;
-    if (!ReadSlot(i, &h, &p, &off)) return false;
-    if (h != hash) break;
-    const int64_t key_pos = blob_offset_ + static_cast<int64_t>(off);
-    const size_t want = std::min<size_t>(
-        stored.size(),
-        static_cast<size_t>(blob_offset_ + blob_size_ - key_pos));
-    if (want == 0 || !PReadAll(fd_, stored.data(), want, key_pos)) continue;
-    uint32_t stored_len;
-    const size_t vn =
-        GetVarint(stored.data(), stored.data() + want, &stored_len);
-    if (vn == 0 || stored_len != key_len || vn + key_len > want) continue;
-    if (std::memcmp(stored.data() + vn, key, key_len) == 0) {
-      *p_error = p;
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
 // ContentMemo
 // ---------------------------------------------------------------------------
 
-ContentMemo::ContentMemo(ContentMemoOptions options)
-    : options_(std::move(options)) {
+ContentMemo::ContentMemo(ContentMemoOptions options) : options_(options) {
+  // The pre-size hint never allocates past the entry bound.
+  options_.expected_entries =
+      std::min(options_.expected_entries, options_.capacity);
   shard_capacity_ = std::max<int64_t>(1, options_.capacity / kShards);
   if (options_.capacity <= 0) shard_capacity_ = 0;
   if (enabled()) {
@@ -489,19 +262,7 @@ ContentMemo::ContentMemo(ContentMemoOptions options)
                              ? options_.expected_entries
                              : std::min<int64_t>(options_.capacity, 1 << 20);
     bloom_keys = std::min<int64_t>(bloom_keys, int64_t{1} << 24);
-    if (options_.budget_bytes > 0 && options_.bloom_bits_per_key > 0) {
-      while (bloom_keys > 1024 &&
-             static_cast<double>(bloom_keys) * options_.bloom_bits_per_key >
-                 static_cast<double>(options_.budget_bytes)) {
-        bloom_keys /= 2;  // keep the filter <= 1/8 of the byte budget.
-      }
-    }
-    bloom_.Reset(bloom_keys, options_.bloom_bits_per_key);
-  }
-  if (options_.budget_bytes > 0) {
-    const int64_t after_bloom =
-        std::max<int64_t>(options_.budget_bytes - bloom_.bytes(), kShards);
-    shard_budget_ = std::max<int64_t>(1, after_bloom / kShards);
+    bloom_.Reset(bloom_keys, kBloomBitsPerKey);
   }
   bytes_.store(bloom_.bytes(), std::memory_order_relaxed);
   bytes_gauge_.Set(static_cast<double>(bloom_.bytes()));
@@ -515,43 +276,25 @@ ContentMemo::ContentMemo(ContentMemoOptions options)
   }
 }
 
-ContentMemo::~ContentMemo() {
-  // Segments are owned scratch, not durable artifacts: close then unlink.
-  for (auto& shard : shards_) shard.segments.clear();
-  std::lock_guard<std::mutex> lock(spill_mu_);
-  for (const std::string& path : spilled_paths_) std::remove(path.c_str());
-}
-
 void ContentMemo::InitTable(Shard* shard, int64_t expected_entries) {
   // Flat open addressing wants slack: size for 0.8 load exactly at the
   // expected population (Lemire mapping frees us from power-of-two
   // rounding), floor 64 slots so tiny memos stay tiny.
-  uint64_t slots = static_cast<uint64_t>(
+  const uint64_t slots = static_cast<uint64_t>(
       std::max<int64_t>(64, expected_entries + expected_entries / 4));
-  if (shard_budget_ > 0) {
-    // Never allocate a table that alone exceeds the shard's byte budget.
-    while (slots > 64 &&
-           static_cast<int64_t>(slots) * kTableSlotBytes > shard_budget_ / 2) {
-      slots /= 2;
-    }
-  }
   std::vector<uint32_t>(slots, 0).swap(shard->tag);
   std::vector<uint32_t>(slots, kEmptySlot).swap(shard->pos);
   shard->slots = slots;
   shard->entries = 0;
-  // Swap, not clear(): a sealed shard must actually release its arena
-  // capacity or the byte budget would never be regained.
+  // Swap, not clear(): an evicted shard must actually release its arena
+  // capacity, or eviction would never return memory.
   std::vector<uint8_t>().swap(shard->arena);
 }
 
-int64_t ContentMemo::ShardResidentBytes(const Shard& shard) const {
-  return static_cast<int64_t>(shard.tag.capacity()) * 4 +
-         static_cast<int64_t>(shard.pos.capacity()) * 4 +
-         static_cast<int64_t>(shard.arena.capacity());
-}
-
 void ContentMemo::UpdateShardBytes(Shard* shard) {
-  const int64_t now = ShardResidentBytes(*shard);
+  const int64_t now = static_cast<int64_t>(shard->tag.capacity()) * 4 +
+                      static_cast<int64_t>(shard->pos.capacity()) * 4 +
+                      static_cast<int64_t>(shard->arena.capacity());
   const int64_t delta = now - shard->resident;
   shard->resident = now;
   if (delta != 0) {
@@ -561,74 +304,25 @@ void ContentMemo::UpdateShardBytes(Shard* shard) {
   }
 }
 
-bool ContentMemo::ProbeLocked(const Shard& shard, uint64_t hash,
-                              const uint8_t* key, size_t key_len,
-                              float* p_error, bool* from_segment) const {
-  *from_segment = false;
-  if (shard.slots != 0) {
-    const uint32_t tag = HashTag(hash);
-    uint64_t slot = SlotFor(hash, shard.slots);
-    while (shard.pos[slot] != kEmptySlot) {
-      if (shard.tag[slot] == tag) {
-        const uint8_t* rec = shard.arena.data() + shard.pos[slot];
-        const uint8_t* end = shard.arena.data() + shard.arena.size();
-        uint32_t stored_len;
-        const size_t vn = GetVarint(rec, end, &stored_len);
-        if (vn != 0 && stored_len == key_len &&
-            rec + vn + key_len + 4 <= end &&
-            std::memcmp(rec + vn, key, key_len) == 0) {
-          std::memcpy(p_error, rec + vn + key_len, 4);
-          return true;
-        }
-      }
-      if (++slot == shard.slots) slot = 0;
-    }
-  }
-  for (auto it = shard.segments.rbegin(); it != shard.segments.rend(); ++it) {
-    if (it->Find(hash, key, key_len, p_error)) {
-      *from_segment = true;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ContentMemo::ProbeCellLocked(const Shard& shard, uint64_t hash,
                                   const data::EncodedDataset& ds, int64_t i,
-                                  std::vector<uint8_t>* scratch, float* p_error,
-                                  bool* from_segment) const {
-  *from_segment = false;
-  if (shard.slots != 0) {
-    const uint32_t tag = HashTag(hash);
-    uint64_t slot = SlotFor(hash, shard.slots);
-    while (shard.pos[slot] != kEmptySlot) {
-      if (shard.tag[slot] == tag) {
-        const uint8_t* rec = shard.arena.data() + shard.pos[slot];
-        const uint8_t* end = shard.arena.data() + shard.arena.size();
-        uint32_t stored_len;
-        const size_t vn = GetVarint(rec, end, &stored_len);
-        if (vn != 0 && rec + vn + stored_len + 4 <= end &&
-            StoredKeyMatchesCell(rec + vn, stored_len, ds, i)) {
-          std::memcpy(p_error, rec + vn + stored_len, 4);
-          return true;
-        }
-      }
-      if (++slot == shard.slots) slot = 0;
-    }
-  }
-  if (!shard.segments.empty()) {
-    // Segment binary search needs the canonical key bytes; this path only
-    // runs once spill has happened, so the packing cost stays off the
-    // resident fast path.
-    scratch->clear();
-    AppendPackedCellKey(ds, i, scratch);
-    for (auto it = shard.segments.rbegin(); it != shard.segments.rend();
-         ++it) {
-      if (it->Find(hash, scratch->data(), scratch->size(), p_error)) {
-        *from_segment = true;
+                                  float* p_error) const {
+  if (shard.slots == 0) return false;
+  const uint32_t tag = HashTag(hash);
+  uint64_t slot = SlotFor(hash, shard.slots);
+  while (shard.pos[slot] != kEmptySlot) {
+    if (shard.tag[slot] == tag) {
+      const uint8_t* rec = shard.arena.data() + shard.pos[slot];
+      const uint8_t* end = shard.arena.data() + shard.arena.size();
+      uint32_t stored_len;
+      const size_t vn = GetVarint(rec, end, &stored_len);
+      if (vn != 0 && rec + vn + stored_len + 4 <= end &&
+          StoredKeyMatchesCell(rec + vn, stored_len, ds, i)) {
+        std::memcpy(p_error, rec + vn + stored_len, 4);
         return true;
       }
     }
+    if (++slot == shard.slots) slot = 0;
   }
   return false;
 }
@@ -641,7 +335,6 @@ int64_t ContentMemo::Lookup(const data::EncodedDataset& ds,
   const int64_t n = ds.num_cells();
   int64_t hits = 0;
   int64_t bloom_negatives = 0;
-  std::vector<uint8_t> key;
   for (int64_t i = 0; i < n; ++i) {
     const uint64_t h = ds.CellContentHash(i);
     // Lock-free fast path: a bloom negative proves the content was never
@@ -653,12 +346,10 @@ int64_t ContentMemo::Lookup(const data::EncodedDataset& ds,
     const Shard& shard = shards_[ShardIndex(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
     float p_error;
-    bool from_segment;
-    if (ProbeCellLocked(shard, h, ds, i, &key, &p_error, &from_segment)) {
+    if (ProbeCellLocked(shard, h, ds, i, &p_error)) {
       (*p)[i] = p_error;
       (*hit)[i] = 1;
       shard.hits += 1;
-      if (from_segment) shard.spill_hits += 1;
       ++hits;
     } else {
       shard.bloom_fps += 1;
@@ -674,69 +365,23 @@ int64_t ContentMemo::Lookup(const data::EncodedDataset& ds,
   return hits;
 }
 
-void ContentMemo::SealShard(Shard* shard, int shard_index) {
-  if (options_.spill && !options_.spill_dir.empty() && shard->entries > 0) {
-    std::vector<SpillRecord> records;
-    records.reserve(shard->entries);
-    for (uint64_t slot = 0; slot < shard->slots; ++slot) {
-      if (shard->pos[slot] == kEmptySlot) continue;
-      SpillRecord r;
-      const uint8_t* rec = shard->arena.data() + shard->pos[slot];
-      const uint8_t* end = shard->arena.data() + shard->arena.size();
-      uint32_t key_len = 0;
-      const size_t vn = GetVarint(rec, end, &key_len);
-      r.key.assign(rec + vn, rec + vn + key_len);
-      std::memcpy(&r.p_error, rec + vn + key_len, 4);
-      r.hash = PackedKeyContentHash(r.key.data(), r.key.size());
-      records.push_back(std::move(r));
-    }
-    ::mkdir(options_.spill_dir.c_str(), 0755);  // best effort, EEXIST fine.
-    const std::string path = options_.spill_dir + "/memo-shard" +
-                             std::to_string(shard_index) + "-" +
-                             std::to_string(shard->seals) + ".seg";
-    Status st = SpillSegment::Write(path, std::move(records));
-    if (st.ok()) {
-      auto opened = SpillSegment::Open(path);
-      if (opened.ok()) {
-        shard->segments.push_back(std::move(opened).value());
-        shard->spilled_entries += shard->entries;
-        spilled_segments_counter_.Add(1);
-        {
-          std::lock_guard<std::mutex> lock(spill_mu_);
-          spilled_paths_.push_back(path);
-        }
-      } else {
-        std::remove(path.c_str());
-        st = opened.status();
-      }
-    }
-    if (!st.ok()) {
-      // Spill failed (disk full, bad dir, corrupt write): degrade to plain
-      // eviction — still correct, the dropped content just recomputes.
-      shard->spill_failures += 1;
-      shard->evictions += 1;
-      shard->evicted_entries += shard->entries;
-      evictions_counter_.Add(1);
-    }
-  } else if (shard->entries > 0) {
+void ContentMemo::EvictShard(Shard* shard) {
+  if (shard->entries > 0) {
     shard->evictions += 1;
     shard->evicted_entries += shard->entries;
     evictions_counter_.Add(1);
   }
-  shard->seals += 1;
-  InitTable(shard, std::max<int64_t>(shard->entries, 1024));
-  // Note: the bloom is intentionally never rebuilt. Spilled entries remain
-  // findable (bits still valid); evicted entries leave stale bits that can
-  // only cause counted false positives, never a wrong answer.
+  // Re-size for the population the shard just held: it refills to the same
+  // bound. The bloom is intentionally never rebuilt: evicted entries leave
+  // stale bits that can only cause counted false positives, never a wrong
+  // answer.
+  InitTable(shard, shard->entries);
 }
 
 void ContentMemo::Insert(const data::EncodedDataset& ds, int64_t i,
                          float p_error) {
   if (!enabled()) return;
   const uint64_t h = ds.CellContentHash(i);
-  std::vector<uint8_t> key;
-  AppendPackedCellKey(ds, i, &key);
-
   Shard& shard = shards_[ShardIndex(h)];
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.slots == 0) {
@@ -746,57 +391,35 @@ void ContentMemo::Insert(const data::EncodedDataset& ds, int64_t i,
   }
 
   float existing;
-  bool from_segment;
-  if (ProbeLocked(shard, h, key.data(), key.size(), &existing,
-                  &from_segment)) {
+  if (ProbeCellLocked(shard, h, ds, i, &existing)) {
     return;  // first value wins (all writers agree anyway).
   }
+  std::vector<uint8_t> key;
+  AppendPackedCellKey(ds, i, &key);
 
-  // Seal when the shard hits its entry bound, when this insert would push
-  // its resident bytes past the configured budget share (projecting the
-  // arena/table doublings the insert would trigger), or when the arena
-  // nears the uint32 position ceiling.
+  // Evict when the shard hits its entry bound, or when the arena nears the
+  // uint32 position ceiling.
   const int64_t arena_add =
       static_cast<int64_t>(key.size()) + 9;  // varint prefix + p_error bytes.
-  // Arena growth step: ~12.5% (min 4 KiB) when unbounded, but never more
-  // than a quarter of the shard's byte share when budgeted — a fixed floor
-  // would overshoot tight budgets by 16 x 4 KiB before the first seal.
-  int64_t arena_step = std::max<int64_t>(
-      arena_add,
-      std::max<int64_t>(static_cast<int64_t>(shard.arena.capacity()) / 8,
-                        4096));
-  if (shard_budget_ > 0) {
-    arena_step = std::max<int64_t>(
-        arena_add, std::min<int64_t>(arena_step, shard_budget_ / 4));
-  }
-  const bool needs_grow =
-      shard.entries + 1 > static_cast<int64_t>(shard.slots) * 4 / 5;
-  bool over_budget = false;
-  if (shard_budget_ > 0) {
-    int64_t projected = ShardResidentBytes(shard);
-    if (shard.arena.size() + arena_add > shard.arena.capacity()) {
-      projected += arena_step;
-    }
-    if (needs_grow) {
-      projected += static_cast<int64_t>(shard.slots) * kTableSlotBytes;
-    }
-    over_budget = projected > shard_budget_;
-  }
-  const bool arena_full =
-      shard.arena.size() + arena_add > 0xFFFF0000u;  // uint32 pos ceiling.
-  if (shard.entries + 1 > shard_capacity_ || over_budget || arena_full) {
-    SealShard(&shard, ShardIndex(h));
+  if (shard.entries + 1 > shard_capacity_ ||
+      shard.arena.size() + arena_add > 0xFFFF0000u) {
+    EvictShard(&shard);
   }
 
   // Grow the table before it saturates (linear probing degrades past ~0.8
-  // load); under a byte budget the seal above already bounded the size.
+  // load).
   if (shard.entries + 1 > static_cast<int64_t>(shard.slots) * 4 / 5) {
     GrowTable(&shard);
   }
 
-  // Grow the arena in the projected step instead of vector's doubling:
-  // slack is resident bytes, and bytes/unique-cell is the whole point here.
+  // Grow the arena in ~12.5% steps (min 4 KiB) instead of vector's
+  // doubling: slack is resident bytes, and bytes/unique-cell is the whole
+  // point here.
   if (shard.arena.size() + arena_add > shard.arena.capacity()) {
+    const int64_t arena_step = std::max<int64_t>(
+        arena_add,
+        std::max<int64_t>(static_cast<int64_t>(shard.arena.capacity()) / 8,
+                          4096));
     shard.arena.reserve(shard.arena.size() +
                         static_cast<size_t>(arena_step));
   }
@@ -871,10 +494,6 @@ ContentMemoStats ContentMemo::stats() const {
     s.bloom_fps += shard.bloom_fps;
     s.evictions += shard.evictions;
     s.evicted_entries += shard.evicted_entries;
-    s.spilled_segments += static_cast<int64_t>(shard.segments.size());
-    s.spilled_entries += shard.spilled_entries;
-    s.spill_hits += shard.spill_hits;
-    s.spill_failures += shard.spill_failures;
   }
   s.bytes = bytes_.load(std::memory_order_relaxed);
   s.lookups = lookups_.load(std::memory_order_relaxed);

@@ -5,17 +5,15 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "data/encoding.h"
 #include "obs/registry.h"
-#include "util/status.h"
 
 namespace birnn::core {
 
 /// Succinct cell-content index (DESIGN.md §14): the shared storage layer
-/// behind every cross-sweep verdict memo. Three pieces compose:
+/// behind every cross-sweep verdict memo. Two pieces compose:
 ///
 ///   BlockedBloom  — a cache-line-blocked bloom filter in front of every
 ///                   probe, so first-seen content (the common case on
@@ -24,11 +22,8 @@ namespace birnn::core {
 ///                   (contiguous hash/position/verdict arrays, zero
 ///                   per-entry allocation) over a varint-packed content
 ///                   arena that confirms hash matches exactly without
-///                   retaining the padded int32 sequence;
-///   SpillSegment  — immutable, checksummed, sorted-by-hash on-disk
-///                   segments a shard seals into when it outgrows its
-///                   memory budget, so warehouse-scale sweeps keep their
-///                   memo inside a configurable byte budget.
+///                   retaining the padded int32 sequence, bounded by an
+///                   entry capacity.
 ///
 /// Exactness contract: a hit is only ever declared after the stored packed
 /// key is compared byte-for-byte against the probing cell, so hash
@@ -55,7 +50,7 @@ bool PackedKeyMatchesCell(const uint8_t* key, size_t key_len,
 /// Recomputes `EncodedDataset::CellContentHash` from a packed content key
 /// alone (the key carries every hashed field). Lets the memo store only a
 /// 32-bit hash tag per table slot and reconstruct the full 64-bit hash on
-/// the rare grow/spill paths. Returns 0 on a malformed key.
+/// the rare grow path. Returns 0 on a malformed key.
 uint64_t PackedKeyContentHash(const uint8_t* key, size_t key_len);
 
 /// Order-sensitive FNV-1a fingerprint of a dataset's full cell content
@@ -99,102 +94,32 @@ class BlockedBloom {
 };
 
 // ---------------------------------------------------------------------------
-// Spill segments
-// ---------------------------------------------------------------------------
-
-/// One record of a sealed memo shard.
-struct SpillRecord {
-  uint64_t hash = 0;
-  float p_error = 0.0f;
-  std::vector<uint8_t> key;  ///< packed content key.
-};
-
-/// An immutable on-disk memo segment: a sorted-by-hash slot array plus a
-/// packed-key blob, FNV-1a checksummed and written atomically (tmp +
-/// rename, no fsync: process-lifetime scratch). Lookups binary-search the
-/// slot array with pread — a sealed segment costs a file descriptor, not RAM.
-class SpillSegment {
- public:
-  SpillSegment() = default;
-  ~SpillSegment();
-  SpillSegment(SpillSegment&& other) noexcept;
-  SpillSegment& operator=(SpillSegment&& other) noexcept;
-  SpillSegment(const SpillSegment&) = delete;
-  SpillSegment& operator=(const SpillSegment&) = delete;
-
-  /// Writes `records` (sorted by hash internally) to `path`.
-  static Status Write(const std::string& path,
-                      std::vector<SpillRecord> records);
-
-  /// Opens a segment, verifying magic, shape and the whole-file checksum
-  /// (streaming — the segment is never resident). A corrupt or truncated
-  /// file is refused here, so a reader can treat the failure as a miss.
-  static StatusOr<SpillSegment> Open(const std::string& path);
-
-  /// Looks up (hash, packed key); true on an exact key match, storing the
-  /// memoized verdict into `*p_error`.
-  bool Find(uint64_t hash, const uint8_t* key, size_t key_len,
-            float* p_error) const;
-
-  int64_t count() const { return count_; }
-  const std::string& path() const { return path_; }
-
- private:
-  bool ReadSlot(int64_t index, uint64_t* hash, float* p_error,
-                uint32_t* key_off) const;
-
-  int fd_ = -1;
-  int64_t count_ = 0;
-  int64_t blob_offset_ = 0;
-  int64_t blob_size_ = 0;
-  std::string path_;
-};
-
-// ---------------------------------------------------------------------------
 // ContentMemo
 // ---------------------------------------------------------------------------
 
 struct ContentMemoOptions {
-  /// Bound on live in-memory entries (0 disables the memo entirely).
+  /// Bound on live entries (0 disables the memo entirely). A shard that
+  /// reaches its share is dropped and refills; dropped content simply
+  /// recomputes, bit-identically.
   int64_t capacity = 1 << 18;
-
-  /// Bound on in-memory bytes (flat tables + content arena + bloom).
-  /// 0 = unbounded. When an insert would push a shard past its share, the
-  /// shard is sealed: spilled to disk when `spill` is set, dropped
-  /// otherwise. Either way the memo answers every future probe correctly —
-  /// dropped content simply recomputes, bit-identically.
-  int64_t budget_bytes = 0;
 
   /// Pre-size hint (e.g. the bundle's training-table unique-cell count):
   /// tables and bloom are allocated for this population up front, so the
-  /// first sweep never grows through rehashes. 0 = start small and grow.
+  /// first sweep never grows through rehashes. Clamped to `capacity`.
+  /// 0 = start small and grow.
   int64_t expected_entries = 0;
-
-  /// Bloom prefilter density (~1% false positives at 10). <= 0 disables
-  /// the prefilter; every probe then takes its shard lock.
-  double bloom_bits_per_key = 10.0;
-
-  /// Seal overflowing shards into SpillSegments under `spill_dir` instead
-  /// of dropping them. Spilled entries remain probe-hits (served via
-  /// pread) at zero resident cost.
-  bool spill = false;
-  std::string spill_dir;
 };
 
 /// Aggregate accounting (cheap enough to snapshot per batch).
 struct ContentMemoStats {
-  int64_t entries = 0;   ///< live in-memory entries.
+  int64_t entries = 0;   ///< live entries.
   int64_t bytes = 0;     ///< tables + arenas + bloom, resident.
   int64_t lookups = 0;   ///< cells probed.
-  int64_t hits = 0;      ///< answered from memory or a spill segment.
+  int64_t hits = 0;      ///< probes answered from the memo.
   int64_t bloom_negatives = 0;  ///< probes short-circuited lock-free.
   int64_t bloom_fps = 0; ///< bloom said maybe, index said no.
-  int64_t evictions = 0;         ///< shard seals that dropped entries.
+  int64_t evictions = 0;         ///< shard drops at the capacity bound.
   int64_t evicted_entries = 0;
-  int64_t spilled_segments = 0;  ///< live on-disk segments.
-  int64_t spilled_entries = 0;
-  int64_t spill_hits = 0;        ///< hits served by a segment.
-  int64_t spill_failures = 0;    ///< failed seals, degraded to eviction.
   double probe_seconds = 0.0;    ///< wall clock inside Lookup.
 };
 
@@ -203,15 +128,14 @@ struct ContentMemoStats {
 /// bloom front. Replaces the `unordered_map<uint64_t, vector<Entry>>`
 /// store of the first serve-plane memo with flat open-addressing tables over
 /// a packed arena — no per-entry heap allocation, ~an order of magnitude
-/// fewer bytes per unique cell — and adds the bloom prefilter and the
-/// budget/seal machinery described above.
+/// fewer bytes per unique cell — and adds the bloom prefilter and
+/// capacity-bound eviction.
 ///
 /// The memo must not outlive a weight change (owned per model generation,
 /// exactly like the map it replaces).
 class ContentMemo {
  public:
   explicit ContentMemo(ContentMemoOptions options = {});
-  ~ContentMemo();
 
   ContentMemo(const ContentMemo&) = delete;
   ContentMemo& operator=(const ContentMemo&) = delete;
@@ -248,7 +172,7 @@ class ContentMemo {
     /// up to a power of two. Only the high 32 hash bits are stored (a
     /// filter; the packed-key compare is the truth) — the full hash is
     /// reconstructed from the arena key via PackedKeyContentHash when a
-    /// grow or spill needs it. `pos` is kEmptySlot for free slots.
+    /// grow needs it. `pos` is kEmptySlot for free slots.
     std::vector<uint32_t> tag;
     std::vector<uint32_t> pos;
     /// Packed records, appended: varint(key_len) + key bytes + the 4 raw
@@ -257,52 +181,38 @@ class ContentMemo {
     std::vector<uint8_t> arena;
     uint64_t slots = 0;
     int64_t entries = 0;
-    std::vector<SpillSegment> segments;
-    int64_t seals = 0;
     /// Resident bytes of this shard's table + arena, maintained under `mu`
     /// (the memo-wide atomic is advanced by deltas, so no cross-shard reads).
     int64_t resident = 0;
     // Accounting (mutated under mu; Lookup is const, hence mutable).
     mutable int64_t hits = 0;
     mutable int64_t bloom_fps = 0;
-    mutable int64_t spill_hits = 0;
     int64_t evictions = 0;
     int64_t evicted_entries = 0;
-    int64_t spilled_entries = 0;
-    int64_t spill_failures = 0;
   };
 
   static int ShardIndex(uint64_t hash) {
     return static_cast<int>(hash & (kShards - 1));
   }
 
-  int64_t ShardResidentBytes(const Shard& shard) const;
   void InitTable(Shard* shard, int64_t expected_entries);
   void GrowTable(Shard* shard);
-  /// Seals a full shard: spill to disk (keeping it probe-able) or drop.
-  void SealShard(Shard* shard, int shard_index);
-  /// Probes one shard's table + segments (pure — no stat updates). Caller
-  /// holds the shard lock. `*from_segment` reports a spill-served hit.
-  bool ProbeLocked(const Shard& shard, uint64_t hash, const uint8_t* key,
-                   size_t key_len, float* p_error, bool* from_segment) const;
-  /// Lookup fast path: probes for cell `i` by comparing stored keys against
-  /// the cell fields in place, packing into `*scratch` only when spill
-  /// segments must be searched. Caller holds the shard lock.
+  /// Drops a full shard; its content recomputes on the next miss.
+  void EvictShard(Shard* shard);
+  /// Probes one shard's table for cell `i` by comparing stored keys against
+  /// the cell fields in place (pure — no stat updates, no key packing).
+  /// Caller holds the shard lock.
   bool ProbeCellLocked(const Shard& shard, uint64_t hash,
                        const data::EncodedDataset& ds, int64_t i,
-                       std::vector<uint8_t>* scratch, float* p_error,
-                       bool* from_segment) const;
+                       float* p_error) const;
   /// Recomputes `shard->resident` and applies the delta to the memo-wide
   /// byte atomic + gauge. Caller holds the shard lock.
   void UpdateShardBytes(Shard* shard);
 
   ContentMemoOptions options_;
   int64_t shard_capacity_ = 0;
-  int64_t shard_budget_ = 0;  ///< bytes per shard (0 = unbounded).
   BlockedBloom bloom_;
   Shard shards_[kShards];
-  std::vector<std::string> spilled_paths_;  ///< for cleanup; under spill_mu_.
-  std::mutex spill_mu_;
   mutable std::atomic<int64_t> bytes_{0};
   mutable std::atomic<int64_t> lookups_{0};
   mutable std::atomic<int64_t> bloom_negatives_{0};
@@ -313,7 +223,6 @@ class ContentMemo {
   // logically const but records probe accounting.
   obs::Gauge bytes_gauge_{"inference/memo_bytes"};
   mutable obs::Counter bloom_fp_counter_{"inference/memo_bloom_fp"};
-  obs::Counter spilled_segments_counter_{"inference/memo_spilled_segments"};
   obs::Counter evictions_counter_{"inference/memo_evictions"};
   mutable obs::Histogram probe_ns_hist_{"inference/memo_probe_ns"};
 };

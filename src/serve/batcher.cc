@@ -24,16 +24,11 @@ core::ContentMemoOptions MakeMemoOptions(const LoadedDetector& detector,
                                          const BatcherOptions& options) {
   core::ContentMemoOptions memo_options;
   memo_options.capacity = std::max<int64_t>(0, options.memo_capacity);
-  memo_options.budget_bytes = std::max<int64_t>(0, options.memo_budget_bytes);
-  memo_options.spill = !options.memo_spill_dir.empty();
-  memo_options.spill_dir = options.memo_spill_dir;
   // Pre-size from the bundle's training-table unique-cell count (when the
   // manifest carries it): serving the table the detector was trained on is
   // the common case, and starting at that population means the first sweep
   // never grows the tables through rehashes.
-  memo_options.expected_entries =
-      std::min<int64_t>(detector.expected_unique_cells(),
-                        memo_options.capacity);
+  memo_options.expected_entries = detector.expected_unique_cells();
   return memo_options;
 }
 
@@ -144,7 +139,6 @@ BatcherStats MicroBatcher::stats() const {
   stats.memo_entries = memo.entries;
   stats.memo_bytes = memo.bytes;
   stats.memo_bloom_fp = memo.bloom_fps;
-  stats.memo_spilled_segments = memo.spilled_segments;
   stats.memo_evictions = memo.evictions;
   return stats;
 }

@@ -48,16 +48,6 @@ struct BatcherOptions {
   /// (a core::ContentMemo); 0 disables it. Exact — cached verdicts are a
   /// pure function of cell content under fixed weights.
   int64_t memo_capacity = 1 << 18;
-  /// Byte budget of the shared memo (tables + packed content arena +
-  /// bloom); 0 = bounded by `memo_capacity` alone. Overflowing shards are
-  /// sealed — spilled to disk when `memo_spill_dir` is set, dropped
-  /// otherwise — so resident memo memory never exceeds the budget.
-  int64_t memo_budget_bytes = 0;
-  /// Non-empty: sealed memo shards become checksummed on-disk segments
-  /// under this directory (still probe-hits, ~zero resident cost) instead
-  /// of being dropped. The directory is created on first spill; segment
-  /// files are removed when the batcher dies.
-  std::string memo_spill_dir;
 };
 
 /// Verdict for one queried cell.
@@ -83,8 +73,7 @@ struct BatcherStats {
   int64_t memo_entries = 0;    ///< current shared-memo population.
   int64_t memo_bytes = 0;      ///< resident memo bytes (tables+arena+bloom).
   int64_t memo_bloom_fp = 0;   ///< bloom false positives (wasted probes).
-  int64_t memo_spilled_segments = 0;  ///< live on-disk memo segments.
-  int64_t memo_evictions = 0;  ///< shard seals that dropped entries.
+  int64_t memo_evictions = 0;  ///< shard drops at the capacity bound.
 };
 
 /// Coalesces concurrent detection requests into batches through

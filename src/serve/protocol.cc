@@ -338,7 +338,7 @@ std::string StatsResponse(const std::string& id, const std::string& model,
                 "\"batch_seconds\":%.6f,"
                 "\"memo_hits\":%lld,\"memo_entries\":%lld,"
                 "\"memo_bytes\":%lld,\"memo_bloom_fp\":%lld,"
-                "\"memo_spilled_segments\":%lld,\"memo_evictions\":%lld",
+                "\"memo_evictions\":%lld",
                 static_cast<long long>(generation),
                 static_cast<long long>(stats.requests),
                 static_cast<long long>(stats.cells),
@@ -352,7 +352,6 @@ std::string StatsResponse(const std::string& id, const std::string& model,
                 static_cast<long long>(stats.memo_entries),
                 static_cast<long long>(stats.memo_bytes),
                 static_cast<long long>(stats.memo_bloom_fp),
-                static_cast<long long>(stats.memo_spilled_segments),
                 static_cast<long long>(stats.memo_evictions));
   out.append(buf);
   if (stream_stats != nullptr) {

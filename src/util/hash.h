@@ -8,8 +8,8 @@
 namespace birnn::util {
 
 /// 64-bit FNV-1a, the repo's one content digest: checkpoint and manifest
-/// checksums, the dictionary fingerprint, the memo's cell content hash,
-/// spill-segment checksums and eval cache keys. Several of these are
+/// checksums, the dictionary fingerprint, the memo's cell content hash
+/// and eval cache keys. Several of these are
 /// persisted, so the function must never change. Header-only because the
 /// memo hash sits on the inference hot path.
 inline constexpr uint64_t kFnv1aOffset = 1469598103934665603ULL;

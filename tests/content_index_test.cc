@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -70,10 +68,6 @@ std::vector<uint8_t> PackedKey(const data::EncodedDataset& ds, int64_t i) {
   return key;
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 // ---------------------------------------------------------------------------
 // Packed cell keys
 // ---------------------------------------------------------------------------
@@ -92,8 +86,8 @@ TEST(PackedKeyTest, CanonicalAndInjective) {
 }
 
 TEST(PackedKeyTest, HashReconstructionMatchesCellContentHash) {
-  // The table keeps only 32-bit hash tags; grow and spill rebuild the full
-  // hash from the stored key. A mismatch here would silently misplace
+  // The table keeps only 32-bit hash tags; grow rebuilds the full hash from
+  // the stored key. A mismatch here would silently misplace
   // entries (turning hits into recomputes), so every field must round-trip
   // — including multi-byte id varints.
   for (int vocab : {64, 300}) {
@@ -151,90 +145,6 @@ TEST(BlockedBloomTest, DisabledFilterNeverFiltersOrAllocates) {
   bloom.Reset(1024, 0.0);
   EXPECT_FALSE(bloom.enabled());
   EXPECT_EQ(0, bloom.bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Spill segments
-// ---------------------------------------------------------------------------
-
-std::vector<SpillRecord> MakeRecords(int n) {
-  std::vector<SpillRecord> records;
-  for (int i = 0; i < n; ++i) {
-    SpillRecord r;
-    r.hash = Mix64(static_cast<uint64_t>(i));
-    r.p_error = static_cast<float>(i) / 1000.0f;
-    r.key.assign(static_cast<size_t>(1 + i % 13),
-                 static_cast<uint8_t>(i * 7));
-    records.push_back(std::move(r));
-  }
-  // Two records sharing a hash but not a key: Find must confirm the key,
-  // never answer on the hash alone.
-  SpillRecord a, b;
-  a.hash = b.hash = 0x1234567890ABCDEFULL;
-  a.key = {1, 2, 3};
-  b.key = {1, 2, 4};
-  a.p_error = 0.25f;
-  b.p_error = 0.75f;
-  records.push_back(a);
-  records.push_back(b);
-  return records;
-}
-
-TEST(SpillSegmentTest, WriteOpenFindRoundTrip) {
-  const std::string path = TempPath("birnn_segment_roundtrip.seg");
-  const std::vector<SpillRecord> records = MakeRecords(200);
-  ASSERT_TRUE(SpillSegment::Write(path, records).ok());
-  auto opened = SpillSegment::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const SpillSegment segment = std::move(opened).value();
-  EXPECT_EQ(static_cast<int64_t>(records.size()), segment.count());
-  for (const SpillRecord& r : records) {
-    float p = -1.0f;
-    ASSERT_TRUE(segment.Find(r.hash, r.key.data(), r.key.size(), &p));
-    EXPECT_EQ(0, std::memcmp(&p, &r.p_error, sizeof(float)));
-  }
-  float p;
-  const uint8_t absent_key[3] = {9, 9, 9};
-  EXPECT_FALSE(segment.Find(Mix64(1) ^ 1, absent_key, 3, &p));
-  EXPECT_FALSE(segment.Find(0x1234567890ABCDEFULL, absent_key, 3, &p));
-  std::filesystem::remove(path);
-}
-
-TEST(SpillSegmentTest, RefusesCorruptOrTruncatedFiles) {
-  const std::string path = TempPath("birnn_segment_corrupt.seg");
-  ASSERT_TRUE(SpillSegment::Write(path, MakeRecords(64)).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 40u);
-
-  // Flip one payload byte: the whole-file checksum must catch it.
-  std::string corrupt = bytes;
-  corrupt[corrupt.size() / 2] =
-      static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x40);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-  }
-  EXPECT_FALSE(SpillSegment::Open(path).ok());
-
-  // Truncation must be refused too.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 5));
-  }
-  EXPECT_FALSE(SpillSegment::Open(path).ok());
-
-  // Not a segment at all.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "not a segment";
-  }
-  EXPECT_FALSE(SpillSegment::Open(path).ok());
-  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,15 +206,16 @@ TEST(ContentMemoTest, FreshContentIsBloomNegative) {
   EXPECT_EQ(stats.hits, 0);
 }
 
-TEST(ContentMemoTest, BudgetEvictsButNeverLies) {
+TEST(ContentMemoTest, CapacityEvictsButNeverLies) {
   const data::EncodedDataset ds = MakeCells(6000, 0);
   ContentMemoOptions options;
-  options.capacity = 1 << 16;
-  options.budget_bytes = 24 * 1024;
+  options.capacity = 1024;
   ContentMemo memo(options);
-  for (int64_t i = 0; i < ds.num_cells(); ++i) memo.Insert(ds, i, PFor(ds, i));
+  for (int64_t i = 0; i < ds.num_cells(); ++i) {
+    memo.Insert(ds, i, PFor(ds, i));
+    ASSERT_LE(memo.entries(), options.capacity) << i;
+  }
   EXPECT_GT(memo.evictions(), 0);
-  EXPECT_LE(memo.bytes(), options.budget_bytes);
 
   std::vector<float> p(static_cast<size_t>(ds.num_cells()), 0.0f);
   std::vector<uint8_t> hit(static_cast<size_t>(ds.num_cells()), 0);
@@ -318,66 +229,18 @@ TEST(ContentMemoTest, BudgetEvictsButNeverLies) {
   }
 }
 
-TEST(ContentMemoTest, SpilledSegmentsKeepServingEveryVerdict) {
-  const std::string dir = TempPath("birnn_memo_spill_test");
-  std::filesystem::remove_all(dir);
-  const data::EncodedDataset ds = MakeCells(6000, 0);
-  ContentMemoOptions options;
-  options.capacity = 1 << 16;
-  options.budget_bytes = 24 * 1024;
-  options.spill = true;
-  options.spill_dir = dir;
-  {
-    ContentMemo memo(options);
-    for (int64_t i = 0; i < ds.num_cells(); ++i) {
-      memo.Insert(ds, i, PFor(ds, i));
-    }
-    const ContentMemoStats stats = memo.stats();
-    EXPECT_GT(stats.spilled_segments, 0);
-    EXPECT_GT(stats.spilled_entries, 0);
-    EXPECT_EQ(0, stats.spill_failures);
-    EXPECT_LE(stats.bytes, options.budget_bytes);
-
-    // Unlike eviction, spill loses nothing: every inserted verdict is
-    // still answered, resident or via pread from a sealed segment.
-    std::vector<float> p(static_cast<size_t>(ds.num_cells()), 0.0f);
-    std::vector<uint8_t> hit(static_cast<size_t>(ds.num_cells()), 0);
-    EXPECT_EQ(ds.num_cells(), memo.Lookup(ds, &p, &hit));
-    for (int64_t i = 0; i < ds.num_cells(); ++i) {
-      const float want = PFor(ds, i);
-      EXPECT_EQ(0, std::memcmp(&p[static_cast<size_t>(i)], &want, 4)) << i;
-    }
-    EXPECT_GT(memo.stats().spill_hits, 0);
-  }
-  // The memo owns its segment files and removes them on destruction.
-  EXPECT_TRUE(!std::filesystem::exists(dir) ||
-              std::filesystem::is_empty(dir));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ContentMemoTest, UnwritableSpillDirDegradesToEviction) {
-  const data::EncodedDataset ds = MakeCells(6000, 0);
-  ContentMemoOptions options;
-  options.capacity = 1 << 16;
-  options.budget_bytes = 24 * 1024;
-  options.spill = true;
-  options.spill_dir = "/dev/null/not-a-directory";
-  ContentMemo memo(options);
-  for (int64_t i = 0; i < ds.num_cells(); ++i) memo.Insert(ds, i, PFor(ds, i));
-  const ContentMemoStats stats = memo.stats();
-  EXPECT_GT(stats.spill_failures, 0);
-  EXPECT_GT(stats.evictions, 0);
-  EXPECT_EQ(0, stats.spilled_segments);
-  // Degraded, bounded, and still never wrong.
-  std::vector<float> p(static_cast<size_t>(ds.num_cells()), 0.0f);
-  std::vector<uint8_t> hit(static_cast<size_t>(ds.num_cells()), 0);
-  memo.Lookup(ds, &p, &hit);
-  for (int64_t i = 0; i < ds.num_cells(); ++i) {
-    if (!hit[static_cast<size_t>(i)]) continue;
-    const float want = PFor(ds, i);
-    EXPECT_EQ(0, std::memcmp(&p[static_cast<size_t>(i)], &want, 4)) << i;
-  }
-  EXPECT_LE(memo.bytes(), options.budget_bytes);
+TEST(ContentMemoTest, PreSizeHintIsClampedToCapacity) {
+  // A hint past the entry bound must not allocate tables or bloom that the
+  // bound can never fill.
+  ContentMemoOptions at_bound;
+  at_bound.capacity = 4096;
+  at_bound.expected_entries = at_bound.capacity;
+  ContentMemoOptions over_bound = at_bound;
+  over_bound.expected_entries = 8 * at_bound.capacity;
+  const ContentMemo a(at_bound);
+  const ContentMemo b(over_bound);
+  EXPECT_GT(a.bytes(), 0);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(ContentMemoTest, DisabledMemoIsInert) {
@@ -412,8 +275,8 @@ ModelConfig TinyConfig(const data::EncodedDataset& ds) {
 }
 
 TEST(ContentMemoTest, EvictionDeterminismBitExact) {
-  // The acceptance contract: a budgeted, evicting memo must produce the
-  // same bits as the unbounded memo and as the memo-free engine — an
+  // The acceptance contract: a capacity-bounded, evicting memo must
+  // produce the same bits as the unbounded memo and as the memo-free engine — an
   // evicted entry merely recomputes through the same pure forward path.
   const data::EncodedDataset ds = MakeCells(600, 150);
   ErrorDetectionModel model(TinyConfig(ds));
@@ -426,10 +289,9 @@ TEST(ContentMemoTest, EvictionDeterminismBitExact) {
   unbounded.capacity = 1 << 16;
   ContentMemo memo_a(unbounded);
 
-  ContentMemoOptions budgeted;
-  budgeted.capacity = 1 << 16;
-  budgeted.budget_bytes = 3 * 1024;
-  ContentMemo memo_b(budgeted);
+  ContentMemoOptions bounded;
+  bounded.capacity = 64;  // 4 entries per shard for 150 distinct cells.
+  ContentMemo memo_b(bounded);
 
   for (int sweep = 0; sweep < 3; ++sweep) {
     std::vector<float> pa, pb;
@@ -445,10 +307,7 @@ TEST(ContentMemoTest, EvictionDeterminismBitExact) {
         << "evicting memo diverged on sweep " << sweep;
   }
   EXPECT_GT(memo_b.evictions(), 0)
-      << "budget never triggered — the test is not exercising eviction";
-  // 3 KiB is below the structural floor (16 minimum shard tables + the
-  // bloom), so no byte assertion here; BudgetEvictsButNeverLies covers the
-  // bound at a budget the floor fits under.
+      << "capacity never reached — the test is not exercising eviction";
 }
 
 TEST(ContentMemoTest, ConcurrentInsertLookupIsSafeAndExact) {

@@ -21,6 +21,7 @@
 #include "core/detector.h"
 #include "core/model.h"
 #include "datagen/datasets.h"
+#include "obs/registry.h"
 #include "serve/bundle.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -209,28 +210,47 @@ TEST(TableSessionTest, RescoresOnlyAffectedCells) {
   EXPECT_GE(s.stats().memo_hits, n);
 }
 
+int64_t MemoEvictionsCounter() {
+  for (const obs::MetricSnapshot& m : obs::Registry::Get().Snapshot()) {
+    if (m.name == "inference/memo_evictions") return m.counter;
+  }
+  return 0;
+}
+
 TEST(TableSessionTest, IncrementalVerdictsMatchBatchDetectAll) {
-  auto session = TableSession::Create(MakeTinyShared());
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  TableSession& s = **session;
+  // The second session's 16-entry memo evicts throughout: evicted content
+  // recomputes to the same bits, so its verdicts must match too.
+  SessionOptions evicting;
+  evicting.memo.capacity = 16;
+  for (const SessionOptions& options : {SessionOptions{}, evicting}) {
+    const int64_t evictions_before = MemoEvictionsCounter();
+    auto session = TableSession::Create(MakeTinyShared(), options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    TableSession& s = **session;
 
-  const char* words[] = {"ale", "ipa 9", "", "stout.x", "42", "porter-1"};
-  for (int r = 0; r < 12; ++r) {
-    ASSERT_TRUE(s.Insert(r, {words[r % 6], words[(r + 1) % 6],
-                             words[(r * 5 + 2) % 6]})
-                    .ok());
-  }
-  for (int r = 0; r < 12; r += 3) {
-    ASSERT_TRUE(s.Update(r, r % 3, "rev 2").ok());
-  }
-  for (int r = 1; r < 12; r += 4) ASSERT_TRUE(s.Delete(r).ok());
+    const char* words[] = {"ale", "ipa 9", "", "stout.x", "42", "porter-1"};
+    for (int r = 0; r < 12; ++r) {
+      ASSERT_TRUE(s.Insert(r, {words[r % 6], words[(r + 1) % 6],
+                               words[(r * 5 + 2) % 6]})
+                      .ok());
+    }
+    for (int r = 0; r < 12; r += 3) {
+      ASSERT_TRUE(s.Update(r, r % 3, "rev 2").ok());
+    }
+    for (int r = 1; r < 12; r += 4) ASSERT_TRUE(s.Delete(r).ok());
 
-  const std::vector<uint8_t> incremental = s.MaterializedVerdicts();
-  auto batch = s.DetectAll();
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(incremental.size(), batch->size());
-  for (size_t i = 0; i < incremental.size(); ++i) {
-    ASSERT_EQ(incremental[i], (*batch)[i]) << "cell " << i;
+    const std::vector<uint8_t> incremental = s.MaterializedVerdicts();
+    auto batch = s.DetectAll();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(incremental.size(), batch->size());
+    for (size_t i = 0; i < incremental.size(); ++i) {
+      ASSERT_EQ(incremental[i], (*batch)[i])
+          << "cell " << i << ", memo capacity " << options.memo.capacity;
+    }
+    if (options.memo.capacity == evicting.memo.capacity) {
+      EXPECT_GT(MemoEvictionsCounter(), evictions_before)
+          << "the bounded memo never evicted";
+    }
   }
 }
 
