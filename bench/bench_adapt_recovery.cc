@@ -350,7 +350,8 @@ int Run(int argc, char** argv) {
                   "perfectly, which would demand the adapted model beat "
                   "the seed-to-seed noise of full retraining itself; the "
                   "default matches the widest measured cross-seed fp32 "
-                  "CI95 half-width (hospital, BENCH_precision.json)");
+                  "CI95 half-width (hospital, 0.0596; EXPERIMENTS.md, "
+                  "\"Precision\" section)");
   flags.AddBool("gate", false,
                 "also enforce the statistical F1-band gates (frozen "
                 "degrades below the band, adapted recovers into it)");

@@ -143,7 +143,7 @@ typedef struct birnn_adapt_options {
   /* Fine-tune worker threads (0 = run on the calling thread). */
   int32_t train_threads;
   /* Optional directory to save a promoted candidate as a full bundle
-   * (frozen statistics, re-quantized shadow weights); NULL = don't save. */
+   * (fp32 weights, frozen statistics); NULL = don't save. */
   const char* candidate_dir;
 } birnn_adapt_options;
 

@@ -57,8 +57,8 @@ struct ControllerOptions {
   int eval_batch = 256;
 
   /// When non-empty, a promoted candidate is also saved here as a full
-  /// detector bundle (frozen statistics, re-quantized shadow weights) — the
-  /// directory the serve plane hands to its hot-reload path.
+  /// detector bundle (fp32 weights, frozen statistics) — the directory the
+  /// serve plane hands to its hot-reload path.
   std::string candidate_dir;
 
   /// Template for the remaining Trainer knobs (batch fraction, rho,

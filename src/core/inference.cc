@@ -150,8 +150,7 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
       const BucketedInferenceContext* ctx =
           pb.padded_len < ds.max_len ? &bucketed_ctx_ : nullptr;
       if (want_hidden) {
-        model_.ForwardHidden(batch, &hidden, &scratch, ctx,
-                             options_.precision);
+        model_.ForwardHidden(batch, &hidden, &scratch, ctx);
         for (int64_t r = 0; r < pb.end - pb.begin; ++r) {
           const int32_t u = plan.order[static_cast<size_t>(pb.begin + r)];
           for (int j = 0; j < hidden.cols(); ++j) {
@@ -159,8 +158,7 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
           }
         }
       } else {
-        model_.PredictProbs(batch, &probs, &scratch, ctx,
-                            options_.precision);
+        model_.PredictProbs(batch, &probs, &scratch, ctx);
         for (int64_t r = 0; r < pb.end - pb.begin; ++r) {
           const int32_t u = plan.order[static_cast<size_t>(pb.begin + r)];
           (*p_unique)[static_cast<size_t>(u)] =
@@ -209,17 +207,11 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   Stopwatch timer;
   BuildPlan(ds, indices, plan);
 
-  // Shadow weights and the pad-prefix trajectory are built serially here,
-  // before RunPlan fans out: the pool's task submission gives every worker
-  // a happens-before edge on them. The trajectory is computed *at the
-  // engine's precision* — the bucketed==unbucketed bit-identity must hold
-  // within the precision the sweep actually runs.
-  if (options_.precision != nn::Precision::kFp32 && !quant_ready_) {
-    model_.PrepareQuantizedInference(options_.precision);
-    quant_ready_ = true;
-  }
+  // The pad-prefix trajectory is built serially here, before RunPlan fans
+  // out: the pool's task submission gives every worker a happens-before
+  // edge on it.
   if (options_.bucketed && !bucketed_ctx_ready_) {
-    model_.PrepareBucketedInference(&bucketed_ctx_, options_.precision);
+    model_.PrepareBucketedInference(&bucketed_ctx_);
     bucketed_ctx_ready_ = true;
   }
 
@@ -340,9 +332,6 @@ void CalibrateBatchNormMemoized(ErrorDetectionModel* model,
   if (ds.num_cells() == 0) return;
   InferenceOptions calibrate_options = options;
   calibrate_options.bucketed = false;  // as documented; bucketing is exact too
-  // Calibration defines the model's training-time statistics; they must
-  // not drift with the serving precision.
-  calibrate_options.precision = nn::Precision::kFp32;
   InferenceEngine engine(*model, calibrate_options, pool);
 
   std::vector<int64_t> all(static_cast<size_t>(ds.num_cells()));

@@ -49,15 +49,6 @@ struct InferenceOptions {
   /// Bucket granularity: padded lengths are rounded up to this multiple
   /// (capped at max_len). Larger quanta mean fewer, fuller batches.
   int bucket_quantum = 8;
-
-  /// Kernel set for the recurrent stacks (DESIGN.md §12). kFp32 is the
-  /// bit-exact reference. kInt8 runs the quantized shadow weights —
-  /// prepared lazily on the first sweep (or imported zero-cost from a
-  /// bundle). Orthogonal to every option above: the sweep plan and the
-  /// memoization keys are precision-independent, and the determinism
-  /// contract (thread count / memoize / bucketed invariance) holds
-  /// *within* each precision.
-  nn::Precision precision = nn::Precision::kFp32;
 };
 
 /// What one sweep did — throughput accounting for the bench and reports.
@@ -172,8 +163,6 @@ class InferenceEngine {
   /// the first bucketed sweep (weights are fixed for the engine's lifetime).
   BucketedInferenceContext bucketed_ctx_;
   bool bucketed_ctx_ready_ = false;
-  /// The model's shadow weights for `options_.precision` are ready.
-  bool quant_ready_ = false;
 };
 
 /// Replaces the model's batch-norm running statistics with the exact

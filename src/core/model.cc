@@ -1,7 +1,6 @@
 #include "core/model.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "nn/ops.h"
@@ -178,7 +177,7 @@ void ErrorDetectionModel::UpdateBatchNorm(const nn::Tensor& batch_mean,
 
 void ErrorDetectionModel::ForwardHidden(
     const BatchInput& batch, nn::Tensor* hidden, InferenceScratch* scratch,
-    const BucketedInferenceContext* bucketed, nn::Precision precision) const {
+    const BucketedInferenceContext* bucketed) const {
   const int t_count = static_cast<int>(batch.char_steps.size());
   BIRNN_CHECK_GE(t_count, 1);
   BIRNN_CHECK_LE(t_count, config_.max_len);
@@ -200,18 +199,17 @@ void ErrorDetectionModel::ForwardHidden(
     value_rnn_->ApplyForwardBucketed(scratch->char_steps.data(), t_count,
                                      config_.max_len, scratch->pad_step,
                                      bucketed->value_traj, &scratch->features,
-                                     &scratch->value_rnn, precision);
+                                     &scratch->value_rnn);
   } else {
     value_rnn_->ApplyForward(scratch->char_steps.data(), t_count,
-                             &scratch->features, &scratch->value_rnn,
-                             precision);
+                             &scratch->features, &scratch->value_rnn);
   }
 
   std::vector<const nn::Tensor*> parts{&scratch->features};
   if (attr_rnn_ != nullptr) {
     attr_emb_->LookupForward(batch.attr_ids, &scratch->attr_emb);
     attr_rnn_->ApplyForward(&scratch->attr_emb, 1, &scratch->attr_features,
-                            &scratch->attr_rnn, precision);
+                            &scratch->attr_rnn);
     parts.push_back(&scratch->attr_features);
   }
   if (length_dense_ != nullptr) {
@@ -238,30 +236,11 @@ void ErrorDetectionModel::PredictProbs(const BatchInput& batch,
 }
 
 void ErrorDetectionModel::PrepareBucketedInference(
-    BucketedInferenceContext* ctx, nn::Precision precision) const {
+    BucketedInferenceContext* ctx) const {
   nn::Tensor pad_step;
   char_emb_->LookupForward(std::vector<int>{0}, &pad_step);
   value_rnn_->ComputeBackwardPadPrefix(pad_step, config_.max_len,
-                                       &ctx->value_traj, precision);
-}
-
-void ErrorDetectionModel::PrepareQuantizedInference(nn::Precision p) const {
-  if (p == nn::Precision::kFp32) return;
-  std::lock_guard<std::mutex> lock(quant_mutex_);
-  value_rnn_->PrepareQuantized(p);
-  if (attr_rnn_ != nullptr) attr_rnn_->PrepareQuantized(p);
-}
-
-bool ErrorDetectionModel::QuantizedInferenceReady(nn::Precision p) const {
-  if (!value_rnn_->QuantizedReady(p)) return false;
-  return attr_rnn_ == nullptr || attr_rnn_->QuantizedReady(p);
-}
-
-void ErrorDetectionModel::ExportQuantized(
-    std::vector<nn::TypedEntry>* entries) const {
-  std::lock_guard<std::mutex> lock(quant_mutex_);
-  value_rnn_->ExportQuantized(entries);
-  if (attr_rnn_ != nullptr) attr_rnn_->ExportQuantized(entries);
+                                       &ctx->value_traj);
 }
 
 std::vector<const nn::Parameter*> ErrorDetectionModel::ConstParams() const {
@@ -274,32 +253,11 @@ std::vector<const nn::Parameter*> ErrorDetectionModel::ConstParams() const {
   return out;
 }
 
-Status ErrorDetectionModel::ImportQuantized(
-    std::vector<nn::TypedEntry> entries) {
-  std::map<std::string, nn::TypedEntry> by_name;
-  for (auto& e : entries) {
-    const std::string name = e.name;
-    if (!by_name.emplace(name, std::move(e)).second) {
-      return Status::InvalidArgument("duplicate quantized entry: " + name);
-    }
-  }
-  std::lock_guard<std::mutex> lock(quant_mutex_);
-  BIRNN_RETURN_IF_ERROR(value_rnn_->ImportQuantized(&by_name));
-  if (attr_rnn_ != nullptr) {
-    BIRNN_RETURN_IF_ERROR(attr_rnn_->ImportQuantized(&by_name));
-  }
-  if (!by_name.empty()) {
-    return Status::InvalidArgument("unrecognized quantized entry: " +
-                                   by_name.begin()->first);
-  }
-  return Status::OK();
-}
-
 void ErrorDetectionModel::PredictProbs(
     const BatchInput& batch, std::vector<float>* p_error,
-    InferenceScratch* scratch, const BucketedInferenceContext* bucketed,
-    nn::Precision precision) const {
-  ForwardHidden(batch, &scratch->hidden, scratch, bucketed, precision);
+    InferenceScratch* scratch,
+    const BucketedInferenceContext* bucketed) const {
+  ForwardHidden(batch, &scratch->hidden, scratch, bucketed);
   batch_norm_->ApplyForward(scratch->hidden, &scratch->normed);
   output_dense_->ApplyForward(scratch->normed, &scratch->logits,
                               &scratch->dense);

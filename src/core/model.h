@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -147,16 +146,9 @@ class ErrorDetectionModel {
   /// and the value RNN completes the sequence to `max_len` exactly — pad
   /// tail run for the forward chain, precomputed pad prefix for the
   /// backward chain (see StackedBiRecurrent::ApplyForwardBucketed).
-  /// `precision` selects the value/attr-RNN kernel set (nn::Precision):
-  /// kFp32 is the bit-exact reference; kInt8 requires
-  /// PrepareQuantizedInference (or imported bundle weights) and quantize
-  /// only the recurrent stacks — embeddings, dense layers, batch-norm and
-  /// softmax stay fp32 (they are a few percent of the compute and keep the
-  /// head numerics exact; DESIGN.md §12).
   void PredictProbs(const BatchInput& batch, std::vector<float>* p_error,
                     InferenceScratch* scratch,
-                    const BucketedInferenceContext* bucketed = nullptr,
-                    nn::Precision precision = nn::Precision::kFp32) const;
+                    const BucketedInferenceContext* bucketed = nullptr) const;
 
   /// Forward-only pipeline up to the pre-batch-norm hidden activations,
   /// with caller-owned scratch. Same short-sequence contract as the scratch
@@ -164,34 +156,11 @@ class ErrorDetectionModel {
   /// calibration.
   void ForwardHidden(const BatchInput& batch, nn::Tensor* hidden,
                      InferenceScratch* scratch,
-                     const BucketedInferenceContext* bucketed = nullptr,
-                     nn::Precision precision = nn::Precision::kFp32) const;
+                     const BucketedInferenceContext* bucketed = nullptr) const;
 
   /// Fills `ctx` for length-bucketed inference under the current weights.
-  /// Recompute after any weight update. The trajectory is precision-
-  /// specific: pass the precision the bucketed sweeps will run at.
-  void PrepareBucketedInference(
-      BucketedInferenceContext* ctx,
-      nn::Precision precision = nn::Precision::kFp32) const;
-
-  /// Idempotently builds the recurrent stacks' quantized shadow weights
-  /// for `p` (kFp32 no-op). Serialized by an internal mutex, so concurrent
-  /// engines sharing one model may call it; readers of the shadows must
-  /// still be ordered after the prepare (the inference engine prepares
-  /// before fanning a sweep out to its pool).
-  void PrepareQuantizedInference(nn::Precision p) const;
-
-  /// True once the shadow weights for `p` exist.
-  bool QuantizedInferenceReady(nn::Precision p) const;
-
-  /// Appends pre-quantized int8 shadow weights (every recurrent cell,
-  /// prepared on demand) as typed checkpoint entries — the bundle payload
-  /// that makes int8 loading zero-cost.
-  void ExportQuantized(std::vector<nn::TypedEntry>* entries) const;
-
-  /// Installs shadow weights exported by ExportQuantized. Unknown entry
-  /// names or shape mismatches fail.
-  Status ImportQuantized(std::vector<nn::TypedEntry> entries);
+  /// Recompute after any weight update.
+  void PrepareBucketedInference(BucketedInferenceContext* ctx) const;
 
   /// Replaces the batch-norm running statistics with the exact mean and
   /// variance of the pre-normalization activations over `ds`, computed with
@@ -240,10 +209,6 @@ class ErrorDetectionModel {
   std::unique_ptr<nn::Dense> hidden_dense_;
   std::unique_ptr<nn::BatchNorm1d> batch_norm_;
   std::unique_ptr<nn::Dense> output_dense_;
-
-  /// Serializes shadow-weight builds from concurrent PrepareQuantized-
-  /// Inference calls (the cells' caches themselves are plain mutables).
-  mutable std::mutex quant_mutex_;
 };
 
 }  // namespace birnn::core

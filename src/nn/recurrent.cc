@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "nn/init.h"
@@ -146,65 +145,6 @@ RecurrentState RecurrentCell::Bound::Step(Graph::Var x,
   return next;
 }
 
-void RecurrentCell::PrepareQuantized(Precision p) const {
-  switch (p) {
-    case Precision::kFp32:
-      return;
-    case Precision::kInt8:
-      if (quant_.wx_q8.empty()) {
-        quant_.wx_q8 = QuantizeWeightInt8(wx_.value);
-        quant_.wh_q8 = QuantizeWeightInt8(wh_.value);
-      }
-      return;
-  }
-}
-
-bool RecurrentCell::QuantizedReady(Precision p) const {
-  switch (p) {
-    case Precision::kFp32:
-      return true;
-    case Precision::kInt8:
-      return !quant_.wx_q8.empty();
-  }
-  return false;
-}
-
-void RecurrentCell::InstallInt8(QuantizedMatrix wx, QuantizedMatrix wh) const {
-  BIRNN_CHECK_EQ(wx.rows, wx_.value.cols());
-  BIRNN_CHECK_EQ(wx.cols, wx_.value.rows());
-  BIRNN_CHECK_EQ(wh.rows, wh_.value.cols());
-  BIRNN_CHECK_EQ(wh.cols, wh_.value.rows());
-  quant_.wx_q8 = std::move(wx);
-  quant_.wh_q8 = std::move(wh);
-}
-
-void RecurrentCell::ProjectInput(const Tensor& x, Tensor* out,
-                                 StepScratch* scratch,
-                                 Precision precision) const {
-  switch (precision) {
-    case Precision::kFp32:
-      MatMul(x, wx_.value, out);
-      return;
-    case Precision::kInt8:
-      Int8MatMul(x, quant_.wx_q8, out, &scratch->quant);
-      return;
-  }
-}
-
-void RecurrentCell::RecurrentProjection(const Tensor& h, bool accumulate,
-                                        Tensor* out, StepScratch* scratch,
-                                        Precision precision) const {
-  switch (precision) {
-    case Precision::kFp32:
-      accumulate ? MatMulAcc(h, wh_.value, out) : MatMul(h, wh_.value, out);
-      return;
-    case Precision::kInt8:
-      accumulate ? Int8MatMulAcc(h, quant_.wh_q8, out, &scratch->quant)
-                 : Int8MatMul(h, quant_.wh_q8, out, &scratch->quant);
-      return;
-  }
-}
-
 void RecurrentCell::GruGateTail(const Tensor& xg, const Tensor& hg,
                                 const RecurrentTensors& prev,
                                 RecurrentTensors* out) const {
@@ -258,27 +198,23 @@ void RecurrentCell::StepForward(const Tensor& x, const RecurrentTensors& prev,
 }
 
 void RecurrentCell::StepForward(const Tensor& x, const RecurrentTensors& prev,
-                                RecurrentTensors* out, StepScratch* scratch,
-                                Precision precision) const {
-  BIRNN_CHECK(QuantizedReady(precision))
-      << "shadow weights not prepared for " << PrecisionName(precision);
+                                RecurrentTensors* out,
+                                StepScratch* scratch) const {
   // Project the input, then run the recurrent projection + gate tail via
   // the shared pre-projected step so both entry points are one code path
   // (and therefore trivially bit-identical).
-  ProjectInput(x, &scratch->z1, scratch, precision);
-  StepForwardPre(prev, out, scratch, precision);
+  MatMul(x, wx_.value, &scratch->z1);
+  StepForwardPre(prev, out, scratch);
 }
 
 void RecurrentCell::StepForwardPre(const RecurrentTensors& prev,
-                                   RecurrentTensors* out, StepScratch* scratch,
-                                   Precision precision) const {
+                                   RecurrentTensors* out,
+                                   StepScratch* scratch) const {
   switch (type_) {
     case CellType::kVanilla: {
-      // z1 holds x·Wx; accumulate h·Wh then the fused bias+tanh pass —
-      // for int8 this is the fused quantized RnnTanhStep shape: activations
-      // quantized on the fly, one combined scale per output element.
+      // z1 holds x·Wx; accumulate h·Wh then the fused bias+tanh pass.
       Tensor& z = scratch->z1;
-      RecurrentProjection(prev.h, /*accumulate=*/true, &z, scratch, precision);
+      MatMulAcc(prev.h, wh_.value, &z);
       AddBiasTanh(z, b_.value, &out->h);
       return;
     }
@@ -286,15 +222,13 @@ void RecurrentCell::StepForwardPre(const RecurrentTensors& prev,
       // Bias is folded into the fused gate loop (no separate AddBias pass).
       Tensor& xg = scratch->z1;
       Tensor& hg = scratch->z2;
-      RecurrentProjection(prev.h, /*accumulate=*/false, &hg, scratch,
-                          precision);
+      MatMul(prev.h, wh_.value, &hg);
       GruGateTail(xg, hg, prev, out);
       return;
     }
     case CellType::kLstm: {
       Tensor& gates = scratch->z1;
-      RecurrentProjection(prev.h, /*accumulate=*/true, &gates, scratch,
-                          precision);
+      MatMulAcc(prev.h, wh_.value, &gates);
       LstmGateTail(gates, prev, out);
       return;
     }
@@ -380,7 +314,7 @@ void StackedBiRecurrent::RunDirectionForward(
     const Tensor* steps, int t_count, bool backward_direction,
     const std::vector<const RecurrentCell*>& cells, const Tensor* tail_step,
     int tail_count, const std::vector<RecurrentTensors>* warm, Tensor* out,
-    ForwardScratch* scratch, Precision precision) const {
+    ForwardScratch* scratch) const {
   const int batch = steps[0].rows();
   const int total = t_count + tail_count;
   std::vector<RecurrentTensors>& state = scratch->state;
@@ -409,14 +343,12 @@ void StackedBiRecurrent::RunDirectionForward(
 
   for (size_t l = 0; l < cells.size(); ++l) {
     const RecurrentCell* cell = cells[l];
-    BIRNN_CHECK(cell->QuantizedReady(precision))
-        << "shadow weights not prepared for " << PrecisionName(precision);
     const int u = cell->units();
     // Time-step-batched input projection: all `total` step batches of this
     // level share one weights-load of Wx in a single GEMM. Bit-identical
-    // to per-step projections because the GEMM kernels (fp32 and int8
-    // alike) compute each output row from its input row alone.
-    cell->ProjectInput(*seq_in, &scratch->xz, &scratch->step, precision);
+    // to per-step projections because the GEMM kernels compute each output
+    // row from its input row alone.
+    MatMul(*seq_in, cell->wx(), &scratch->xz);
     const int zcols = scratch->xz.cols();
 
     if (warm != nullptr) {
@@ -441,7 +373,7 @@ void StackedBiRecurrent::RunDirectionForward(
           scratch->xz.data() + static_cast<size_t>(p) * batch * zcols;
       std::copy(src, src + static_cast<size_t>(batch) * zcols,
                 scratch->step.z1.data());
-      cell->StepForwardPre(state[l], &next, &scratch->step, precision);
+      cell->StepForwardPre(state[l], &next, &scratch->step);
       // StepForwardPre fully overwrites `next`, so swapping buffers instead
       // of copying is bit-identical.
       std::swap(state[l].h, next.h);
@@ -464,28 +396,27 @@ void StackedBiRecurrent::ApplyForward(const std::vector<Tensor>& steps,
 }
 
 void StackedBiRecurrent::ApplyForward(const Tensor* steps, int t_count,
-                                      Tensor* out, ForwardScratch* scratch,
-                                      Precision precision) const {
+                                      Tensor* out,
+                                      ForwardScratch* scratch) const {
   BIRNN_CHECK_GE(t_count, 1);
   std::vector<const RecurrentCell*> fwd;
   for (const auto& c : cells_[0]) fwd.push_back(&c);
   if (!bidirectional_) {
     RunDirectionForward(steps, t_count, false, fwd, nullptr, 0, nullptr, out,
-                        scratch, precision);
+                        scratch);
     return;
   }
   RunDirectionForward(steps, t_count, false, fwd, nullptr, 0, nullptr,
-                      &scratch->out_fwd, scratch, precision);
+                      &scratch->out_fwd, scratch);
   std::vector<const RecurrentCell*> bwd;
   for (const auto& c : cells_[1]) bwd.push_back(&c);
   RunDirectionForward(steps, t_count, true, bwd, nullptr, 0, nullptr,
-                      &scratch->out_bwd, scratch, precision);
+                      &scratch->out_bwd, scratch);
   ConcatCols({&scratch->out_fwd, &scratch->out_bwd}, out);
 }
 
 void StackedBiRecurrent::ComputeBackwardPadPrefix(
-    const Tensor& pad_step, int max_steps, PadPrefixTrajectory* traj,
-    Precision precision) const {
+    const Tensor& pad_step, int max_steps, PadPrefixTrajectory* traj) const {
   traj->states.clear();
   if (!bidirectional_) return;
   BIRNN_CHECK_EQ(pad_step.rows(), 1);
@@ -501,7 +432,7 @@ void StackedBiRecurrent::ComputeBackwardPadPrefix(
   for (int k = 1; k <= max_steps; ++k) {
     const Tensor* x = &pad_step;
     for (size_t l = 0; l < cells.size(); ++l) {
-      cells[l].StepForward(*x, state[l], &next, &step, precision);
+      cells[l].StepForward(*x, state[l], &next, &step);
       std::swap(state[l].h, next.h);
       if (cells[l].type() == CellType::kLstm) std::swap(state[l].c, next.c);
       x = &state[l].h;
@@ -512,8 +443,8 @@ void StackedBiRecurrent::ComputeBackwardPadPrefix(
 
 void StackedBiRecurrent::ApplyForwardBucketed(
     const Tensor* steps, int t_count, int t_total, const Tensor& pad_step,
-    const PadPrefixTrajectory& traj, Tensor* out, ForwardScratch* scratch,
-    Precision precision) const {
+    const PadPrefixTrajectory& traj, Tensor* out,
+    ForwardScratch* scratch) const {
   BIRNN_CHECK_GE(t_count, 1);
   BIRNN_CHECK_GE(t_total, t_count);
   const int pad_count = t_total - t_count;
@@ -521,124 +452,18 @@ void StackedBiRecurrent::ApplyForwardBucketed(
   for (const auto& c : cells_[0]) fwd.push_back(&c);
   if (!bidirectional_) {
     RunDirectionForward(steps, t_count, false, fwd, &pad_step, pad_count,
-                        nullptr, out, scratch, precision);
+                        nullptr, out, scratch);
     return;
   }
   RunDirectionForward(steps, t_count, false, fwd, &pad_step, pad_count,
-                      nullptr, &scratch->out_fwd, scratch, precision);
+                      nullptr, &scratch->out_fwd, scratch);
   BIRNN_CHECK_LE(pad_count, traj.max_steps());
   std::vector<const RecurrentCell*> bwd;
   for (const auto& c : cells_[1]) bwd.push_back(&c);
   RunDirectionForward(steps, t_count, true, bwd, nullptr, 0,
                       &traj.states[static_cast<size_t>(pad_count)],
-                      &scratch->out_bwd, scratch, precision);
+                      &scratch->out_bwd, scratch);
   ConcatCols({&scratch->out_fwd, &scratch->out_bwd}, out);
-}
-
-void StackedBiRecurrent::PrepareQuantized(Precision p) const {
-  for (const auto& dir : cells_) {
-    for (const auto& cell : dir) cell.PrepareQuantized(p);
-  }
-}
-
-bool StackedBiRecurrent::QuantizedReady(Precision p) const {
-  for (const auto& dir : cells_) {
-    for (const auto& cell : dir) {
-      if (!cell.QuantizedReady(p)) return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-void AppendInt8Entries(const std::string& param_name, const QuantizedMatrix& m,
-                       std::vector<TypedEntry>* entries) {
-  TypedEntry data;
-  data.name = "__q8/" + param_name;
-  data.dtype = kDtypeI8;
-  data.shape = {m.rows, m.cols};
-  data.bytes.assign(reinterpret_cast<const char*>(m.q.data()), m.q.size());
-  entries->push_back(std::move(data));
-  TypedEntry scales;
-  scales.name = "__q8s/" + param_name;
-  scales.dtype = kDtypeF32;
-  scales.shape = {m.rows};
-  scales.bytes.assign(reinterpret_cast<const char*>(m.scales.data()),
-                      m.scales.size() * sizeof(float));
-  entries->push_back(std::move(scales));
-}
-
-/// Pulls "name" out of `entries` if present; returns nullopt-like signal
-/// via the bool. The entry is consumed (erased).
-bool TakeEntry(std::map<std::string, TypedEntry>* entries,
-               const std::string& name, TypedEntry* out) {
-  auto it = entries->find(name);
-  if (it == entries->end()) return false;
-  *out = std::move(it->second);
-  entries->erase(it);
-  return true;
-}
-
-StatusOr<QuantizedMatrix> Int8FromEntries(const TypedEntry& data,
-                                          const TypedEntry& scales) {
-  if (data.dtype != kDtypeI8 || data.shape.size() != 2) {
-    return Status::InvalidArgument("malformed int8 entry " + data.name);
-  }
-  if (scales.dtype != kDtypeF32 || scales.shape.size() != 1 ||
-      scales.shape[0] != data.shape[0]) {
-    return Status::InvalidArgument("malformed int8 scales " + scales.name);
-  }
-  const int rows = data.shape[0];
-  const int cols = data.shape[1];
-  std::vector<int8_t> q(static_cast<size_t>(rows) * cols);
-  std::memcpy(q.data(), data.bytes.data(), q.size());
-  std::vector<float> s(static_cast<size_t>(rows));
-  std::memcpy(s.data(), scales.bytes.data(), s.size() * sizeof(float));
-  return QuantizedMatrixFromParts(rows, cols, std::move(q), std::move(s));
-}
-
-}  // namespace
-
-void StackedBiRecurrent::ExportQuantized(
-    std::vector<TypedEntry>* entries) const {
-  PrepareQuantized(Precision::kInt8);
-  for (const auto& dir : cells_) {
-    for (const auto& cell : dir) {
-      const auto& q = cell.quant();
-      AppendInt8Entries(cell.wx_name(), q.wx_q8, entries);
-      AppendInt8Entries(cell.wh_name(), q.wh_q8, entries);
-    }
-  }
-}
-
-Status StackedBiRecurrent::ImportQuantized(
-    std::map<std::string, TypedEntry>* entries) const {
-  for (const auto& dir : cells_) {
-    for (const auto& cell : dir) {
-      TypedEntry wx_q, wx_s, wh_q, wh_s;
-      if (!TakeEntry(entries, "__q8/" + cell.wx_name(), &wx_q) ||
-          !TakeEntry(entries, "__q8s/" + cell.wx_name(), &wx_s) ||
-          !TakeEntry(entries, "__q8/" + cell.wh_name(), &wh_q) ||
-          !TakeEntry(entries, "__q8s/" + cell.wh_name(), &wh_s)) {
-        return Status::InvalidArgument("missing int8 entry set for " +
-                                       cell.wx_name());
-      }
-      auto wx = Int8FromEntries(wx_q, wx_s);
-      if (!wx.ok()) return wx.status();
-      auto wh = Int8FromEntries(wh_q, wh_s);
-      if (!wh.ok()) return wh.status();
-      if (wx->rows != cell.units() * cell.gate_count() ||
-          wx->cols != cell.input_dim() ||
-          wh->rows != cell.units() * cell.gate_count() ||
-          wh->cols != cell.units()) {
-        return Status::InvalidArgument("int8 shape mismatch for " +
-                                       cell.wx_name());
-      }
-      cell.InstallInt8(std::move(*wx), std::move(*wh));
-    }
-  }
-  return Status::OK();
 }
 
 std::vector<Parameter*> StackedBiRecurrent::Params() const {

@@ -1,14 +1,11 @@
 #ifndef BIRNN_NN_RECURRENT_H_
 #define BIRNN_NN_RECURRENT_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "nn/graph.h"
 #include "nn/parameter.h"
-#include "nn/quant.h"
-#include "nn/serialize.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -45,7 +42,6 @@ struct RecurrentTensors {
 struct StepScratch {
   Tensor z1;  ///< vanilla: fused gates; gru: input gates; lstm: gates.
   Tensor z2;  ///< gru only: recurrent gates.
-  QuantScratch quant;  ///< int8 path: activation rows + accumulators.
 };
 
 /// One recurrent cell of any family, usable on the autodiff graph (training)
@@ -56,12 +52,6 @@ struct StepScratch {
 /// Input kernels are Glorot-initialized, recurrent kernels orthogonal per
 /// gate block, biases zero except the LSTM forget gate (+1, the standard
 /// trick).
-///
-/// Low-precision inference: each cell can carry quantized shadow copies of
-/// wx/wh (int8 per-row-absmax — see nn/quant.h).
-/// The shadows are pure deterministic functions of the fp32 weights, built
-/// by PrepareQuantized or installed from a bundle; the fp32 parameters stay
-/// authoritative and the fp32 forward path is untouched.
 class RecurrentCell {
  public:
   RecurrentCell(CellType type, std::string name, int input_dim, int units,
@@ -89,58 +79,31 @@ class RecurrentCell {
                    RecurrentTensors* out) const;
 
   /// Forward-only step with caller-owned pre-activation scratch
-  /// (bit-identical to the scratch-free overload). With a non-fp32
-  /// precision, the two GEMMs run the quantized kernels (the shadow
-  /// weights must be prepared); the gate nonlinearities always run fp32.
+  /// (bit-identical to the scratch-free overload).
   void StepForward(const Tensor& x, const RecurrentTensors& prev,
-                   RecurrentTensors* out, StepScratch* scratch,
-                   Precision precision = Precision::kFp32) const;
+                   RecurrentTensors* out, StepScratch* scratch) const;
 
   /// Forward-only step whose input projection x·Wx (no bias) has already
   /// been computed into `scratch->z1` — the level-major batched path
   /// (StackedBiRecurrent computes one GEMM covering every time step, then
   /// slices per-step rows into z1). Consumes/overwrites z1. Bit-identical
-  /// to StepForward at the same precision: the kernels are row-independent
-  /// and the per-element FP operation sequence is unchanged.
+  /// to StepForward: the kernels are row-independent and the per-element
+  /// FP operation sequence is unchanged.
   void StepForwardPre(const RecurrentTensors& prev, RecurrentTensors* out,
-                      StepScratch* scratch, Precision precision) const;
+                      StepScratch* scratch) const;
 
-  /// out = x · Wx at `precision` (overwrite; no bias). The batched
-  /// projection hook: `x` may stack any number of step batches row-wise.
-  void ProjectInput(const Tensor& x, Tensor* out, StepScratch* scratch,
-                    Precision precision) const;
-
-  /// Per-precision shadow weights (empty until prepared/installed).
-  struct QuantWeights {
-    QuantizedMatrix wx_q8, wh_q8;
-  };
-
-  /// Idempotently builds the shadow weights for `p` from the fp32 kernels
-  /// (kFp32 is a no-op). Mutates only the mutable shadow cache; NOT
-  /// thread-safe — callers serialize and establish a happens-before edge
-  /// to any concurrent readers (see ErrorDetectionModel::
-  /// PrepareQuantizedInference).
-  void PrepareQuantized(Precision p) const;
-  bool QuantizedReady(Precision p) const;
-  const QuantWeights& quant() const { return quant_; }
-
-  /// Installs pre-quantized weights (bundle load). Shapes must match.
-  void InstallInt8(QuantizedMatrix wx, QuantizedMatrix wh) const;
+  /// The input kernel Wx (in x gates*units): `x · Wx` is the batched input
+  /// projection StepForwardPre expects in z1.
+  const Tensor& wx() const { return wx_.value; }
 
   std::vector<Parameter*> Params() const;
   CellType type() const { return type_; }
   int units() const { return units_; }
   int input_dim() const { return input_dim_; }
   int gate_count() const;
-  const std::string& wx_name() const { return wx_.name; }
-  const std::string& wh_name() const { return wh_.name; }
 
  private:
-  /// out (+)= h · Wh at `precision`.
-  void RecurrentProjection(const Tensor& h, bool accumulate, Tensor* out,
-                           StepScratch* scratch, Precision precision) const;
-  /// The fused GRU / LSTM elementwise gate tails (bias folded in), shared
-  /// verbatim by the fp32 and quantized step paths.
+  /// The fused GRU / LSTM elementwise gate tails (bias folded in).
   void GruGateTail(const Tensor& xg, const Tensor& hg,
                    const RecurrentTensors& prev, RecurrentTensors* out) const;
   void LstmGateTail(const Tensor& gates, const RecurrentTensors& prev,
@@ -152,7 +115,6 @@ class RecurrentCell {
   mutable Parameter wx_;
   mutable Parameter wh_;
   mutable Parameter b_;
-  mutable QuantWeights quant_;
 };
 
 /// Backward-chain states over an all-pad prefix. When a sequence ends in
@@ -199,25 +161,21 @@ class StackedBiRecurrent {
   /// caller-owned scratch (bit-identical to the scratch-free overload).
   /// `t_count` may be shorter than the training sequence length — the stack
   /// simply runs fewer time steps (the length-bucketed inference contract;
-  /// see core::InferenceEngine). Non-fp32 precisions require prepared
-  /// shadow weights (PrepareQuantized).
+  /// see core::InferenceEngine).
   void ApplyForward(const Tensor* steps, int t_count, Tensor* out,
-                    ForwardScratch* scratch,
-                    Precision precision = Precision::kFp32) const;
+                    ForwardScratch* scratch) const;
 
   /// Precomputes the backward direction's state trajectory over an all-pad
   /// prefix of up to `max_steps` steps. `pad_step` holds the pad input
   /// embedding as its one row (the step kernels are row-independent and
   /// batch-size invariant, so the warm start is bit-identical to running
-  /// the prefix inline in any batch). The trajectory is
-  /// precision-specific: compute it at the precision the bucketed sweep
-  /// will run. Leaves the trajectory empty for unidirectional stacks.
+  /// the prefix inline in any batch). Leaves the trajectory empty for
+  /// unidirectional stacks.
   void ComputeBackwardPadPrefix(const Tensor& pad_step, int max_steps,
-                                PadPrefixTrajectory* traj,
-                                Precision precision = Precision::kFp32) const;
+                                PadPrefixTrajectory* traj) const;
 
   /// Length-bucketed application, bit-identical to ApplyForward over the
-  /// same sequence padded to `t_total` steps (at the same precision):
+  /// same sequence padded to `t_total` steps:
   /// - the forward chain runs steps[0, t_count) and then `t_total - t_count`
   ///   extra steps of `pad_step` input — its pad tail cannot be skipped,
   ///   because the (trained) pad embedding keeps moving per-cell state;
@@ -228,24 +186,7 @@ class StackedBiRecurrent {
   void ApplyForwardBucketed(const Tensor* steps, int t_count, int t_total,
                             const Tensor& pad_step,
                             const PadPrefixTrajectory& traj, Tensor* out,
-                            ForwardScratch* scratch,
-                            Precision precision = Precision::kFp32) const;
-
-  /// Builds every cell's shadow weights for `p` (idempotent; kFp32 no-op).
-  /// Not thread-safe — see RecurrentCell::PrepareQuantized.
-  void PrepareQuantized(Precision p) const;
-  bool QuantizedReady(Precision p) const;
-
-  /// Appends this stack's int8 shadow weights (prepared on demand) as
-  /// typed checkpoint entries named
-  ///   "__q8/<param>" (i8, out×in) / "__q8s/<param>" (f32 scales, out)
-  /// for each wx/wh parameter name.
-  void ExportQuantized(std::vector<TypedEntry>* entries) const;
-
-  /// Installs shadow weights from `entries` (consuming recognized names).
-  /// Every cell needs its complete entry set; a missing entry, or a shape
-  /// or scale mismatch, fails.
-  Status ImportQuantized(std::map<std::string, TypedEntry>* entries) const;
+                            ForwardScratch* scratch) const;
 
   std::vector<Parameter*> Params() const;
   int output_dim() const { return units_ * (bidirectional_ ? 2 : 1); }
@@ -271,8 +212,7 @@ class StackedBiRecurrent {
                            const std::vector<const RecurrentCell*>& cells,
                            const Tensor* tail_step, int tail_count,
                            const std::vector<RecurrentTensors>* warm,
-                           Tensor* out, ForwardScratch* scratch,
-                           Precision precision) const;
+                           Tensor* out, ForwardScratch* scratch) const;
 
   CellType type_;
   int units_;

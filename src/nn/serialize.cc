@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -11,16 +12,6 @@
 #include "util/hash.h"
 
 namespace birnn::nn {
-
-size_t DtypeSize(uint8_t dtype) {
-  switch (dtype) {
-    case kDtypeF32:
-      return sizeof(float);
-    case kDtypeI8:
-      return 1;
-  }
-  return 0;
-}
 
 namespace {
 constexpr char kMagic[8] = {'B', 'R', 'N', 'N', 'C', 'K', 'P', 'T'};
@@ -56,18 +47,13 @@ struct Reader {
 /// Parses the entry section (u32 count + entries) starting at `r.pos` and
 /// loads it into `params`, enforcing exact coverage: every parameter must
 /// be present with a matching shape, and the file must not contain
-/// duplicate or extra entries. Non-f32 entries — and f32 entries whose
-/// name matches no parameter, such as the "__q8s/..." quantization
-/// scales — are routed to `extras` instead of the parameter match. Drift
-/// is still caught: a missing parameter errors here, and the model rejects
-/// unrecognized extras when installing them.
+/// duplicate, extra or non-f32 entries.
 Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
-                    const std::string& path, std::vector<TypedEntry>* extras) {
+                    const std::string& path) {
   uint32_t count = 0;
   if (!r->ReadU32(&count)) return Status::IoError("truncated header: " + path);
 
   std::map<std::string, Tensor> loaded;
-  std::map<std::string, TypedEntry> loaded_extras;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
     if (!r->ReadU32(&name_len)) return Status::IoError("truncated entry");
@@ -78,7 +64,7 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
     if (!r->Read(&dtype, sizeof(dtype))) {
       return Status::IoError("truncated entry");
     }
-    if (DtypeSize(dtype) == 0) {
+    if (dtype != kDtypeF32) {
       return Status::InvalidArgument("unknown dtype " + std::to_string(dtype) +
                                      " for " + name);
     }
@@ -92,32 +78,19 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
       if (dim < 0) return Status::InvalidArgument("negative dimension");
       shape[d] = dim;
     }
-    if (dtype != kDtypeF32) {
-      TypedEntry entry;
-      entry.dtype = dtype;
-      entry.shape = shape;
-      const size_t bytes = ShapeSize(shape) * DtypeSize(dtype);
-      if (bytes > r->remaining()) {
+    // Bound the element count by the bytes left before allocating, so a
+    // corrupted shape fails as truncation instead of a huge allocation.
+    const size_t max_elements = r->remaining() / sizeof(float);
+    size_t elements =
+        std::find(shape.begin(), shape.end(), 0) == shape.end() ? 1 : 0;
+    for (const int dim : shape) {
+      if (elements > max_elements / std::max(dim, 1)) {
         return Status::IoError("truncated tensor data for " + name);
       }
-      entry.bytes.resize(bytes);
-      if (!r->Read(entry.bytes.data(), bytes)) {
-        return Status::IoError("truncated tensor data for " + name);
-      }
-      entry.name = name;
-      if (extras == nullptr) {
-        return Status::InvalidArgument(
-            "checkpoint has typed (quantized) entries but the caller "
-            "accepts only parameters: " + name);
-      }
-      if (!loaded_extras.emplace(std::move(name), std::move(entry)).second) {
-        return Status::InvalidArgument("duplicate checkpoint entry");
-      }
-      continue;
+      elements *= static_cast<size_t>(dim);
     }
     Tensor t(shape);
-    const size_t bytes = t.size() * sizeof(float);
-    if (!r->Read(t.data(), bytes)) {
+    if (!r->Read(t.data(), elements * sizeof(float))) {
       return Status::IoError("truncated tensor data for " + name);
     }
     if (!loaded.emplace(std::move(name), std::move(t)).second) {
@@ -139,59 +112,34 @@ Status ParseEntries(Reader* r, const std::vector<Parameter*>& params,
     p->value = std::move(it->second);
     loaded.erase(it);
   }
-  if (extras == nullptr) {
-    if (loaded.empty()) return Status::OK();
-    std::ostringstream msg;
-    msg << "checkpoint has " << loaded.size()
-        << " extra entr" << (loaded.size() == 1 ? "y" : "ies")
-        << " not matched by any parameter:";
-    int shown = 0;
-    for (const auto& [name, tensor] : loaded) {
-      (void)tensor;
-      if (shown++ == 4) {
-        msg << " ...";
-        break;
-      }
-      msg << ' ' << name;
+  if (loaded.empty()) return Status::OK();
+  std::ostringstream msg;
+  msg << "checkpoint has " << loaded.size()
+      << " extra entr" << (loaded.size() == 1 ? "y" : "ies")
+      << " not matched by any parameter:";
+  int shown = 0;
+  for (const auto& [name, tensor] : loaded) {
+    (void)tensor;
+    if (shown++ == 4) {
+      msg << " ...";
+      break;
     }
-    return Status::InvalidArgument(msg.str());
+    msg << ' ' << name;
   }
-  // Unmatched f32 entries are sidecar blobs (quantization scales), not
-  // parameter drift. Hand them to the caller with the other extras.
-  for (auto& [name, tensor] : loaded) {
-    TypedEntry entry;
-    entry.name = name;
-    entry.dtype = kDtypeF32;
-    entry.shape = tensor.shape();
-    entry.bytes.assign(reinterpret_cast<const char*>(tensor.data()),
-                       reinterpret_cast<const char*>(tensor.data()) +
-                           tensor.size() * sizeof(float));
-    if (!loaded_extras.emplace(name, std::move(entry)).second) {
-      return Status::InvalidArgument("duplicate checkpoint entry");
-    }
-  }
-  extras->clear();
-  extras->reserve(loaded_extras.size());
-  for (auto& [name, entry] : loaded_extras) {
-    (void)name;
-    extras->push_back(std::move(entry));
-  }
-  return Status::OK();
+  return Status::InvalidArgument(msg.str());
 }
 
-/// Serializes one entry (name, dtype, shape, raw data).
-void AppendTypedEntry(std::string* payload, const std::string& name,
-                      uint8_t dtype, const std::vector<int>& shape,
-                      const char* data, size_t bytes) {
-  AppendU32(payload, static_cast<uint32_t>(name.size()));
-  AppendBytes(payload, name.data(), name.size());
-  payload->push_back(static_cast<char>(dtype));
-  AppendU32(payload, static_cast<uint32_t>(shape.size()));
-  for (int d : shape) {
+/// Serializes one parameter (name, dtype, shape, raw f32 data).
+void AppendEntry(std::string* payload, const Parameter& p) {
+  AppendU32(payload, static_cast<uint32_t>(p.name.size()));
+  AppendBytes(payload, p.name.data(), p.name.size());
+  payload->push_back(static_cast<char>(kDtypeF32));
+  AppendU32(payload, static_cast<uint32_t>(p.value.shape().size()));
+  for (int d : p.value.shape()) {
     const int32_t dim = d;
     AppendBytes(payload, &dim, sizeof(dim));
   }
-  AppendBytes(payload, data, bytes);
+  AppendBytes(payload, p.value.data(), p.value.size() * sizeof(float));
 }
 
 std::string HexU64(uint64_t v) {
@@ -220,25 +168,13 @@ void RestoreParams(const std::vector<Tensor>& snapshot,
 }
 
 Status SaveParameters(const std::vector<Parameter*>& params,
-                      const std::string& path,
-                      const std::vector<TypedEntry>& extras,
-                      uint64_t* checksum) {
+                      const std::string& path, uint64_t* checksum) {
   std::string image(kMagic, sizeof(kMagic));
   AppendU32(&image, kVersionSentinel);
   image.push_back(static_cast<char>(kFormatVersion));
   const size_t header = image.size();
-  AppendU32(&image, static_cast<uint32_t>(params.size() + extras.size()));
-  for (const Parameter* p : params) {
-    AppendTypedEntry(&image, p->name, kDtypeF32, p->value.shape(),
-                     reinterpret_cast<const char*>(p->value.data()),
-                     p->value.size() * sizeof(float));
-  }
-  for (const TypedEntry& e : extras) {
-    BIRNN_CHECK_EQ(e.bytes.size(), ShapeSize(e.shape) * DtypeSize(e.dtype))
-        << "typed entry payload/shape mismatch for " << e.name;
-    AppendTypedEntry(&image, e.name, e.dtype, e.shape, e.bytes.data(),
-                     e.bytes.size());
-  }
+  AppendU32(&image, static_cast<uint32_t>(params.size()));
+  for (const Parameter* p : params) AppendEntry(&image, *p);
   const uint64_t sum =
       util::Fnv1a(image.data() + header, image.size() - header);
   AppendBytes(&image, &sum, sizeof(sum));
@@ -249,8 +185,7 @@ Status SaveParameters(const std::vector<Parameter*>& params,
 
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params,
-                      std::vector<TypedEntry>* extras, uint64_t* checksum) {
-  if (extras != nullptr) extras->clear();
+                      uint64_t* checksum) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for read: " + path);
   std::ostringstream buffer;
@@ -291,7 +226,7 @@ Status LoadParameters(const std::string& path,
         HexU64(actual));
   }
   Reader payload{image.data() + r.pos, payload_size};
-  BIRNN_RETURN_IF_ERROR(ParseEntries(&payload, params, path, extras));
+  BIRNN_RETURN_IF_ERROR(ParseEntries(&payload, params, path));
   if (checksum != nullptr) *checksum = actual;
   return Status::OK();
 }

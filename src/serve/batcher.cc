@@ -15,8 +15,6 @@ core::InferenceOptions MakeEngineOptions(const BatcherOptions& options) {
   engine_options.eval_batch = std::max(1, options.max_batch);
   engine_options.threads = 0;  // the dispatcher thread runs the sweep
   engine_options.memoize = true;
-  engine_options.bucketed = options.bucketed;
-  engine_options.precision = options.precision;
   return engine_options;
 }
 

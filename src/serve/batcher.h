@@ -29,13 +29,6 @@ struct BatcherOptions {
   /// of queuing without bound; a request larger than the capacity can never
   /// be admitted.
   int queue_capacity = 1024;
-  /// Length-bucketed inference for the coalesced batches (bit-identical
-  /// either way; see core::InferenceOptions::bucketed).
-  bool bucketed = false;
-  /// Kernel precision for the served sweeps (see
-  /// core::InferenceOptions::precision). Int8 shadow weights come free
-  /// with a loaded bundle; otherwise the first batch prepares them.
-  nn::Precision precision = nn::Precision::kFp32;
   /// Engine replicas: dispatcher threads pulling from the shared admission
   /// queue, each owning a private InferenceEngine over the same weights.
   /// One replica reproduces the classic single-dispatcher batcher; more

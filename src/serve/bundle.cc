@@ -23,8 +23,8 @@ namespace birnn::serve {
 
 namespace {
 
-/// The manifest's first line: version 4 is the only one written or read.
-constexpr char kManifestHeader[] = "birnn-detector-bundle 4";
+/// The manifest's first line: version 5 is the only one written or read.
+constexpr char kManifestHeader[] = "birnn-detector-bundle 5";
 constexpr char kBnMeanName[] = "__bn/running_mean";
 constexpr char kBnVarName[] = "__bn/running_var";
 
@@ -131,7 +131,7 @@ StatusOr<ManifestLines> ReadManifest(const std::string& path) {
   const std::vector<std::string> lines =
       Split(std::string_view(text).substr(0, seal), '\n');
   if (lines[0] != kManifestHeader) {
-    return Status::InvalidArgument("not a v4 detector bundle manifest: " +
+    return Status::InvalidArgument("not a v5 detector bundle manifest: " +
                                    path);
   }
   ManifestLines m;
@@ -318,17 +318,13 @@ Status SaveDetectorBundle(const core::TrainedDetector& trained,
   nn::Parameter bn_var(kBnVarName, std::move(snapshot.bn_var));
   params.push_back(&bn_mean);
   params.push_back(&bn_var);
-  // Quantize once at save time; every loader then installs the blobs
-  // instead of re-deriving them.
-  std::vector<nn::TypedEntry> extras;
-  trained.model->ExportQuantized(&extras);
   // Weights first, the manifest last: the manifest is the commit record.
   // It carries the checkpoint's trailer, so a crash between the two
   // renames leaves new weights beside the old manifest, which fails to
   // load with a typed error instead of loading as a mix.
   uint64_t char_fingerprint = trained.chars.Fingerprint();
   uint64_t weights_checksum = 0;
-  BIRNN_RETURN_IF_ERROR(nn::SaveParameters(params, WeightsPath(dir), extras,
+  BIRNN_RETURN_IF_ERROR(nn::SaveParameters(params, WeightsPath(dir),
                                            &weights_checksum));
 
   std::string manifest = std::string(kManifestHeader) + "\nchars " +
@@ -409,17 +405,15 @@ StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir) {
   nn::Parameter bn_var(kBnVarName, nn::Tensor(bn_shape));
   params.push_back(&bn_mean);
   params.push_back(&bn_var);
-  std::vector<nn::TypedEntry> extras;
   uint64_t weights_checksum = 0;
-  BIRNN_RETURN_IF_ERROR(nn::LoadParameters(WeightsPath(dir), params, &extras,
-                                           &weights_checksum));
+  BIRNN_RETURN_IF_ERROR(
+      nn::LoadParameters(WeightsPath(dir), params, &weights_checksum));
   if (weights_checksum != committed_checksum) {
     return Status::IoError(
         "weights.ckpt is not the checkpoint the manifest commits (torn "
         "bundle): " + dir);
   }
   t.model->SetBatchNormStats(std::move(bn_mean.value), std::move(bn_var.value));
-  BIRNN_RETURN_IF_ERROR(t.model->ImportQuantized(std::move(extras)));
   t.has_frozen_stats = true;
   return MakeLoadedDetector(std::move(t));
 }

@@ -120,10 +120,8 @@ class LoadedDetector {
 /// bundle:
 ///   weights.ckpt — checkpoint (nn/serialize.h) of every model parameter,
 ///                  the batch-norm running statistics as the pseudo
-///                  entries "__bn/running_mean" / "__bn/running_var", and
-///                  the pre-quantized int8 shadow weights "__q8/..." /
-///                  "__q8s/..." of the recurrent stacks;
-///   manifest.txt — version 4, line-oriented text: the dictionary index
+///                  entries "__bn/running_mean" / "__bn/running_var";
+///   manifest.txt — version 5, line-oriented text: the dictionary index
 ///                  table, one `attr` and one `attr_stats` line per
 ///                  attribute, then one line per scalar key (model
 ///                  architecture, prepare options, memo hint, provenance,
@@ -138,10 +136,10 @@ Status SaveDetectorBundle(const core::TrainedDetector& trained,
                           const std::string& dir);
 
 /// Reconstructs a detector from a bundle directory without retraining.
-/// Accepts only manifest version 4 with intact checksums whose
-/// `weights_checksum` names the checkpoint beside it; the shipped int8
-/// shadow weights are installed into the model, making int8 sweeps start
-/// instantly. Every malformed, torn or oversized bundle is a typed error.
+/// Accepts only manifest version 5 (any other version is refused at its
+/// first line) with intact checksums whose `weights_checksum` names the
+/// checkpoint beside it. Every malformed, torn or oversized bundle is a
+/// typed error.
 StatusOr<LoadedDetector> LoadDetectorBundle(const std::string& dir);
 
 /// Builds a LoadedDetector directly from in-memory trained artifacts

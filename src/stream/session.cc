@@ -42,7 +42,7 @@ TableSession::TableSession(
     SessionOptions options)
     : detector_(std::move(detector)),
       options_(std::move(options)),
-      engine_(detector_->model(), options_.inference),
+      engine_(detector_->model(), core::InferenceOptions{}),
       memo_(options_.memo) {
   const size_t n = static_cast<size_t>(detector_->n_attrs());
   live_.assign(n, LiveAttrStats{});

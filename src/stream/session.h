@@ -83,7 +83,6 @@ struct DriftOptions {
 };
 
 struct SessionOptions {
-  core::InferenceOptions inference;
   core::ContentMemoOptions memo;
   DriftOptions drift;
   /// Most-recently-touched tuples kept for drift-triggered adaptation

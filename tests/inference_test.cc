@@ -288,7 +288,7 @@ TEST(InferenceEngineTest, CalibrateMemoizedMatchesReference) {
 /// to its solo (batch-of-1) value at every batch size 1..64 and every
 /// position in the batch — through the raw model and through the engine
 /// (no memoization, so every cell really runs in a batch of that size) —
-/// for every cell family and kernel precision.
+/// for every cell family.
 TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
   const data::EncodedDataset ds = DuplicateHeavyDataset();
   const int64_t n_cells = ds.num_cells();
@@ -298,50 +298,41 @@ TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
     config.cell_type = cell;
     ErrorDetectionModel model(config);
     model.CalibrateBatchNorm(ds);
-    for (const nn::Precision precision :
-         {nn::Precision::kFp32, nn::Precision::kInt8}) {
-      model.PrepareQuantizedInference(precision);
-      const std::string tag = std::string(nn::CellTypeName(cell)) + "/" +
-                              nn::PrecisionName(precision);
-      InferenceScratch scratch;
-      std::vector<float> solo(static_cast<size_t>(n_cells));
-      for (int64_t c = 0; c < n_cells; ++c) {
-        std::vector<float> p;
-        model.PredictProbs(MakeBatch(ds, {c}), &p, &scratch, nullptr,
-                           precision);
-        solo[static_cast<size_t>(c)] = p[0];
+    const std::string tag = nn::CellTypeName(cell);
+    InferenceScratch scratch;
+    std::vector<float> solo(static_cast<size_t>(n_cells));
+    for (int64_t c = 0; c < n_cells; ++c) {
+      std::vector<float> p;
+      model.PredictProbs(MakeBatch(ds, {c}), &p, &scratch);
+      solo[static_cast<size_t>(c)] = p[0];
+    }
+
+    for (int b = 1; b <= 64; ++b) {
+      // Raw model: a window of b consecutive cells starting at a
+      // size-dependent offset, so each cell lands at varied positions.
+      std::vector<int64_t> window(static_cast<size_t>(b));
+      for (int k = 0; k < b; ++k) {
+        window[static_cast<size_t>(k)] = (13 * b + k) % n_cells;
+      }
+      std::vector<float> raw;
+      model.PredictProbs(MakeBatch(ds, window), &raw, &scratch);
+      for (int k = 0; k < b; ++k) {
+        const int64_t c = window[static_cast<size_t>(k)];
+        ASSERT_EQ(raw[static_cast<size_t>(k)], solo[static_cast<size_t>(c)])
+            << tag << " raw batch " << b << " position " << k;
       }
 
-      for (int b = 1; b <= 64; ++b) {
-        // Raw model: a window of b consecutive cells starting at a
-        // size-dependent offset, so each cell lands at varied positions.
-        std::vector<int64_t> window(static_cast<size_t>(b));
-        for (int k = 0; k < b; ++k) {
-          window[static_cast<size_t>(k)] = (13 * b + k) % n_cells;
-        }
-        std::vector<float> raw;
-        model.PredictProbs(MakeBatch(ds, window), &raw, &scratch, nullptr,
-                           precision);
-        for (int k = 0; k < b; ++k) {
-          const int64_t c = window[static_cast<size_t>(k)];
-          ASSERT_EQ(raw[static_cast<size_t>(k)], solo[static_cast<size_t>(c)])
-              << tag << " raw batch " << b << " position " << k;
-        }
-
-        // Engine: every cell of the table, in batches of b plus a tail
-        // batch of n_cells % b.
-        InferenceOptions options;
-        options.eval_batch = b;
-        options.memoize = false;
-        options.precision = precision;
-        InferenceEngine engine(model, options);
-        std::vector<float> swept;
-        engine.PredictProbs(ds, {}, &swept);
-        for (int64_t c = 0; c < n_cells; ++c) {
-          ASSERT_EQ(swept[static_cast<size_t>(c)],
-                    solo[static_cast<size_t>(c)])
-              << tag << " engine batch " << b << " cell " << c;
-        }
+      // Engine: every cell of the table, in batches of b plus a tail
+      // batch of n_cells % b.
+      InferenceOptions options;
+      options.eval_batch = b;
+      options.memoize = false;
+      InferenceEngine engine(model, options);
+      std::vector<float> swept;
+      engine.PredictProbs(ds, {}, &swept);
+      for (int64_t c = 0; c < n_cells; ++c) {
+        ASSERT_EQ(swept[static_cast<size_t>(c)], solo[static_cast<size_t>(c)])
+            << tag << " engine batch " << b << " cell " << c;
       }
     }
   }

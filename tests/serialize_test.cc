@@ -126,41 +126,6 @@ TEST(CheckpointTest, FileStartsWithMagicSentinelAndVersion) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointTest, TypedExtrasRoundTripOnlyWhenRequested) {
-  Parameter a("a", Tensor(std::vector<int>{2}));
-  a.value[0] = 1.5f;
-  TypedEntry q8;
-  q8.name = "__q8/a";
-  q8.dtype = kDtypeI8;
-  q8.shape = {3};
-  q8.bytes = std::string("\x01\xff\x7f", 3);
-  TypedEntry scales;
-  scales.name = "__q8s/a";
-  scales.dtype = kDtypeF32;
-  scales.shape = {1};
-  const float scale = 0.25f;
-  scales.bytes.assign(reinterpret_cast<const char*>(&scale), sizeof(scale));
-  const std::string path = TempPath("birnn_ser_extras.bin");
-  ASSERT_TRUE(SaveParameters({&a}, path, {q8, scales}).ok());
-
-  Parameter fresh("a", Tensor(std::vector<int>{2}));
-  std::vector<TypedEntry> extras;
-  ASSERT_TRUE(LoadParameters(path, {&fresh}, &extras).ok());
-  EXPECT_EQ(fresh.value[0], 1.5f);
-  ASSERT_EQ(extras.size(), 2u);
-  for (const TypedEntry& e : extras) {
-    const TypedEntry& want = e.name == q8.name ? q8 : scales;
-    EXPECT_EQ(e.name, want.name);
-    EXPECT_EQ(e.dtype, want.dtype);
-    EXPECT_EQ(e.shape, want.shape);
-    EXPECT_EQ(e.bytes, want.bytes);
-  }
-  // A caller that accepts only parameters refuses the quantized payload.
-  EXPECT_EQ(LoadParameters(path, {&fresh}).code(),
-            StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
 TEST(CheckpointTest, TruncatedFileFails) {
   Rng rng(8);
   Parameter a("a", Tensor(4, 4));
@@ -177,6 +142,24 @@ TEST(CheckpointTest, TruncatedFileFails) {
     Parameter fresh("a", Tensor(4, 4));
     EXPECT_FALSE(LoadParameters(path, {&fresh}).ok()) << "prefix " << keep;
   }
+
+  // A sealed entry whose shape claims more floats than the payload holds
+  // (2^30 x 2^30, one float of data) fails as truncation before the loader
+  // allocates anything for it.
+  std::string huge;
+  AppendU32(&huge, 1);  // name length
+  huge += "a";
+  huge.push_back(static_cast<char>(kDtypeF32));
+  AppendU32(&huge, 2);  // rank
+  AppendU32(&huge, 1u << 30);
+  AppendU32(&huge, 1u << 30);
+  const float one = 1.0f;
+  huge.append(reinterpret_cast<const char*>(&one), sizeof(one));
+  WriteFile(path, SealedImage({huge}));
+  Parameter fresh("a", Tensor(4, 4));
+  const Status st = LoadParameters(path, {&fresh});
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.message();
+  EXPECT_NE(st.message().find("truncated"), std::string::npos) << st.message();
   std::remove(path.c_str());
 }
 
@@ -258,13 +241,21 @@ TEST(CheckpointTest, TrailingBytesInsidePayloadFail) {
 
 TEST(CheckpointTest, UnknownDtypeFailsNamingTheEntry) {
   const std::string path = TempPath("birnn_ser_dtype.bin");
-  WriteFile(path, SealedImage({Entry("w", {1.0f}),
-                               Entry("__bf16/w", {0.0f}, /*dtype=*/2)}));
-  Parameter p("w", Tensor(std::vector<int>{1}));
-  std::vector<TypedEntry> extras;
-  const Status st = LoadParameters(path, {&p}, &extras);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("__bf16/w"), std::string::npos) << st.message();
+  // Every entry is f32. The retired int8 shadow (dtype 1) and bf16 (dtype 2)
+  // entries are refused by name, even beside a complete parameter set.
+  const struct {
+    const char* name;
+    uint8_t dtype;
+  } kRefused[] = {{"__q8/w", 1}, {"__bf16/w", 2}};
+  for (const auto& refused : kRefused) {
+    WriteFile(path, SealedImage({Entry("w", {1.0f}),
+                                 Entry(refused.name, {0.0f}, refused.dtype)}));
+    Parameter p("w", Tensor(std::vector<int>{1}));
+    const Status st = LoadParameters(path, {&p});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << refused.name;
+    EXPECT_NE(st.message().find(refused.name), std::string::npos)
+        << st.message();
+  }
   std::remove(path.c_str());
 }
 

@@ -90,11 +90,11 @@ TEST(BundleV3Test, FrozenStatsSurviveSaveLoad) {
   const std::string dir = TempDir("birnn_stream_v3_roundtrip");
   ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
 
-  // The manifest advertises version 4 and carries the frozen stats.
+  // The manifest advertises version 5 and carries the frozen stats.
   std::ifstream in(dir + "/manifest.txt");
   std::string manifest((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
-  EXPECT_NE(manifest.find("birnn-detector-bundle 4"), std::string::npos);
+  EXPECT_NE(manifest.find("birnn-detector-bundle 5"), std::string::npos);
   EXPECT_NE(manifest.find("char_fingerprint"), std::string::npos);
   EXPECT_NE(manifest.find("attr_stats"), std::string::npos);
 
