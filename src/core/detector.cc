@@ -114,9 +114,14 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
     }
   }
 
+  // The test split is built only for the per-epoch accuracy curve, its one
+  // reader; otherwise it would be a near-copy of `all` alive through
+  // training and the sweep.
   data::EncodedDataset train;
   data::EncodedDataset test;
-  data::SplitByRowIds(all, train_ids, &train, &test);
+  data::EncodedDataset* test_split =
+      options_.trainer.track_test_accuracy ? &test : nullptr;
+  data::SplitByRowIds(all, train_ids, &train, test_split);
   if (train.num_cells() == 0) {
     return Status::FailedPrecondition("sampler selected no tuples");
   }
@@ -132,14 +137,15 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
   Trainer trainer(trainer_options);
 
   DetectionReport report;
-  report.history = trainer.Fit(&model, train, &test);
+  report.history = trainer.Fit(&model, train, test_split);
   report.labeled_tuples = train_ids;
   report.train_cells = train.num_cells();
-  report.test_cells = test.num_cells();
+  report.test_cells = all.num_cells() - train.num_cells();
 
   // 5. Detection over every cell of the frame through the inference
   // engine: distinct cell contents are predicted once and broadcast to
-  // their duplicates, optionally length-bucketed (see core/inference.h).
+  // their duplicates, length-bucketed and sharded over `eval_threads`
+  // workers by default (see core/inference.h).
   InferenceOptions inference_options;
   inference_options.eval_batch = options_.trainer.eval_batch;
   inference_options.threads = options_.eval_threads;

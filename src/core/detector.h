@@ -46,15 +46,17 @@ struct DetectorOptions {
   bool use_length_branch = true;
 
   /// Worker threads for the final whole-table inference sweep (0 = run on
-  /// the calling thread). The sweep's batch plan never depends on the
-  /// thread count, so predictions are bit-identical for every value.
-  int eval_threads = 0;
+  /// the calling thread; capped at the hardware's thread count). The
+  /// sweep's batch plan never depends on the thread count, so predictions
+  /// are bit-identical for every value.
+  int eval_threads = 4;
 
-  /// Opt-in: length-bucket the final inference sweep so the backward value
-  /// chain skips its all-pad prefix (precomputed once and warm-started per
+  /// Length-bucket the final inference sweep so the backward value chain
+  /// skips its all-pad prefix (precomputed once and warm-started per
   /// bucket). Bit-identical predictions, fewer RNN steps on tables whose
-  /// value lengths vary; see InferenceOptions::bucketed.
-  bool bucketed_inference = false;
+  /// value lengths vary; see InferenceOptions::bucketed. False runs the
+  /// dense reference sweep.
+  bool bucketed_inference = true;
 
   /// Worker threads for data-parallel gradient computation during training
   /// (0 = inline). Copied into `trainer.train_threads`; results are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <thread>
 
 #include "core/content_index.h"
 #include "obs/obs.h"
@@ -76,9 +77,9 @@ void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
   }
 
   // Padded length per unique cell: the dataset-global max_len, or — under
-  // opt-in bucketing — the effective length rounded up to the bucket
-  // quantum. A batch never mixes padded lengths, so each cell always runs
-  // at exactly its bucket's length regardless of batch composition.
+  // bucketing — the effective length rounded up to the bucket quantum. A
+  // batch never mixes padded lengths, so each cell always runs at exactly
+  // its bucket's length regardless of batch composition.
   std::vector<int> padded_len;
   if (options_.bucketed) {
     padded_len.resize(static_cast<size_t>(n_unique));
@@ -171,10 +172,15 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
   // Shard contiguous batch ranges over the workers. Every batch's inputs
   // and output slots are fixed by the plan, so the shard boundaries (and
   // the thread count) cannot change any result bit. The engine's own pool
-  // is only built once more than one chunk will run.
+  // is only built once more than one chunk will run, and never with more
+  // workers than the hardware has threads: each one holds its own scratch.
   ThreadPool* pool = external_pool_;
-  const int workers =
-      pool != nullptr ? pool->num_threads() : options_.threads;
+  int workers = pool != nullptr ? pool->num_threads() : options_.threads;
+  if (pool == nullptr && workers > 1) {
+    // Queried once: each query costs system calls.
+    static const unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 0) workers = std::min(workers, static_cast<int>(hw));
+  }
   if (workers <= 1 || n_batches <= 1) {
     run_range(0, n_batches);
     return;

@@ -17,10 +17,11 @@ struct InferenceOptions {
   /// Cells per forward batch.
   int eval_batch = 256;
 
-  /// Worker threads for the sweep (0 = run on the calling thread). Used
-  /// only when no external ThreadPool is handed to the engine. Results are
-  /// bit-identical for every thread count: the batch plan is a pure
-  /// function of the data and options, threads only execute it.
+  /// Worker threads for the sweep (0 = run on the calling thread), capped
+  /// at std::thread::hardware_concurrency(). Used only when no external
+  /// ThreadPool is handed to the engine. Results are bit-identical for
+  /// every thread count: the batch plan is a pure function of the data and
+  /// options, threads only execute it.
   int threads = 0;
 
   /// Predict each distinct cell content once and broadcast the result to
@@ -34,7 +35,7 @@ struct InferenceOptions {
   /// `InferenceStats::dedup_factor` reports how much.
   bool memoize = true;
 
-  /// Opt-in: group cells by content length so the *backward* value chain
+  /// Group cells by content length so the *backward* value chain
   /// skips its all-pad prefix. The prefix is cell-independent — identical
   /// pad inputs evolving the zero initial state — so it is precomputed once
   /// per sweep and every bucket warm-starts from it. The forward chain
@@ -43,7 +44,9 @@ struct InferenceOptions {
   /// absorbing under the tanh/GRU/LSTM cell equations — naive truncation
   /// wrecks accuracy). Bit-identical to the unbucketed sweep, verified on
   /// all six paper generators in inference_test; saves up to half the RNN
-  /// steps on tables whose values are much shorter than max_len.
+  /// steps on tables whose values are much shorter than max_len. Off by
+  /// default here (the serve batcher, stream sessions and adapt run dense);
+  /// the offline detector turns it on (DetectorOptions::bucketed_inference).
   bool bucketed = false;
 
   /// Bucket granularity: padded lengths are rounded up to this multiple
@@ -79,8 +82,9 @@ class InferenceEngine {
  public:
   /// `model` must outlive the engine. `pool` (optional, not owned) is used
   /// for the sweep when non-null; otherwise the engine runs inline unless
-  /// `options.threads > 1`, in which case it creates its own pool for
-  /// each sweep that has more than one batch.
+  /// `options.threads > 1`, in which case it creates its own pool (of at
+  /// most the hardware's thread count) for each sweep that has more than
+  /// one batch.
   explicit InferenceEngine(const ErrorDetectionModel& model,
                            InferenceOptions options = {},
                            ThreadPool* pool = nullptr);

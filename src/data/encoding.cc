@@ -104,11 +104,11 @@ void SplitByRowIds(const EncodedDataset& all,
                    EncodedDataset* test) {
   std::unordered_set<int64_t> in_train(train_ids.begin(), train_ids.end());
   *train = EmptyLike(all);
-  *test = EmptyLike(all);
+  if (test != nullptr) *test = EmptyLike(all);
   for (int64_t i = 0; i < all.num_cells(); ++i) {
     if (in_train.count(all.row_ids[static_cast<size_t>(i)]) > 0) {
       AppendCell(all, i, train);
-    } else {
+    } else if (test != nullptr) {
       AppendCell(all, i, test);
     }
   }

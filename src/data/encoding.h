@@ -60,7 +60,8 @@ EncodedDataset EncodeCells(const CellFrame& frame, const CharIndex& chars,
 
 /// Train/test split by tuple id: cells whose row_id is in `train_ids` form
 /// `train`, all other cells form `test` (the paper's setup: 20 labeled
-/// tuples for training, everything else for testing).
+/// tuples for training, everything else for testing). A null `test` fills
+/// only `train` — the test split of a whole table is nearly a copy of it.
 void SplitByRowIds(const EncodedDataset& all,
                    const std::vector<int64_t>& train_ids, EncodedDataset* train,
                    EncodedDataset* test);

@@ -219,6 +219,18 @@ TEST(EncodingTest, SplitByRowIds) {
   for (int64_t r : train.row_ids) EXPECT_EQ(r, 1);
   for (int64_t r : test.row_ids) EXPECT_NE(r, 1);
   EXPECT_EQ(train.max_len, all.max_len);
+
+  // A null test split fills the same train split and nothing else.
+  EncodedDataset train_only;
+  SplitByRowIds(all, {1}, &train_only, nullptr);
+  EXPECT_EQ(train_only.max_len, train.max_len);
+  EXPECT_EQ(train_only.vocab, train.vocab);
+  EXPECT_EQ(train_only.n_attrs, train.n_attrs);
+  EXPECT_EQ(train_only.seqs, train.seqs);
+  EXPECT_EQ(train_only.attrs, train.attrs);
+  EXPECT_EQ(train_only.length_norm, train.length_norm);
+  EXPECT_EQ(train_only.labels, train.labels);
+  EXPECT_EQ(train_only.row_ids, train.row_ids);
 }
 
 // ---------------------------------------------------------- OOV counting

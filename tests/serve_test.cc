@@ -1,4 +1,5 @@
 // serve subsystem tests: bundle save/load round trips, crafted manifests,
+// refusals of corrupted checkpoints and of retired low-precision entries,
 // seeded loader fuzzing and the crash states of a re-save, the model registry,
 // the line protocol, the TCP server end to end over real sockets, and the
 // headline invariant — a served detector answers bit-identically to the
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
@@ -358,6 +360,150 @@ TEST(BundleTest, ConfigLargerThanItsWeightsIsRejectedBeforeAllocating) {
             std::string::npos)
       << loaded.status().message();
   std::filesystem::remove_all(dir);
+}
+
+// One raw checkpoint entry of `dtype` (1-byte int8, 2-byte bf16 or
+// 4-byte f32 elements), zero-filled.
+std::string RawEntry(const std::string& name, uint8_t dtype,
+                     const std::vector<int>& shape) {
+  std::string out;
+  const auto append_u32 = [&out](uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  append_u32(static_cast<uint32_t>(name.size()));
+  out.append(name);
+  out.push_back(static_cast<char>(dtype));
+  append_u32(static_cast<uint32_t>(shape.size()));
+  size_t elements = 1;
+  for (const int d : shape) {
+    append_u32(static_cast<uint32_t>(d));
+    elements *= static_cast<size_t>(d);
+  }
+  const size_t element_bytes = dtype == 1 ? 1 : dtype == 2 ? 2 : 4;
+  out.append(elements * element_bytes, '\0');
+  return out;
+}
+
+// Appends `entries` to the checkpoint's payload, bumps its entry count and
+// re-seals it, so only the spliced entries can make a load fail.
+void SpliceEntries(const std::string& ckpt,
+                   const std::vector<std::string>& entries) {
+  std::string image = ReadFile(ckpt);
+  constexpr size_t kHeader = 13;
+  ASSERT_GT(image.size(), kHeader + 12);
+  uint32_t count = 0;
+  std::memcpy(&count, image.data() + kHeader, sizeof(count));
+  count += static_cast<uint32_t>(entries.size());
+  std::memcpy(image.data() + kHeader, &count, sizeof(count));
+  std::string spliced;
+  for (const std::string& e : entries) spliced += e;
+  image.insert(image.size() - sizeof(uint64_t), spliced);
+  WriteFile(ckpt, ResealCheckpoint(std::move(image)));
+}
+
+// Rewrites the manifest file's first line to `header`, resealed, so only
+// the header can make a load fail.
+void ResealManifest(const std::string& manifest, const std::string& header) {
+  const std::string text = ReadFile(manifest);
+  WriteFile(manifest, ResealManifest(header + text.substr(text.find('\n'))));
+}
+
+// The first recurrent wx and wh parameters of `model` (name and shape).
+void FirstRecurrentKernels(const core::ErrorDetectionModel& model,
+                           std::pair<std::string, std::vector<int>>* wx,
+                           std::pair<std::string, std::vector<int>>* wh) {
+  for (const nn::Parameter* p : model.ConstParams()) {
+    const std::string& n = p->name;
+    if (wx->first.empty() && n.size() > 3 && n.substr(n.size() - 3) == "/wx") {
+      *wx = {n, p->value.shape()};
+    }
+    if (wh->first.empty() && n.size() > 3 && n.substr(n.size() - 3) == "/wh") {
+      *wh = {n, p->value.shape()};
+    }
+  }
+}
+
+TEST(BundleTest, ChecksumMismatchNamesFileAndChecksums) {
+  const std::string dir = TempDir("quant_bundle_corrupt");
+  auto trained = MakeTinyTrained();
+  ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
+
+  const std::string ckpt = dir + "/weights.ckpt";
+  // Flip one payload byte past the header.
+  std::fstream f(ckpt, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekp(64);
+  char byte = 0;
+  f.seekg(64);
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x5a);
+  f.seekp(64);
+  f.write(&byte, 1);
+  f.close();
+
+  auto loaded = serve::LoadDetectorBundle(dir);
+  ASSERT_FALSE(loaded.ok());
+  const std::string message = loaded.status().message();
+  EXPECT_NE(message.find(ckpt), std::string::npos) << message;
+  EXPECT_NE(message.find("expected FNV-1a 0x"), std::string::npos) << message;
+  EXPECT_NE(message.find("actual 0x"), std::string::npos) << message;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BundleTest, HalfPrecisionEntryFailsLoadNamingIt) {
+  auto trained = MakeTinyTrained();
+  std::pair<std::string, std::vector<int>> wx, wh;
+  FirstRecurrentKernels(*trained.model, &wx, &wh);
+  ASSERT_FALSE(wx.first.empty());
+  ASSERT_FALSE(wh.first.empty());
+
+  {
+    // Bundles once shipped bfloat16 shadow weights as dtype-2 "__bf16/..."
+    // entries. A checkpoint carrying one must be refused by name, not
+    // half-loaded.
+    const std::string dir = TempDir("quant_bundle_half_precision");
+    ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
+    SpliceEntries(dir + "/weights.ckpt",
+                  {RawEntry("__bf16/" + wx.first, 2, wx.second),
+                   RawEntry("__bf16/" + wh.first, 2, wh.second)});
+    auto loaded = serve::LoadDetectorBundle(dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("__bf16/" + wx.first),
+              std::string::npos)
+        << loaded.status().message();
+    std::filesystem::remove_all(dir);
+  }
+
+  // The version 4 layout: every recurrent kernel shipped an int8 shadow
+  // "__q8/<param>" (dtype 1, out x in) with its f32 scales "__q8s/<param>",
+  // under a version 4 manifest. Its header refuses it first; under a
+  // current header the checkpoint still refuses the int8 entry by name.
+  const auto transposed = [](const std::vector<int>& shape) {
+    return std::vector<int>{shape[1], shape[0]};
+  };
+  const std::vector<std::string> q8_entries = {
+      RawEntry("__q8/" + wx.first, 1, transposed(wx.second)),
+      RawEntry("__q8s/" + wx.first, 0, {wx.second[1]}),
+      RawEntry("__q8/" + wh.first, 1, transposed(wh.second)),
+      RawEntry("__q8s/" + wh.first, 0, {wh.second[1]})};
+  for (const bool v4_header : {true, false}) {
+    const std::string dir = TempDir("quant_bundle_v4_layout");
+    ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
+    SpliceEntries(dir + "/weights.ckpt", q8_entries);
+    if (v4_header) {
+      ResealManifest(dir + "/manifest.txt", "birnn-detector-bundle 4");
+    }
+    auto loaded = serve::LoadDetectorBundle(dir);
+    ASSERT_FALSE(loaded.ok()) << v4_header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    const std::string want = v4_header ? std::string("detector bundle manifest")
+                                       : "__q8/" + wx.first;
+    EXPECT_NE(loaded.status().message().find(want), std::string::npos)
+        << loaded.status().message();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // One random byte flip, insert or delete, or a truncation, of `bytes`.

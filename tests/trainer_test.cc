@@ -157,6 +157,31 @@ std::vector<float> FlattenSnapshot(const ModelSnapshot& s) {
   return out;
 }
 
+TEST(TrainerTest, TestSplitIsUnreadWithoutAccuracyTracking) {
+  // The offline detector hands Fit no test split unless it tracks test
+  // accuracy; without tracking the split must not change a weight bit.
+  data::EncodedDataset train;
+  data::EncodedDataset test;
+  ModelConfig config;
+  MakeToyData(45, &train, &test, &config);
+  ASSERT_GT(test.num_cells(), 0);
+
+  TrainerOptions options;
+  options.epochs = 6;
+  options.seed = 21;
+  // Below the test split's size: subsampling it would draw from the
+  // shuffle's generator and move every later minibatch.
+  options.test_eval_max_cells = 10;
+  ASSERT_FALSE(options.track_test_accuracy);
+  ErrorDetectionModel with_test(config);
+  Trainer(options).Fit(&with_test, train, &test);
+  ErrorDetectionModel without_test(config);
+  Trainer(options).Fit(&without_test, train, nullptr);
+
+  EXPECT_EQ(FlattenSnapshot(with_test.Snapshot()),
+            FlattenSnapshot(without_test.Snapshot()));
+}
+
 TEST(TrainerTest, WarmStartResumeIsBitIdenticalToUninterruptedRun) {
   data::EncodedDataset train;
   data::EncodedDataset test;
