@@ -15,6 +15,7 @@
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
+#include "nn/recurrent.h"
 #include "sampling/sampler.h"
 #include "util/rng.h"
 
@@ -73,14 +74,15 @@ BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kTransposeB)->Apply(GemmShapes);
 void BM_RnnStepForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   Rng rng(2);
-  nn::RnnCell cell("c", 32, 64, &rng);
+  nn::RecurrentCell cell(nn::CellType::kVanilla, "c", 32, 64, &rng);
   nn::Tensor x(batch, 32);
-  nn::Tensor h(batch, 64);
   nn::NormalInit(&x, 1.0f, &rng);
-  nn::Tensor out;
+  const nn::RecurrentTensors h = cell.InitialTensors(batch);
+  nn::RecurrentTensors out;
+  nn::StepScratch scratch;
   for (auto _ : state) {
-    cell.StepForward(x, h, &out);
-    benchmark::DoNotOptimize(out.data());
+    cell.StepForward(x, h, &out, &scratch);
+    benchmark::DoNotOptimize(out.h.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -89,7 +91,8 @@ BENCHMARK(BM_RnnStepForward)->Arg(32)->Arg(256);
 void BM_BiRnnSequenceForward(benchmark::State& state) {
   const int t_steps = static_cast<int>(state.range(0));
   Rng rng(3);
-  nn::StackedBiRnn rnn("r", 32, 64, 2, true, &rng);
+  nn::StackedBiRecurrent rnn(nn::CellType::kVanilla, "r", 32, 64, 2, true,
+                            &rng);
   std::vector<nn::Tensor> steps(static_cast<size_t>(t_steps),
                                 nn::Tensor(64, 32));
   for (auto& s : steps) nn::NormalInit(&s, 1.0f, &rng);

@@ -58,10 +58,12 @@ struct DetectorOptions {
   /// dense reference sweep.
   bool bucketed_inference = true;
 
-  /// Worker threads for data-parallel gradient computation during training
-  /// (0 = inline). Copied into `trainer.train_threads`; results are
-  /// bit-identical for every thread count (see TrainerOptions).
-  int train_threads = 0;
+  /// Worker threads for training (0 = inline), capped at the hardware's
+  /// threads minus one. Copied into `trainer.train_threads`; results are
+  /// bit-identical for every thread count (see TrainerOptions). The default
+  /// worker runs each recurrent stack's backward direction while the
+  /// calling thread runs the forward one.
+  int train_threads = 1;
 
   /// §5.7 future-work extension: OR the model's verdict with the
   /// functional-dependency and duplicate-record strategies, which catch the

@@ -125,7 +125,8 @@ nn::Graph::Var ErrorDetectionModel::Forward(nn::Graph* g,
                                             const BatchInput& batch,
                                             bool training,
                                             nn::Tensor* bn_mean_out,
-                                            nn::Tensor* bn_var_out) {
+                                            nn::Tensor* bn_var_out,
+                                            ThreadPool* pool) {
   BIRNN_CHECK_EQ(static_cast<int>(batch.char_steps.size()), config_.max_len);
 
   // Value branch: character embedding -> two-stacked bidirectional RNN.
@@ -135,7 +136,7 @@ nn::Graph::Var ErrorDetectionModel::Forward(nn::Graph* g,
   for (const auto& ids : batch.char_steps) {
     steps.push_back(g->Embedding(char_table, ids));
   }
-  nn::Graph::Var features = value_rnn_->Apply(g, steps, batch.batch);
+  nn::Graph::Var features = value_rnn_->Apply(g, steps, batch.batch, pool);
 
   std::vector<nn::Graph::Var> parts{features};
   if (attr_rnn_ != nullptr) {
@@ -144,7 +145,7 @@ nn::Graph::Var ErrorDetectionModel::Forward(nn::Graph* g,
     const nn::Graph::Var attr_table = attr_emb_->Bind(g);
     std::vector<nn::Graph::Var> attr_steps{
         g->Embedding(attr_table, batch.attr_ids)};
-    parts.push_back(attr_rnn_->Apply(g, attr_steps, batch.batch));
+    parts.push_back(attr_rnn_->Apply(g, attr_steps, batch.batch, pool));
   }
   if (length_dense_ != nullptr) {
     // Length branch: length_norm scalar -> Dense(64) ReLU.

@@ -11,6 +11,7 @@
 #include "nn/layers.h"
 #include "nn/recurrent.h"
 #include "util/status.h"
+#include "util/threadpool.h"
 
 namespace birnn::core {
 
@@ -128,9 +129,14 @@ class ErrorDetectionModel {
   /// estimates are left untouched; the caller applies the EMA update later
   /// with `UpdateBatchNorm` (data-parallel shards do this in fixed shard
   /// order for determinism).
+  ///
+  /// With a `pool`, each recurrent stack runs its two directions
+  /// concurrently, one on a pool worker (StackedBiRecurrent::Apply); the
+  /// results do not change.
   nn::Graph::Var Forward(nn::Graph* g, const BatchInput& batch, bool training,
                          nn::Tensor* bn_mean_out = nullptr,
-                         nn::Tensor* bn_var_out = nullptr);
+                         nn::Tensor* bn_var_out = nullptr,
+                         ThreadPool* pool = nullptr);
 
   /// Applies one batch-norm EMA step with captured batch statistics.
   void UpdateBatchNorm(const nn::Tensor& batch_mean,

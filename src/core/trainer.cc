@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -15,6 +16,10 @@
 namespace birnn::core {
 
 Trainer::Trainer(TrainerOptions options) : options_(options) {}
+
+int TrainPoolThreads(int train_threads) {
+  return std::clamp(train_threads, 0, HardwareConcurrency() - 1);
+}
 
 void PredictDataset(const ErrorDetectionModel& model,
                     const data::EncodedDataset& ds, int eval_batch,
@@ -97,7 +102,7 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
   // order, so every value of `train_threads` (including 0) produces
   // bit-identical weights. Shard workspaces persist across batches so the
   // per-shard tape arenas stop allocating after the first step.
-  ThreadPool pool(std::max(0, options_.train_threads));
+  ThreadPool pool(TrainPoolThreads(options_.train_threads));
   const int shard_cells = std::max(1, options_.grad_shard_cells);
   struct ShardWorkspace {
     nn::Graph graph;
@@ -110,6 +115,41 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
   };
   std::vector<std::unique_ptr<ShardWorkspace>> workspaces;
   std::vector<std::function<void()>> shard_tasks;
+
+  // Forward/backward of one shard. `lane` is the pool its recurrent stacks
+  // may run a direction on; only a shard on the calling thread gets one, so
+  // no worker ever waits on its own pool.
+  auto run_shard = [&order, &train, model](ShardWorkspace* ws,
+                                           int64_t s_begin, int64_t s_end,
+                                           int64_t batch_rows,
+                                           ThreadPool* lane) {
+    OBS_SPAN("trainer/grad_shard");
+    const std::vector<int64_t> shard_indices(order.begin() + s_begin,
+                                             order.begin() + s_end);
+    const BatchInput batch = MakeBatch(train, shard_indices);
+    ws->rows = s_end - s_begin;
+
+    ws->graph.Reset();
+    nn::ZeroParamGradMap(&ws->grads);
+    const nn::Graph::Var logits =
+        model->Forward(&ws->graph, batch, /*training=*/true, &ws->bn_mean,
+                       &ws->bn_var, lane);
+    const nn::Graph::Var loss =
+        ws->graph.SoftmaxCrossEntropy(logits, batch.labels);
+    // Seed with the shard's weight so the summed shard gradients equal the
+    // gradient of the full-batch mean cross-entropy.
+    const float weight =
+        static_cast<float>(ws->rows) / static_cast<float>(batch_rows);
+    ws->graph.Backward(loss, weight, &ws->grads);
+
+    ws->loss = ws->graph.value(loss).scalar();
+    ws->correct = 0;
+    const nn::Tensor& probs = ws->graph.Probs(loss);
+    for (int i = 0; i < batch.batch; ++i) {
+      const int pred = probs.at(i, 1) > probs.at(i, 0) ? 1 : 0;
+      if (pred == batch.labels[static_cast<size_t>(i)]) ++ws->correct;
+    }
+  };
 
   for (int epoch = options_.start_epoch; epoch < options_.epochs; ++epoch) {
     OBS_SPAN("trainer/epoch");
@@ -128,44 +168,28 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
         workspaces.push_back(std::make_unique<ShardWorkspace>());
       }
 
-      shard_tasks.clear();
-      for (int64_t s = 0; s < num_shards; ++s) {
-        const int64_t s_begin = start + s * shard_cells;
-        const int64_t s_end = std::min<int64_t>(s_begin + shard_cells, end);
-        ShardWorkspace* ws = workspaces[static_cast<size_t>(s)].get();
-        shard_tasks.push_back([ws, s_begin, s_end, batch_rows, &order, &train,
-                               model]() {
-          OBS_SPAN("trainer/grad_shard");
-          const std::vector<int64_t> shard_indices(
-              order.begin() + s_begin, order.begin() + s_end);
-          const BatchInput batch = MakeBatch(train, shard_indices);
-          ws->rows = s_end - s_begin;
-
-          ws->graph.Reset();
-          nn::ZeroParamGradMap(&ws->grads);
-          const nn::Graph::Var logits =
-              model->Forward(&ws->graph, batch, /*training=*/true,
-                             &ws->bn_mean, &ws->bn_var);
-          const nn::Graph::Var loss =
-              ws->graph.SoftmaxCrossEntropy(logits, batch.labels);
-          // Seed with the shard's weight so the summed shard gradients
-          // equal the gradient of the full-batch mean cross-entropy.
-          const float weight = static_cast<float>(ws->rows) /
-                               static_cast<float>(batch_rows);
-          ws->graph.Backward(loss, weight, &ws->grads);
-
-          ws->loss = ws->graph.value(loss).scalar();
-          ws->correct = 0;
-          const nn::Tensor& probs = ws->graph.Probs(loss);
-          for (int i = 0; i < batch.batch; ++i) {
-            const int pred = probs.at(i, 1) > probs.at(i, 0) ? 1 : 0;
-            if (pred == batch.labels[static_cast<size_t>(i)]) ++ws->correct;
-          }
-        });
-      }
+      // The calling thread and up to `num_shards - 1` workers claim shards
+      // until none is left; the pool has one worker fewer than the
+      // hardware for that reason. Each shard writes only its own
+      // workspace, so the claim order never reaches the bits. A lone shard
+      // runs on the calling thread, with the pool as its recurrent stacks'
+      // direction lane.
+      std::atomic<int64_t> next_shard{0};
+      auto claim_shards = [&] {
+        for (int64_t s; (s = next_shard.fetch_add(1)) < num_shards;) {
+          const int64_t s_begin = start + s * shard_cells;
+          const int64_t s_end = std::min<int64_t>(s_begin + shard_cells, end);
+          run_shard(workspaces[static_cast<size_t>(s)].get(), s_begin, s_end,
+                    batch_rows, num_shards == 1 ? &pool : nullptr);
+        }
+      };
+      shard_tasks.assign(
+          static_cast<size_t>(std::min<int64_t>(num_shards - 1,
+                                                pool.num_threads())),
+          claim_shards);
       pool.SubmitBulk(std::move(shard_tasks));
+      claim_shards();
       pool.Wait();
-      shard_tasks.clear();
 
       // Fixed-order reduction: shared gradients, batch-norm EMA updates and
       // the loss/accuracy tallies all walk shards in index order.

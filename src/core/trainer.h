@@ -52,13 +52,17 @@ struct TrainerOptions {
   /// Inference batch size.
   int eval_batch = 256;
 
-  /// Worker threads for data-parallel gradient computation (0 = run all
-  /// shards inline on the calling thread). Each minibatch is split into
-  /// fixed shards; every shard runs forward/backward on its own tape into a
-  /// private gradient buffer, and the buffers are reduced in shard order.
-  /// Because the shard partition depends only on the batch size and
-  /// `grad_shard_cells` — never on the thread count — training results are
-  /// bit-identical for every value of `train_threads`.
+  /// Worker threads for training (0 = everything inline on the calling
+  /// thread), capped at HardwareConcurrency() - 1 (TrainPoolThreads). Each
+  /// minibatch is split into fixed shards; every shard runs forward/backward
+  /// on its own tape into a private gradient buffer, and the buffers are
+  /// reduced in shard order. Shard 0 runs on the calling thread and the
+  /// others on the workers. In a one-shard minibatch — the paper's scale —
+  /// each recurrent stack runs its backward direction on a worker meanwhile
+  /// (StackedBiRecurrent::Apply). Because the shard
+  /// partition depends only on the batch size and `grad_shard_cells` —
+  /// never on the thread count — training results are bit-identical for
+  /// every value of `train_threads`.
   int train_threads = 0;
   /// Target shard size (cells) for data-parallel gradient accumulation.
   /// Must stay fixed across runs that should be comparable: changing it
@@ -98,6 +102,11 @@ struct TrainState {
   int best_epoch = -1;
   ModelSnapshot best;  ///< valid when `best_epoch >= 0`.
 };
+
+/// The workers Trainer::Fit starts for `train_threads`: at most
+/// HardwareConcurrency() - 1, since the calling thread runs a shard too; a
+/// one-core host trains inline.
+int TrainPoolThreads(int train_threads);
 
 /// Trains an ErrorDetectionModel on an encoded trainset.
 class Trainer {

@@ -19,7 +19,7 @@ namespace birnn::eval {
 /// shard partitioning, sampler logic, dataset generators, ...). A bump
 /// invalidates every existing cache entry — warm runs silently fall back to
 /// recomputation, never to stale numbers.
-inline constexpr uint32_t kCacheSchemaVersion = 1;
+inline constexpr uint32_t kCacheSchemaVersion = 2;
 
 /// Content fingerprint of a table: headers, shape, and every cell, in row
 /// order. Any edit to any cell changes the fingerprint.

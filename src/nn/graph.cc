@@ -149,46 +149,6 @@ Graph::Var Graph::Sigmoid(Var x) {
   return c;
 }
 
-Graph::Var Graph::RnnTanhStep(Var x, Var wx, Var h, Var wh, Var b) {
-  Var c = NewSlot();
-  // Pre-activation z = x wx + h wh staged in the aux buffer; the bias add
-  // and tanh are fused into the final pass. Backward reuses the same buffer
-  // for dz = dy * (1 - y^2).
-  Tensor* z = Aux(c);
-  nn::MatMul(value(x), value(wx), z);
-  MatMulAcc(value(h), value(wh), z);
-  AddBiasTanh(*z, value(b), &node(c).value);
-  node(c).backward = [this, x, wx, h, wh, b, c]() {
-    Node& nc = nodes_[c];
-    const Tensor& y = nc.value;
-    const Tensor& dy = nc.grad;
-    Tensor& dz = *nc.aux;
-    dz.ResizeForOverwrite(y.shape());
-    const int n = y.rows();
-    const int m = y.cols();
-    Tensor& db = nodes_[b].grad;
-    BIRNN_CHECK_EQ(db.size(), static_cast<size_t>(m));
-    const float* __restrict py = y.data();
-    const float* __restrict pdy = dy.data();
-    float* __restrict pdz = dz.data();
-    float* __restrict pdb = db.data();
-    for (int i = 0; i < n; ++i) {
-      const size_t off = static_cast<size_t>(i) * m;
-      for (int j = 0; j < m; ++j) {
-        const float yv = py[off + j];
-        const float g = pdy[off + j] * (1.0f - yv * yv);
-        pdz[off + j] = g;
-        pdb[j] += g;
-      }
-    }
-    MatMulTransposeBAcc(dz, nodes_[wx].value, &nodes_[x].grad);
-    MatMulTransposeAAcc(nodes_[x].value, dz, &nodes_[wx].grad);
-    MatMulTransposeBAcc(dz, nodes_[wh].value, &nodes_[h].grad);
-    MatMulTransposeAAcc(nodes_[h].value, dz, &nodes_[wh].grad);
-  };
-  return c;
-}
-
 Graph::Var Graph::ConcatCols(const std::vector<Var>& parts) {
   Var c = NewSlot();
   std::vector<const Tensor*> tensors;

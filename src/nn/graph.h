@@ -65,11 +65,38 @@ class Graph {
   Var Relu(Var x);
   Var Sigmoid(Var x);
 
-  /// Fused vanilla-RNN step: tanh(x wx + h wh + b) as a single tape node.
-  /// Equivalent to Tanh(AddBias(Add(MatMul(x,wx), MatMul(h,wh)), b)) but
-  /// with one node instead of five — the recurrence dominates the tape, so
-  /// this removes most of the per-step bookkeeping and intermediate buffers.
-  Var RnnTanhStep(Var x, Var wx, Var h, Var wh, Var b);
+  /// Op-owned state of a `Fused` node (see there).
+  struct FusedState {
+    virtual ~FusedState() = default;
+  };
+
+  /// Appends a node that an op outside the tape computes as a whole — a
+  /// fused multi-step op such as a recurrent stack
+  /// (StackedBiRecurrent::Apply). The node's tape slot keeps one `S`
+  /// (derived from FusedState) across Reset(), so the op's buffers stop
+  /// allocating once the tape has warmed up. `forward(S*, Tensor* value)`
+  /// runs now and must not add nodes; `backward(S*, const Tensor& dvalue)`
+  /// runs when Backward reaches the node and adds into the gradients of
+  /// the nodes the op read, through `mutable_grad`.
+  template <class S, class Forward, class Backward>
+  Var Fused(Forward forward, Backward backward) {
+    const Var v = NewSlot();
+    Node& nd = nodes_[static_cast<size_t>(v)];
+    S* state = dynamic_cast<S*>(nd.fused.get());
+    if (state == nullptr) {
+      auto owned = std::make_unique<S>();
+      state = owned.get();
+      nd.fused = std::move(owned);
+    }
+    forward(state, &nd.value);
+    nd.backward = [this, v, state, backward = std::move(backward)]() {
+      backward(state, nodes_[static_cast<size_t>(v)].grad);
+    };
+    return v;
+  }
+
+  /// The gradient buffer of node `v`, for a Fused node's backward.
+  Tensor* mutable_grad(Var v) { return &node(v).grad; }
 
   /// Concatenates matrices with equal row counts along the column axis.
   Var ConcatCols(const std::vector<Var>& parts);
@@ -131,6 +158,7 @@ class Graph {
     std::function<void()> backward;  // empty for leaves
     Parameter* param = nullptr;
     std::shared_ptr<Tensor> aux;  // op-specific saved forward state
+    std::unique_ptr<FusedState> fused;  // Fused nodes' op state
   };
 
   size_t CheckVar(Var v) const {

@@ -137,136 +137,4 @@ void BatchNorm1d::SetRunningStats(Tensor mean, Tensor var) {
   running_var_ = std::move(var);
 }
 
-// ------------------------------------------------------------------ RnnCell
-
-RnnCell::RnnCell(std::string name, int input_dim, int units, Rng* rng)
-    : wx_(name + "/wx", Tensor(input_dim, units)),
-      wh_(name + "/wh", Tensor(units, units)),
-      bh_(name + "/bh", Tensor(std::vector<int>{units})) {
-  // Keras SimpleRNN defaults: glorot-uniform input kernel, orthogonal
-  // recurrent kernel, zero bias.
-  GlorotUniform(&wx_.value, rng);
-  OrthogonalInit(&wh_.value, rng);
-}
-
-Graph::Var RnnCell::Bound::Step(Graph::Var x, Graph::Var h_prev) const {
-  return g->RnnTanhStep(x, wx, h_prev, wh, bh);
-}
-
-RnnCell::Bound RnnCell::Bind(Graph* g) {
-  return Bound{g, g->Param(&wx_), g->Param(&wh_), g->Param(&bh_)};
-}
-
-void RnnCell::StepForward(const Tensor& x, const Tensor& h_prev,
-                          Tensor* h_out) const {
-  Tensor zx;
-  MatMul(x, wx_.value, &zx);
-  MatMulAcc(h_prev, wh_.value, &zx);
-  AddBiasTanh(zx, bh_.value, h_out);
-}
-
-// -------------------------------------------------------------- StackedBiRnn
-
-StackedBiRnn::StackedBiRnn(std::string name, int input_dim, int units,
-                           int stacks, bool bidirectional, Rng* rng)
-    : units_(units), stacks_(stacks), bidirectional_(bidirectional) {
-  BIRNN_CHECK_GE(stacks, 1);
-  const int dirs = bidirectional ? 2 : 1;
-  cells_.resize(static_cast<size_t>(dirs));
-  for (int d = 0; d < dirs; ++d) {
-    cells_[static_cast<size_t>(d)].reserve(static_cast<size_t>(stacks));
-    for (int l = 0; l < stacks; ++l) {
-      const int in_dim = (l == 0) ? input_dim : units;
-      cells_[static_cast<size_t>(d)].emplace_back(
-          name + "/dir" + std::to_string(d) + "/level" + std::to_string(l),
-          in_dim, units, rng);
-    }
-  }
-}
-
-Graph::Var StackedBiRnn::RunDirection(Graph* g,
-                                      const std::vector<Graph::Var>& steps,
-                                      int batch, bool backward_direction,
-                                      const std::vector<RnnCell*>& cells) {
-  std::vector<RnnCell::Bound> bound;
-  bound.reserve(cells.size());
-  for (RnnCell* c : cells) bound.push_back(c->Bind(g));
-
-  // One hidden state Var per level, initialized to zeros.
-  std::vector<Graph::Var> h(cells.size());
-  for (size_t l = 0; l < cells.size(); ++l) {
-    h[l] = g->Input(Tensor(batch, units_));
-  }
-  const int t_count = static_cast<int>(steps.size());
-  for (int i = 0; i < t_count; ++i) {
-    const int t = backward_direction ? (t_count - 1 - i) : i;
-    Graph::Var x = steps[static_cast<size_t>(t)];
-    for (size_t l = 0; l < cells.size(); ++l) {
-      h[l] = bound[l].Step(x, h[l]);
-      x = h[l];  // level l+1 consumes level l's hidden state
-    }
-  }
-  return h.back();
-}
-
-Graph::Var StackedBiRnn::Apply(Graph* g, const std::vector<Graph::Var>& steps,
-                               int batch) {
-  BIRNN_CHECK(!steps.empty());
-  std::vector<RnnCell*> fwd;
-  for (auto& c : cells_[0]) fwd.push_back(&c);
-  Graph::Var out_fwd = RunDirection(g, steps, batch, /*backward=*/false, fwd);
-  if (!bidirectional_) return out_fwd;
-  std::vector<RnnCell*> bwd;
-  for (auto& c : cells_[1]) bwd.push_back(&c);
-  Graph::Var out_bwd = RunDirection(g, steps, batch, /*backward=*/true, bwd);
-  return g->ConcatCols({out_fwd, out_bwd});
-}
-
-void StackedBiRnn::RunDirectionForward(
-    const std::vector<Tensor>& steps, bool backward_direction,
-    const std::vector<const RnnCell*>& cells, Tensor* out) const {
-  const int batch = steps[0].rows();
-  std::vector<Tensor> h(cells.size(), Tensor(batch, units_));
-  Tensor next;
-  const int t_count = static_cast<int>(steps.size());
-  for (int i = 0; i < t_count; ++i) {
-    const int t = backward_direction ? (t_count - 1 - i) : i;
-    const Tensor* x = &steps[static_cast<size_t>(t)];
-    for (size_t l = 0; l < cells.size(); ++l) {
-      cells[l]->StepForward(*x, h[l], &next);
-      h[l] = next;
-      x = &h[l];
-    }
-  }
-  *out = h.back();
-}
-
-void StackedBiRnn::ApplyForward(const std::vector<Tensor>& steps,
-                                Tensor* out) const {
-  BIRNN_CHECK(!steps.empty());
-  std::vector<const RnnCell*> fwd;
-  for (const auto& c : cells_[0]) fwd.push_back(&c);
-  Tensor out_fwd;
-  RunDirectionForward(steps, /*backward=*/false, fwd, &out_fwd);
-  if (!bidirectional_) {
-    *out = std::move(out_fwd);
-    return;
-  }
-  std::vector<const RnnCell*> bwd;
-  for (const auto& c : cells_[1]) bwd.push_back(&c);
-  Tensor out_bwd;
-  RunDirectionForward(steps, /*backward=*/true, bwd, &out_bwd);
-  ConcatCols({&out_fwd, &out_bwd}, out);
-}
-
-std::vector<Parameter*> StackedBiRnn::Params() {
-  std::vector<Parameter*> out;
-  for (auto& dir : cells_) {
-    for (auto& cell : dir) {
-      for (Parameter* p : cell.Params()) out.push_back(p);
-    }
-  }
-  return out;
-}
-
 }  // namespace birnn::nn

@@ -116,76 +116,6 @@ class BatchNorm1d {
   float eps_;
 };
 
-/// Elman RNN cell with tanh activation (paper Eq. 1–2):
-///   h_t = tanh(x_t Wx + h_{t-1} Wh + b).
-class RnnCell {
- public:
-  RnnCell(std::string name, int input_dim, int units, Rng* rng);
-
-  struct Bound {
-    Graph* g;
-    Graph::Var wx;
-    Graph::Var wh;
-    Graph::Var bh;
-    /// One recurrence step on the graph.
-    Graph::Var Step(Graph::Var x, Graph::Var h_prev) const;
-  };
-  Bound Bind(Graph* g);
-
-  /// Forward-only step for inference.
-  void StepForward(const Tensor& x, const Tensor& h_prev, Tensor* h_out) const;
-
-  std::vector<Parameter*> Params() { return {&wx_, &wh_, &bh_}; }
-  int input_dim() const { return wx_.value.rows(); }
-  int units() const { return wx_.value.cols(); }
-
- private:
-  Parameter wx_;
-  Parameter wh_;
-  Parameter bh_;
-};
-
-/// A stack of RNN levels run in one or two directions over a sequence
-/// (paper §4.3: "two-stacked bidirectional RNN"). Level l consumes the
-/// hidden states of level l-1 at every time step (Fig. 2); the forward and
-/// backward chains are independent stacks whose final top-level states are
-/// concatenated (output dim = units * directions).
-class StackedBiRnn {
- public:
-  StackedBiRnn(std::string name, int input_dim, int units, int stacks,
-               bool bidirectional, Rng* rng);
-
-  /// Runs the stack over `steps` (one (batch, input_dim) Var per time step)
-  /// and returns the concatenated final hidden state(s).
-  Graph::Var Apply(Graph* g, const std::vector<Graph::Var>& steps, int batch);
-
-  /// Forward-only version for inference.
-  void ApplyForward(const std::vector<Tensor>& steps, Tensor* out) const;
-
-  std::vector<Parameter*> Params();
-  int output_dim() const { return units_ * (bidirectional_ ? 2 : 1); }
-  int units() const { return units_; }
-  int stacks() const { return stacks_; }
-  bool bidirectional() const { return bidirectional_; }
-
- private:
-  /// Runs one direction (ascending or descending t) and returns the final
-  /// top-level hidden state Var.
-  Graph::Var RunDirection(Graph* g, const std::vector<Graph::Var>& steps,
-                          int batch, bool backward_direction,
-                          const std::vector<RnnCell*>& cells);
-  void RunDirectionForward(const std::vector<Tensor>& steps,
-                           bool backward_direction,
-                           const std::vector<const RnnCell*>& cells,
-                           Tensor* out) const;
-
-  int units_;
-  int stacks_;
-  bool bidirectional_;
-  // cells_[dir][level]; dir 0 = forward, dir 1 = backward (if enabled).
-  std::vector<std::vector<RnnCell>> cells_;
-};
-
 }  // namespace birnn::nn
 
 #endif  // BIRNN_NN_LAYERS_H_

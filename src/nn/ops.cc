@@ -194,15 +194,6 @@ void GemmRowsAcc(const float* __restrict pa, const float* __restrict pb,
   }
 }
 
-// c(n, m) += a(n, k) * b(k, m) on raw row-major buffers.
-void GemmAcc(const float* pa, const float* pb, float* pc, int n, int k,
-             int m) {
-  const TiledExtent t = TiledGemmAcc(pa, static_cast<size_t>(k), 1, pb, pc,
-                                     n, k, m);
-  GemmRowsAcc(pa, pb, pc, k, m, 0, t.rows, t.cols, m);
-  GemmRowsAcc(pa, pb, pc, k, m, t.rows, n, 0, m);
-}
-
 // c(k, m) += a(n, k)^T * b(n, m), c rows [kk_begin, kk_end) and columns
 // [j_begin, j_end) only. Blocked over four rows of a/b at a time so every
 // c row written in the kk loop receives four rank-1 contributions per pass.
@@ -246,6 +237,24 @@ void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
 
 }  // namespace
 
+void GemmAcc(const float* pa, const float* pb, float* pc, int n, int k,
+             int m) {
+  const TiledExtent t = TiledGemmAcc(pa, static_cast<size_t>(k), 1, pb, pc,
+                                     n, k, m);
+  GemmRowsAcc(pa, pb, pc, k, m, 0, t.rows, t.cols, m);
+  GemmRowsAcc(pa, pb, pc, k, m, t.rows, n, 0, m);
+}
+
+void GemmTransposeAAcc(const float* pa, const float* pb, float* pc, int n,
+                       int k, int m) {
+  // The tiles run over output rows kk..kk+3 with the reduction over the
+  // rows of a and b; coefficient (kk, i) is a[i * k + kk].
+  const TiledExtent t =
+      TiledGemmAcc(pa, 1, static_cast<size_t>(k), pb, pc, k, n, m);
+  TransposeARowsAcc(pa, pb, pc, n, k, m, 0, t.rows, t.cols, m);
+  TransposeARowsAcc(pa, pb, pc, n, k, m, t.rows, k, 0, m);
+}
+
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
   BIRNN_CHECK_EQ(a.rank(), 2);
   BIRNN_CHECK_EQ(b.rank(), 2);
@@ -271,15 +280,7 @@ void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out) {
   BIRNN_CHECK_EQ(b.rows(), n);
   BIRNN_CHECK_EQ(out->rows(), k);
   BIRNN_CHECK_EQ(out->cols(), m);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  // The tiles run over output rows kk..kk+3 with the reduction over the
-  // rows of a and b; coefficient (kk, i) is a[i * k + kk].
-  const TiledExtent t =
-      TiledGemmAcc(pa, 1, static_cast<size_t>(k), pb, pc, k, n, m);
-  TransposeARowsAcc(pa, pb, pc, n, k, m, 0, t.rows, t.cols, m);
-  TransposeARowsAcc(pa, pb, pc, n, k, m, t.rows, k, 0, m);
+  GemmTransposeAAcc(a.data(), b.data(), out->data(), n, k, m);
 }
 
 void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out) {

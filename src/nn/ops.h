@@ -37,6 +37,14 @@ void MatMulTransposeAAcc(const Tensor& a, const Tensor& b, Tensor* out);
 /// transposed into thread-local scratch, then the MatMulAcc kernel runs.
 void MatMulTransposeBAcc(const Tensor& a, const Tensor& b, Tensor* out);
 
+/// The kernels of MatMulAcc and MatMulTransposeAAcc on raw row-major
+/// buffers, unchecked: c(n,m) += a(n,k) * b(k,m), and c(k,m) += a(n,k)^T *
+/// b(n,m). They let a caller run a GEMM on a block of rows of a larger
+/// matrix (one time step of a stacked sequence) without copying it out.
+void GemmAcc(const float* a, const float* b, float* c, int n, int k, int m);
+void GemmTransposeAAcc(const float* a, const float* b, float* c, int n, int k,
+                       int m);
+
 /// out = x(n,m) with bias(m) or bias(1,m) added to every row.
 void AddBias(const Tensor& x, const Tensor& bias, Tensor* out);
 

@@ -9,6 +9,10 @@
 #include "util/rng.h"
 #include "util/status.h"
 
+namespace birnn {
+class ThreadPool;
+}  // namespace birnn
+
 namespace birnn::nn {
 
 /// Recurrent cell families. The paper (§2) argues for plain tanh RNNs over
@@ -25,13 +29,8 @@ StatusOr<CellType> ParseCellType(const std::string& name);
 /// Gate blocks per cell: the width multiplier of its Wx, Wh and bias.
 int GateCount(CellType type);
 
-/// Recurrent state: hidden vector plus (LSTM only) a cell vector.
-struct RecurrentState {
-  Graph::Var h = -1;
-  Graph::Var c = -1;  ///< valid only for kLstm.
-};
-
-/// Forward-only counterpart of RecurrentState.
+/// Recurrent state of a batch: hidden vector plus (LSTM only) a cell
+/// vector.
 struct RecurrentTensors {
   Tensor h;
   Tensor c;  ///< used only by kLstm.
@@ -44,8 +43,9 @@ struct StepScratch {
   Tensor z2;  ///< gru only: recurrent gates.
 };
 
-/// One recurrent cell of any family, usable on the autodiff graph (training)
-/// and via forward-only kernels (inference). Weight layout per family:
+/// One recurrent cell of any family: forward-only step kernels, which
+/// inference runs directly and training runs inside StackedBiRecurrent's
+/// fused tape node. Weight layout per family:
 ///   vanilla: wx (in,u), wh (u,u), b (u)
 ///   gru:     wx (in,3u), wh (u,3u), b (3u)      gates [z | r | h~]
 ///   lstm:    wx (in,4u), wh (u,4u), b (4u)      gates [i | f | g | o]
@@ -57,20 +57,6 @@ class RecurrentCell {
   RecurrentCell(CellType type, std::string name, int input_dim, int units,
                 Rng* rng);
 
-  /// This cell's nodes bound to one graph (create once per graph).
-  struct Bound {
-    const RecurrentCell* cell;
-    Graph* g;
-    Graph::Var wx;
-    Graph::Var wh;
-    Graph::Var b;
-    /// One step of the recurrence on the graph.
-    RecurrentState Step(Graph::Var x, const RecurrentState& prev) const;
-  };
-  Bound Bind(Graph* g) const;
-
-  /// Zero-initialized state Vars for a batch.
-  RecurrentState InitialState(Graph* g, int batch) const;
   /// Zero-initialized state tensors for a batch.
   RecurrentTensors InitialTensors(int batch) const;
 
@@ -89,12 +75,17 @@ class RecurrentCell {
   /// slices per-step rows into z1). Consumes/overwrites z1. Bit-identical
   /// to StepForward: the kernels are row-independent and the per-element
   /// FP operation sequence is unchanged.
+  /// When `gates` is non-null (GRU and LSTM), the step's activated gates
+  /// are also written there, batch x gates*units, in the weight layout's
+  /// block order — what backpropagation through time reads back.
   void StepForwardPre(const RecurrentTensors& prev, RecurrentTensors* out,
-                      StepScratch* scratch) const;
+                      StepScratch* scratch, float* gates = nullptr) const;
 
   /// The input kernel Wx (in x gates*units): `x · Wx` is the batched input
   /// projection StepForwardPre expects in z1.
   const Tensor& wx() const { return wx_.value; }
+  /// The recurrent kernel Wh (units x gates*units).
+  const Tensor& wh() const { return wh_.value; }
 
   std::vector<Parameter*> Params() const;
   CellType type() const { return type_; }
@@ -105,9 +96,10 @@ class RecurrentCell {
  private:
   /// The fused GRU / LSTM elementwise gate tails (bias folded in).
   void GruGateTail(const Tensor& xg, const Tensor& hg,
-                   const RecurrentTensors& prev, RecurrentTensors* out) const;
-  void LstmGateTail(const Tensor& gates, const RecurrentTensors& prev,
-                    RecurrentTensors* out) const;
+                   const RecurrentTensors& prev, RecurrentTensors* out,
+                   float* gates) const;
+  void LstmGateTail(const Tensor& pre, const RecurrentTensors& prev,
+                    RecurrentTensors* out, float* gates) const;
 
   CellType type_;
   int input_dim_;
@@ -130,8 +122,10 @@ struct PadPrefixTrajectory {
   int max_steps() const { return static_cast<int>(states.size()) - 1; }
 };
 
-/// Stack of recurrent levels run in one or two directions over a sequence —
-/// the generic version of StackedBiRnn, parameterized by cell family.
+/// Stack of recurrent levels run in one or two directions over a sequence
+/// (paper §4.3: "two-stacked bidirectional RNN"), parameterized by cell
+/// family. Level l consumes the hidden states of level l-1 at every time
+/// step (Fig. 2); the forward and backward chains are independent stacks.
 /// Output is the concatenated final top-level hidden state(s)
 /// (units * directions wide).
 class StackedBiRecurrent {
@@ -153,8 +147,19 @@ class StackedBiRecurrent {
     Tensor xz;       ///< batched input projections for the current level.
   };
 
-  Graph::Var Apply(Graph* g, const std::vector<Graph::Var>& steps,
-                   int batch) const;
+  /// Training: the whole stack — every direction, level and step — as one
+  /// tape node whose value is the concatenated final top-level state(s).
+  /// Its forward is the inference path's level-major loop (each level's
+  /// input projection is one GEMM over all steps), keeping every level's
+  /// output sequence; its backward is backpropagation through time. For
+  /// the vanilla cell, values and gradients are bit-identical to composing
+  /// the stack from one fused tanh step per (step, level, direction) — see
+  /// DESIGN.md §6, "Fused recurrence". When `pool` has workers, the
+  /// backward direction runs on one of them, in forward and in backward,
+  /// while the calling thread runs the forward direction; the results do
+  /// not change. `pool` must not be a pool whose worker makes this call.
+  Graph::Var Apply(Graph* g, const std::vector<Graph::Var>& steps, int batch,
+                   ThreadPool* pool = nullptr) const;
   void ApplyForward(const std::vector<Tensor>& steps, Tensor* out) const;
 
   /// Forward-only application over the span `steps[0, t_count)` with
@@ -193,26 +198,37 @@ class StackedBiRecurrent {
   CellType type() const { return type_; }
 
  private:
-  Graph::Var RunDirection(Graph* g, const std::vector<Graph::Var>& steps,
-                          int batch, bool backward_direction,
-                          const std::vector<const RecurrentCell*>& cells) const;
+  /// One direction's buffers in a fused training node, and the node's op
+  /// state (both defined in recurrent.cc).
+  struct DirectionTape;
+  struct TrainState;
+
   /// Runs one direction. Forward direction: steps[0, t_count) followed by
   /// `tail_count` steps of `tail_step` input. Backward direction
   /// (tail_count must be 0): steps[t_count-1 .. 0], starting from `warm`
   /// per-level states (broadcast over the batch rows) instead of zeros when
-  /// non-null. Executes level-major with time-step-batched input
-  /// projections: level l runs over every step before level l+1 starts, so
-  /// each level's x·Wx collapses into ONE GEMM over the whole sequence and
-  /// the per-step work is just the recurrent projection + gate tail. This
-  /// is bit-identical to the step-major order (levels only consume the
-  /// level below at the same step) and to per-step projections (the GEMM
-  /// kernels are row-independent).
+  /// non-null.
   void RunDirectionForward(const Tensor* steps, int t_count,
                            bool backward_direction,
-                           const std::vector<const RecurrentCell*>& cells,
+                           const std::vector<RecurrentCell>& cells,
                            const Tensor* tail_step, int tail_count,
                            const std::vector<RecurrentTensors>* warm,
                            Tensor* out, ForwardScratch* scratch) const;
+  /// The level loop of a direction over `scratch->seq_in`, which holds
+  /// `total` step batches stacked in processing order. Level-major with
+  /// time-step-batched input projections: level l runs over every step
+  /// before level l+1 starts, so each level's x·Wx is ONE GEMM over the
+  /// whole sequence and the per-step work is the recurrent projection and
+  /// the gate tail. This is bit-identical to the step-major order (levels
+  /// only consume the level below at the same step) and to per-step
+  /// projections (the GEMM kernels are row-independent). With a `tape`,
+  /// every level's outputs (and gates) are kept for backward.
+  void RunLevels(int batch, int total, const std::vector<RecurrentCell>& cells,
+                 const std::vector<RecurrentTensors>* warm, Tensor* out,
+                 ForwardScratch* scratch, DirectionTape* tape) const;
+  /// Forward and backward lanes of direction `d` in a fused training node.
+  void ForwardLane(TrainState* state, int d) const;
+  void BackwardLane(TrainState* state, int d, const Tensor& dvalue) const;
 
   CellType type_;
   int units_;

@@ -2,11 +2,8 @@
 
 #include <cmath>
 
-#include "nn/gradcheck.h"
 #include "nn/init.h"
 #include "nn/layers.h"
-#include "nn/ops.h"
-#include "nn/optimizer.h"
 
 namespace birnn::nn {
 namespace {
@@ -107,129 +104,6 @@ TEST(BatchNormTest, TrainUpdatesRunningStats) {
   (void)y;
   EXPECT_GT(bn.running_mean()[0], 0.0f);  // moved toward 10
   EXPECT_LT(bn.running_var()[0], 1.0f);   // moved toward 0
-}
-
-TEST(RnnCellTest, StepForwardMatchesGraph) {
-  Rng rng(7);
-  RnnCell cell("c", 3, 5, &rng);
-  Tensor x(2, 3);
-  Tensor h(2, 5);
-  NormalInit(&x, 1.0f, &rng);
-  NormalInit(&h, 1.0f, &rng);
-
-  Tensor direct;
-  cell.StepForward(x, h, &direct);
-
-  Graph g;
-  auto bound = cell.Bind(&g);
-  Graph::Var y = bound.Step(g.Input(x), g.Input(h));
-  EXPECT_TRUE(g.value(y).AllClose(direct, 1e-6f));
-  EXPECT_EQ(direct.rows(), 2);
-  EXPECT_EQ(direct.cols(), 5);
-}
-
-TEST(RnnCellTest, OutputsBoundedByTanh) {
-  Rng rng(8);
-  RnnCell cell("c", 2, 4, &rng);
-  Tensor x = Tensor::Full({1, 2}, 100.0f);
-  Tensor h(1, 4);
-  Tensor out;
-  cell.StepForward(x, h, &out);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_LE(std::fabs(out[i]), 1.0f);
-  }
-}
-
-class StackedBiRnnTest : public ::testing::TestWithParam<std::tuple<int, bool>> {};
-
-TEST_P(StackedBiRnnTest, ForwardMatchesGraphAndShapes) {
-  const int stacks = std::get<0>(GetParam());
-  const bool bidirectional = std::get<1>(GetParam());
-  Rng rng(9);
-  StackedBiRnn rnn("r", 3, 4, stacks, bidirectional, &rng);
-  EXPECT_EQ(rnn.output_dim(), bidirectional ? 8 : 4);
-
-  const int batch = 2;
-  const int t_steps = 5;
-  std::vector<Tensor> steps(t_steps, Tensor(batch, 3));
-  for (auto& s : steps) NormalInit(&s, 1.0f, &rng);
-
-  Tensor direct;
-  rnn.ApplyForward(steps, &direct);
-  EXPECT_EQ(direct.rows(), batch);
-  EXPECT_EQ(direct.cols(), rnn.output_dim());
-
-  Graph g;
-  std::vector<Graph::Var> vars;
-  for (const auto& s : steps) vars.push_back(g.Input(s));
-  Graph::Var y = rnn.Apply(&g, vars, batch);
-  EXPECT_TRUE(g.value(y).AllClose(direct, 1e-5f));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, StackedBiRnnTest,
-    ::testing::Combine(::testing::Values(1, 2, 3),
-                       ::testing::Values(false, true)),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
-      return "stacks" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_bidi" : "_uni");
-    });
-
-TEST(StackedBiRnnTest, BidirectionalSeesReversedOrder) {
-  // A sequence and its reverse must produce different outputs for a
-  // unidirectional RNN, demonstrating order sensitivity.
-  Rng rng(10);
-  StackedBiRnn rnn("r", 2, 4, 2, /*bidirectional=*/false, &rng);
-  std::vector<Tensor> seq;
-  for (int t = 0; t < 4; ++t) {
-    Tensor x(1, 2);
-    x.at(0, 0) = static_cast<float>(t);
-    x.at(0, 1) = 1.0f;
-    seq.push_back(x);
-  }
-  std::vector<Tensor> rev(seq.rbegin(), seq.rend());
-  Tensor out_fwd;
-  Tensor out_rev;
-  rnn.ApplyForward(seq, &out_fwd);
-  rnn.ApplyForward(rev, &out_rev);
-  EXPECT_FALSE(out_fwd.AllClose(out_rev, 1e-3f));
-}
-
-TEST(StackedBiRnnTest, ParamCount) {
-  Rng rng(11);
-  // 2 stacks, bidirectional: 4 cells, each with wx, wh, bh.
-  StackedBiRnn rnn("r", 3, 4, 2, true, &rng);
-  EXPECT_EQ(rnn.Params().size(), 12u);
-  // Level 0 wx is (3,4); level 1 wx is (4,4).
-  EXPECT_EQ(CountWeights(rnn.Params()),
-            2u * ((3 * 4 + 4 * 4 + 4) + (4 * 4 + 4 * 4 + 4)));
-}
-
-TEST(StackedBiRnnTest, GradientCheckThroughTime) {
-  Rng rng(12);
-  StackedBiRnn rnn("r", 2, 3, 2, true, &rng);
-  const int batch = 2;
-  std::vector<Tensor> steps(3, Tensor(batch, 2));
-  Rng data_rng(13);
-  for (auto& s : steps) NormalInit(&s, 0.8f, &data_rng);
-
-  auto loss_fn = [&](bool with_backward) {
-    Graph g;
-    std::vector<Graph::Var> vars;
-    for (const auto& s : steps) vars.push_back(g.Input(s));
-    Graph::Var y = rnn.Apply(&g, vars, batch);
-    Graph::Var logits =
-        g.MatMul(y, g.Input(Tensor::FromMatrix(
-                        6, 2, {0.3f, -0.2f, 0.1f, 0.4f, -0.1f, 0.2f, 0.5f,
-                               -0.3f, 0.2f, 0.1f, -0.4f, 0.3f})));
-    Graph::Var loss = g.SoftmaxCrossEntropy(logits, {0, 1});
-    if (with_backward) g.Backward(loss);
-    return g.value(loss).scalar();
-  };
-  Rng check_rng(14);
-  GradCheckResult result = CheckParameterGradients(
-      rnn.Params(), loss_fn, &check_rng, 1e-3f, 3e-2f, 6);
-  EXPECT_TRUE(result.ok) << result.max_rel_diff;
 }
 
 }  // namespace

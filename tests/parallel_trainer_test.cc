@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -53,17 +54,24 @@ void MakeHospitalData(data::EncodedDataset* train, data::EncodedDataset* test,
   config->seed = 21;
 }
 
+// Small shards so even the tiny test batches split into several; the
+// partition is identical for every thread count.
+constexpr int kSmallShards = 16;
+// Shards larger than any minibatch: every minibatch is one shard, which
+// runs on the calling thread while each recurrent stack hands its backward
+// direction to a pool worker.
+constexpr int kOneShard = 1 << 20;
+
 FitResult FitWithThreads(const data::EncodedDataset& train,
                          const data::EncodedDataset& test,
-                         const ModelConfig& config, int train_threads) {
+                         const ModelConfig& config, int train_threads,
+                         int grad_shard_cells = kSmallShards) {
   ErrorDetectionModel model(config);
   TrainerOptions options;
   options.epochs = 3;
   options.seed = 17;
   options.train_threads = train_threads;
-  // Small shards so even the tiny test batches split into several; the
-  // partition is identical for every thread count.
-  options.grad_shard_cells = 16;
+  options.grad_shard_cells = grad_shard_cells;
   options.track_test_accuracy = true;
   options.eval_batch = 32;
   Trainer trainer(options);
@@ -108,12 +116,32 @@ TEST(ParallelTrainerTest, TrainThreadsAreBitIdentical) {
   ModelConfig config;
   MakeHospitalData(&train, &test, &config);
 
+  // Several shards per minibatch, claimed by the calling thread and the
+  // workers in whatever order they get to them.
   const FitResult inline_run = FitWithThreads(train, test, config, 0);
-  const FitResult one_thread = FitWithThreads(train, test, config, 1);
-  const FitResult four_threads = FitWithThreads(train, test, config, 4);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSameRun(inline_run, FitWithThreads(train, test, config, threads));
+  }
 
-  ExpectSameRun(inline_run, one_thread);
-  ExpectSameRun(inline_run, four_threads);
+  // One shard per minibatch: the direction lane runs whenever the pool has
+  // a worker.
+  ASSERT_LE(static_cast<double>(train.num_cells()) * 0.25, kOneShard);
+  const FitResult one_shard = FitWithThreads(train, test, config, 0, kOneShard);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ExpectSameRun(one_shard,
+                  FitWithThreads(train, test, config, threads, kOneShard));
+  }
+}
+
+TEST(ParallelTrainerTest, PoolIsCappedBelowHardwareThreads) {
+  const int hw = HardwareConcurrency();
+  EXPECT_EQ(TrainPoolThreads(0), 0);
+  EXPECT_EQ(TrainPoolThreads(-3), 0);
+  EXPECT_EQ(TrainPoolThreads(1), std::min(1, hw - 1));
+  EXPECT_EQ(TrainPoolThreads(hw), hw - 1);
+  EXPECT_EQ(TrainPoolThreads(1000), hw - 1);
 }
 
 TEST(ParallelTrainerTest, FitIsRepeatable) {
