@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "core/content_index.h"
 #include "obs/obs.h"
@@ -177,9 +176,7 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
   ThreadPool* pool = external_pool_;
   int workers = pool != nullptr ? pool->num_threads() : options_.threads;
   if (pool == nullptr && workers > 1) {
-    // Queried once: each query costs system calls.
-    static const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0) workers = std::min(workers, static_cast<int>(hw));
+    workers = std::min(workers, HardwareConcurrency());
   }
   if (workers <= 1 || n_batches <= 1) {
     run_range(0, n_batches);

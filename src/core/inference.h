@@ -18,8 +18,8 @@ struct InferenceOptions {
   int eval_batch = 256;
 
   /// Worker threads for the sweep (0 = run on the calling thread), capped
-  /// at std::thread::hardware_concurrency(). Used only when no external
-  /// ThreadPool is handed to the engine. Results are bit-identical for
+  /// at HardwareConcurrency(). Used only when no external ThreadPool is
+  /// handed to the engine. Results are bit-identical for
   /// every thread count: the batch plan is a pure function of the data and
   /// options, threads only execute it.
   int threads = 0;

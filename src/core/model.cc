@@ -145,7 +145,8 @@ nn::Graph::Var ErrorDetectionModel::Forward(nn::Graph* g,
     const nn::Graph::Var attr_table = attr_emb_->Bind(g);
     std::vector<nn::Graph::Var> attr_steps{
         g->Embedding(attr_table, batch.attr_ids)};
-    parts.push_back(attr_rnn_->Apply(g, attr_steps, batch.batch, pool));
+    // Its whole pass is cheaper than one pool handoff, so it runs inline.
+    parts.push_back(attr_rnn_->Apply(g, attr_steps, batch.batch));
   }
   if (length_dense_ != nullptr) {
     // Length branch: length_norm scalar -> Dense(64) ReLU.

@@ -130,9 +130,9 @@ class ErrorDetectionModel {
   /// with `UpdateBatchNorm` (data-parallel shards do this in fixed shard
   /// order for determinism).
   ///
-  /// With a `pool`, each recurrent stack runs its two directions
-  /// concurrently, one on a pool worker (StackedBiRecurrent::Apply); the
-  /// results do not change.
+  /// With a `pool`, the value RNN runs on the calling thread and the pool's
+  /// workers (StackedBiRecurrent::Apply); the one-step attribute RNN stays
+  /// on the calling thread. The results do not change.
   nn::Graph::Var Forward(nn::Graph* g, const BatchInput& batch, bool training,
                          nn::Tensor* bn_mean_out = nullptr,
                          nn::Tensor* bn_var_out = nullptr,

@@ -1,9 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <functional>
 #include <memory>
 
 #include "core/inference.h"
@@ -114,10 +112,9 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
     int64_t rows = 0;
   };
   std::vector<std::unique_ptr<ShardWorkspace>> workspaces;
-  std::vector<std::function<void()>> shard_tasks;
 
   // Forward/backward of one shard. `lane` is the pool its recurrent stacks
-  // may run a direction on; only a shard on the calling thread gets one, so
+  // may run their lanes on; only a shard on the calling thread gets one, so
   // no worker ever waits on its own pool.
   auto run_shard = [&order, &train, model](ShardWorkspace* ws,
                                            int64_t s_begin, int64_t s_end,
@@ -172,24 +169,14 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
       // until none is left; the pool has one worker fewer than the
       // hardware for that reason. Each shard writes only its own
       // workspace, so the claim order never reaches the bits. A lone shard
-      // runs on the calling thread, with the pool as its recurrent stacks'
-      // direction lane.
-      std::atomic<int64_t> next_shard{0};
-      auto claim_shards = [&] {
-        for (int64_t s; (s = next_shard.fetch_add(1)) < num_shards;) {
-          const int64_t s_begin = start + s * shard_cells;
-          const int64_t s_end = std::min<int64_t>(s_begin + shard_cells, end);
-          run_shard(workspaces[static_cast<size_t>(s)].get(), s_begin, s_end,
-                    batch_rows, num_shards == 1 ? &pool : nullptr);
-        }
-      };
-      shard_tasks.assign(
-          static_cast<size_t>(std::min<int64_t>(num_shards - 1,
-                                                pool.num_threads())),
-          claim_shards);
-      pool.SubmitBulk(std::move(shard_tasks));
-      claim_shards();
-      pool.Wait();
+      // runs on the calling thread, which hands the pool to its recurrent
+      // stacks as their lanes.
+      ParallelFor(&pool, num_shards, [&](int64_t s) {
+        const int64_t s_begin = start + s * shard_cells;
+        const int64_t s_end = std::min<int64_t>(s_begin + shard_cells, end);
+        run_shard(workspaces[static_cast<size_t>(s)].get(), s_begin, s_end,
+                  batch_rows, num_shards == 1 ? &pool : nullptr);
+      });
 
       // Fixed-order reduction: shared gradients, batch-norm EMA updates and
       // the loss/accuracy tallies all walk shards in index order.

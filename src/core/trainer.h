@@ -56,10 +56,11 @@ struct TrainerOptions {
   /// thread), capped at HardwareConcurrency() - 1 (TrainPoolThreads). Each
   /// minibatch is split into fixed shards; every shard runs forward/backward
   /// on its own tape into a private gradient buffer, and the buffers are
-  /// reduced in shard order. Shard 0 runs on the calling thread and the
-  /// others on the workers. In a one-shard minibatch — the paper's scale —
-  /// each recurrent stack runs its backward direction on a worker meanwhile
-  /// (StackedBiRecurrent::Apply). Because the shard
+  /// reduced in shard order. The calling thread and the workers claim the
+  /// shards. In a one-shard minibatch — the paper's scale — the calling
+  /// thread hands the pool to the value RNN, which runs its recurrence and
+  /// its parameter gradients on every lane (StackedBiRecurrent::Apply).
+  /// Because the shard
   /// partition depends only on the batch size and `grad_shard_cells` —
   /// never on the thread count — training results are bit-identical for
   /// every value of `train_threads`.

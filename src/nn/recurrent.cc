@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "nn/init.h"
@@ -218,10 +219,11 @@ StackedBiRecurrent::StackedBiRecurrent(CellType type, std::string name,
   }
 }
 
-// One direction of a fused training node. Every stacked tensor holds all
-// steps in processing order (block p is the p-th step the recurrence
-// consumes), and every tensor keeps its capacity across minibatches.
-struct StackedBiRecurrent::DirectionTape {
+// One lane of a fused training node: one direction over one block of
+// batch rows. Every stacked tensor holds the lane's rows of all steps in
+// processing order (block p is the p-th step the recurrence consumes), and
+// every tensor keeps its capacity across minibatches.
+struct StackedBiRecurrent::LaneTape {
   struct Level {
     Tensor h;      ///< outputs.
     Tensor c;      ///< LSTM cell states.
@@ -231,24 +233,33 @@ struct StackedBiRecurrent::DirectionTape {
     Tensor dhg;    ///< GRU d(recurrent pre-activation h·Wh).
     Tensor dh;     ///< running d(state h) of one step.
     Tensor dc;     ///< running d(LSTM cell) of one step.
-    Tensor wx_t;   ///< Wx transposed, once per node.
-    Tensor wh_t;   ///< Wh transposed, once per node.
-    /// Gradient buffers of the node's parameter leaves for this level.
+  };
+  int dir = 0;
+  int row_begin = 0;
+  int rows = 0;
+  ForwardScratch fwd;  ///< fwd.seq_in holds the level-0 inputs.
+  std::vector<Level> levels;
+  Tensor out;  ///< final top-level state.
+  Tensor dx;   ///< direction-0 lanes: the rows' level-0 input gradient.
+};
+
+struct StackedBiRecurrent::TrainState : Graph::FusedState {
+  /// One (direction, level) cell's transposed kernels and the gradient
+  /// buffers of its parameter leaves.
+  struct LevelParams {
+    Tensor wx_t;  ///< Wx transposed, once per node.
+    Tensor wh_t;  ///< Wh transposed, once per node.
     Tensor* dwx = nullptr;
     Tensor* dwh = nullptr;
     Tensor* db = nullptr;
   };
-  ForwardScratch fwd;  ///< fwd.seq_in holds the level-0 inputs.
-  std::vector<Level> levels;
-  Tensor out;  ///< final top-level state.
-};
-
-struct StackedBiRecurrent::TrainState : Graph::FusedState {
   Graph* g = nullptr;
   std::vector<Graph::Var> steps;
   std::vector<Graph::Var> params;  ///< Params() order: dir, level, wx/wh/b.
-  DirectionTape dir[2];
-  Tensor dx;  ///< level-0 input gradient, all steps stacked in time order.
+  int batch = 0;
+  int blocks = 1;                  ///< row blocks per direction.
+  std::vector<LaneTape> lanes;     ///< [dir * blocks + block].
+  std::vector<LevelParams> levels;  ///< [dir * stacks + level].
 };
 
 namespace {
@@ -275,16 +286,13 @@ void CopyBlock(const float* src, size_t n, int p, float* dst) {
   std::copy(src, src + n, dst + static_cast<size_t>(p) * n);
 }
 
-bool HasWorkers(const ThreadPool* pool) {
-  return pool != nullptr && pool->num_threads() > 0;
-}
 }  // namespace
 
 void StackedBiRecurrent::RunLevels(int batch, int total,
                                    const std::vector<RecurrentCell>& cells,
                                    const std::vector<RecurrentTensors>* warm,
                                    Tensor* out, ForwardScratch* scratch,
-                                   DirectionTape* tape) const {
+                                   LaneTape* tape) const {
   std::vector<RecurrentTensors>& state = scratch->state;
   if (state.size() < cells.size()) state.resize(cells.size());
   RecurrentTensors& next = scratch->next;
@@ -314,8 +322,7 @@ void StackedBiRecurrent::RunLevels(int batch, int total,
     // The level's outputs feed the next level's projection and, when
     // training, backward. The next level reads them only in its GEMM above,
     // so one buffer serves every level of an inference pass.
-    DirectionTape::Level* rec =
-        tape != nullptr ? &tape->levels[l] : nullptr;
+    LaneTape::Level* rec = tape != nullptr ? &tape->levels[l] : nullptr;
     Tensor* seq = nullptr;
     float* gates = nullptr;
     if (rec != nullptr) {
@@ -387,47 +394,46 @@ void StackedBiRecurrent::RunDirectionForward(
   RunLevels(batch, total, cells, warm, out, scratch, nullptr);
 }
 
-void StackedBiRecurrent::ForwardLane(TrainState* state, int d) const {
-  DirectionTape& tape = state->dir[d];
+void StackedBiRecurrent::ForwardLane(TrainState* state, LaneTape* lane) const {
   const int t_count = static_cast<int>(state->steps.size());
-  const Tensor& first = state->g->value(state->steps[0]);
-  const int batch = first.rows();
-  tape.fwd.seq_in.ResizeForOverwrite(t_count * batch, first.cols());
+  const int in = state->g->value(state->steps[0]).cols();
+  const size_t block = static_cast<size_t>(lane->rows) * in;
+  lane->fwd.seq_in.ResizeForOverwrite(t_count * lane->rows, in);
   for (int p = 0; p < t_count; ++p) {
-    const int t = d == 1 ? t_count - 1 - p : p;
+    const int t = lane->dir == 1 ? t_count - 1 - p : p;
     const Tensor& x = state->g->value(state->steps[static_cast<size_t>(t)]);
-    BIRNN_CHECK_EQ(x.rows(), batch);
-    BIRNN_CHECK_EQ(x.cols(), first.cols());
-    CopyBlock(x.data(), x.size(), p, tape.fwd.seq_in.data());
+    BIRNN_CHECK_EQ(x.rows(), state->batch);
+    BIRNN_CHECK_EQ(x.cols(), in);
+    CopyBlock(x.data() + static_cast<size_t>(lane->row_begin) * in, block, p,
+              lane->fwd.seq_in.data());
   }
-  RunLevels(batch, t_count, cells_[static_cast<size_t>(d)], nullptr, &tape.out,
-            &tape.fwd, &tape);
+  RunLevels(lane->rows, t_count, cells_[static_cast<size_t>(lane->dir)],
+            nullptr, &lane->out, &lane->fwd, lane);
 }
 
-// Backpropagation through time for direction `d`, in the per-element
+// Backpropagation through time for one lane, in the per-element
 // accumulation order of a tape of one fused tanh step node per (step,
 // level, direction) walked in reverse, so that vanilla gradients are
 // bit-identical to that composition (DESIGN.md §6, "Fused recurrence"):
 // steps in descending order and, within a step, levels in descending order;
 // a level's step gradient receives the recurrent term from the step after
-// it before the input term from the level above; the parameter kernels
-// accumulate one B-row step segment at a time, in descending step order.
-void StackedBiRecurrent::BackwardLane(TrainState* state, int d,
+// it before the input term from the level above. Every kernel here works
+// row by row, so a lane's rows get the bits they would get in a whole-batch
+// pass. The parameter gradients are left to KernelChain.
+void StackedBiRecurrent::BackwardLane(TrainState* state, LaneTape* lane,
                                       const Tensor& dvalue) const {
-  DirectionTape& tape = state->dir[d];
-  const std::vector<RecurrentCell>& cells = cells_[static_cast<size_t>(d)];
-  std::vector<DirectionTape::Level>& levels = tape.levels;
+  const int d = lane->dir;
+  const TrainState::LevelParams* params =
+      &state->levels[static_cast<size_t>(d * stacks_)];
+  std::vector<LaneTape::Level>& levels = lane->levels;
   const int t_count = static_cast<int>(state->steps.size());
-  const int batch = tape.out.rows();
+  const int batch = lane->rows;
   const int u = units_;
   const int gu = u * GateCount(type_);
   const size_t hblock = static_cast<size_t>(batch) * u;
   const size_t zblock = static_cast<size_t>(batch) * gu;
 
-  for (size_t l = 0; l < levels.size(); ++l) {
-    DirectionTape::Level& lv = levels[l];
-    Transpose(cells[l].wx(), &lv.wx_t);
-    Transpose(cells[l].wh(), &lv.wh_t);
+  for (LaneTape::Level& lv : levels) {
     lv.dh.Resize(batch, u);
     if (type_ == CellType::kLstm) lv.dc.Resize(batch, u);
     lv.dpre.ResizeForOverwrite(t_count * batch, gu);
@@ -439,31 +445,26 @@ void StackedBiRecurrent::BackwardLane(TrainState* state, int d,
     float* top = levels.back().dh.data();
     const int cols = dvalue.cols();
     for (int i = 0; i < batch; ++i) {
-      const float* src = dvalue.data() + static_cast<size_t>(i) * cols + d * u;
+      const float* src = dvalue.data() +
+                         static_cast<size_t>(lane->row_begin + i) * cols +
+                         d * u;
       for (int j = 0; j < u; ++j) top[static_cast<size_t>(i) * u + j] += src[j];
     }
   }
 
   for (int p = t_count - 1; p >= 0; --p) {
     for (size_t l = levels.size(); l-- > 0;) {
-      DirectionTape::Level& lv = levels[l];
+      LaneTape::Level& lv = levels[l];
       float* __restrict dh = lv.dh.data();
       float* __restrict dz = lv.dpre.data() + p * zblock;
-      float* __restrict db = lv.db->data();
       // The recurrent kernel's gradient input, d(h·Wh): d(x·Wx) except in
       // the GRU's reset-scaled candidate block.
       const float* drec = dz;
       switch (type_) {
         case CellType::kVanilla: {
           const float* __restrict y = lv.h.data() + p * hblock;
-          for (int i = 0; i < batch; ++i) {
-            const size_t off = static_cast<size_t>(i) * u;
-            for (int j = 0; j < u; ++j) {
-              const float yv = y[off + j];
-              const float g = dh[off + j] * (1.0f - yv * yv);
-              dz[off + j] = g;
-              db[j] += g;
-            }
+          for (size_t k = 0; k < hblock; ++k) {
+            dz[k] = dh[k] * (1.0f - y[k] * y[k]);
           }
           break;
         }
@@ -491,9 +492,6 @@ void StackedBiRecurrent::BackwardLane(TrainState* state, int d,
               dhg[goff + j] = dzg;
               dhg[goff + u + j] = drg;
               dhg[goff + 2 * u + j] = dn * r;
-              db[j] += dzg;
-              db[u + j] += drg;
-              db[2 * u + j] += dn;
               // The direct path h' = (1 - z) h + ..., for step p - 1.
               dh[off + j] = dhv * (1.0f - z);
             }
@@ -519,18 +517,10 @@ void StackedBiRecurrent::BackwardLane(TrainState* state, int d,
               const float cp = cprev != nullptr ? cprev[off + j] : 0.0f;
               const float dhv = dh[off + j];
               const float dct = dc[off + j] + dhv * og * (1.0f - tc * tc);
-              const float di = dct * gg * ig * (1.0f - ig);
-              const float df = dct * cp * fg * (1.0f - fg);
-              const float dg = dct * ig * (1.0f - gg * gg);
-              const float dog = dhv * tc * og * (1.0f - og);
-              dz[goff + j] = di;
-              dz[goff + u + j] = df;
-              dz[goff + 2 * u + j] = dg;
-              dz[goff + 3 * u + j] = dog;
-              db[j] += di;
-              db[u + j] += df;
-              db[2 * u + j] += dg;
-              db[3 * u + j] += dog;
+              dz[goff + j] = dct * gg * ig * (1.0f - ig);
+              dz[goff + u + j] = dct * cp * fg * (1.0f - fg);
+              dz[goff + 2 * u + j] = dct * ig * (1.0f - gg * gg);
+              dz[goff + 3 * u + j] = dhv * tc * og * (1.0f - og);
               dc[off + j] = dct * fg;
             }
           }
@@ -540,48 +530,96 @@ void StackedBiRecurrent::BackwardLane(TrainState* state, int d,
       // Input term into the level below at this step; that gradient already
       // holds its recurrent term from step p + 1.
       if (l > 0) {
-        GemmAcc(dz, lv.wx_t.data(), levels[l - 1].dh.data(), batch, gu, u);
+        GemmAcc(dz, params[l].wx_t.data(), levels[l - 1].dh.data(), batch, gu,
+                u);
       }
       // Recurrent term: this level's gradient at step p - 1.
       if (p > 0) {
         if (type_ != CellType::kGru) lv.dh.Zero();
-        GemmAcc(drec, lv.wh_t.data(), dh, batch, gu, u);
+        GemmAcc(drec, params[l].wh_t.data(), dh, batch, gu, u);
       }
     }
   }
+}
 
-  // Parameter kernels, one B-row step segment per call in descending step
-  // order. One GEMM over all t_count * batch rows would regroup the
-  // reduction's 4-blocks whenever batch % 4 != 0 and move bits.
-  for (size_t l = 0; l < levels.size(); ++l) {
-    DirectionTape::Level& lv = levels[l];
-    const Tensor& x = l == 0 ? tape.fwd.seq_in : levels[l - 1].h;
-    const int in = x.cols();
-    const float* drec =
-        type_ == CellType::kGru ? lv.dhg.data() : lv.dpre.data();
-    for (int p = t_count - 1; p >= 0; --p) {
-      GemmTransposeAAcc(x.data() + static_cast<size_t>(p) * batch * in,
-                        lv.dpre.data() + p * zblock, lv.dwx->data(), batch, in,
-                        gu);
-      // Step 0's previous state is zero: its Wh term adds nothing.
-      if (p > 0) {
-        GemmTransposeAAcc(lv.h.data() + (p - 1) * hblock, drec + p * zblock,
-                          lv.dwh->data(), batch, u, gu);
+// One parameter chain of (direction d, level l): dWx and db, or dWh. Steps
+// run in descending order and, within a step, the row blocks in order, one
+// kernel call per block. Every block but the last has a multiple of 4 rows,
+// so the kernel's reduction groups the rows into the same 4-blocks (and the
+// same tail) as one call over the whole batch's rows would: the bits of one
+// B-row segment per step. db sums d(x·Wx) in (step desc, row asc) order,
+// the order the per-step tape added it in.
+void StackedBiRecurrent::KernelChain(TrainState* state, int d, int l,
+                                     bool recurrent) const {
+  const int t_count = static_cast<int>(state->steps.size());
+  const int u = units_;
+  const int gu = u * GateCount(type_);
+  const TrainState::LevelParams& lp =
+      state->levels[static_cast<size_t>(d * stacks_ + l)];
+  // Step 0's previous state is zero: its Wh term adds nothing.
+  for (int p = t_count - 1; p >= (recurrent ? 1 : 0); --p) {
+    for (int b = 0; b < state->blocks; ++b) {
+      const LaneTape& lane =
+          state->lanes[static_cast<size_t>(d * state->blocks + b)];
+      const LaneTape::Level& lv = lane.levels[static_cast<size_t>(l)];
+      const int rows = lane.rows;
+      const float* dz = lv.dpre.data() + static_cast<size_t>(p) * rows * gu;
+      if (recurrent) {
+        const float* drec =
+            type_ == CellType::kGru
+                ? lv.dhg.data() + static_cast<size_t>(p) * rows * gu
+                : dz;
+        GemmTransposeAAcc(lv.h.data() + static_cast<size_t>(p - 1) * rows * u,
+                          drec, lp.dwh->data(), rows, u, gu);
+        continue;
+      }
+      const Tensor& x =
+          l == 0 ? lane.fwd.seq_in
+                 : lane.levels[static_cast<size_t>(l - 1)].h;
+      const int in = x.cols();
+      GemmTransposeAAcc(x.data() + static_cast<size_t>(p) * rows * in, dz,
+                        lp.dwx->data(), rows, in, gu);
+      float* __restrict db = lp.db->data();
+      for (int i = 0; i < rows; ++i) {
+        const float* __restrict row = dz + static_cast<size_t>(i) * gu;
+        for (int j = 0; j < gu; ++j) db[j] += row[j];
       }
     }
   }
+}
 
-  // The backward direction's level-0 input gradient, from zero and in time
-  // order (the forward direction's is added after the join).
-  if (d == 1) {
-    const int in = tape.fwd.seq_in.cols();
-    state->dx.Resize(t_count * batch, in);
+// The level-0 input gradient of row block b, in time order: the backward
+// direction's term from zero plus the forward direction's (the per-step
+// composition's order), each row-independent; each step's rows are then
+// added into that step's embedding node.
+void StackedBiRecurrent::InputGradient(TrainState* state, int b) const {
+  LaneTape& lane = state->lanes[static_cast<size_t>(b)];
+  const int t_count = static_cast<int>(state->steps.size());
+  const int rows = lane.rows;
+  const int in = lane.fwd.seq_in.cols();
+  const int gu = units_ * GateCount(type_);
+  lane.dx.Resize(t_count * rows, in);
+  if (bidirectional_) {
+    const LaneTape& bwd =
+        state->lanes[static_cast<size_t>(state->blocks + b)];
+    const float* wt = state->levels[static_cast<size_t>(stacks_)].wx_t.data();
     for (int p = 0; p < t_count; ++p) {
-      GemmAcc(levels[0].dpre.data() + p * zblock, levels[0].wx_t.data(),
-              state->dx.data() +
-                  static_cast<size_t>(t_count - 1 - p) * batch * in,
-              batch, gu, in);
+      GemmAcc(bwd.levels[0].dpre.data() + static_cast<size_t>(p) * rows * gu,
+              wt,
+              lane.dx.data() +
+                  static_cast<size_t>(t_count - 1 - p) * rows * in,
+              rows, gu, in);
     }
+  }
+  GemmAcc(lane.levels[0].dpre.data(), state->levels[0].wx_t.data(),
+          lane.dx.data(), t_count * rows, gu, in);
+  const size_t block = static_cast<size_t>(rows) * in;
+  for (int t = 0; t < t_count; ++t) {
+    Tensor* grad = state->g->mutable_grad(state->steps[static_cast<size_t>(t)]);
+    BIRNN_CHECK_EQ(grad->size(), static_cast<size_t>(state->batch) * in);
+    const float* src = lane.dx.data() + static_cast<size_t>(t) * block;
+    float* dst = grad->data() + static_cast<size_t>(lane.row_begin) * in;
+    for (size_t k = 0; k < block; ++k) dst[k] += src[k];
   }
 }
 
@@ -595,64 +633,77 @@ Graph::Var StackedBiRecurrent::Apply(Graph* g,
   std::vector<Graph::Var> params;
   for (Parameter* p : Params()) params.push_back(g->Param(p));
   const int dirs = bidirectional_ ? 2 : 1;
-  const bool parallel = bidirectional_ && HasWorkers(pool);
+  // Row blocks per direction: one per lane the pool offers a direction (the
+  // calling thread is a lane too), each a multiple of 4 rows except the
+  // last (see KernelChain).
+  const int lanes = pool != nullptr ? pool->num_threads() + 1 : 1;
+  const int lanes_per_dir = std::max(1, lanes / dirs);
+  const int block_rows = ((batch + lanes_per_dir - 1) / lanes_per_dir + 3) /
+                         4 * 4;
+  const int blocks = (batch + block_rows - 1) / block_rows;
 
   auto forward = [&](TrainState* state, Tensor* value) {
     state->g = g;
     state->steps = steps;
     state->params = params;
-    for (int d = 0; d < dirs; ++d) {
-      state->dir[d].levels.resize(static_cast<size_t>(stacks_));
+    state->batch = batch;
+    state->blocks = blocks;
+    state->lanes.resize(static_cast<size_t>(dirs * blocks));
+    for (int k = 0; k < dirs * blocks; ++k) {
+      LaneTape& lane = state->lanes[static_cast<size_t>(k)];
+      lane.dir = k / blocks;
+      lane.row_begin = (k % blocks) * block_rows;
+      lane.rows = std::min(block_rows, batch - lane.row_begin);
+      lane.levels.resize(static_cast<size_t>(stacks_));
     }
-    if (parallel) {
-      pool->Submit([this, state] { ForwardLane(state, 1); });
-      ForwardLane(state, 0);
-      pool->Wait();
-    } else {
-      for (int d = 0; d < dirs; ++d) ForwardLane(state, d);
-    }
-    if (bidirectional_) {
-      ConcatCols({&state->dir[0].out, &state->dir[1].out}, value);
-    } else {
-      *value = state->dir[0].out;
-    }
-  };
-  auto backward = [this, dirs, parallel, pool](TrainState* state,
-                                               const Tensor& dvalue) {
-    Graph* graph = state->g;
-    const Graph::Var* leaf = state->params.data();
-    for (int d = 0; d < dirs; ++d) {
-      for (DirectionTape::Level& level : state->dir[d].levels) {
-        level.dwx = graph->mutable_grad(*leaf++);
-        level.dwh = graph->mutable_grad(*leaf++);
-        level.db = graph->mutable_grad(*leaf++);
+    ParallelFor(pool, dirs * blocks, [this, state](int64_t k) {
+      ForwardLane(state, &state->lanes[static_cast<size_t>(k)]);
+    });
+    // concat(top_fwd, top_bwd), one lane's rows at a time.
+    value->ResizeForOverwrite(batch, output_dim());
+    for (const LaneTape& lane : state->lanes) {
+      for (int i = 0; i < lane.rows; ++i) {
+        const float* src = lane.out.data() + static_cast<size_t>(i) * units_;
+        std::copy(src, src + units_,
+                  value->data() +
+                      static_cast<size_t>(lane.row_begin + i) * value->cols() +
+                      lane.dir * units_);
       }
     }
-    if (parallel) {
-      pool->Submit([this, state, &dvalue] { BackwardLane(state, 1, dvalue); });
-      BackwardLane(state, 0, dvalue);
-      pool->Wait();
-    } else {
-      for (int d = dirs - 1; d >= 0; --d) BackwardLane(state, d, dvalue);
+  };
+  auto backward = [this, dirs, pool](TrainState* state, const Tensor& dvalue) {
+    state->levels.resize(static_cast<size_t>(dirs * stacks_));
+    const Graph::Var* leaf = state->params.data();
+    for (int k = 0; k < dirs * stacks_; ++k) {
+      TrainState::LevelParams& lp = state->levels[static_cast<size_t>(k)];
+      const RecurrentCell& cell =
+          cells_[static_cast<size_t>(k / stacks_)][static_cast<size_t>(
+              k % stacks_)];
+      Transpose(cell.wx(), &lp.wx_t);
+      Transpose(cell.wh(), &lp.wh_t);
+      lp.dwx = state->g->mutable_grad(*leaf++);
+      lp.dwh = state->g->mutable_grad(*leaf++);
+      lp.db = state->g->mutable_grad(*leaf++);
     }
-    // Level-0 input gradients: the forward direction's term is added to the
-    // backward direction's, the order of the per-step composition.
-    const DirectionTape& fwd = state->dir[0];
-    const int t_count = static_cast<int>(state->steps.size());
-    const int batch = fwd.out.rows();
-    const int in = fwd.fwd.seq_in.cols();
-    if (!bidirectional_) state->dx.Resize(t_count * batch, in);
-    const DirectionTape::Level& level0 = fwd.levels[0];
-    GemmAcc(level0.dpre.data(), level0.wx_t.data(), state->dx.data(),
-            t_count * batch, level0.dpre.cols(), in);
-    const size_t block = static_cast<size_t>(batch) * in;
-    for (int t = 0; t < t_count; ++t) {
-      Tensor* grad = graph->mutable_grad(state->steps[static_cast<size_t>(t)]);
-      BIRNN_CHECK_EQ(grad->size(), block);
-      const float* src = state->dx.data() + static_cast<size_t>(t) * block;
-      float* dst = grad->data();
-      for (size_t k = 0; k < block; ++k) dst[k] += src[k];
-    }
+    ParallelFor(pool, static_cast<int64_t>(state->lanes.size()),
+                [this, state, &dvalue](int64_t k) {
+                  BackwardLane(state, &state->lanes[static_cast<size_t>(k)],
+                               dvalue);
+                });
+    // The lanes have joined: every chain reads all of its direction's
+    // blocks. The highest level's chains go first and each row block's
+    // input gradient last, so the longer tasks start first.
+    const int chains = 2 * dirs * stacks_;
+    ParallelFor(pool, chains + state->blocks,
+                [this, state, dirs, chains](int64_t k) {
+                  if (k >= chains) {
+                    InputGradient(state, static_cast<int>(k - chains));
+                    return;
+                  }
+                  const int l = stacks_ - 1 - static_cast<int>(k / (2 * dirs));
+                  const int d = static_cast<int>(k / 2 % dirs);
+                  KernelChain(state, d, l, /*recurrent=*/k % 2 == 0);
+                });
   };
   return g->Fused<TrainState>(forward, backward);
 }

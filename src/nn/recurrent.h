@@ -154,10 +154,11 @@ class StackedBiRecurrent {
   /// output sequence; its backward is backpropagation through time. For
   /// the vanilla cell, values and gradients are bit-identical to composing
   /// the stack from one fused tanh step per (step, level, direction) — see
-  /// DESIGN.md §6, "Fused recurrence". When `pool` has workers, the
-  /// backward direction runs on one of them, in forward and in backward,
-  /// while the calling thread runs the forward direction; the results do
-  /// not change. `pool` must not be a pool whose worker makes this call.
+  /// DESIGN.md §6, "Fused recurrence". With a `pool`, the forward and the
+  /// backward recurrence run as (direction, row block) lanes on the calling
+  /// thread and the pool's workers, then each parameter gradient runs as
+  /// one chain; the results do not change. `pool` must not be a pool whose
+  /// worker makes this call.
   Graph::Var Apply(Graph* g, const std::vector<Graph::Var>& steps, int batch,
                    ThreadPool* pool = nullptr) const;
   void ApplyForward(const std::vector<Tensor>& steps, Tensor* out) const;
@@ -198,9 +199,9 @@ class StackedBiRecurrent {
   CellType type() const { return type_; }
 
  private:
-  /// One direction's buffers in a fused training node, and the node's op
-  /// state (both defined in recurrent.cc).
-  struct DirectionTape;
+  /// One (direction, row block) lane's buffers in a fused training node,
+  /// and the node's op state (both defined in recurrent.cc).
+  struct LaneTape;
   struct TrainState;
 
   /// Runs one direction. Forward direction: steps[0, t_count) followed by
@@ -225,10 +226,17 @@ class StackedBiRecurrent {
   /// every level's outputs (and gates) are kept for backward.
   void RunLevels(int batch, int total, const std::vector<RecurrentCell>& cells,
                  const std::vector<RecurrentTensors>* warm, Tensor* out,
-                 ForwardScratch* scratch, DirectionTape* tape) const;
-  /// Forward and backward lanes of direction `d` in a fused training node.
-  void ForwardLane(TrainState* state, int d) const;
-  void BackwardLane(TrainState* state, int d, const Tensor& dvalue) const;
+                 ForwardScratch* scratch, LaneTape* tape) const;
+  /// The phases of a fused training node's passes: a lane's forward and
+  /// backward recurrence, then, once every lane has finished, the chain of
+  /// one parameter gradient of (direction d, level l) — dWh when
+  /// `recurrent`, else dWx and db — and the level-0 input gradient of row
+  /// block b.
+  void ForwardLane(TrainState* state, LaneTape* lane) const;
+  void BackwardLane(TrainState* state, LaneTape* lane,
+                    const Tensor& dvalue) const;
+  void KernelChain(TrainState* state, int d, int l, bool recurrent) const;
+  void InputGradient(TrainState* state, int b) const;
 
   CellType type_;
   int units_;

@@ -24,13 +24,7 @@ FeatureMatrix BuildFeatures(
     }
   };
 
-  if (pool != nullptr && pool->num_threads() > 0) {
-    pool->ParallelFor(static_cast<int64_t>(strategies.size()), run_strategy);
-  } else {
-    for (size_t s = 0; s < strategies.size(); ++s) {
-      run_strategy(static_cast<int64_t>(s));
-    }
-  }
+  ParallelFor(pool, static_cast<int64_t>(strategies.size()), run_strategy);
   return fm;
 }
 

@@ -1,7 +1,8 @@
 #include "sampling/sampler.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <string_view>
+#include <unordered_map>
 
 #include "raha/detector.h"
 #include "util/logging.h"
@@ -41,18 +42,44 @@ StatusOr<std::vector<int64_t>> DiverSetSampler::Select(
   const int64_t n_tuples = frame.num_tuples();
   const int n_attrs = frame.num_attrs();
 
-  // df_rest bookkeeping: a cell is "live" while its concat value has not
-  // been covered by a previously selected tuple.
-  std::vector<uint8_t> cell_live(frame.cells().size(), 1);
+  // Intern the concat values once: `value_of[i]` is cell i's value id, and
+  // the cells holding value v are `members[first[v] .. first[v + 1])`.
+  const std::vector<data::CellRecord>& cells = frame.cells();
+  std::vector<int32_t> value_of(cells.size());
+  size_t n_values = 0;
+  {
+    std::unordered_map<std::string_view, int32_t> ids;
+    ids.reserve(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      value_of[i] = ids.try_emplace(cells[i].concat,
+                                    static_cast<int32_t>(ids.size()))
+                        .first->second;
+    }
+    n_values = ids.size();
+  }
+  std::vector<size_t> first(n_values + 1, 0);
+  for (int32_t v : value_of) ++first[static_cast<size_t>(v) + 1];
+  for (size_t v = 0; v < n_values; ++v) first[v + 1] += first[v];
+  std::vector<size_t> members(cells.size());
+  {
+    std::vector<size_t> fill(first.begin(), first.end() - 1);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      members[fill[static_cast<size_t>(value_of[i])]++] = i;
+    }
+  }
+
+  // df_rest bookkeeping: a cell leaves consideration when its concat value
+  // is first covered by a selected tuple; the counters track, per tuple,
+  // its cells still under consideration.
   std::vector<int> unseen_attr(static_cast<size_t>(n_tuples), 0);
   std::vector<int> empty_count(static_cast<size_t>(n_tuples), 0);
-  for (const auto& cell : frame.cells()) {
+  for (const auto& cell : cells) {
     unseen_attr[static_cast<size_t>(cell.row_id)]++;
     if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]++;
   }
 
   std::vector<uint8_t> chosen(static_cast<size_t>(n_tuples), 0);
-  std::unordered_set<std::string> seen_concats;
+  std::vector<uint8_t> seen(n_values, 0);
   std::vector<int64_t> out;
   out.reserve(static_cast<size_t>(n));
 
@@ -80,25 +107,21 @@ StatusOr<std::vector<int64_t>> DiverSetSampler::Select(
     chosen[static_cast<size_t>(sampled_id)] = 1;
     out.push_back(sampled_id);
 
-    // seenAttr: every concat value of the selected tuple (from the full
-    // frame, not just the live cells).
-    bool added_any = false;
+    // seenAttr gains every concat value of the selected tuple (from the
+    // full frame, not just the cells under consideration); df_rest <-
+    // df[concat not in seenAttr] drops the cells of each newly seen value.
+    // A value seen before had its cells dropped then.
     for (int a = 0; a < n_attrs; ++a) {
-      if (seen_concats.insert(frame.cell(sampled_id, a).concat).second) {
-        added_any = true;
+      const size_t v = static_cast<size_t>(
+          value_of[static_cast<size_t>(sampled_id) * n_attrs +
+                   static_cast<size_t>(a)]);
+      if (seen[v]) continue;
+      seen[v] = 1;
+      for (size_t m = first[v]; m < first[v + 1]; ++m) {
+        const data::CellRecord& cell = cells[members[m]];
+        unseen_attr[static_cast<size_t>(cell.row_id)]--;
+        if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]--;
       }
-    }
-    if (!added_any) continue;
-
-    // df_rest <- df[concat not in seenAttr]: kill covered cells and update
-    // the per-tuple counters.
-    for (size_t i = 0; i < frame.cells().size(); ++i) {
-      if (!cell_live[i]) continue;
-      const data::CellRecord& cell = frame.cells()[i];
-      if (seen_concats.count(cell.concat) == 0) continue;
-      cell_live[i] = 0;
-      unseen_attr[static_cast<size_t>(cell.row_id)]--;
-      if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]--;
     }
   }
   return out;

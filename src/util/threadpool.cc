@@ -1,12 +1,19 @@
 #include "util/threadpool.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "util/logging.h"
 
 namespace birnn {
 
 int HardwareConcurrency() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
+  // Queried once per process: each query costs system calls.
+  static const int n = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return n;
 }
 
 ThreadPool::ThreadPool(int threads) {
@@ -83,28 +90,22 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) {
-  if (workers_.empty()) {
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn) {
+  const int64_t helpers =
+      pool == nullptr ? 0 : std::min<int64_t>(n - 1, pool->num_threads());
+  if (helpers <= 0) {
     for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Chunk to limit queue overhead: ~4 chunks per worker.
-  const int64_t chunks =
-      std::min<int64_t>(n, static_cast<int64_t>(workers_.size()) * 4);
-  if (chunks <= 0) return;
-  const int64_t per_chunk = (n + chunks - 1) / chunks;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(chunks));
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t begin = c * per_chunk;
-    const int64_t end = std::min(n, begin + per_chunk);
-    if (begin >= end) break;
-    tasks.push_back([begin, end, &fn] {
-      for (int64_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-  SubmitBulk(std::move(tasks));
-  Wait();
+  std::atomic<int64_t> next{0};
+  const auto claim = [&] {
+    for (int64_t i; (i = next.fetch_add(1)) < n;) fn(i);
+  };
+  pool->SubmitBulk(
+      std::vector<std::function<void()>>(static_cast<size_t>(helpers), claim));
+  claim();
+  pool->Wait();
 }
 
 }  // namespace birnn

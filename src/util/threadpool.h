@@ -11,8 +11,9 @@
 namespace birnn {
 
 /// Number of hardware threads, with a floor of 1 (hardware_concurrency()
-/// may report 0). The experiment scheduler budgets its outer/inner
-/// parallelism against this.
+/// may report 0), queried once per process. The experiment scheduler
+/// budgets its outer/inner parallelism against this, and the trainer and
+/// the inference engine cap their pools with it.
 int HardwareConcurrency();
 
 /// Fixed-size worker pool for embarrassingly parallel work (batch
@@ -43,10 +44,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs `fn(i)` for i in [0, n), distributing across the pool, and waits.
-  /// `fn` must be safe to call concurrently for distinct i.
-  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
-
  private:
   void WorkerLoop();
 
@@ -58,6 +55,16 @@ class ThreadPool {
   int active_ = 0;
   bool shutdown_ = false;
 };
+
+/// Runs `fn(i)` for every i in [0, n) and returns when all have finished.
+/// With a pool that has workers, the calling thread and up to `n - 1` of
+/// them each claim the next index from a shared counter until none is
+/// left, so the first indices start first. Without one (`pool` null or
+/// inline) the calls run on the calling thread, in order. The caller must
+/// not be one of the pool's workers, and `fn` must be safe to call
+/// concurrently for distinct i.
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn);
 
 }  // namespace birnn
 

@@ -325,26 +325,51 @@ TEST_P(FusedNodeTest, GradientsMatchPerStepReference) {
   }
 }
 
-TEST_P(FusedNodeTest, PoolRunIsBitIdenticalToSerial) {
+// Runs a training pass through a stack serially and on pools of 1, 2 and 3
+// workers — one to four lanes, so (direction, row block) splits of one to
+// four blocks — and expects the value and every gradient bit for bit.
+void ExpectPoolRunsMatchSerial(CellType type, int batch, int units,
+                               int stacks, bool bidirectional) {
   Rng rng(23);
-  StackedBiRecurrent stack(type_, "s", 5, 8, stacks_, bidirectional_, &rng);
-  std::vector<Tensor> steps(6, Tensor(batch_, 5));
+  StackedBiRecurrent stack(type, "s", 5, units, stacks, bidirectional, &rng);
+  std::vector<Tensor> steps(6, Tensor(batch, 5));
   Rng data_rng(24);
   for (auto& s : steps) NormalInit(&s, 1.0f, &data_rng);
 
-  ThreadPool pool(1);
   const PassResult serial =
-      RunPass(stack, steps, false, nullptr, 8, stacks_, bidirectional_);
-  const PassResult pooled =
-      RunPass(stack, steps, false, &pool, 8, stacks_, bidirectional_);
-  EXPECT_TRUE(serial.out.Equals(pooled.out));
-  for (size_t i = 0; i < serial.param_grads.size(); ++i) {
-    EXPECT_TRUE(serial.param_grads[i].Equals(pooled.param_grads[i]))
-        << stack.Params()[i]->name;
+      RunPass(stack, steps, false, nullptr, units, stacks, bidirectional);
+  for (int workers : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    const PassResult pooled =
+        RunPass(stack, steps, false, &pool, units, stacks, bidirectional);
+    EXPECT_TRUE(serial.out.Equals(pooled.out));
+    for (size_t i = 0; i < serial.param_grads.size(); ++i) {
+      EXPECT_TRUE(serial.param_grads[i].Equals(pooled.param_grads[i]))
+          << stack.Params()[i]->name;
+    }
+    for (size_t t = 0; t < serial.step_grads.size(); ++t) {
+      EXPECT_TRUE(serial.step_grads[t].Equals(pooled.step_grads[t]))
+          << "step " << t;
+    }
   }
-  for (size_t t = 0; t < serial.step_grads.size(); ++t) {
-    EXPECT_TRUE(serial.step_grads[t].Equals(pooled.step_grads[t]))
-        << "step " << t;
+}
+
+TEST_P(FusedNodeTest, PoolRunIsBitIdenticalToSerial) {
+  ExpectPoolRunsMatchSerial(type_, batch_, 8, stacks_, bidirectional_);
+}
+
+// At 64 units the GEMM kernels' AVX2/AVX-512 register tiles run in every
+// row block, including the short last one.
+TEST(FusedNodeWideTest, PoolRunIsBitIdenticalToSerial) {
+  for (CellType type : {CellType::kVanilla, CellType::kGru, CellType::kLstm}) {
+    for (int batch : {5, 75}) {
+      for (bool bidirectional : {false, true}) {
+        SCOPED_TRACE(std::string(CellTypeName(type)) + " b" +
+                     std::to_string(batch) + (bidirectional ? " bidi" : " uni"));
+        ExpectPoolRunsMatchSerial(type, batch, 64, 2, bidirectional);
+      }
+    }
   }
 }
 
@@ -352,7 +377,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, FusedNodeTest,
     ::testing::Combine(::testing::Values(CellType::kVanilla, CellType::kGru,
                                          CellType::kLstm),
-                       ::testing::Values(1, 3, 75, 128),
+                       ::testing::Values(1, 3, 4, 5, 75, 128),
                        ::testing::Values(1, 2), ::testing::Bool()),
     [](const ::testing::TestParamInfo<FusedNodeTest::ParamType>& info) {
       return std::string(CellTypeName(std::get<0>(info.param))) + "_b" +

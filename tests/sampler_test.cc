@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "data/prepare.h"
 #include "datagen/datasets.h"
@@ -161,6 +165,87 @@ TEST(DiverSetTest, NeverUsesLabels) {
   ASSERT_TRUE(ids1.ok());
   ASSERT_TRUE(ids2.ok());
   EXPECT_EQ(*ids1, *ids2);
+}
+
+// DiverSet as it ran before its values were interned: after each pick
+// that covers a new value, every live cell's concat is looked up in the set
+// of covered values. The sampler must pick exactly what this picks.
+std::vector<int64_t> ReferenceDiverSet(const data::CellFrame& frame,
+                                       int n_obs, Rng* rng) {
+  const int n = static_cast<int>(std::min<int64_t>(n_obs, frame.num_tuples()));
+  const int64_t n_tuples = frame.num_tuples();
+  std::vector<uint8_t> cell_live(frame.cells().size(), 1);
+  std::vector<int> unseen_attr(static_cast<size_t>(n_tuples), 0);
+  std::vector<int> empty_count(static_cast<size_t>(n_tuples), 0);
+  for (const auto& cell : frame.cells()) {
+    unseen_attr[static_cast<size_t>(cell.row_id)]++;
+    if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]++;
+  }
+  std::vector<uint8_t> chosen(static_cast<size_t>(n_tuples), 0);
+  std::unordered_set<std::string> seen_concats;
+  std::vector<int64_t> out;
+  for (int pick = 0; pick < n; ++pick) {
+    int best_unseen = -1;
+    int best_empty = -1;
+    std::vector<int64_t> candidates;
+    for (int64_t id = 0; id < n_tuples; ++id) {
+      if (chosen[static_cast<size_t>(id)]) continue;
+      const int u = unseen_attr[static_cast<size_t>(id)];
+      const int e = empty_count[static_cast<size_t>(id)];
+      if (u > best_unseen || (u == best_unseen && e > best_empty)) {
+        best_unseen = u;
+        best_empty = e;
+        candidates.assign(1, id);
+      } else if (u == best_unseen && e == best_empty) {
+        candidates.push_back(id);
+      }
+    }
+    if (candidates.empty()) break;
+    const int64_t sampled_id = candidates[rng->UniformInt(candidates.size())];
+    chosen[static_cast<size_t>(sampled_id)] = 1;
+    out.push_back(sampled_id);
+    bool added_any = false;
+    for (int a = 0; a < frame.num_attrs(); ++a) {
+      added_any |= seen_concats.insert(frame.cell(sampled_id, a).concat).second;
+    }
+    if (!added_any) continue;
+    for (size_t i = 0; i < frame.cells().size(); ++i) {
+      if (!cell_live[i]) continue;
+      const data::CellRecord& cell = frame.cells()[i];
+      if (seen_concats.count(cell.concat) == 0) continue;
+      cell_live[i] = 0;
+      unseen_attr[static_cast<size_t>(cell.row_id)]--;
+      if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]--;
+    }
+  }
+  return out;
+}
+
+TEST(DiverSetTest, MatchesUninternedScan) {
+  datagen::GenOptions options;
+  options.scale = 0.05;
+  const std::vector<std::pair<std::string, datagen::DatasetPair>> tables = {
+      {"beers", datagen::MakeBeers(options)},
+      {"hospital", datagen::MakeHospital(options)},
+      {"tax", datagen::MakeTax(options)}};
+  for (const auto& [name, pair] : tables) {
+    auto frame = data::PrepareData(pair.dirty, pair.clean);
+    ASSERT_TRUE(frame.ok()) << name;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      for (int n_obs : {1, 5, 20}) {
+        SCOPED_TRACE(name + " seed " + std::to_string(seed) + " n_obs " +
+                     std::to_string(n_obs));
+        DiverSetSampler sampler;
+        Rng rng(seed);
+        Rng ref_rng(seed);
+        auto ids = sampler.Select(*frame, n_obs, &rng);
+        ASSERT_TRUE(ids.ok());
+        EXPECT_EQ(*ids, ReferenceDiverSet(*frame, n_obs, &ref_rng));
+        // Both consumed the same draws.
+        EXPECT_EQ(rng.Next(), ref_rng.Next());
+      }
+    }
+  }
 }
 
 TEST(RahaSetTest, SelectsDistinctTuples) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "nn/ops.h"
@@ -315,6 +316,32 @@ TEST(OpsTest, TiledGemmIsBitIdenticalToReferenceLoops) {
         got = c0;
         MatMulTransposeBAcc(a, bt, &got);
         ASSERT_TRUE(SameBits("MatMulTransposeBAcc", n, k, m, got, want));
+      }
+    }
+  }
+}
+
+// The fused recurrent node's parameter gradients run one kernel call per
+// row block of a step; its blocks start at multiples of 4. Splitting the
+// reduction rows there must keep every bit of one call over all rows: the
+// 4-blocks and the tail are the same.
+TEST(OpsTest, TransposeAAccSplitAtMultipleOf4KeepsBits) {
+  Rng rng(19);
+  for (const auto& [k, m] : {std::pair{32, 64}, std::pair{7, 65}}) {
+    for (int n = 5; n <= 131; ++n) {
+      const Tensor a = GemmOperand(n, k, -0.0f, &rng);
+      const Tensor b = GemmOperand(n, m, -0.0f, &rng);
+      const Tensor c0 = GemmOperand(k, m, -0.0f, &rng);
+      Tensor whole = c0;
+      GemmTransposeAAcc(a.data(), b.data(), whole.data(), n, k, m);
+      for (int split = 4; split < n; split += 4) {
+        Tensor parts = c0;
+        GemmTransposeAAcc(a.data(), b.data(), parts.data(), split, k, m);
+        GemmTransposeAAcc(a.data() + static_cast<size_t>(split) * k,
+                          b.data() + static_cast<size_t>(split) * m,
+                          parts.data(), n - split, k, m);
+        ASSERT_TRUE(SameBits("GemmTransposeAAcc split", n, k, m, parts, whole))
+            << "split at " << split;
       }
     }
   }

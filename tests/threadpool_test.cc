@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "core/model.h"
 #include "core/trainer.h"
@@ -89,26 +91,45 @@ TEST(ThreadPoolTest, SubmitBulkMixesWithSubmit) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(257, [&hits](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  ThreadPool pool(3);
+  for (int n : {0, 1, 2, 3, 4, 5, 64, 257}) {
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+    ParallelFor(&pool, n, [&hits](int64_t i) {
+      hits[static_cast<size_t>(i)].fetch_add(1);
+    });
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << n << " " << i;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForInline) {
+  // An inline pool and no pool both run the calls in order.
   ThreadPool pool(0);
-  int64_t sum = 0;
-  pool.ParallelFor(10, [&sum](int64_t i) { sum += i; });
-  EXPECT_EQ(sum, 45);
+  for (ThreadPool* p : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    std::vector<int64_t> order;
+    ParallelFor(p, 4, [&order](int64_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3}));
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, [&called](int64_t) { called = true; });
+  ParallelFor(&pool, 0, [&called](int64_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPoolTest, ParallelForCallerWorksToo) {
+  // A task that waits for another task to start cannot finish unless two
+  // threads claim: with one worker, the caller must be the second.
+  ThreadPool pool(1);
+  std::atomic<int> started{0};
+  ParallelFor(&pool, 2, [&started](int64_t) {
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+  });
+  EXPECT_EQ(started.load(), 2);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
