@@ -2,17 +2,17 @@
 // sweep on each paper generator, comparing
 //   naive     — the pre-engine path: allocate a fresh full-length batch per
 //               chunk and run the scratch-free model forward,
-//   memoized  — InferenceEngine with duplicate-cell memoization (default),
-//   +bucketed — memoization plus length-bucketed backward pad-prefix reuse.
+//   memoized  — InferenceEngine at its defaults: duplicate-cell memoization
+//               and the length-sorted plan (backward pad-prefix reuse).
 // Writes a machine-readable summary to --json (default BENCH_inference.json;
 // see run_inference_throughput.sh).
 //
-// Both engine modes produce probabilities bit-identical to the naive sweep
+// The engine produces probabilities bit-identical to the naive sweep
 // (every forward kernel is row-independent and batch-size invariant, so the
 // naive arm's chunks compute the same bits); the harness verifies this per
 // dataset and refuses to report a speedup otherwise. Speedups come from
 // work removal (dedup factor, skipped RNN steps) and allocation reuse, not
-// threads — run with --threads for the sharded sweep.
+// threads — run with --threads for the multi-lane sweep.
 
 #include <algorithm>
 #include <cmath>
@@ -48,10 +48,9 @@ struct DatasetRow {
   int64_t cells = 0;
   int64_t unique_cells = 0;
   double dedup_factor = 1.0;
-  double step_fraction = 1.0;  // bucketed rnn_steps / dense rnn_steps.
+  double step_fraction = 1.0;  // memo rnn_steps / dense rnn_steps.
   ModeResult naive;
   ModeResult memo;
-  ModeResult bucketed;
   bool probs_match = false;
 };
 
@@ -98,7 +97,6 @@ int Run(int argc, char** argv) {
   AddCommonFlags(&flags, "BENCH_inference.json");
   flags.AddInt("eval-batch", 256, "cells per forward batch");
   flags.AddInt("threads", 0, "worker threads for the engine sweeps");
-  flags.AddInt("bucket-quantum", 8, "length-bucket granularity");
   flags.AddInt("synthetic-rows", 0,
                "also sweep a synthetic duplicate-heavy table with this many "
                "rows (0 = off; the table is materialized, so keep total "
@@ -112,17 +110,14 @@ int Run(int argc, char** argv) {
       ParseCommonFlags(&flags, argc, argv, "bench_inference_throughput");
   const int eval_batch = flags.GetInt("eval-batch");
   const int threads = flags.GetInt("threads");
-  const int quantum = flags.GetInt("bucket-quantum");
   const int64_t synthetic_rows = flags.GetInt("synthetic-rows");
 
   std::cout << "=== Inference throughput (eval_batch=" << eval_batch
-            << ", threads=" << threads << ", bucket_quantum=" << quantum
-            << ") ===\n\n";
+            << ", threads=" << threads << ") ===\n\n";
 
   std::vector<DatasetRow> rows;
   eval::TableWriter writer({"Dataset", "Cells", "Dedup", "Naive c/s",
-                            "Memo c/s", "Speedup", "+Bucket c/s", "Speedup",
-                            "Steps", "Match"});
+                            "Memo c/s", "Speedup", "Steps", "Match"});
   for (const std::string& dataset : DatasetList(config)) {
     const datagen::DatasetPair pair = MakePair(dataset, config);
     auto frame = data::PrepareData(pair.dirty, pair.clean);
@@ -156,42 +151,28 @@ int Run(int argc, char** argv) {
     EngineSweep(model, all, memo_options, &row.memo, &memo_stats);
     row.unique_cells = memo_stats.unique_cells;
     row.dedup_factor = memo_stats.dedup_factor;
-
-    core::InferenceOptions bucket_options = memo_options;
-    bucket_options.bucketed = true;
-    bucket_options.bucket_quantum = quantum;
-    core::InferenceStats bucket_stats;
-    EngineSweep(model, all, bucket_options, &row.bucketed, &bucket_stats);
     row.step_fraction =
-        bucket_stats.rnn_steps_dense > 0
-            ? static_cast<double>(bucket_stats.rnn_steps) /
-                  static_cast<double>(bucket_stats.rnn_steps_dense)
+        memo_stats.rnn_steps_dense > 0
+            ? static_cast<double>(memo_stats.rnn_steps) /
+                  static_cast<double>(memo_stats.rnn_steps_dense)
             : 1.0;
 
-    row.probs_match = row.memo.probs == row.naive.probs &&
-                      row.bucketed.probs == row.naive.probs;
+    row.probs_match = row.memo.probs == row.naive.probs;
     rows.push_back(row);
 
     const double memo_speedup = row.naive.seconds > 0 && row.memo.seconds > 0
                                     ? row.naive.seconds / row.memo.seconds
                                     : 0.0;
-    const double bucket_speedup =
-        row.naive.seconds > 0 && row.bucketed.seconds > 0
-            ? row.naive.seconds / row.bucketed.seconds
-            : 0.0;
     writer.AddRow({dataset, std::to_string(row.cells),
                    FormatFixed(row.dedup_factor, 1) + "x",
                    FormatFixed(row.naive.cells_per_sec, 0),
                    FormatFixed(row.memo.cells_per_sec, 0),
                    FormatFixed(memo_speedup, 1) + "x",
-                   FormatFixed(row.bucketed.cells_per_sec, 0),
-                   FormatFixed(bucket_speedup, 1) + "x",
                    FormatFixed(100.0 * row.step_fraction, 0) + "%",
                    row.probs_match ? "yes" : "NO"});
     std::cerr << "[inference] " << dataset << " naive="
               << FormatFixed(row.naive.seconds, 2) << "s memo="
-              << FormatFixed(row.memo.seconds, 2) << "s bucketed="
-              << FormatFixed(row.bucketed.seconds, 2) << "s\n";
+              << FormatFixed(row.memo.seconds, 2) << "s\n";
   }
 
   // Optional duplicate-heavy synthetic table (warehouse-scale shape at
@@ -240,24 +221,16 @@ int Run(int argc, char** argv) {
     EngineSweep(model, all, memo_options, &row.memo, &memo_stats);
     row.unique_cells = memo_stats.unique_cells;
     row.dedup_factor = memo_stats.dedup_factor;
-
-    core::InferenceOptions bucket_options = memo_options;
-    bucket_options.bucketed = true;
-    bucket_options.bucket_quantum = quantum;
-    core::InferenceStats bucket_stats;
-    EngineSweep(model, all, bucket_options, &row.bucketed, &bucket_stats);
     row.step_fraction =
-        bucket_stats.rnn_steps_dense > 0
-            ? static_cast<double>(bucket_stats.rnn_steps) /
-                  static_cast<double>(bucket_stats.rnn_steps_dense)
+        memo_stats.rnn_steps_dense > 0
+            ? static_cast<double>(memo_stats.rnn_steps) /
+                  static_cast<double>(memo_stats.rnn_steps_dense)
             : 1.0;
 
     // Naive covered only the sample prefix: compare it bit-exactly with
-    // the engine's prefix, and the engine arms with each other in full.
-    row.probs_match =
-        std::equal(row.naive.probs.begin(), row.naive.probs.end(),
-                   row.memo.probs.begin()) &&
-        row.bucketed.probs == row.memo.probs;
+    // the engine's prefix.
+    row.probs_match = std::equal(row.naive.probs.begin(),
+                                 row.naive.probs.end(), row.memo.probs.begin());
     // Extrapolate the naive arm to the full cell count for the speedup
     // columns (cells/sec is measured, seconds is scaled).
     if (row.naive.cells_per_sec > 0) {
@@ -269,17 +242,11 @@ int Run(int argc, char** argv) {
     const double memo_speedup = row.naive.seconds > 0 && row.memo.seconds > 0
                                     ? row.naive.seconds / row.memo.seconds
                                     : 0.0;
-    const double bucket_speedup =
-        row.naive.seconds > 0 && row.bucketed.seconds > 0
-            ? row.naive.seconds / row.bucketed.seconds
-            : 0.0;
     writer.AddRow({row.dataset, std::to_string(row.cells),
                    FormatFixed(row.dedup_factor, 1) + "x",
                    FormatFixed(row.naive.cells_per_sec, 0) + "*",
                    FormatFixed(row.memo.cells_per_sec, 0),
                    FormatFixed(memo_speedup, 1) + "x",
-                   FormatFixed(row.bucketed.cells_per_sec, 0),
-                   FormatFixed(bucket_speedup, 1) + "x",
                    FormatFixed(100.0 * row.step_fraction, 0) + "%",
                    row.probs_match ? "yes" : "NO"});
     std::cerr << "[inference] synthetic rows=" << spec.rows << " cols="
@@ -307,14 +274,10 @@ int Run(int argc, char** argv) {
     json.BeginObject();
     json.Key("eval_batch").Int(eval_batch);
     json.Key("threads").Int(threads);
-    json.Key("bucket_quantum").Int(quantum);
     json.Key("datasets").BeginArray();
     for (const DatasetRow& row : rows) {
       const double memo_speedup =
           row.memo.seconds > 0 ? row.naive.seconds / row.memo.seconds : 0.0;
-      const double bucket_speedup =
-          row.bucketed.seconds > 0 ? row.naive.seconds / row.bucketed.seconds
-                                   : 0.0;
       json.BeginObject();
       json.Key("dataset").String(row.dataset);
       json.Key("cells").Int(row.cells);
@@ -323,9 +286,7 @@ int Run(int argc, char** argv) {
       json.Key("naive_cells_per_sec").Number(row.naive.cells_per_sec);
       json.Key("memo_cells_per_sec").Number(row.memo.cells_per_sec);
       json.Key("memo_speedup").Number(memo_speedup);
-      json.Key("bucketed_cells_per_sec").Number(row.bucketed.cells_per_sec);
-      json.Key("bucketed_speedup").Number(bucket_speedup);
-      json.Key("bucketed_step_fraction").Number(row.step_fraction);
+      json.Key("memo_step_fraction").Number(row.step_fraction);
       json.Key("predictions_match").Bool(row.probs_match);
       json.EndObject();
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Measures whole-table inference throughput (naive vs memoized vs
-# memoized+bucketed sweeps) on all six generators and writes
+# Measures whole-table inference throughput (naive vs the engine's
+# memoized, length-sorted sweep) on all six generators and writes
 # BENCH_inference.json next to the repo root (or $1).
 #
 #   bench/run_inference_throughput.sh [output.json] [extra bench flags...]

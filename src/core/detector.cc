@@ -144,8 +144,8 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
 
   // 5. Detection over every cell of the frame through the inference
   // engine: distinct cell contents are predicted once and broadcast to
-  // their duplicates, length-bucketed and sharded over `eval_threads`
-  // workers by default (see core/inference.h).
+  // their duplicates, sorted by length and run on `eval_threads` lanes by
+  // default (see core/inference.h).
   InferenceOptions inference_options;
   inference_options.eval_batch = options_.trainer.eval_batch;
   inference_options.threads = options_.eval_threads;

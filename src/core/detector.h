@@ -51,11 +51,11 @@ struct DetectorOptions {
   /// are bit-identical for every value.
   int eval_threads = 4;
 
-  /// Length-bucket the final inference sweep so the backward value chain
-  /// skips its all-pad prefix (precomputed once and warm-started per
-  /// bucket). Bit-identical predictions, fewer RNN steps on tables whose
-  /// value lengths vary; see InferenceOptions::bucketed. False runs the
-  /// dense reference sweep.
+  /// Run the final inference sweep on the length-sorted plan, so the
+  /// backward value chain skips its all-pad prefix (precomputed once and
+  /// warm-started per batch). Bit-identical predictions, fewer RNN steps on
+  /// tables whose value lengths vary; see InferenceOptions::bucketed. False
+  /// runs the dense reference sweep.
   bool bucketed_inference = true;
 
   /// Worker threads for training (0 = inline), capped at the hardware's

@@ -1,8 +1,9 @@
 #include "core/inference.h"
 
 #include <algorithm>
-#include <functional>
+#include <atomic>
 #include <memory>
+#include <numeric>
 
 #include "core/content_index.h"
 #include "obs/obs.h"
@@ -14,7 +15,6 @@ InferenceEngine::InferenceEngine(const ErrorDetectionModel& model,
                                  InferenceOptions options, ThreadPool* pool)
     : model_(model), options_(options), external_pool_(pool) {
   options_.eval_batch = std::max(1, options_.eval_batch);
-  options_.bucket_quantum = std::max(1, options_.bucket_quantum);
 }
 
 void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
@@ -69,50 +69,42 @@ void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
     }
   }
 
+  // The plan rule: stably sort the unique cells by effective length (a
+  // counting sort over 1..max_len), cut a batch every eval_batch cells, and
+  // pad each batch to its last, longest cell. Exact, because a cell's
+  // result is the same bits at any padded length >= its effective length.
+  // The dense reference keeps table order and pads every batch to max_len.
   const int64_t n_unique = static_cast<int64_t>(plan->unique_cells.size());
   plan->order.resize(static_cast<size_t>(n_unique));
-  for (int64_t u = 0; u < n_unique; ++u) {
-    plan->order[static_cast<size_t>(u)] = static_cast<int32_t>(u);
-  }
-
-  // Padded length per unique cell: the dataset-global max_len, or — under
-  // bucketing — the effective length rounded up to the bucket quantum. A
-  // batch never mixes padded lengths, so each cell always runs at exactly
-  // its bucket's length regardless of batch composition.
-  std::vector<int> padded_len;
+  std::vector<int> len;
   if (options_.bucketed) {
-    padded_len.resize(static_cast<size_t>(n_unique));
+    len.resize(static_cast<size_t>(n_unique));
+    std::vector<int64_t> first(static_cast<size_t>(std::max(ds.max_len, 1)) + 2,
+                               0);
     for (int64_t u = 0; u < n_unique; ++u) {
-      const int eff =
-          std::max(1, ds.effective_len(plan->unique_cells[static_cast<size_t>(u)]));
-      const int rounded =
-          (eff + options_.bucket_quantum - 1) / options_.bucket_quantum *
-          options_.bucket_quantum;
-      padded_len[static_cast<size_t>(u)] = std::min(ds.max_len, rounded);
+      const int l = std::max(
+          1, ds.effective_len(plan->unique_cells[static_cast<size_t>(u)]));
+      len[static_cast<size_t>(u)] = l;
+      ++first[static_cast<size_t>(l) + 1];
     }
-    std::stable_sort(plan->order.begin(), plan->order.end(),
-                     [&padded_len](int32_t a, int32_t b) {
-                       return padded_len[static_cast<size_t>(a)] <
-                              padded_len[static_cast<size_t>(b)];
-                     });
+    for (size_t l = 1; l < first.size(); ++l) first[l] += first[l - 1];
+    for (int64_t u = 0; u < n_unique; ++u) {
+      plan->order[static_cast<size_t>(
+          first[static_cast<size_t>(len[static_cast<size_t>(u)])]++)] =
+          static_cast<int32_t>(u);
+    }
+  } else {
+    std::iota(plan->order.begin(), plan->order.end(), 0);
   }
 
   plan->batches.clear();
-  int64_t begin = 0;
-  while (begin < n_unique) {
-    const int len = options_.bucketed
-                        ? padded_len[static_cast<size_t>(
-                              plan->order[static_cast<size_t>(begin)])]
-                        : ds.max_len;
-    int64_t end = begin;
-    while (end < n_unique && end - begin < options_.eval_batch &&
-           (!options_.bucketed ||
-            padded_len[static_cast<size_t>(
-                plan->order[static_cast<size_t>(end)])] == len)) {
-      ++end;
-    }
-    plan->batches.push_back(PlanBatch{begin, end, len});
-    begin = end;
+  for (int64_t begin = 0; begin < n_unique; begin += options_.eval_batch) {
+    const int64_t end =
+        std::min<int64_t>(begin + options_.eval_batch, n_unique);
+    const int32_t longest = plan->order[static_cast<size_t>(end - 1)];
+    const int padded_len =
+        options_.bucketed ? len[static_cast<size_t>(longest)] : ds.max_len;
+    plan->batches.push_back(PlanBatch{begin, end, padded_len});
   }
 }
 
@@ -129,16 +121,23 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
   }
   if (n_unique == 0) return;
 
+  // Each lane is a slot that claims the next batch index from a shared
+  // counter until none is left, so a lane that drew short batches takes
+  // more of them. Every batch's inputs and output slots are fixed by the
+  // plan, so which lane runs a batch (and the lane count) cannot change any
+  // result bit.
   const int64_t n_batches = static_cast<int64_t>(plan.batches.size());
-  auto run_range = [&](int64_t b_begin, int64_t b_end) {
-    // Per-worker scratch: BatchInput columns, every forward tensor and the
-    // result buffers persist across this worker's batches.
+  std::atomic<int64_t> next{0};
+  auto run_slot = [&](int64_t /*slot*/) {
+    // Per-lane scratch: BatchInput columns, every forward tensor and the
+    // result buffers persist across this lane's batches.
     InferenceScratch scratch;
     BatchInput batch;
     std::vector<int64_t> cells;
     std::vector<float> probs;
     nn::Tensor hidden;
-    for (int64_t b = b_begin; b < b_end; ++b) {
+    for (int64_t b; (b = next.fetch_add(1, std::memory_order_relaxed)) <
+                    n_batches;) {
       OBS_SPAN("inference/batch");
       const PlanBatch& pb = plan.batches[static_cast<size_t>(b)];
       cells.clear();
@@ -168,37 +167,21 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
     }
   };
 
-  // Shard contiguous batch ranges over the workers. Every batch's inputs
-  // and output slots are fixed by the plan, so the shard boundaries (and
-  // the thread count) cannot change any result bit. The engine's own pool
-  // is only built once more than one chunk will run, and never with more
-  // workers than the hardware has threads: each one holds its own scratch.
+  // Lanes: the calling thread plus the pool's workers. The engine's own
+  // pool is built only when more than one batch will run, and never with
+  // more lanes than the hardware has threads: each lane holds its own
+  // scratch.
   ThreadPool* pool = external_pool_;
-  int workers = pool != nullptr ? pool->num_threads() : options_.threads;
-  if (pool == nullptr && workers > 1) {
-    workers = std::min(workers, HardwareConcurrency());
-  }
-  if (workers <= 1 || n_batches <= 1) {
-    run_range(0, n_batches);
-    return;
-  }
+  int64_t lanes = pool != nullptr ? pool->num_threads() + 1
+                                  : std::max(1, options_.threads);
+  if (pool == nullptr) lanes = std::min<int64_t>(lanes, HardwareConcurrency());
+  lanes = std::min(lanes, n_batches);
   std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr) {
-    own_pool = std::make_unique<ThreadPool>(workers);
+  if (pool == nullptr && lanes > 1) {
+    own_pool = std::make_unique<ThreadPool>(static_cast<int>(lanes - 1));
     pool = own_pool.get();
   }
-  const int64_t n_chunks = std::min<int64_t>(workers, n_batches);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(n_chunks));
-  for (int64_t c = 0; c < n_chunks; ++c) {
-    const int64_t b_begin = c * n_batches / n_chunks;
-    const int64_t b_end = (c + 1) * n_batches / n_chunks;
-    tasks.push_back([&run_range, b_begin, b_end]() {
-      run_range(b_begin, b_end);
-    });
-  }
-  pool->SubmitBulk(std::move(tasks));
-  pool->Wait();
+  ParallelFor(pool, lanes, run_slot);
 }
 
 void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
@@ -211,8 +194,8 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   BuildPlan(ds, indices, plan);
 
   // The pad-prefix trajectory is built serially here, before RunPlan fans
-  // out: the pool's task submission gives every worker a happens-before
-  // edge on it.
+  // out: the pool's task submission gives every lane a happens-before edge
+  // on it.
   if (options_.bucketed && !bucketed_ctx_ready_) {
     model_.PrepareBucketedInference(&bucketed_ctx_);
     bucketed_ctx_ready_ = true;
@@ -230,8 +213,8 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   const int dirs = model_.config().bidirectional ? 2 : 1;
   stats_.rnn_steps_dense = stats_.cells * ds.max_len * dirs;
   for (const PlanBatch& pb : plan->batches) {
-    // The forward chain always runs to max_len; bucketing shortens only
-    // the backward chain (its pad prefix is warm-started, not re-run).
+    // The forward chain always runs to max_len; the sorted plan shortens
+    // only the backward chain (its pad prefix is warm-started, not re-run).
     stats_.rnn_steps += (pb.end - pb.begin) *
                         (ds.max_len + (dirs == 2 ? pb.padded_len : 0));
   }
@@ -333,9 +316,7 @@ void CalibrateBatchNormMemoized(ErrorDetectionModel* model,
                                 const InferenceOptions& options,
                                 ThreadPool* pool) {
   if (ds.num_cells() == 0) return;
-  InferenceOptions calibrate_options = options;
-  calibrate_options.bucketed = false;  // as documented; bucketing is exact too
-  InferenceEngine engine(*model, calibrate_options, pool);
+  InferenceEngine engine(*model, options, pool);
 
   std::vector<int64_t> all(static_cast<size_t>(ds.num_cells()));
   for (int64_t i = 0; i < ds.num_cells(); ++i) {

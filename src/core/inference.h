@@ -35,23 +35,22 @@ struct InferenceOptions {
   /// `InferenceStats::dedup_factor` reports how much.
   bool memoize = true;
 
-  /// Group cells by content length so the *backward* value chain
-  /// skips its all-pad prefix. The prefix is cell-independent — identical
-  /// pad inputs evolving the zero initial state — so it is precomputed once
-  /// per sweep and every bucket warm-starts from it. The forward chain
-  /// still runs its pad tail: the (trained) pad embedding keeps moving
-  /// per-cell state, so those steps cannot be skipped (they are not
-  /// absorbing under the tanh/GRU/LSTM cell equations — naive truncation
-  /// wrecks accuracy). Bit-identical to the unbucketed sweep, verified on
-  /// all six paper generators in inference_test; saves up to half the RNN
-  /// steps on tables whose values are much shorter than max_len. Off by
-  /// default here (the serve batcher, stream sessions and adapt run dense);
-  /// the offline detector turns it on (DetectorOptions::bucketed_inference).
-  bool bucketed = false;
-
-  /// Bucket granularity: padded lengths are rounded up to this multiple
-  /// (capped at max_len). Larger quanta mean fewer, fuller batches.
-  int bucket_quantum = 8;
+  /// Run the length-sorted plan: the unique cells are stably sorted by
+  /// effective length, cut into batches of `eval_batch`, and each batch is
+  /// padded only to its longest cell. The *backward* value chain skips its
+  /// all-pad prefix: that prefix is cell-independent — identical pad inputs
+  /// evolving the zero initial state — so it is precomputed once per engine
+  /// and every batch warm-starts from it. The forward chain still runs its
+  /// pad tail: the (trained) pad embedding keeps moving per-cell state, so
+  /// those steps cannot be skipped (they are not absorbing under the
+  /// tanh/GRU/LSTM cell equations — naive truncation wrecks accuracy). A
+  /// cell's result is therefore bit-identical at any padded length >= its
+  /// effective length, verified on all six paper generators in
+  /// inference_test, and a request of <= `eval_batch` unique cells is one
+  /// forward pass. On by default on every path (offline sweep, serve
+  /// batcher, stream sessions, adapt, calibration); false pads every batch
+  /// to max_len in table order — the dense reference arm of the tests.
+  bool bucketed = true;
 };
 
 /// What one sweep did — throughput accounting for the bench and reports.
@@ -61,8 +60,8 @@ struct InferenceStats {
   double dedup_factor = 1.0;  ///< cells / unique_cells.
   int64_t batches = 0;        ///< forward batches run.
   /// Per-direction RNN time steps executed, summed over the batches' rows.
-  /// The forward chain always runs to max_len; bucketing shortens only the
-  /// backward chain.
+  /// The forward chain always runs to max_len; the length-sorted plan
+  /// shortens only the backward chain.
   int64_t rnn_steps = 0;
   /// `cells * max_len * directions` — the unoptimized sweep's step count.
   int64_t rnn_steps_dense = 0;
@@ -71,9 +70,10 @@ struct InferenceStats {
 
 /// Reusable forward-only executor for whole-table detection sweeps: the
 /// serving-side counterpart of the data-parallel trainer. Memoizes
-/// duplicate cells, optionally length-buckets the unique ones, reuses
-/// per-worker scratch (BatchInput columns and every intermediate tensor),
-/// and shards batches over a ThreadPool with deterministic output order.
+/// duplicate cells, sorts the unique ones by length, reuses per-lane
+/// scratch (BatchInput columns and every intermediate tensor), and lets
+/// the calling thread and a ThreadPool's workers claim batches, with
+/// deterministic output order.
 ///
 /// Determinism contract: for fixed data, the sweep's output is a pure
 /// function of the model weights — bit-identical across thread counts,
@@ -81,10 +81,12 @@ struct InferenceStats {
 class InferenceEngine {
  public:
   /// `model` must outlive the engine. `pool` (optional, not owned) is used
-  /// for the sweep when non-null; otherwise the engine runs inline unless
-  /// `options.threads > 1`, in which case it creates its own pool (of at
-  /// most the hardware's thread count) for each sweep that has more than
-  /// one batch.
+  /// for the sweep when non-null: its workers and the calling thread, which
+  /// must not be one of them, claim the batches. Otherwise the engine runs
+  /// inline unless `options.threads > 1`, in which case each sweep that has
+  /// more than one batch runs on that many lanes (at most the hardware's
+  /// thread count): the calling thread and a pool of `lanes - 1` workers
+  /// built for the sweep.
   explicit InferenceEngine(const ErrorDetectionModel& model,
                            InferenceOptions options = {},
                            ThreadPool* pool = nullptr);
@@ -127,7 +129,8 @@ class InferenceEngine {
                                          ThreadPool* pool);
 
   /// One forward batch of the sweep plan: unique-cell positions
-  /// [begin, end) of `SweepPlan::order`, padded to `padded_len` steps.
+  /// [begin, end) of `SweepPlan::order`, padded to `padded_len` steps (the
+  /// last, longest cell's effective length, or max_len when dense).
   struct PlanBatch {
     int64_t begin = 0;
     int64_t end = 0;
@@ -146,10 +149,11 @@ class InferenceEngine {
   void BuildPlan(const data::EncodedDataset& ds,
                  const std::vector<int64_t>& indices, SweepPlan* plan) const;
 
-  /// Runs the planned batches (sharded over the pool when available),
-  /// calling the model once per batch. `want_hidden` selects the pre-batch-
-  /// norm hidden sweep (rows into `hidden_unique`) instead of the
-  /// probability sweep (values into `p_unique`).
+  /// Runs the planned batches (claimed by the calling thread and the
+  /// pool's workers when there is a pool), calling the model once per
+  /// batch. `want_hidden` selects the pre-batch-norm hidden sweep (rows
+  /// into `hidden_unique`) instead of the probability sweep (values into
+  /// `p_unique`).
   void RunPlan(const data::EncodedDataset& ds, const SweepPlan& plan,
                bool want_hidden, std::vector<float>* p_unique,
                nn::Tensor* hidden_unique);
@@ -163,8 +167,8 @@ class InferenceEngine {
   InferenceOptions options_;
   ThreadPool* external_pool_;
   InferenceStats stats_;
-  /// Shared pad-prefix trajectory for bucketed sweeps, computed lazily on
-  /// the first bucketed sweep (weights are fixed for the engine's lifetime).
+  /// Shared pad-prefix trajectory of the length-sorted plan, computed lazily
+  /// on its first sweep (weights are fixed for the engine's lifetime).
   BucketedInferenceContext bucketed_ctx_;
   bool bucketed_ctx_ready_ = false;
 };
@@ -174,8 +178,9 @@ class InferenceEngine {
 /// `ErrorDetectionModel::CalibrateBatchNorm` computes), but through the
 /// engine: the pre-normalization activations are computed once per distinct
 /// cell and accumulated per duplicate in original cell order — the same
-/// double-precision summation sequence as the unmemoized reference.
-/// Always runs unbucketed (full-length batches).
+/// double-precision summation sequence as the unmemoized reference. Runs the
+/// plan `options.bucketed` selects: a cell's activations are the same bits
+/// at any padded length, so the statistics are too.
 void CalibrateBatchNormMemoized(ErrorDetectionModel* model,
                                 const data::EncodedDataset& ds,
                                 const InferenceOptions& options = {},

@@ -20,7 +20,7 @@ namespace birnn::core {
 namespace {
 
 /// A small table with heavy value repetition (11 distinct values over 60
-/// rows) and varying cell lengths — the workload the memoizing, bucketing
+/// rows) and varying cell lengths — the workload the memoizing, length-sorting
 /// engine is built for.
 data::EncodedDataset DuplicateHeavyDataset() {
   data::Table dirty(std::vector<std::string>{"a", "b", "c"});
@@ -149,15 +149,20 @@ TEST(InferenceEngineTest, MemoizedBitIdenticalToUnmemoized) {
 }
 
 TEST(InferenceEngineTest, BitIdenticalAcrossThreadCounts) {
+  // The reference is the dense sweep on the calling thread; every other arm
+  // runs the default length-sorted plan, whose batches differ in cost, and
+  // claims them over 0..64 threads or an external pool.
   const data::EncodedDataset ds = DuplicateHeavyDataset();
   ErrorDetectionModel model(SmallConfig(ds));
   model.CalibrateBatchNorm(ds);
 
   for (const bool memoize : {true, false}) {
     InferenceOptions options;
-    options.eval_batch = 7;  // many batches, so sharding actually happens
+    options.eval_batch = 7;  // many batches, so claiming actually happens
     options.memoize = memoize;
-    InferenceEngine reference(model, options);
+    InferenceOptions dense = options;
+    dense.bucketed = false;
+    InferenceEngine reference(model, dense);
     std::vector<float> expected;
     reference.PredictProbs(ds, {}, &expected);
 
@@ -168,6 +173,7 @@ TEST(InferenceEngineTest, BitIdenticalAcrossThreadCounts) {
       InferenceEngine engine(model, threaded);
       std::vector<float> got;
       engine.PredictProbs(ds, {}, &got);
+      EXPECT_LT(engine.stats().rnn_steps, engine.stats().rnn_steps_dense);
       ASSERT_EQ(expected.size(), got.size());
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(expected[i], got[i])
@@ -183,6 +189,53 @@ TEST(InferenceEngineTest, BitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(expected.size(), got.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(expected[i], got[i]) << "cell " << i << " memo " << memoize;
+    }
+  }
+}
+
+TEST(InferenceEngineTest, SmallRequestIsOneExactForwardPass) {
+  // A stream or serve micro-batch of up to eval_batch unique cells of mixed
+  // lengths is one forward pass padded to its longest cell, and each cell's
+  // bits equal the dense sweep's — from a lone length-1 cell (max_len - 1
+  // warm-started pad steps) to a batch whose longest cell fills max_len.
+  const data::EncodedDataset ds = DuplicateHeavyDataset();
+  ErrorDetectionModel model(SmallConfig(ds));
+  model.CalibrateBatchNorm(ds);
+
+  // Twelve distinct contents in table order, the shortest and the longest
+  // first: lengths then interleave (1, max_len, 6, 2, 7, ...).
+  std::vector<int64_t> picked;
+  for (const int want : {1, ds.max_len}) {
+    for (int64_t c = 0; c < ds.num_cells(); ++c) {
+      if (ds.effective_len(c) == want) {
+        picked.push_back(c);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(picked.size(), 2u) << "no cell of length 1 or max_len";
+  for (int64_t c = 0; c < ds.num_cells() && picked.size() < 12; ++c) {
+    bool seen = false;
+    for (const int64_t p : picked) seen = seen || ds.CellContentEquals(p, c);
+    if (!seen) picked.push_back(c);
+  }
+  ASSERT_EQ(picked.size(), 12u);
+
+  InferenceOptions dense;
+  dense.bucketed = false;
+  for (size_t n = 1; n <= picked.size(); ++n) {
+    const std::vector<int64_t> cells(picked.begin(),
+                                     picked.begin() + static_cast<long>(n));
+    InferenceEngine sorted(model);
+    InferenceEngine reference(model, dense);
+    std::vector<float> got;
+    std::vector<float> expected;
+    sorted.PredictProbs(ds, cells, &got);
+    reference.PredictProbs(ds, cells, &expected);
+    EXPECT_EQ(sorted.stats().batches, 1) << n << " cells";
+    ASSERT_EQ(got.size(), n);
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(got[k], expected[k]) << n << " cells, cell " << cells[k];
     }
   }
 }
@@ -232,16 +285,14 @@ TEST(InferenceEngineTest, IndexSubsetAndStats) {
 }
 
 TEST(InferenceEngineTest, BucketedIsInvariantToMemoization) {
-  // Bucketing is exact (BitParityOnAllSixGenerators); here, within the
-  // bucketed mode results must also be a pure function of cell content:
+  // The sorted plan is exact (BitParityOnAllSixGenerators); here, within
+  // it results must also be a pure function of cell content:
   // memoize on/off and any thread count give identical bits.
   const data::EncodedDataset ds = DuplicateHeavyDataset();
   ErrorDetectionModel model(SmallConfig(ds));
   model.CalibrateBatchNorm(ds);
 
   InferenceOptions base;
-  base.bucketed = true;
-  base.bucket_quantum = 4;
   base.eval_batch = 7;
   InferenceEngine reference(model, base);
   std::vector<float> expected;
@@ -339,10 +390,10 @@ TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
   }
 }
 
-/// Bit-parity of opt-in bucketed inference on the six paper generators:
-/// the pad-prefix warm start and pad-tail completion make the bucketed
-/// sweep EXACT, so every per-cell probability must match the full-padding
-/// sweep bit for bit — on any weights (no training needed).
+/// Bit-parity of the length-sorted plan on the six paper generators: the
+/// pad-prefix warm start and pad-tail completion make it EXACT, so every
+/// per-cell probability must match the dense full-padding sweep bit for
+/// bit — on any weights (no training needed).
 TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
   int64_t steps_saved = 0;
   for (const auto& spec : datagen::AllDatasetSpecs()) {
@@ -368,8 +419,8 @@ TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
     model.CalibrateBatchNorm(all);
 
     InferenceOptions padded;
+    padded.bucketed = false;
     InferenceOptions bucketed;
-    bucketed.bucketed = true;
     InferenceEngine engine_padded(model, padded);
     InferenceEngine engine_bucketed(model, bucketed);
 
@@ -381,12 +432,20 @@ TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
     for (size_t i = 0; i < p_padded.size(); ++i) {
       ASSERT_EQ(p_padded[i], p_bucketed[i]) << spec.name << " cell " << i;
     }
+    // Every batch but the last holds eval_batch cells: the plan cuts by
+    // count alone, never at a change of length.
+    const int64_t eval_batch = bucketed.eval_batch;
+    EXPECT_EQ(engine_bucketed.stats().batches,
+              (engine_bucketed.stats().unique_cells + eval_batch - 1) /
+                  eval_batch)
+        << spec.name;
     EXPECT_EQ(engine_padded.Accuracy(all, {}), engine_bucketed.Accuracy(all, {}))
         << spec.name;
     steps_saved += engine_padded.stats().rnn_steps -
                    engine_bucketed.stats().rnn_steps;
   }
-  // Across the six generators, bucketing must actually shorten the sweep.
+  // Across the six generators, the sorted plan must actually shorten the
+  // sweep.
   EXPECT_GT(steps_saved, 0);
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/detector.h"
+#include "core/inference.h"
 #include "core/model.h"
 #include "datagen/datasets.h"
 #include "obs/registry.h"
@@ -408,6 +409,71 @@ TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
 INSTANTIATE_TEST_SUITE_P(AllGenerators, ReplayEquivalenceTest,
                          ::testing::Values("beers", "flights", "hospital",
                                            "movies", "rayyan", "tax"));
+
+// A replay scores each row's fresh cells as one small length-sorted forward
+// pass; every stored probability must equal the dense engine's (every batch
+// padded to max_len, table order) bit for bit.
+TEST(DenseReplayTest, BeersSessionProbsEqualDenseEngine) {
+  ASSERT_TRUE(core::InferenceOptions{}.bucketed);
+  datagen::GenOptions gen;
+  gen.scale = 0.04;
+  gen.seed = 5;
+  auto pair = datagen::MakeDataset("beers", gen);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+
+  core::DetectorOptions options;
+  options.model = "etsb";
+  options.n_label_tuples = 10;
+  options.units = 12;
+  options.char_emb_dim = 8;
+  options.trainer.epochs = 2;
+  options.seed = 11;
+  core::ErrorDetector detector(options);
+  core::TrainedDetector trained;
+  auto report = detector.Run(pair->dirty, pair->clean, &trained);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  auto loaded = serve::MakeLoadedDetector(std::move(trained));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto shared = std::make_shared<const serve::LoadedDetector>(
+      std::move(loaded).value());
+  auto session = TableSession::Create(shared);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  TableSession& s = **session;
+
+  const int n_attrs = pair->dirty.num_columns();
+  const int n_rows = static_cast<int>(pair->dirty.num_rows());
+  std::vector<serve::CellQuery> queries;
+  for (int r = 0; r < n_rows; ++r) {
+    std::vector<std::string> tuple;
+    for (int a = 0; a < n_attrs; ++a) {
+      tuple.push_back(pair->dirty.cell(r, a));
+      serve::CellQuery q;
+      q.attr = a;
+      q.value = pair->dirty.cell(r, a);
+      queries.push_back(std::move(q));
+    }
+    ASSERT_TRUE(s.Insert(r, std::move(tuple)).ok());
+  }
+
+  auto ds = shared->EncodeQueries(queries);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  core::InferenceOptions dense;
+  dense.bucketed = false;
+  core::InferenceEngine engine(shared->model(), dense);
+  std::vector<float> expected;
+  engine.PredictProbs(*ds, {}, &expected);
+  ASSERT_EQ(expected.size(), queries.size());
+  for (int r = 0; r < n_rows; ++r) {
+    for (int a = 0; a < n_attrs; ++a) {
+      auto verdict = s.GetVerdict(r, a);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      ASSERT_EQ(verdict->p_error,
+                expected[static_cast<size_t>(r * n_attrs + a)])
+          << "row " << r << " attr " << a;
+    }
+  }
+}
 
 // ------------------------------------------------------- Serve-plane delta
 
