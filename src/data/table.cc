@@ -9,10 +9,6 @@ int Table::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-void Table::RenameColumn(int index, std::string name) {
-  columns_[static_cast<size_t>(index)] = std::move(name);
-}
-
 Status Table::AppendRow(std::vector<std::string> cells) {
   if (static_cast<int>(cells.size()) != num_columns()) {
     return Status::InvalidArgument(

@@ -25,10 +25,6 @@ class Table {
   /// Index of the named column, or -1 if absent.
   int ColumnIndex(const std::string& name) const;
 
-  /// Renames column `index` (used by the structure-transformation step to
-  /// align dirty/clean headers).
-  void RenameColumn(int index, std::string name);
-
   /// Appends a row; must have exactly num_columns() cells.
   Status AppendRow(std::vector<std::string> cells);
 

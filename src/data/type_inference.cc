@@ -126,13 +126,4 @@ ColumnTypeInfo InferColumnType(const Table& table, int col) {
   return info;
 }
 
-std::vector<ColumnTypeInfo> InferAllColumnTypes(const Table& table) {
-  std::vector<ColumnTypeInfo> out;
-  out.reserve(static_cast<size_t>(table.num_columns()));
-  for (int c = 0; c < table.num_columns(); ++c) {
-    out.push_back(InferColumnType(table, c));
-  }
-  return out;
-}
-
 }  // namespace birnn::data

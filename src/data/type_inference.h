@@ -46,9 +46,6 @@ struct ColumnTypeInfo {
 /// Infers the type profile of column `col`.
 ColumnTypeInfo InferColumnType(const Table& table, int col);
 
-/// Infers every column.
-std::vector<ColumnTypeInfo> InferAllColumnTypes(const Table& table);
-
 }  // namespace birnn::data
 
 #endif  // BIRNN_DATA_TYPE_INFERENCE_H_

@@ -478,18 +478,6 @@ void ScatterAddRows(const Tensor& grad, const std::vector<int>& ids,
   }
 }
 
-void ColSum(const Tensor& x, Tensor* out) {
-  BIRNN_CHECK_EQ(x.rank(), 2);
-  const int n = x.rows();
-  const int m = x.cols();
-  out->Resize(std::vector<int>{m});
-  float* __restrict po = out->data();
-  for (int i = 0; i < n; ++i) {
-    const float* __restrict row = x.data() + static_cast<size_t>(i) * m;
-    for (int j = 0; j < m; ++j) po[j] += row[j];
-  }
-}
-
 float SoftmaxCrossEntropyLoss(const Tensor& logits,
                               const std::vector<int>& labels, Tensor* probs) {
   BIRNN_CHECK_EQ(logits.rank(), 2);

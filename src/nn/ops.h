@@ -86,9 +86,6 @@ void GatherRows(const Tensor& table, const std::vector<int>& ids, Tensor* out);
 void ScatterAddRows(const Tensor& grad, const std::vector<int>& ids,
                     Tensor* table_grad);
 
-/// Column sums of x (n,m) into out (m).
-void ColSum(const Tensor& x, Tensor* out);
-
 /// Mean cross-entropy of softmax(logits) against integer labels; also
 /// returns the softmax probabilities if `probs` is non-null.
 float SoftmaxCrossEntropyLoss(const Tensor& logits,

@@ -4,15 +4,6 @@
 
 namespace birnn::nn {
 
-void Sgd::Step(const std::vector<Parameter*>& params) {
-  for (Parameter* p : params) {
-    BIRNN_CHECK(p->grad.shape() == p->value.shape());
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      p->value[i] -= lr_ * p->grad[i];
-    }
-  }
-}
-
 void RmsProp::Step(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) {
     BIRNN_CHECK(p->grad.shape() == p->value.shape());

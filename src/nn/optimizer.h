@@ -8,36 +8,17 @@
 
 namespace birnn::nn {
 
-/// Gradient-descent optimizer interface. Implementations read
-/// `Parameter::grad` and update `Parameter::value` in place.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update step to all `params`, then the caller typically
-  /// zeroes the gradients.
-  virtual void Step(const std::vector<Parameter*>& params) = 0;
-};
-
-/// Plain SGD with optional gradient clipping (used in tests).
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr) : lr_(lr) {}
-  void Step(const std::vector<Parameter*>& params) override;
-
- private:
-  float lr_;
-};
-
 /// RMSprop — the optimizer the paper trains with (§5.2). Keras defaults:
 ///   cache = rho * cache + (1-rho) * grad^2
 ///   value -= lr * grad / (sqrt(cache) + eps)
-class RmsProp : public Optimizer {
+class RmsProp {
  public:
   explicit RmsProp(float lr = 1e-3f, float rho = 0.9f, float eps = 1e-7f)
       : lr_(lr), rho_(rho), eps_(eps) {}
 
-  void Step(const std::vector<Parameter*>& params) override;
+  /// Applies one update step to all `params` from their `grad`; the
+  /// caller then typically zeroes the gradients.
+  void Step(const std::vector<Parameter*>& params);
 
   /// Drops all accumulated squared-gradient state.
   void Reset() { cache_.clear(); }

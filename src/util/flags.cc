@@ -1,6 +1,8 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
@@ -49,9 +51,15 @@ Status FlagSet::SetFromString(Flag* flag, const std::string& value) {
   switch (flag->type) {
     case Type::kInt: {
       char* end = nullptr;
+      errno = 0;
       const long v = std::strtol(value.c_str(), &end, 10);
       if (end != value.c_str() + value.size() || value.empty()) {
         return Status::InvalidArgument("expected integer, got '" + value +
+                                       "'");
+      }
+      if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument("integer out of range: '" + value +
                                        "'");
       }
       flag->int_value = static_cast<int>(v);

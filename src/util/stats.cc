@@ -30,13 +30,6 @@ double SampleStdDev(const std::vector<double>& xs) {
                    static_cast<double>(xs.size() - 1));
 }
 
-double PopulationStdDev(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  const double m = Mean(xs);
-  return std::sqrt(SumSquaredDeviations(xs, m) /
-                   static_cast<double>(xs.size()));
-}
-
 double ConfidenceInterval95(const std::vector<double>& xs) {
   if (xs.size() < 2) return 0.0;
   return 1.96 * SampleStdDev(xs) / std::sqrt(static_cast<double>(xs.size()));

@@ -12,9 +12,6 @@ double Mean(const std::vector<double>& xs);
 /// Sample standard deviation (n-1 denominator); 0 for n < 2.
 double SampleStdDev(const std::vector<double>& xs);
 
-/// Population standard deviation (n denominator); 0 for empty input.
-double PopulationStdDev(const std::vector<double>& xs);
-
 /// Half-width of the 95% normal-approximation confidence interval for the
 /// mean: 1.96 * s / sqrt(n). 0 for n < 2.
 double ConfidenceInterval95(const std::vector<double>& xs);

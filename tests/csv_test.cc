@@ -24,8 +24,6 @@ TEST(TableTest, BasicOperations) {
   EXPECT_EQ(t.cell(0, 1), "2");
   t.set_cell(0, 1, "x");
   EXPECT_EQ(t.cell(0, 1), "x");
-  t.RenameColumn(0, "aa");
-  EXPECT_EQ(t.ColumnIndex("aa"), 0);
   EXPECT_EQ(t.Column(1), (std::vector<std::string>{"x"}));
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -65,6 +66,38 @@ std::vector<int64_t> AllIndices(const data::EncodedDataset& ds) {
     indices[static_cast<size_t>(i)] = i;
   }
   return indices;
+}
+
+/// Every cell of one paper generator's dirty table, encoded.
+data::EncodedDataset GeneratedDataset(const std::string& name, double scale,
+                                      uint64_t seed) {
+  datagen::GenOptions gen;
+  gen.scale = scale;
+  gen.seed = seed;
+  auto pair = datagen::MakeDataset(name, gen);
+  EXPECT_TRUE(pair.ok()) << name;
+  auto frame = data::PrepareData(pair->dirty, pair->clean);
+  EXPECT_TRUE(frame.ok()) << name;
+  const data::CharIndex chars = data::CharIndex::Build(*frame);
+  return data::EncodeCells(*frame, chars);
+}
+
+/// The naive sweep: MakeBatch and the scratch-free model forward over
+/// consecutive `eval_batch`-cell chunks, every cell padded to max_len — no
+/// memo, no plan, no scratch. Every engine sweep must equal it bit for bit.
+std::vector<float> NaiveSweep(const ErrorDetectionModel& model,
+                              const data::EncodedDataset& ds, int eval_batch) {
+  std::vector<float> out;
+  out.reserve(static_cast<size_t>(ds.num_cells()));
+  for (int64_t begin = 0; begin < ds.num_cells(); begin += eval_batch) {
+    const int64_t end = std::min<int64_t>(begin + eval_batch, ds.num_cells());
+    std::vector<int64_t> ids;
+    for (int64_t i = begin; i < end; ++i) ids.push_back(i);
+    std::vector<float> probs;
+    model.PredictProbs(MakeBatch(ds, ids), &probs);
+    out.insert(out.end(), probs.begin(), probs.end());
+  }
+  return out;
 }
 
 TEST(InferenceScratchTest, PredictProbsScratchMatchesScratchFree) {
@@ -392,20 +425,12 @@ TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
 
 /// Bit-parity of the length-sorted plan on the six paper generators: the
 /// pad-prefix warm start and pad-tail completion make it EXACT, so every
-/// per-cell probability must match the dense full-padding sweep bit for
-/// bit — on any weights (no training needed).
+/// per-cell probability must match the dense full-padding sweep and the
+/// naive sweep bit for bit — on any weights (no training needed).
 TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
   int64_t steps_saved = 0;
   for (const auto& spec : datagen::AllDatasetSpecs()) {
-    datagen::GenOptions gen;
-    gen.scale = 0.08;
-    gen.seed = 7;
-    auto pair = datagen::MakeDataset(spec.name, gen);
-    ASSERT_TRUE(pair.ok()) << spec.name;
-    auto frame = data::PrepareData(pair->dirty, pair->clean);
-    ASSERT_TRUE(frame.ok()) << spec.name;
-    const data::CharIndex chars = data::CharIndex::Build(*frame);
-    const data::EncodedDataset all = data::EncodeCells(*frame, chars);
+    const data::EncodedDataset all = GeneratedDataset(spec.name, 0.08, 7);
 
     ModelConfig config;
     config.vocab = all.vocab;
@@ -428,9 +453,13 @@ TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
     std::vector<float> p_bucketed;
     engine_padded.PredictProbs(all, {}, &p_padded);
     engine_bucketed.PredictProbs(all, {}, &p_bucketed);
+    const std::vector<float> p_naive =
+        NaiveSweep(model, all, bucketed.eval_batch);
     ASSERT_EQ(p_padded.size(), p_bucketed.size()) << spec.name;
+    ASSERT_EQ(p_naive.size(), p_bucketed.size()) << spec.name;
     for (size_t i = 0; i < p_padded.size(); ++i) {
       ASSERT_EQ(p_padded[i], p_bucketed[i]) << spec.name << " cell " << i;
+      ASSERT_EQ(p_naive[i], p_bucketed[i]) << spec.name << " cell " << i;
     }
     // Every batch but the last holds eval_batch cells: the plan cuts by
     // count alone, never at a change of length.
@@ -447,6 +476,47 @@ TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
   // Across the six generators, the sorted plan must actually shorten the
   // sweep.
   EXPECT_GT(steps_saved, 0);
+}
+
+/// The inference cross-path gate at paper widths (ModelConfig's defaults:
+/// char_emb_dim 32, units 64, two stacked BiRNNs) on beers and tax, ~300
+/// rows each: the engine's default memoized, length-sorted sweep, on the
+/// calling thread and on four lanes, equals the naive sweep bit for bit.
+TEST(BucketedInferenceTest, NaiveSweepMatchesEngineAtPaperWidths) {
+  for (const char* name : {"beers", "tax"}) {
+    auto spec = datagen::FindDatasetSpec(name);
+    ASSERT_TRUE(spec.ok()) << name;
+    const data::EncodedDataset all =
+        GeneratedDataset(name, 300.0 / spec->paper_rows, 1000);
+
+    ModelConfig config;
+    config.vocab = all.vocab;
+    config.max_len = all.max_len;
+    config.n_attrs = all.n_attrs;
+    config.enriched = true;
+    config.seed = 1000;
+    ErrorDetectionModel model(config);
+    CalibrateBatchNormMemoized(&model, all);
+
+    const std::vector<float> naive =
+        NaiveSweep(model, all, InferenceOptions{}.eval_batch);
+    for (const int threads : {0, 4}) {
+      InferenceOptions options;
+      options.threads = threads;
+      InferenceEngine engine(model, options);
+      std::vector<float> swept;
+      engine.PredictProbs(all, {}, &swept);
+      ASSERT_EQ(naive.size(), swept.size()) << name;
+      for (size_t i = 0; i < naive.size(); ++i) {
+        ASSERT_EQ(naive[i], swept[i])
+            << name << " threads " << threads << " cell " << i;
+      }
+      // The engine really took the memoized, length-sorted path.
+      EXPECT_LT(engine.stats().unique_cells, all.num_cells()) << name;
+      EXPECT_LT(engine.stats().rnn_steps, engine.stats().rnn_steps_dense)
+          << name;
+    }
+  }
 }
 
 }  // namespace

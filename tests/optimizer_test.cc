@@ -1,28 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
 #include "nn/graph.h"
-#include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
-#include "nn/serialize.h"
 
 namespace birnn::nn {
 namespace {
-
-TEST(SgdTest, MovesAgainstGradient) {
-  Parameter w("w", Tensor::FromVector({1.0f, -1.0f}));
-  w.ZeroGrad();
-  w.grad[0] = 0.5f;
-  w.grad[1] = -0.5f;
-  Sgd sgd(0.1f);
-  sgd.Step({&w});
-  EXPECT_FLOAT_EQ(w.value[0], 0.95f);
-  EXPECT_FLOAT_EQ(w.value[1], -0.95f);
-}
 
 TEST(RmsPropTest, NormalizesStepSize) {
   // Two coordinates with very different gradient magnitudes should move by
@@ -97,83 +80,6 @@ TEST(CountWeightsTest, SumsSizes) {
   Parameter a("a", Tensor(2, 3));
   Parameter b("b", Tensor(std::vector<int>{5}));
   EXPECT_EQ(CountWeights({&a, &b}), 11u);
-}
-
-// --------------------------------------------------------------- Serialize
-
-TEST(SerializeTest, SnapshotRestoreRoundtrip) {
-  Rng rng(1);
-  Parameter a("a", Tensor(2, 2));
-  NormalInit(&a.value, 1.0f, &rng);
-  const std::vector<Tensor> snapshot = SnapshotParams({&a});
-  const Tensor original = a.value;
-  a.value.Fill(0.0f);
-  RestoreParams(snapshot, {&a});
-  EXPECT_TRUE(a.value.Equals(original));
-}
-
-TEST(SerializeTest, FileRoundtrip) {
-  Rng rng(2);
-  Parameter a("layer/w", Tensor(3, 4));
-  Parameter b("layer/b", Tensor(std::vector<int>{4}));
-  NormalInit(&a.value, 1.0f, &rng);
-  NormalInit(&b.value, 1.0f, &rng);
-  const Tensor a_orig = a.value;
-  const Tensor b_orig = b.value;
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "birnn_ckpt_test.bin")
-          .string();
-  ASSERT_TRUE(SaveParameters({&a, &b}, path).ok());
-  a.value.Fill(0);
-  b.value.Fill(0);
-  ASSERT_TRUE(LoadParameters(path, {&a, &b}).ok());
-  EXPECT_TRUE(a.value.Equals(a_orig));
-  EXPECT_TRUE(b.value.Equals(b_orig));
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MissingParameterFails) {
-  Parameter a("a", Tensor(1, 1));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "birnn_ckpt_test2.bin")
-          .string();
-  ASSERT_TRUE(SaveParameters({&a}, path).ok());
-  Parameter other("other", Tensor(1, 1));
-  const Status st = LoadParameters(path, {&other});
-  EXPECT_EQ(st.code(), StatusCode::kNotFound);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, ShapeMismatchFails) {
-  Parameter a("a", Tensor(1, 2));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "birnn_ckpt_test3.bin")
-          .string();
-  ASSERT_TRUE(SaveParameters({&a}, path).ok());
-  Parameter wrong("a", Tensor(2, 2));
-  const Status st = LoadParameters(path, {&wrong});
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, NotACheckpointFails) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "birnn_ckpt_test4.bin")
-          .string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage data";
-  }
-  Parameter a("a", Tensor(1, 1));
-  EXPECT_FALSE(LoadParameters(path, {&a}).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MissingFileFails) {
-  Parameter a("a", Tensor(1, 1));
-  EXPECT_EQ(LoadParameters("/nonexistent/dir/x.bin", {&a}).code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace

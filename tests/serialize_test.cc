@@ -1,8 +1,9 @@
-// Edge-case coverage for the checkpoint format (magic + version sentinel +
-// version byte + typed entries + FNV-1a payload checksum) and its strict
-// load contract: truncation, corruption, shape/coverage mismatches,
-// duplicate entries, trailing bytes, unknown dtypes, and refusal of every
-// layout other than the current version.
+// Coverage for the checkpoint format (magic + version sentinel + version
+// byte + typed entries + FNV-1a payload checksum) and its strict load
+// contract: truncation, corruption, shape/coverage mismatches, missing
+// parameters and files, duplicate entries, trailing bytes, unknown dtypes,
+// and refusal of every layout other than the current version; plus the
+// in-memory snapshot/restore round trip.
 
 #include <gtest/gtest.h>
 
@@ -288,6 +289,40 @@ TEST(CheckpointTest, LayoutWithoutSentinelFails) {
             std::string::npos)
       << st.message();
   std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, MissingParameterFails) {
+  Parameter a("a", Tensor(1, 1));
+  const std::string path = TempPath("birnn_ser_missing_param.bin");
+  ASSERT_TRUE(SaveParameters({&a}, path).ok());
+  Parameter other("other", Tensor(1, 1));
+  EXPECT_EQ(LoadParameters(path, {&other}).code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, NotACheckpointFails) {
+  const std::string path = TempPath("birnn_ser_garbage.bin");
+  WriteFile(path, "garbage data");
+  Parameter a("a", Tensor(1, 1));
+  EXPECT_FALSE(LoadParameters(path, {&a}).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointTest, MissingFileFails) {
+  Parameter a("a", Tensor(1, 1));
+  EXPECT_EQ(LoadParameters("/nonexistent/dir/x.bin", {&a}).code(),
+            StatusCode::kIoError);
+}
+
+TEST(CheckpointTest, SnapshotRestoreRoundtrip) {
+  Rng rng(1);
+  Parameter a("a", Tensor(2, 2));
+  NormalInit(&a.value, 1.0f, &rng);
+  const std::vector<Tensor> snapshot = SnapshotParams({&a});
+  const Tensor original = a.value;
+  a.value.Fill(0.0f);
+  RestoreParams(snapshot, {&a});
+  EXPECT_TRUE(a.value.Equals(original));
 }
 
 TEST(HashPinTest, PersistedDigestsAreUnchanged) {

@@ -829,23 +829,11 @@ TEST(ServerTest, StartFailsOnEmptyRegistry) {
 
 // ------------------------------------------- Served vs offline bit-identity
 
-TEST(ServeDetectorTest, ServedVerdictsMatchOfflineReport) {
-  // Train a small detector the offline way, bundle it through disk, serve
-  // it, and ask the served detector about every cell of the table. The
-  // served verdicts must reproduce the offline report's predictions exactly
-  // — the acceptance invariant of the serve subsystem.
-  datagen::GenOptions gen;
-  gen.scale = 0.08;
-  gen.seed = 5;
-  const datagen::DatasetPair pair = datagen::MakeHospital(gen);
-
-  core::DetectorOptions options;
-  options.model = "etsb";
-  options.n_label_tuples = 12;
-  options.units = 16;
-  options.char_emb_dim = 8;
-  options.trainer.epochs = 10;
-  options.seed = 11;
+// Trains a detector the offline way, bundles it through disk, serves it,
+// and asks the served detector about every cell of the table. The served
+// verdicts must reproduce the offline report's predictions exactly.
+void ExpectServedVerdictsMatchOffline(const datagen::DatasetPair& pair,
+                                      const core::DetectorOptions& options) {
   core::ErrorDetector detector(options);
   core::TrainedDetector trained;
   auto report = detector.Run(pair.dirty, pair.clean, &trained);
@@ -883,6 +871,35 @@ TEST(ServeDetectorTest, ServedVerdictsMatchOfflineReport) {
   }
   EXPECT_EQ(checked, static_cast<int64_t>(n_rows) * n_attrs);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServeDetectorTest, ServedVerdictsMatchOfflineReport) {
+  // The acceptance invariant of the serve subsystem, on a small hospital
+  // detector and on beers at DetectorOptions' default (paper) widths.
+  {
+    SCOPED_TRACE("hospital, units 16");
+    datagen::GenOptions gen;
+    gen.scale = 0.08;
+    gen.seed = 5;
+    core::DetectorOptions options;
+    options.model = "etsb";
+    options.n_label_tuples = 12;
+    options.units = 16;
+    options.char_emb_dim = 8;
+    options.trainer.epochs = 10;
+    options.seed = 11;
+    ExpectServedVerdictsMatchOffline(datagen::MakeHospital(gen), options);
+  }
+  {
+    SCOPED_TRACE("beers, default widths");
+    datagen::GenOptions gen;
+    gen.scale = 0.2;
+    gen.seed = 5;
+    core::DetectorOptions options;
+    options.trainer.epochs = 5;
+    options.seed = 11;
+    ExpectServedVerdictsMatchOffline(datagen::MakeBeers(gen), options);
+  }
 }
 
 }  // namespace

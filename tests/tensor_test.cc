@@ -463,15 +463,6 @@ TEST(OpsTest, GatherAndScatterRows) {
   EXPECT_FLOAT_EQ(table_grad.at(1, 0), 0);
 }
 
-TEST(OpsTest, ColSum) {
-  Tensor x = Tensor::FromMatrix(2, 3, {1, 2, 3, 4, 5, 6});
-  Tensor s;
-  ColSum(x, &s);
-  EXPECT_FLOAT_EQ(s[0], 5);
-  EXPECT_FLOAT_EQ(s[1], 7);
-  EXPECT_FLOAT_EQ(s[2], 9);
-}
-
 TEST(OpsTest, SoftmaxCrossEntropyKnownValue) {
   // Uniform logits, 2 classes: loss = ln(2).
   Tensor logits = Tensor::FromMatrix(2, 2, {0, 0, 0, 0});
