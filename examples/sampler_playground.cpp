@@ -20,7 +20,8 @@ size_t DistinctConcats(const birnn::data::CellFrame& frame,
   std::unordered_set<std::string> seen;
   for (int64_t id : ids) {
     for (int a = 0; a < frame.num_attrs(); ++a) {
-      seen.insert(frame.cell(id, a).concat);
+      seen.insert(frame.attr_names()[static_cast<size_t>(a)] + '\x1F' +
+                  frame.cell(id, a).value);
     }
   }
   return seen.size();

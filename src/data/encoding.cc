@@ -63,19 +63,26 @@ EncodedDataset EncodeCells(const CellFrame& frame, const CharIndex& chars,
   ds.labels.reserve(static_cast<size_t>(n));
   ds.row_ids.reserve(static_cast<size_t>(n));
 
-  int64_t i = 0;
+  // Character ids go straight into each cell's padded row; characters
+  // outside `chars` take the unknown index and are counted.
+  const int unknown = chars.unknown_index();
+  int64_t oov = 0;
+  int32_t* row = ds.seqs.data();
   for (const auto& cell : frame.cells()) {
-    const std::vector<int> ids = chars.Encode(cell.value, oov_chars);
-    BIRNN_CHECK_LE(ids.size(), static_cast<size_t>(ds.max_len));
-    for (size_t t = 0; t < ids.size(); ++t) {
-      ds.seqs[static_cast<size_t>(i) * ds.max_len + t] = ids[t];
+    BIRNN_CHECK_LE(cell.value.size(), static_cast<size_t>(ds.max_len));
+    int32_t* out = row;
+    for (const char c : cell.value) {
+      const int idx = chars.IndexOf(c);
+      if (idx == unknown) ++oov;
+      *out++ = idx;
     }
+    row += ds.max_len;
     ds.attrs.push_back(cell.attr);
     ds.length_norm.push_back(cell.length_norm);
     ds.labels.push_back(cell.label);
     ds.row_ids.push_back(cell.row_id);
-    ++i;
   }
+  if (oov_chars != nullptr) *oov_chars += oov;
   return ds;
 }
 

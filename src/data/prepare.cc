@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -47,7 +48,7 @@ int CellFrame::MaxValueLength() const {
 
 namespace {
 
-bool IsEmptyValue(const std::string& v, const PrepareOptions& options) {
+bool IsEmptyValue(std::string_view v, const PrepareOptions& options) {
   if (v.empty()) return true;
   if (options.treat_nan_as_empty && (v == "NaN" || v == "nan")) return true;
   return false;
@@ -77,35 +78,26 @@ StatusOr<CellFrame> BuildFrame(const Table& dirty, const Table* clean,
 
   const int n_attrs = dirty.num_columns();
   const int n_rows = dirty.num_rows();
-  std::vector<CellRecord> cells;
-  cells.reserve(static_cast<size_t>(n_rows) * n_attrs);
+  const size_t max_value_len =
+      static_cast<size_t>(std::max(0, options.max_value_len));
+  const auto trim = [&options](std::string_view v) {
+    return options.trim_leading_whitespace ? TrimLeftView(v) : v;
+  };
+  std::vector<CellRecord> cells(static_cast<size_t>(n_rows) * n_attrs);
 
+  size_t i = 0;
   for (int r = 0; r < n_rows; ++r) {
-    for (int a = 0; a < n_attrs; ++a) {
-      CellRecord rec;
+    for (int a = 0; a < n_attrs; ++a, ++i) {
+      CellRecord& rec = cells[i];
       rec.row_id = r;
       rec.attr = a;
-      std::string vx = dirty.cell(r, a);
-      if (options.trim_leading_whitespace) vx = TrimLeft(vx);
-      std::string vy;
-      if (clean != nullptr) {
-        vy = clean->cell(r, a);
-        if (options.trim_leading_whitespace) vy = TrimLeft(vy);
-      }
+      std::string_view vx = trim(dirty.cell(r, a));
       // Label from the untruncated values; truncation only affects the
-      // model input.
-      rec.label = (clean != nullptr && vx != vy) ? 1 : 0;
-      if (static_cast<int>(vx.size()) > options.max_value_len) {
-        vx.resize(static_cast<size_t>(options.max_value_len));
-      }
-      if (static_cast<int>(vy.size()) > options.max_value_len) {
-        vy.resize(static_cast<size_t>(options.max_value_len));
-      }
+      // model input. value_y is not kept past this compare.
+      rec.label = (clean != nullptr && vx != trim(clean->cell(r, a))) ? 1 : 0;
+      vx = vx.substr(0, max_value_len);
       rec.empty = IsEmptyValue(vx, options);
-      rec.concat = attr_names[static_cast<size_t>(a)] + '\x1F' + vx;
-      rec.value = std::move(vx);
-      rec.clean_value = std::move(vy);
-      cells.push_back(std::move(rec));
+      rec.value.assign(vx);
     }
   }
 

@@ -12,15 +12,16 @@ namespace birnn::data {
 
 /// One cell of the long-format dataset `df` produced by the paper's §4.1
 /// merge step. A tuple (`row_id`) contributes one record per attribute.
+/// The merge's 'value_y' column only derives `label` and is not stored.
+/// Its 'concat' column (attribute name + value_x) is DiverSet's key, which
+/// `DiverSetSampler` interns from the attribute's name and `value`.
 struct CellRecord {
+  std::string value;        ///< 'value_x': dirty value (truncated).
   int64_t row_id = 0;       ///< 'id_': sequence number of the tuple.
   int attr = 0;             ///< attribute index (column position).
-  std::string value;        ///< 'value_x': dirty value (truncated).
-  std::string clean_value;  ///< 'value_y': ground-truth value (analysis only).
   int label = 0;            ///< 0 = correct, 1 = wrong.
-  bool empty = false;       ///< 'empty': value_x has no content.
   float length_norm = 0.f;  ///< len(value_x) / max len of this attribute.
-  std::string concat;       ///< 'concat': attribute name + value_x.
+  bool empty = false;       ///< 'empty': value_x has no content.
 };
 
 /// Long-format view of a dirty/clean table pair: `num_tuples() * num_attrs()`
@@ -74,8 +75,8 @@ struct PrepareOptions {
 
 /// Runs the paper's data-preparation process (§4.1, Fig. 3): structure
 /// transformation, merge into long format, label derivation
-/// (value_x != value_y), truncation, and computation of the 'empty',
-/// 'concat' and 'length_norm' columns.
+/// (value_x != value_y), truncation, and computation of the 'empty' and
+/// 'length_norm' columns.
 ///
 /// `dirty` and `clean` must have the same shape; dirty columns are aligned
 /// to clean columns by position (the renaming step).

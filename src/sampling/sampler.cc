@@ -42,20 +42,32 @@ StatusOr<std::vector<int64_t>> DiverSetSampler::Select(
   const int64_t n_tuples = frame.num_tuples();
   const int n_attrs = frame.num_attrs();
 
-  // Intern the concat values once: `value_of[i]` is cell i's value id, and
-  // the cells holding value v are `members[first[v] .. first[v + 1])`.
+  // Intern the paper's 'concat' key, (attribute name, value_x), once:
+  // `value_of[i]` is cell i's value id in first-occurrence order, and the
+  // cells holding value v are `members[first[v] .. first[v + 1])`.
+  // Attributes that share a name share one value map, as the concatenated
+  // name + value strings would.
   const std::vector<data::CellRecord>& cells = frame.cells();
   std::vector<int32_t> value_of(cells.size());
   size_t n_values = 0;
   {
-    std::unordered_map<std::string_view, int32_t> ids;
-    ids.reserve(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-      value_of[i] = ids.try_emplace(cells[i].concat,
-                                    static_cast<int32_t>(ids.size()))
-                        .first->second;
+    const std::vector<std::string>& names = frame.attr_names();
+    std::vector<size_t> map_of(static_cast<size_t>(n_attrs));
+    for (size_t a = 0; a < map_of.size(); ++a) {
+      map_of[a] = static_cast<size_t>(
+          std::find(names.begin(), names.end(), names[a]) - names.begin());
     }
-    n_values = ids.size();
+    std::vector<std::unordered_map<std::string_view, int32_t>> ids(
+        map_of.size());
+    for (auto& m : ids) m.reserve(cells.size() / map_of.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const data::CellRecord& cell = cells[i];
+      const auto [it, inserted] =
+          ids[map_of[static_cast<size_t>(cell.attr)]].try_emplace(
+              cell.value, static_cast<int32_t>(n_values));
+      if (inserted) ++n_values;
+      value_of[i] = it->second;
+    }
   }
   std::vector<size_t> first(n_values + 1, 0);
   for (int32_t v : value_of) ++first[static_cast<size_t>(v) + 1];
@@ -68,7 +80,7 @@ StatusOr<std::vector<int64_t>> DiverSetSampler::Select(
     }
   }
 
-  // df_rest bookkeeping: a cell leaves consideration when its concat value
+  // df_rest bookkeeping: a cell leaves consideration when its value
   // is first covered by a selected tuple; the counters track, per tuple,
   // its cells still under consideration.
   std::vector<int> unseen_attr(static_cast<size_t>(n_tuples), 0);
@@ -107,8 +119,8 @@ StatusOr<std::vector<int64_t>> DiverSetSampler::Select(
     chosen[static_cast<size_t>(sampled_id)] = 1;
     out.push_back(sampled_id);
 
-    // seenAttr gains every concat value of the selected tuple (from the
-    // full frame, not just the cells under consideration); df_rest <-
+    // seenAttr gains every (attribute, value) of the selected tuple (from
+    // the full frame, not just the cells under consideration); df_rest <-
     // df[concat not in seenAttr] drops the cells of each newly seen value.
     // A value seen before had its cells dropped then.
     for (int a = 0; a < n_attrs; ++a) {

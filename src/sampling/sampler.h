@@ -38,7 +38,8 @@ class RandomSetSampler : public TrainsetSampler {
 /// Algorithm 3 — DiverSet: greedily picks the tuple with the most
 /// attribute values not seen in previously picked tuples; ties broken by
 /// the most empty values, then randomly. After each pick, every cell whose
-/// 'concat' value was covered is removed from consideration.
+/// 'concat' key (attribute name + value_x) was covered is removed from
+/// consideration.
 class DiverSetSampler : public TrainsetSampler {
  public:
   std::string name() const override { return "DiverSet"; }

@@ -14,10 +14,14 @@ bool IsSpaceChar(char c) {
 }
 }  // namespace
 
-std::string TrimLeft(std::string_view s) {
+std::string_view TrimLeftView(std::string_view s) {
   size_t i = 0;
   while (i < s.size() && IsSpaceChar(s[i])) ++i;
-  return std::string(s.substr(i));
+  return s.substr(i);
+}
+
+std::string TrimLeft(std::string_view s) {
+  return std::string(TrimLeftView(s));
 }
 
 std::string TrimRight(std::string_view s) {

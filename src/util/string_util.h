@@ -10,6 +10,10 @@ namespace birnn {
 /// Removes leading whitespace (space, tab, CR, LF).
 std::string TrimLeft(std::string_view s);
 
+/// TrimLeft without the copy: the suffix of `s` after its leading
+/// whitespace (the same set), viewing `s`'s bytes.
+std::string_view TrimLeftView(std::string_view s);
+
 /// Removes trailing whitespace.
 std::string TrimRight(std::string_view s);
 

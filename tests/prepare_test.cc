@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dictionary.h"
 #include "data/encoding.h"
@@ -75,23 +78,50 @@ TEST(PrepareTest, NanTreatedAsEmpty) {
   EXPECT_FALSE(frame2->cell(0, 0).empty);
 }
 
-TEST(PrepareTest, ConcatIncludesAttributeAndValue) {
-  auto frame = PrepareData(MakeDirty(), MakeClean());
+TEST(PrepareTest, LabelCompareTrimsExactlyLeadingSpaceTabCrLf) {
+  // Structure transformation trims leading ' ', '\t', '\r' and '\n' from
+  // both sides before the label compare, and nothing else: not '\v' or
+  // '\f', and no trailing whitespace.
+  Table dirty(std::vector<std::string>{"a"});
+  Table clean(std::vector<std::string>{"a"});
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {" \t\r\nx", "x"},  // 0: dirty side trimmed
+      {"x", "\n\r\t x"},  // 1: clean side trimmed
+      {"\vx", "x"},       // 2: '\v' kept
+      {"\fx", "x"},       // 3: '\f' kept
+      {"x ", "x"},        // 4: trailing space kept
+      {" x", "x\t"},      // 5: trailing tab on the clean side kept
+  };
+  for (const auto& [d, c] : rows) {
+    ASSERT_TRUE(dirty.AppendRow({d}).ok());
+    ASSERT_TRUE(clean.AppendRow({c}).ok());
+  }
+  auto frame = PrepareData(dirty, clean);
   ASSERT_TRUE(frame.ok());
-  const std::string& concat = frame->cell(0, 1).concat;
-  EXPECT_NE(concat.find("a2"), std::string::npos);
-  EXPECT_NE(concat.find("e3"), std::string::npos);
-  // Same attr+value in different tuples -> same concat (the key property
-  // DiverSet relies on).
-  EXPECT_EQ(frame->cell(0, 1).concat, frame->cell(2, 1).concat);
-  // Same value under a different attribute -> different concat.
-  Table dirty(std::vector<std::string>{"x", "y"});
-  ASSERT_TRUE(dirty.AppendRow({"v", "v"}).ok());
-  Table clean = dirty;
-  auto frame2 = PrepareData(dirty, clean);
-  ASSERT_TRUE(frame2.ok());
-  EXPECT_NE(frame2->cell(0, 0).concat, frame2->cell(0, 1).concat);
+  const std::vector<int> labels = {0, 0, 1, 1, 1, 1};
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(frame->cell(static_cast<int64_t>(r), 0).label, labels[r])
+        << "row " << r;
+  }
+  // The stored value is the trimmed dirty view.
+  EXPECT_EQ(frame->cell(0, 0).value, "x");
+  EXPECT_EQ(frame->cell(2, 0).value, "\vx");
+  EXPECT_EQ(frame->cell(4, 0).value, "x ");
+
+  // Without the transformation both sides compare as read.
+  PrepareOptions untrimmed;
+  untrimmed.trim_leading_whitespace = false;
+  auto raw = PrepareData(dirty, clean, untrimmed);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(raw->cell(0, 0).label, 1);
+  EXPECT_EQ(raw->cell(0, 0).value, " \t\r\nx");
 }
+
+// A frame holds one record per cell, so the record stays lean: the dirty
+// value, its ids and the derived columns, with no per-cell copies of
+// value_y or of the concat key.
+static_assert(sizeof(void*) != 8 || sizeof(CellRecord) <= 56,
+              "CellRecord grew past 56 bytes on LP64");
 
 TEST(PrepareTest, LengthNormPerAttribute) {
   auto frame = PrepareData(MakeDirty(), MakeClean());

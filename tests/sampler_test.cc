@@ -4,7 +4,6 @@
 #include <set>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "data/prepare.h"
@@ -29,6 +28,12 @@ data::CellFrame PaperExampleFrame() {
   auto frame = data::PrepareData(dirty, clean);
   EXPECT_TRUE(frame.ok());
   return *frame;
+}
+
+/// The paper's 'concat' column for one cell: attribute name + value_x.
+std::string ConcatKey(const data::CellFrame& frame, int64_t row_id, int attr) {
+  return frame.attr_names()[static_cast<size_t>(attr)] + '\x1F' +
+         frame.cell(row_id, attr).value;
 }
 
 TEST(RandomSetTest, SelectsDistinctIdsInRange) {
@@ -118,7 +123,7 @@ TEST(DiverSetTest, CoversMoreDistinctValuesThanRandom) {
     std::unordered_set<std::string> seen;
     for (int64_t id : ids) {
       for (int a = 0; a < frame->num_attrs(); ++a) {
-        seen.insert(frame->cell(id, a).concat);
+        seen.insert(ConcatKey(*frame, id, a));
       }
     }
     return seen.size();
@@ -167,9 +172,50 @@ TEST(DiverSetTest, NeverUsesLabels) {
   EXPECT_EQ(*ids1, *ids2);
 }
 
+TEST(DiverSetTest, ConcatKeyClassesAttributeAndValue) {
+  // Each frame's tuple 0 wins the first pick on #empty, and covers its
+  // values; the second pick then shows which cells those values covered.
+  const auto second_pick = [](const data::Table& dirty, uint64_t seed) {
+    auto frame = data::PrepareData(dirty, dirty);
+    EXPECT_TRUE(frame.ok());
+    DiverSetSampler sampler;
+    Rng rng(seed);
+    auto ids = sampler.Select(*frame, 2, &rng);
+    EXPECT_TRUE(ids.ok());
+    EXPECT_EQ((*ids)[0], 0);
+    return (*ids)[1];
+  };
+  // The same (attribute, value) in two tuples is one value: tuple 0's "v"
+  // covers tuple 1's, which keeps one unseen value to tuple 2's two.
+  data::Table same_value(std::vector<std::string>{"x", "y"});
+  ASSERT_TRUE(same_value.AppendRow({"", "v"}).ok());
+  ASSERT_TRUE(same_value.AppendRow({"a", "v"}).ok());
+  ASSERT_TRUE(same_value.AppendRow({"b", "w"}).ok());
+  // The same value under two attributes is two values: tuple 0's x="" and
+  // y="v" cover neither of tuple 1's x="v" and y="", so tuple 1 keeps three
+  // unseen values and wins on #empty.
+  data::Table two_attrs(std::vector<std::string>{"x", "y", "z"});
+  ASSERT_TRUE(two_attrs.AppendRow({"", "v", ""}).ok());
+  ASSERT_TRUE(two_attrs.AppendRow({"v", "", "p"}).ok());
+  ASSERT_TRUE(two_attrs.AppendRow({"c", "d", "e"}).ok());
+  // Attributes that share a name share their values, as the concatenated
+  // name + value keys do: tuple 0 covers two of tuple 1's cells.
+  data::Table one_name(std::vector<std::string>{"x", "x", "z"});
+  ASSERT_TRUE(one_name.AppendRow({"", "v", ""}).ok());
+  ASSERT_TRUE(one_name.AppendRow({"v", "", "p"}).ok());
+  ASSERT_TRUE(one_name.AppendRow({"c", "d", "e"}).ok());
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(second_pick(same_value, seed), 2);
+    EXPECT_EQ(second_pick(two_attrs, seed), 1);
+    EXPECT_EQ(second_pick(one_name, seed), 2);
+  }
+}
+
 // DiverSet as it ran before its values were interned: after each pick
-// that covers a new value, every live cell's concat is looked up in the set
-// of covered values. The sampler must pick exactly what this picks.
+// that covers a new value, every live cell's concat key (attribute name +
+// value_x, built here) is looked up in the set of covered keys. The
+// sampler must pick exactly what this picks.
 std::vector<int64_t> ReferenceDiverSet(const data::CellFrame& frame,
                                        int n_obs, Rng* rng) {
   const int n = static_cast<int>(std::min<int64_t>(n_obs, frame.num_tuples()));
@@ -206,13 +252,15 @@ std::vector<int64_t> ReferenceDiverSet(const data::CellFrame& frame,
     out.push_back(sampled_id);
     bool added_any = false;
     for (int a = 0; a < frame.num_attrs(); ++a) {
-      added_any |= seen_concats.insert(frame.cell(sampled_id, a).concat).second;
+      added_any |= seen_concats.insert(ConcatKey(frame, sampled_id, a)).second;
     }
     if (!added_any) continue;
     for (size_t i = 0; i < frame.cells().size(); ++i) {
       if (!cell_live[i]) continue;
       const data::CellRecord& cell = frame.cells()[i];
-      if (seen_concats.count(cell.concat) == 0) continue;
+      if (seen_concats.count(ConcatKey(frame, cell.row_id, cell.attr)) == 0) {
+        continue;
+      }
       cell_live[i] = 0;
       unseen_attr[static_cast<size_t>(cell.row_id)]--;
       if (cell.empty) empty_count[static_cast<size_t>(cell.row_id)]--;
@@ -222,27 +270,31 @@ std::vector<int64_t> ReferenceDiverSet(const data::CellFrame& frame,
 }
 
 TEST(DiverSetTest, MatchesUninternedScan) {
-  datagen::GenOptions options;
-  options.scale = 0.05;
-  const std::vector<std::pair<std::string, datagen::DatasetPair>> tables = {
-      {"beers", datagen::MakeBeers(options)},
-      {"hospital", datagen::MakeHospital(options)},
-      {"tax", datagen::MakeTax(options)}};
-  for (const auto& [name, pair] : tables) {
-    auto frame = data::PrepareData(pair.dirty, pair.clean);
-    ASSERT_TRUE(frame.ok()) << name;
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      for (int n_obs : {1, 5, 20}) {
-        SCOPED_TRACE(name + " seed " + std::to_string(seed) + " n_obs " +
-                     std::to_string(n_obs));
-        DiverSetSampler sampler;
-        Rng rng(seed);
-        Rng ref_rng(seed);
-        auto ids = sampler.Select(*frame, n_obs, &rng);
-        ASSERT_TRUE(ids.ok());
-        EXPECT_EQ(*ids, ReferenceDiverSet(*frame, n_obs, &ref_rng));
-        // Both consumed the same draws.
-        EXPECT_EQ(rng.Next(), ref_rng.Next());
+  for (const char* name :
+       {"beers", "flights", "hospital", "movies", "rayyan", "tax"}) {
+    for (uint64_t gen_seed : {7, 8}) {
+      datagen::GenOptions options;
+      options.scale = 0.05;
+      options.seed = gen_seed;
+      auto pair = datagen::MakeDataset(name, options);
+      ASSERT_TRUE(pair.ok()) << name;
+      auto frame = data::PrepareData(pair->dirty, pair->clean);
+      ASSERT_TRUE(frame.ok()) << name;
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
+        for (int n_obs : {1, 5, 20}) {
+          SCOPED_TRACE(std::string(name) + " gen seed " +
+                       std::to_string(gen_seed) + " seed " +
+                       std::to_string(seed) + " n_obs " +
+                       std::to_string(n_obs));
+          DiverSetSampler sampler;
+          Rng rng(seed);
+          Rng ref_rng(seed);
+          auto ids = sampler.Select(*frame, n_obs, &rng);
+          ASSERT_TRUE(ids.ok());
+          EXPECT_EQ(*ids, ReferenceDiverSet(*frame, n_obs, &ref_rng));
+          // Both consumed the same draws.
+          EXPECT_EQ(rng.Next(), ref_rng.Next());
+        }
       }
     }
   }

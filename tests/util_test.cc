@@ -251,6 +251,10 @@ TEST(StatsTest, MinMaxWithNegatives) {
 
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(TrimLeft("  a b "), "a b ");
+  // The view shares TrimLeft's set: ' ', '\t', '\r', '\n' and no other.
+  EXPECT_EQ(TrimLeftView(" \t\r\n\va "), "\va ");
+  EXPECT_EQ(TrimLeftView("\fa"), "\fa");
+  EXPECT_EQ(TrimLeftView(" \n"), "");
   EXPECT_EQ(TrimRight("  a b "), "  a b");
   EXPECT_EQ(Trim("\t a b \r\n"), "a b");
   EXPECT_EQ(Trim(""), "");
