@@ -262,8 +262,8 @@ int64_t InferenceEngine::PredictProbsMemoized(const data::EncodedDataset& ds,
     if (n > 0) PredictProbs(ds, {}, p_error);
     return 0;
   }
-  std::vector<uint8_t> hit(static_cast<size_t>(n), 0);
-  const int64_t hits = memo->Lookup(ds, p_error, &hit);
+  hit_.assign(static_cast<size_t>(n), 0);
+  const int64_t hits = memo->Lookup(ds, p_error, &hit_);
   if (hits >= n) {
     // Fully memo-served: no model work. Report an empty (zero-second)
     // sweep so callers can sum stats().seconds unconditionally.
@@ -274,7 +274,7 @@ int64_t InferenceEngine::PredictProbsMemoized(const data::EncodedDataset& ds,
   std::vector<int64_t> miss;
   miss.reserve(static_cast<size_t>(n - hits));
   for (int64_t i = 0; i < n; ++i) {
-    if (!hit[static_cast<size_t>(i)]) miss.push_back(i);
+    if (!hit_[static_cast<size_t>(i)]) miss.push_back(i);
   }
   const data::EncodedDataset miss_ds = data::TakeCells(ds, miss);
   std::vector<float> miss_p;

@@ -171,6 +171,9 @@ class InferenceEngine {
   /// on its first sweep (weights are fixed for the engine's lifetime).
   BucketedInferenceContext bucketed_ctx_;
   bool bucketed_ctx_ready_ = false;
+  /// PredictProbsMemoized's per-cell memo-hit mask, kept across calls so a
+  /// fully memo-served call allocates nothing.
+  std::vector<uint8_t> hit_;
 };
 
 /// Replaces the model's batch-norm running statistics with the exact

@@ -62,26 +62,16 @@ int CharIndex::IndexOf(char c) const {
   return i == 0 ? unknown_index() : i;
 }
 
-std::vector<int> CharIndex::Encode(const std::string& s) const {
-  std::vector<int> out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(IndexOf(c));
-  return out;
-}
-
-std::vector<int> CharIndex::Encode(const std::string& s,
-                                   int64_t* oov_chars) const {
-  std::vector<int> out;
-  out.reserve(s.size());
+void CharIndex::EncodeInto(std::string_view s, int32_t* out,
+                           int64_t* oov_chars) const {
   const int unknown = unknown_index();
   int64_t oov = 0;
-  for (char c : s) {
+  for (const char c : s) {
     const int idx = IndexOf(c);
     if (idx == unknown) ++oov;
-    out.push_back(idx);
+    *out++ = idx;
   }
-  if (oov_chars != nullptr) *oov_chars += oov;
-  return out;
+  *oov_chars += oov;
 }
 
 uint64_t CharIndex::Fingerprint() const {

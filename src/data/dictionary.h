@@ -2,7 +2,9 @@
 #define BIRNN_DATA_DICTIONARY_H_
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/prepare.h"
@@ -39,16 +41,15 @@ class CharIndex {
   /// Index for a character: 1..N if known, unknown_index() otherwise.
   int IndexOf(char c) const;
 
-  /// Encodes a string as a sequence of character indexes (no padding).
-  std::vector<int> Encode(const std::string& s) const;
-
-  /// Encode with out-of-vocabulary accounting: characters absent from the
-  /// dictionary map to the reserved unknown_index() — deterministically,
-  /// never to a data-dependent slot — and `*oov_chars` is advanced by how
-  /// many such characters were seen. Streaming ingest uses the count to
-  /// detect character-distribution drift; the encoding itself is identical
-  /// to Encode(s).
-  std::vector<int> Encode(const std::string& s, int64_t* oov_chars) const;
+  /// Encodes `s` into `out[0 .. s.size())`, one character index per byte
+  /// (no padding; `out` must have room for s.size() ids). Characters absent
+  /// from the dictionary map to the reserved unknown_index() —
+  /// deterministically, never to a data-dependent slot — and `*oov_chars` is
+  /// advanced by how many such characters were seen. The one encoder of
+  /// both training frames (EncodeCells) and serving cells
+  /// (serve::LoadedDetector::AppendQueryCell); streaming ingest uses the
+  /// count to detect character-distribution drift.
+  void EncodeInto(std::string_view s, int32_t* out, int64_t* oov_chars) const;
 
   /// Order-sensitive FNV-1a fingerprint of the dictionary's full state
   /// (num_chars + the 256-entry index table). Two dictionaries encode every

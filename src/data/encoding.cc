@@ -65,17 +65,11 @@ EncodedDataset EncodeCells(const CellFrame& frame, const CharIndex& chars,
 
   // Character ids go straight into each cell's padded row; characters
   // outside `chars` take the unknown index and are counted.
-  const int unknown = chars.unknown_index();
   int64_t oov = 0;
   int32_t* row = ds.seqs.data();
   for (const auto& cell : frame.cells()) {
     BIRNN_CHECK_LE(cell.value.size(), static_cast<size_t>(ds.max_len));
-    int32_t* out = row;
-    for (const char c : cell.value) {
-      const int idx = chars.IndexOf(c);
-      if (idx == unknown) ++oov;
-      *out++ = idx;
-    }
+    chars.EncodeInto(cell.value, row, &oov);
     row += ds.max_len;
     ds.attrs.push_back(cell.attr);
     ds.length_norm.push_back(cell.length_norm);

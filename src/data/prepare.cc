@@ -46,13 +46,13 @@ int CellFrame::MaxValueLength() const {
   return static_cast<int>(mx);
 }
 
-namespace {
-
 bool IsEmptyValue(std::string_view v, const PrepareOptions& options) {
   if (v.empty()) return true;
   if (options.treat_nan_as_empty && (v == "NaN" || v == "nan")) return true;
   return false;
 }
+
+namespace {
 
 /// Builds the long-format frame. `clean` may be null (deployment mode).
 StatusOr<CellFrame> BuildFrame(const Table& dirty, const Table* clean,

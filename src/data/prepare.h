@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/table.h"
@@ -72,6 +73,10 @@ struct PrepareOptions {
   /// column (pandas renders missing values as NaN).
   bool treat_nan_as_empty = true;
 };
+
+/// The 'empty' column's rule for a trimmed, truncated value: no content,
+/// or the literal "NaN"/"nan" when `options.treat_nan_as_empty`.
+bool IsEmptyValue(std::string_view value, const PrepareOptions& options);
 
 /// Runs the paper's data-preparation process (§4.1, Fig. 3): structure
 /// transformation, merge into long format, label derivation

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <charconv>
@@ -228,13 +229,17 @@ int LoadedDetector::AttrIndex(const std::string& name) const {
 }
 
 void LoadedDetector::InitQueryDataset(data::EncodedDataset* ds) const {
-  *ds = data::EncodedDataset();
+  ds->seqs.clear();
+  ds->attrs.clear();
+  ds->length_norm.clear();
+  ds->labels.clear();
+  ds->row_ids.clear();
   ds->max_len = trained_.config.max_len;
   ds->vocab = trained_.config.vocab;
   ds->n_attrs = trained_.config.n_attrs;
 }
 
-Status LoadedDetector::AppendQueryCell(int attr, const std::string& raw,
+Status LoadedDetector::AppendQueryCell(int attr, std::string_view raw,
                                        data::EncodedDataset* ds,
                                        EncodedCellInfo* info) const {
   if (attr < 0 || attr >= n_attrs()) {
@@ -246,32 +251,27 @@ Status LoadedDetector::AppendQueryCell(int attr, const std::string& raw,
   // leading whitespace, truncate to the training max value length, then
   // length_norm against the training frame's per-attribute maximum (the
   // same float division as data::PrepareData).
-  std::string value = prepare.trim_leading_whitespace ? TrimLeft(raw) : raw;
-  if (static_cast<int>(value.size()) > prepare.max_value_len) {
-    value.resize(static_cast<size_t>(prepare.max_value_len));
-  }
+  std::string_view value =
+      prepare.trim_leading_whitespace ? TrimLeftView(raw) : raw;
+  value = value.substr(
+      0, static_cast<size_t>(std::max(0, prepare.max_value_len)));
   const int32_t mx = trained_.attr_max_value_len[static_cast<size_t>(attr)];
   const float length_norm =
       mx == 0 ? 0.0f
               : static_cast<float>(value.size()) / static_cast<float>(mx);
   if (info != nullptr) {
     info->prepared_len = static_cast<int>(value.size());
-    info->empty = value.empty() ||
-                  (prepare.treat_nan_as_empty &&
-                   (value == "NaN" || value == "nan"));
+    info->empty = data::IsEmptyValue(value, prepare);
   }
   // A novel value can exceed the training frame's global max_len (the
   // padded sequence width the network was built for); only its first
   // max_len characters can be represented.
-  if (static_cast<int>(value.size()) > ds->max_len) {
-    value.resize(static_cast<size_t>(ds->max_len));
-  }
-  int64_t oov = 0;
-  const std::vector<int> ids = trained_.chars.Encode(value, &oov);
-  if (info != nullptr) info->oov_chars = oov;
+  value = value.substr(0, static_cast<size_t>(ds->max_len));
   const size_t base = ds->seqs.size();
   ds->seqs.resize(base + static_cast<size_t>(ds->max_len), 0);
-  for (size_t t = 0; t < ids.size(); ++t) ds->seqs[base + t] = ids[t];
+  int64_t oov = 0;
+  trained_.chars.EncodeInto(value, ds->seqs.data() + base, &oov);
+  if (info != nullptr) info->oov_chars = oov;
   ds->attrs.push_back(attr);
   ds->length_norm.push_back(length_norm);
   ds->labels.push_back(0);

@@ -2,6 +2,7 @@
 #define BIRNN_SERVE_BUNDLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.h"
@@ -84,8 +85,9 @@ class LoadedDetector {
   /// generations (adapt/controller.h).
   const data::CharIndex& chars() const { return trained_.chars; }
 
-  /// Prepares `ds` to receive AppendQueryCell cells (clears it and installs
-  /// the detector's max_len / vocab / n_attrs shape).
+  /// Prepares `ds` to receive AppendQueryCell cells (clears it in place,
+  /// keeping its buffers' capacity, and installs the detector's max_len /
+  /// vocab / n_attrs shape).
   void InitQueryDataset(data::EncodedDataset* ds) const;
 
   /// Encodes one raw cell exactly as EncodeQueries does — the frozen
@@ -93,8 +95,9 @@ class LoadedDetector {
   /// (which must have been InitQueryDataset'd or previously appended to by
   /// this detector). `info`, when non-null, receives the prepared length,
   /// emptiness and OOV-character count the streaming statistics need.
-  /// Fails on an out-of-range attribute index.
-  Status AppendQueryCell(int attr, const std::string& value,
+  /// Fails on an out-of-range attribute index. Allocates nothing once `ds`
+  /// has room for the cell.
+  Status AppendQueryCell(int attr, std::string_view value,
                          data::EncodedDataset* ds,
                          EncodedCellInfo* info = nullptr) const;
 

@@ -68,17 +68,14 @@ Status TableSession::Apply(
       RowState row;
       row.values = delta.values;
       row.verdicts.assign(static_cast<size_t>(n), CellVerdict{});
-      std::vector<std::pair<int, std::string>> cells;
-      cells.reserve(static_cast<size_t>(n));
+      cells_.clear();
       for (int a = 0; a < n; ++a) {
-        cells.emplace_back(a, delta.values[static_cast<size_t>(a)]);
+        cells_.emplace_back(a, delta.values[static_cast<size_t>(a)]);
       }
       BIRNN_RETURN_IF_ERROR(
-          ScoreCellsLocked(cells, version_ + 1, &row, affected));
+          ScoreCellsLocked(cells_, version_ + 1, &row, affected));
       ++version_;
-      auto [row_it, inserted] = rows_.emplace(delta.row_id, std::move(row));
-      (void)inserted;
-      TouchReservoirLocked(delta.row_id, row_it->second);
+      TouchReservoirLocked(rows_.emplace(delta.row_id, std::move(row)).first);
       ++stats_.deltas;
       ++stats_.inserts;
       stats_.rows = static_cast<int64_t>(rows_.size());
@@ -97,12 +94,13 @@ Status TableSession::Apply(
         return Status::NotFound("no such row: " +
                                 std::to_string(delta.row_id));
       }
-      BIRNN_RETURN_IF_ERROR(ScoreCellsLocked({{delta.attr, delta.value}},
-                                             version_ + 1, &it->second,
-                                             affected));
+      cells_.clear();
+      cells_.emplace_back(delta.attr, delta.value);
+      BIRNN_RETURN_IF_ERROR(
+          ScoreCellsLocked(cells_, version_ + 1, &it->second, affected));
       ++version_;
       it->second.values[static_cast<size_t>(delta.attr)] = delta.value;
-      TouchReservoirLocked(delta.row_id, it->second);
+      TouchReservoirLocked(it);
       ++stats_.deltas;
       ++stats_.updates;
       stats_.version = version_;
@@ -116,13 +114,11 @@ Status TableSession::Apply(
         return Status::NotFound("no such row: " +
                                 std::to_string(delta.row_id));
       }
-      rows_.erase(it);
-      auto res_it = reservoir_index_.find(delta.row_id);
-      if (res_it != reservoir_index_.end()) {
-        reservoir_.erase(res_it->second);
-        reservoir_index_.erase(res_it);
+      if (it->second.in_reservoir) {
+        reservoir_.erase(it->second.reservoir_pos);
         stats_.reservoir_rows = static_cast<int64_t>(reservoir_.size());
       }
+      rows_.erase(it);
       ++version_;
       ++stats_.deltas;
       ++stats_.deletes;
@@ -164,38 +160,38 @@ Status TableSession::Delete(int64_t row_id) {
 }
 
 Status TableSession::ScoreCellsLocked(
-    const std::vector<std::pair<int, std::string>>& cells, uint64_t version,
-    RowState* row, std::vector<std::pair<int, CellVerdict>>* affected) {
+    const std::vector<std::pair<int, std::string_view>>& cells,
+    uint64_t version, RowState* row,
+    std::vector<std::pair<int, CellVerdict>>* affected) {
   OBS_SPAN("stream.score_cells");
-  data::EncodedDataset ds;
-  detector_->InitQueryDataset(&ds);
-  std::vector<serve::EncodedCellInfo> infos(cells.size());
+  detector_->InitQueryDataset(&query_);
+  infos_.resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
     BIRNN_RETURN_IF_ERROR(detector_->AppendQueryCell(
-        cells[i].first, cells[i].second, &ds, &infos[i]));
+        cells[i].first, cells[i].second, &query_, &infos_[i]));
   }
-  std::vector<float> p;
-  const int64_t hits = engine_.PredictProbsMemoized(ds, &memo_, &p);
-  stats_.cells_scored += ds.num_cells();
+  const int64_t hits = engine_.PredictProbsMemoized(query_, &memo_, &probs_);
+  stats_.cells_scored += query_.num_cells();
   stats_.memo_hits += hits;
-  OBS_COUNTER_ADD("stream.cells_scored", ds.num_cells());
+  OBS_COUNTER_ADD("stream.cells_scored", query_.num_cells());
   OBS_COUNTER_ADD("stream.memo_hits", hits);
   for (size_t i = 0; i < cells.size(); ++i) {
     const int attr = cells[i].first;
+    const serve::EncodedCellInfo& info = infos_[i];
     CellVerdict v;
-    v.p_error = p[i];
-    v.is_error = p[i] > 0.5f;
+    v.p_error = probs_[i];
+    v.is_error = probs_[i] > 0.5f;
     v.version = version;
     row->verdicts[static_cast<size_t>(attr)] = v;
     if (affected != nullptr) affected->emplace_back(attr, v);
     LiveAttrStats& s = live_[static_cast<size_t>(attr)];
     ++s.cells;
-    if (infos[i].empty) ++s.empties;
+    if (info.empty) ++s.empties;
     if (v.is_error) ++s.error_verdicts;
-    s.chars += infos[i].prepared_len;
-    s.oov_chars += infos[i].oov_chars;
+    s.chars += info.prepared_len;
+    s.oov_chars += info.oov_chars;
     s.max_prepared_len = std::max(s.max_prepared_len,
-                                  static_cast<int32_t>(infos[i].prepared_len));
+                                  static_cast<int32_t>(info.prepared_len));
   }
   return Status::OK();
 }
@@ -301,26 +297,18 @@ StatusOr<std::vector<uint8_t>> TableSession::DetectAll() {
   return labels;
 }
 
-void TableSession::TouchReservoirLocked(int64_t row_id, const RowState& row) {
+void TableSession::TouchReservoirLocked(RowMap::iterator row) {
   if (options_.reservoir_capacity <= 0) return;
-  ReservoirRow snap;
-  snap.row_id = row_id;
-  snap.values = row.values;
-  snap.verdicts.reserve(row.verdicts.size());
-  for (const CellVerdict& v : row.verdicts) {
-    snap.verdicts.push_back(v.is_error ? 1 : 0);
-  }
-  auto it = reservoir_index_.find(row_id);
-  if (it != reservoir_index_.end()) {
-    *it->second = std::move(snap);
+  RowState& state = row->second;
+  if (state.in_reservoir) {
     // Refresh recency: move the tuple to the most-recent end.
-    reservoir_.splice(reservoir_.end(), reservoir_, it->second);
+    reservoir_.splice(reservoir_.end(), reservoir_, state.reservoir_pos);
   } else {
-    reservoir_.push_back(std::move(snap));
-    reservoir_index_[row_id] = std::prev(reservoir_.end());
+    state.reservoir_pos = reservoir_.insert(reservoir_.end(), row->first);
+    state.in_reservoir = true;
     while (static_cast<int64_t>(reservoir_.size()) >
            options_.reservoir_capacity) {
-      reservoir_index_.erase(reservoir_.front().row_id);
+      rows_.find(reservoir_.front())->second.in_reservoir = false;
       reservoir_.pop_front();
     }
   }
@@ -361,7 +349,19 @@ int64_t TableSession::ResetDriftAlarms() {
 
 std::vector<ReservoirRow> TableSession::ReservoirSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<ReservoirRow>(reservoir_.begin(), reservoir_.end());
+  std::vector<ReservoirRow> out;
+  out.reserve(reservoir_.size());
+  for (const int64_t row_id : reservoir_) {
+    const RowState& row = rows_.at(row_id);
+    ReservoirRow& snap = out.emplace_back();
+    snap.row_id = row_id;
+    snap.values = row.values;
+    snap.verdicts.reserve(row.verdicts.size());
+    for (const CellVerdict& v : row.verdicts) {
+      snap.verdicts.push_back(v.is_error ? 1 : 0);
+    }
+  }
+  return out;
 }
 
 SessionStats TableSession::stats() const {

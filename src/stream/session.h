@@ -7,7 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/content_index.h"
@@ -212,23 +212,28 @@ class TableSession {
   struct RowState {
     std::vector<std::string> values;
     std::vector<CellVerdict> verdicts;
+    /// The row's slot in reservoir_, valid while `in_reservoir`.
+    bool in_reservoir = false;
+    std::list<int64_t>::iterator reservoir_pos;
   };
+  using RowMap = std::map<int64_t, RowState>;
 
   /// Encodes and scores `cells` (attr, raw value) for one tuple under
   /// `version`, writing verdicts into `row` and updating live statistics.
-  /// Caller holds mu_.
-  Status ScoreCellsLocked(const std::vector<std::pair<int, std::string>>& cells,
-                          uint64_t version, RowState* row,
-                          std::vector<std::pair<int, CellVerdict>>* affected);
+  /// The views must outlive the call. Caller holds mu_.
+  Status ScoreCellsLocked(
+      const std::vector<std::pair<int, std::string_view>>& cells,
+      uint64_t version, RowState* row,
+      std::vector<std::pair<int, CellVerdict>>* affected);
 
   /// Re-evaluates drift for `attr` against the frozen baselines, latching
   /// new alarms. Caller holds mu_.
   void CheckDriftLocked(int attr);
   void LatchAlarmLocked(int attr, DriftKind kind, float frozen, float live);
 
-  /// Captures (or refreshes) `row_id`'s tuple in the reservoir, evicting
-  /// the least recently touched tuple past capacity. Caller holds mu_.
-  void TouchReservoirLocked(int64_t row_id, const RowState& row);
+  /// Marks `row` as the reservoir's most recently touched tuple, evicting
+  /// the least recently touched one past capacity. Caller holds mu_.
+  void TouchReservoirLocked(RowMap::iterator row);
 
   std::shared_ptr<const serve::LoadedDetector> detector_;
   SessionOptions options_;
@@ -237,18 +242,25 @@ class TableSession {
   core::InferenceEngine engine_;
   core::ContentMemo memo_;
   /// Ordered so MaterializedVerdicts walks rows ascending by row_id.
-  std::map<int64_t, RowState> rows_;
+  RowMap rows_;
   uint64_t version_ = 0;
   SessionStats stats_;
   std::vector<LiveAttrStats> live_;
   /// Latched (attr * 4 + kind) alarm flags + the alarms in firing order.
   std::vector<uint8_t> alarm_latched_;
   std::vector<DriftAlarm> alarms_;
-  /// Adaptation reservoir: least → most recently touched tuple snapshots,
-  /// with an id index for in-place refresh and delete.
-  std::list<ReservoirRow> reservoir_;
-  std::unordered_map<int64_t, std::list<ReservoirRow>::iterator>
-      reservoir_index_;
+  /// Adaptation reservoir: row ids, least → most recently touched. Inserts
+  /// and updates touch a row in its current state and deletes drop it, so a
+  /// held tuple's snapshot is always `rows_[id]`: ReservoirSnapshot reads it
+  /// from there instead of the reservoir keeping copies.
+  std::list<int64_t> reservoir_;
+  /// Per-delta scratch reused under mu_, so a memo-hit delta allocates
+  /// nothing: the (attr, raw value) cells to score, their encoding and
+  /// prepare accounting, and the engine's probabilities.
+  std::vector<std::pair<int, std::string_view>> cells_;
+  data::EncodedDataset query_;
+  std::vector<serve::EncodedCellInfo> infos_;
+  std::vector<float> probs_;
 };
 
 }  // namespace birnn::stream

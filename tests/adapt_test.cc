@@ -14,7 +14,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -160,6 +163,123 @@ TEST(ReservoirTest, ZeroCapacityDisablesTheReservoir) {
   InsertInDistributionRows(session->get(), 0, 4);
   EXPECT_EQ((*session)->stats().reservoir_rows, 0);
   EXPECT_TRUE((*session)->ReservoirSnapshot().empty());
+}
+
+// A reference reservoir that copies each touched tuple, keeps the copies
+// in LRU order and drops one on delete. The session keeps row ids and reads
+// the tuples back at snapshot time; both must agree after every delta.
+class CopyingReservoir {
+ public:
+  explicit CopyingReservoir(int64_t capacity) : capacity_(capacity) {}
+
+  void Touch(const stream::ReservoirRow& snap) {
+    if (capacity_ <= 0) return;
+    Drop(snap.row_id);
+    rows_.push_back(snap);
+    while (static_cast<int64_t>(rows_.size()) > capacity_) {
+      rows_.erase(rows_.begin());
+    }
+  }
+
+  void Drop(int64_t row_id) {
+    for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+      if (it->row_id == row_id) {
+        rows_.erase(it);
+        return;
+      }
+    }
+  }
+
+  const std::vector<stream::ReservoirRow>& rows() const { return rows_; }
+
+ private:
+  int64_t capacity_;
+  std::vector<stream::ReservoirRow> rows_;
+};
+
+TEST(ReservoirTest, MatchesACopyingReferenceOnRandomDeltaStreams) {
+  const char* const words[] = {"abc", "name", "12", "zz", "", " q.1",
+                               "longer value", "x-9", "#oov"};
+  constexpr int kWords = sizeof(words) / sizeof(words[0]);
+  for (const int64_t capacity : {int64_t{0}, int64_t{3}, int64_t{4096}}) {
+    stream::SessionOptions options;
+    options.reservoir_capacity = capacity;
+    auto session = stream::TableSession::Create(MakeTinyShared(), options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    stream::TableSession& s = **session;
+
+    CopyingReservoir ref(capacity);
+    // The reference's view of each live tuple, for its touch snapshots.
+    std::map<int64_t, stream::ReservoirRow> live;
+    std::set<int64_t> deleted;
+    std::mt19937 rng(static_cast<uint32_t>(17 + capacity));
+    const auto word = [&] { return std::string(words[rng() % kWords]); };
+    const auto pick = [&](const auto& ids) {
+      auto it = ids.begin();
+      std::advance(it, static_cast<long>(rng() % ids.size()));
+      return *it;
+    };
+    std::vector<std::pair<int, stream::CellVerdict>> affected;
+    int64_t next_id = 0;
+    for (int step = 0; step < 400; ++step) {
+      const uint32_t roll = rng() % 10;
+      if (roll < 4 || live.empty()) {
+        // Insert a new id, or re-insert a deleted one.
+        int64_t id = next_id;
+        if (!deleted.empty() && roll % 2 == 1) {
+          id = pick(deleted);
+        } else {
+          ++next_id;
+        }
+        stream::ReservoirRow row;
+        row.row_id = id;
+        row.values = {word(), word(), word()};
+        ASSERT_TRUE(s.Insert(id, row.values, &affected).ok());
+        row.verdicts.assign(3, 0);
+        for (const auto& [attr, v] : affected) {
+          row.verdicts[static_cast<size_t>(attr)] = v.is_error ? 1 : 0;
+        }
+        deleted.erase(id);
+        live[id] = row;
+        ref.Touch(row);
+      } else if (roll < 8) {
+        const int64_t id = pick(live).first;
+        const int attr = static_cast<int>(rng() % 3);
+        const std::string value = word();
+        ASSERT_TRUE(s.Update(id, attr, value, &affected).ok());
+        ASSERT_EQ(affected.size(), 1u);
+        stream::ReservoirRow& row = live[id];
+        row.values[static_cast<size_t>(attr)] = value;
+        row.verdicts[static_cast<size_t>(attr)] =
+            affected[0].second.is_error ? 1 : 0;
+        ref.Touch(row);
+      } else if (roll < 9) {
+        const int64_t id = pick(live).first;
+        ASSERT_TRUE(s.Delete(id).ok());
+        live.erase(id);
+        deleted.insert(id);
+        ref.Drop(id);
+      } else {
+        // Rejected deltas touch nothing.
+        EXPECT_FALSE(s.Insert(pick(live).first, {"a", "b", "c"}).ok());
+        EXPECT_FALSE(s.Update(next_id + 7, 0, "a").ok());
+        EXPECT_FALSE(s.Update(pick(live).first, 5, "a").ok());
+      }
+
+      const std::vector<stream::ReservoirRow> got = s.ReservoirSnapshot();
+      const std::vector<stream::ReservoirRow>& want = ref.rows();
+      ASSERT_EQ(got.size(), want.size())
+          << "capacity " << capacity << " step " << step;
+      ASSERT_EQ(s.stats().reservoir_rows, static_cast<int64_t>(want.size()));
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].row_id, want[i].row_id)
+            << "capacity " << capacity << " step " << step << " slot " << i;
+        ASSERT_EQ(got[i].values, want[i].values) << "row " << want[i].row_id;
+        ASSERT_EQ(got[i].verdicts, want[i].verdicts)
+            << "row " << want[i].row_id;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- Drift re-arming

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -199,11 +200,24 @@ TEST(CharIndexTest, UnknownCharsMapToUnkIndex) {
   EXPECT_EQ(idx.unknown_index(), 3);
 }
 
+// EncodeInto into a buffer one slot longer than `s`, which must stay -1:
+// the encoder writes exactly s.size() ids.
+std::vector<int32_t> EncodeIds(const CharIndex& chars, std::string_view s,
+                               int64_t* oov) {
+  std::vector<int32_t> ids(s.size() + 1, -1);
+  chars.EncodeInto(s, ids.data(), oov);
+  EXPECT_EQ(ids.back(), -1) << "EncodeInto wrote past s.size()";
+  ids.pop_back();
+  return ids;
+}
+
 TEST(CharIndexTest, EncodeSequence) {
   CharIndex idx = CharIndex::BuildFromStrings({"bazy"});
+  int64_t oov = 0;
   // 'b'->1, 'a'->2, 'z'->3, 'y'->4 (first occurrence).
-  EXPECT_EQ(idx.Encode("bazy"), (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(idx.Encode(""), (std::vector<int>{}));
+  EXPECT_EQ(EncodeIds(idx, "bazy", &oov), (std::vector<int32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(EncodeIds(idx, "", &oov), (std::vector<int32_t>{}));
+  EXPECT_EQ(oov, 0);
 }
 
 TEST(AttributeIndexTest, Lookup) {
@@ -268,25 +282,32 @@ TEST(EncodingTest, SplitByRowIds) {
 TEST(DictionaryOovTest, CountsOutOfVocabularyCharactersExactly) {
   const CharIndex chars = CharIndex::BuildFromStrings({"abc"});
   int64_t oov = 0;
-  const std::vector<int> ids = chars.Encode("abcd#", &oov);
+  const std::vector<int32_t> ids = EncodeIds(chars, "abcd#", &oov);
   EXPECT_EQ(oov, 2);  // 'd' and '#' were never seen
   ASSERT_EQ(ids.size(), 5u);
+  EXPECT_EQ(ids[0], chars.IndexOf('a'));
   EXPECT_EQ(ids[3], chars.unknown_index());
   EXPECT_EQ(ids[4], chars.unknown_index());
-  // The counting overload encodes identically to the plain one.
-  EXPECT_EQ(ids, chars.Encode("abcd#"));
 
   // The counter accumulates across calls rather than resetting.
-  chars.Encode("##", &oov);
+  EncodeIds(chars, "##", &oov);
   EXPECT_EQ(oov, 4);
 
   // Empty value: nothing encoded, nothing counted.
   int64_t none = 0;
-  EXPECT_TRUE(chars.Encode("", &none).empty());
+  EXPECT_TRUE(EncodeIds(chars, "", &none).empty());
   EXPECT_EQ(none, 0);
   // All-in-dictionary value leaves the counter untouched.
-  chars.Encode("cba", &none);
+  EncodeIds(chars, "cba", &none);
   EXPECT_EQ(none, 0);
+
+  // Bytes >= 0x80 index the table unsigned: a known high byte encodes to
+  // its id, an unknown one to the unknown index.
+  const CharIndex high = CharIndex::BuildFromStrings({"\xc3\xa9"});
+  int64_t high_oov = 0;
+  EXPECT_EQ(EncodeIds(high, "\xc3\xa9\xff", &high_oov),
+            (std::vector<int32_t>{1, 2, high.unknown_index()}));
+  EXPECT_EQ(high_oov, 1);
 }
 
 TEST(EncodingOovTest, OwnDictionaryHasNoMissesForeignCountsEveryOne) {

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -676,6 +677,162 @@ TEST(BundleTest, EncodeQueriesReplicatesPreparePipeline) {
   EXPECT_EQ(ds2->attrs[0], 1);
   // Unknown chars encode to the dedicated unknown id, not pad.
   EXPECT_NE(ds2->seq_at(0, 0), 0);
+}
+
+// A detector whose encoder is `frame`'s: the dictionary, padded width and
+// per-attribute length_norm denominators EncodeCells and ErrorDetector::Run
+// derive from it, plus the prepare options that built it.
+LoadedDetector DetectorForFrame(const data::CellFrame& frame,
+                                const data::PrepareOptions& prepare) {
+  core::TrainedDetector trained = MakeTinyTrained();
+  trained.chars = data::CharIndex::Build(frame);
+  trained.config.vocab = trained.chars.vocab_size();
+  trained.config.max_len = std::max(1, frame.MaxValueLength());
+  trained.config.n_attrs = frame.num_attrs();
+  trained.model = std::make_unique<core::ErrorDetectionModel>(trained.config);
+  trained.attr_names = frame.attr_names();
+  const size_t n = static_cast<size_t>(frame.num_attrs());
+  trained.attr_max_value_len.assign(n, 0);
+  for (const data::CellRecord& cell : frame.cells()) {
+    int32_t& mx = trained.attr_max_value_len[static_cast<size_t>(cell.attr)];
+    mx = std::max(mx, static_cast<int32_t>(cell.value.size()));
+  }
+  trained.attr_empty_rate.assign(n, 0.0f);
+  trained.attr_error_rate.assign(n, 0.0f);
+  trained.prepare = prepare;
+  auto loaded = MakeLoadedDetector(std::move(trained));
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::move(loaded).value();
+}
+
+// Every raw cell of `dirty`, encoded one at a time by AppendQueryCell and as
+// a batch by EncodeQueries, must equal EncodeCells on the prepared frame:
+// the same ids, the same length_norm bits, and the prepare accounting
+// (prepared_len, empty, oov_chars) must describe the frame's cell.
+void ExpectQueryEncodingMatchesFrame(const data::Table& dirty,
+                                     const data::PrepareOptions& prepare,
+                                     const std::string& what) {
+  SCOPED_TRACE(what);
+  auto frame = data::PrepareDirtyOnly(dirty, prepare);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const LoadedDetector detector = DetectorForFrame(*frame, prepare);
+  int64_t frame_oov = 0;
+  const data::EncodedDataset want =
+      data::EncodeCells(*frame, detector.chars(), &frame_oov);
+  EXPECT_EQ(frame_oov, 0);
+
+  data::EncodedDataset got;
+  detector.InitQueryDataset(&got);
+  std::vector<CellQuery> queries;
+  for (int r = 0; r < dirty.num_rows(); ++r) {
+    for (int a = 0; a < dirty.num_columns(); ++a) {
+      EncodedCellInfo info;
+      info.oov_chars = -1;
+      ASSERT_TRUE(detector.AppendQueryCell(a, dirty.cell(r, a), &got, &info)
+                      .ok());
+      const data::CellRecord& cell = frame->cell(r, a);
+      ASSERT_EQ(info.prepared_len, static_cast<int>(cell.value.size()))
+          << "row " << r << " attr " << a;
+      ASSERT_EQ(info.empty, cell.empty) << "row " << r << " attr " << a;
+      ASSERT_EQ(info.oov_chars, 0) << "row " << r << " attr " << a;
+      CellQuery q;
+      q.attr = a;
+      q.value = dirty.cell(r, a);
+      queries.push_back(std::move(q));
+    }
+  }
+  const auto same_encoding = [&want](const data::EncodedDataset& ds) {
+    EXPECT_EQ(ds.max_len, want.max_len);
+    EXPECT_EQ(ds.vocab, want.vocab);
+    EXPECT_EQ(ds.n_attrs, want.n_attrs);
+    EXPECT_EQ(ds.seqs, want.seqs);
+    EXPECT_EQ(ds.attrs, want.attrs);
+    ASSERT_EQ(ds.length_norm.size(), want.length_norm.size());
+    for (size_t i = 0; i < ds.length_norm.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&ds.length_norm[i], &want.length_norm[i],
+                            sizeof(float)),
+                0)
+          << "cell " << i;
+    }
+  };
+  same_encoding(got);
+  auto batch = detector.EncodeQueries(queries);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  same_encoding(*batch);
+
+  // Re-initializing keeps the buffers and forgets the cells.
+  const size_t capacity = got.seqs.capacity();
+  detector.InitQueryDataset(&got);
+  EXPECT_EQ(got.num_cells(), 0);
+  EXPECT_TRUE(got.seqs.empty());
+  EXPECT_EQ(got.seqs.capacity(), capacity);
+}
+
+TEST(BundleTest, QueryEncodingMatchesEncodeCellsOnAllGenerators) {
+  datagen::GenOptions gen;
+  gen.scale = 0.02;
+  gen.seed = 3;
+  for (const char* name :
+       {"beers", "flights", "hospital", "movies", "rayyan", "tax"}) {
+    auto pair = datagen::MakeDataset(name, gen);
+    ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+    ExpectQueryEncodingMatchesFrame(pair->dirty, data::PrepareOptions{}, name);
+  }
+}
+
+TEST(BundleTest, QueryEncodingMatchesEncodeCellsOnEdgeValues) {
+  data::Table dirty(std::vector<std::string>{"a", "b", "c"});
+  const std::vector<std::vector<std::string>> rows = {
+      {" lead", "\tlead", "\rlead"},
+      {"\nlead", " \t\r\n mixed", "\v\fkept"},
+      {"NaN", "nan", " NaN"},
+      {"\xc3\xa9t\xc3\xa9", "\xff\x80\x7f", "caf\xc3\xa9 "},
+      {"", "   ", "plain"},
+      {std::string(40, 'x'), "0123456789abcdefghij", "short"},
+  };
+  for (const auto& row : rows) ASSERT_TRUE(dirty.AppendRow(row).ok());
+
+  data::PrepareOptions defaults;
+  ExpectQueryEncodingMatchesFrame(dirty, defaults, "defaults");
+  data::PrepareOptions truncating;
+  truncating.max_value_len = 6;  // shorter than several values above
+  ExpectQueryEncodingMatchesFrame(dirty, truncating, "max_value_len 6");
+  data::PrepareOptions raw;
+  raw.trim_leading_whitespace = false;
+  raw.treat_nan_as_empty = false;
+  ExpectQueryEncodingMatchesFrame(dirty, raw, "no trim, NaN kept");
+}
+
+TEST(BundleTest, QueryValuesLongerThanMaxLenKeepTheirFirstMaxLenChars) {
+  // A novel value longer than the training frame's padded width: the
+  // prepared length (and so length_norm and the statistics) is the
+  // max_value_len-truncated one, but only the first max_len characters are
+  // encoded and counted.
+  data::Table dirty(std::vector<std::string>{"a", "b"});
+  ASSERT_TRUE(dirty.AppendRow({"abcd", "xy"}).ok());
+  data::PrepareOptions prepare;
+  prepare.max_value_len = 9;
+  auto frame = data::PrepareDirtyOnly(dirty, prepare);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const LoadedDetector detector = DetectorForFrame(*frame, prepare);
+  ASSERT_EQ(detector.config().max_len, 4);
+
+  data::EncodedDataset ds;
+  detector.InitQueryDataset(&ds);
+  EncodedCellInfo info;
+  // "\xfe" and "#" are outside the dictionary; only the "\xfe" lies within
+  // the first max_len characters.
+  const std::string value = "  \xfe" "dcbaabcd#";
+  ASSERT_TRUE(detector.AppendQueryCell(1, value, &ds, &info).ok());
+  EXPECT_EQ(info.prepared_len, 9);
+  EXPECT_FALSE(info.empty);
+  EXPECT_EQ(info.oov_chars, 1);
+  EXPECT_EQ(ds.length_norm[0], 9.0f / 2.0f);
+  std::vector<int32_t> ids(4);
+  int64_t oov = 0;
+  detector.chars().EncodeInto("\xfe" "dcb", ids.data(), &oov);
+  EXPECT_EQ(ds.seqs, ids);
+  EXPECT_EQ(ds.seqs[0], detector.chars().unknown_index());
 }
 
 // ------------------------------------------------------------------- Server

@@ -1,0 +1,255 @@
+// Heap-allocation budget of the streaming delta path. This binary replaces
+// the global operator new with a counting one (kept out of every other
+// suite), replays a table into a TableSession, warms it up, and then
+// asserts that a memo-hit update whose new value fits the old value's
+// capacity, and a verdict read, make no heap allocation at all: the
+// session reuses its per-delta buffers and the reservoir keeps row ids.
+//
+// Sanitizer builds intercept operator new themselves, so there the
+// replacement is compiled out and the test skips.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/detector.h"
+#include "core/model.h"
+#include "obs/trace.h"
+#include "serve/bundle.h"
+#include "stream/session.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define BIRNN_COUNTING_NEW 0
+#else
+#define BIRNN_COUNTING_NEW 1
+#endif
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<int64_t> g_allocs{0};
+
+}  // namespace
+
+#if BIRNN_COUNTING_NEW
+
+namespace {
+
+void* CountedAlloc(std::size_t n, std::size_t align) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n == 0) n = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(n);
+  } else if (::posix_memalign(&p, align, n) != 0) {
+    p = nullptr;
+  }
+  return p;
+}
+
+void* CountedAllocOrThrow(std::size_t n, std::size_t align) {
+  void* p = CountedAlloc(n, align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAllocOrThrow(n, 0); }
+void* operator new[](std::size_t n) { return CountedAllocOrThrow(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAllocOrThrow(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAllocOrThrow(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, 0);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+#endif  // BIRNN_COUNTING_NEW
+
+namespace birnn::stream {
+namespace {
+
+/// Heap allocations made while `fn` runs.
+template <typename Fn>
+int64_t CountAllocations(Fn&& fn) {
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocs.load(std::memory_order_relaxed);
+}
+
+// The hand-built streaming detector of stream_test.cc: frozen column
+// statistics without a training run (a memo hit never reaches the model).
+std::shared_ptr<const serve::LoadedDetector> MakeTinyShared() {
+  core::TrainedDetector trained;
+  trained.chars = data::CharIndex::BuildFromStrings(
+      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
+  core::ModelConfig config;
+  config.vocab = trained.chars.vocab_size();
+  config.max_len = 12;
+  config.n_attrs = 3;
+  config.char_emb_dim = 8;
+  config.units = 8;
+  config.stacks = 1;
+  config.enriched = true;
+  config.attr_emb_dim = 4;
+  config.attr_units = 4;
+  config.length_dense_dim = 8;
+  config.hidden_dense_dim = 8;
+  config.seed = 99;
+  trained.config = config;
+  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
+  trained.attr_names = {"id", "name", "score"};
+  trained.attr_max_value_len = {8, 12, 6};
+  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
+  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
+  trained.has_frozen_stats = true;
+  auto loaded = serve::MakeLoadedDetector(std::move(trained));
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return std::make_shared<const serve::LoadedDetector>(
+      std::move(loaded).value());
+}
+
+// Short (in-string) and long (heap) values, with leading whitespace and
+// characters outside the dictionary so trim, truncation and OOV counting
+// all run on the measured path.
+const char* const kWords[] = {
+    "ale",  "  ipa 9",           "stout.x", "42",
+    "",     "porter-1 and more", "\tnan",   "a much longer value here",
+    "#x#",  "lager lager lager", "NaN",     "weissbier-weissbier"};
+constexpr int kNumWords = sizeof(kWords) / sizeof(kWords[0]);
+constexpr int kRows = 64;
+
+std::string Word(int i) { return kWords[i % kNumWords]; }
+
+TEST(StreamAllocTest, MemoHitUpdateAndVerdictReadAllocateNothing) {
+#if !BIRNN_COUNTING_NEW
+  GTEST_SKIP() << "sanitizer builds replace operator new themselves";
+#endif
+  SessionOptions options;
+  // Thresholds no stream here can reach: a latching alarm records itself
+  // once (one allocation), which is not the per-delta cost measured here.
+  options.drift.max_len_growth = 1e9f;
+  options.drift.oov_rate_threshold = 2.0f;
+  options.drift.empty_rate_delta = 2.0f;
+  options.drift.error_rate_delta = 2.0f;
+  auto created = TableSession::Create(MakeTinyShared(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TableSession& s = **created;
+
+  for (int r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(s.Insert(r, {Word(r), Word(r + 1), Word(r + 2)}).ok());
+  }
+
+  // One pass of updates moves every cell through every word of its
+  // attribute's cycle; all of them were replayed above, so each is a memo
+  // hit. The warm-up grows each stored value to its longest word, and it
+  // runs until the thread's trace ring is full (it grows to
+  // TraceRing::kCapacity events once, then overwrites in place).
+  std::vector<Delta> updates;
+  for (int k = 0; k < kNumWords; ++k) {
+    for (int r = 0; r < kRows; ++r) {
+      for (int a = 0; a < 3; ++a) {
+        Delta d;
+        d.kind = DeltaKind::kUpdate;
+        d.row_id = r;
+        d.attr = a;
+        d.value = Word(r + a + k);
+        updates.push_back(std::move(d));
+      }
+    }
+  }
+  for (size_t warm = 0; warm <= obs::TraceRing::kCapacity;
+       warm += updates.size()) {
+    for (const Delta& d : updates) ASSERT_TRUE(s.Apply(d).ok());
+  }
+  for (int r = 0; r < kRows; ++r) ASSERT_TRUE(s.GetVerdict(r, 1).ok());
+
+  const SessionStats before = s.stats();
+  bool all_ok = true;
+  const int64_t apply_allocs = CountAllocations([&] {
+    for (const Delta& d : updates) all_ok &= s.Apply(d).ok();
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(apply_allocs, 0) << "over " << updates.size() << " updates";
+  const SessionStats after = s.stats();
+  const int64_t n_updates = static_cast<int64_t>(updates.size());
+  EXPECT_EQ(after.updates - before.updates, n_updates);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, n_updates)
+      << "every measured update must be a memo hit";
+
+  // Update() moves its value into the delta: no copy either.
+  std::vector<std::string> values;
+  for (const Delta& d : updates) values.push_back(d.value);
+  const int64_t update_allocs = CountAllocations([&] {
+    for (size_t i = 0; i < updates.size(); ++i) {
+      all_ok &= s.Update(updates[i].row_id, updates[i].attr,
+                         std::move(values[i]))
+                    .ok();
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(update_allocs, 0);
+
+  const int64_t read_allocs = CountAllocations([&] {
+    for (int r = 0; r < kRows; ++r) {
+      for (int a = 0; a < 3; ++a) all_ok &= s.GetVerdict(r, a).ok();
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(read_allocs, 0);
+
+  // The counter works: an insert copies its tuple into the session.
+  EXPECT_GT(CountAllocations([&] {
+              all_ok &= s.Insert(kRows, {Word(0), Word(1), Word(2)}).ok();
+            }),
+            0);
+  EXPECT_TRUE(all_ok);
+
+  auto batch = s.DetectAll();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(s.MaterializedVerdicts(), *batch);
+}
+
+}  // namespace
+}  // namespace birnn::stream
