@@ -11,6 +11,5 @@ $B/bench_ablation_samplers  --datasets=beers,hospital,rayyan --reps 2 --epochs 3
 $B/bench_ablation_truncation --reps 1 --epochs 35                        2>>progress.log
 $B/bench_ablation_architecture --reps 1 --epochs 35                      2>>progress.log
 $B/bench_ablation_cell_type --reps 1 --epochs 35                         2>>progress.log
-$B/bench_repair --epochs 35                                              2>>progress.log
 $B/bench_error_analysis --reps 1 --epochs 35                             2>>progress.log
 $B/bench_micro_nn --benchmark_min_time=0.1                               2>>progress.log

@@ -15,5 +15,4 @@ $B/bench_ablation_samplers    --reps 2                         2>>progress.log
 $B/bench_ablation_truncation  --reps 2                         2>>progress.log
 $B/bench_ablation_architecture --reps 2                        2>>progress.log
 $B/bench_ablation_cell_type   --reps 2 --epochs 40             2>>progress.log
-$B/bench_repair               --epochs 60                      2>>progress.log
 $B/bench_micro_nn --benchmark_min_time=0.2                    2>>progress.log

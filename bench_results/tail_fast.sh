@@ -8,6 +8,5 @@ $B/bench_ablation_samplers  --datasets=hospital,beers --reps 1 --epochs 30 2>>pr
 $B/bench_ablation_truncation --datasets=movies --reps 1 --epochs 25 --lengths=16,64,128 2>>progress.log
 $B/bench_ablation_architecture --datasets=hospital --reps 1 --epochs 30  2>>progress.log
 $B/bench_ablation_cell_type --datasets=hospital --reps 1 --epochs 25     2>>progress.log
-$B/bench_repair --datasets=beers,flights,tax --epochs 30                 2>>progress.log
 $B/bench_error_analysis --reps 1 --epochs 30                             2>>progress.log
 $B/bench_micro_nn --benchmark_min_time=0.1                               2>>progress.log

@@ -140,7 +140,9 @@ typedef struct birnn_adapt_options {
   /* Promotion gate: candidate F1 must be >= incumbent F1 - f1_band. */
   double f1_band;
   uint64_t seed;
-  /* Fine-tune worker threads (0 = run on the calling thread). */
+  /* Fine-tune worker threads (0 = run on the calling thread; default 3,
+   * capped at the hardware's threads minus one). The promoted weights are
+   * bit-identical for every value. */
   int32_t train_threads;
   /* Optional directory to save a promoted candidate as a full bundle
    * (fp32 weights, frozen statistics); NULL = don't save. */

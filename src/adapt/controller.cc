@@ -7,6 +7,7 @@
 
 #include "core/content_index.h"
 #include "core/inference.h"
+#include "core/trainer.h"
 #include "eval/metrics.h"
 #include "obs/obs.h"
 #include "util/rng.h"
@@ -184,7 +185,7 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
 
   Stopwatch fine_tune_timer;
   if (options_.bn_only) {
-    ThreadPool pool(std::max(0, options_.train_threads));
+    ThreadPool pool(core::TrainPoolThreads(options_.train_threads));
     core::CalibrateBatchNormMemoized(model.get(), train, eval_opts, &pool);
   } else {
     core::TrainerOptions t = options_.trainer;

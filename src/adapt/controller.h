@@ -53,7 +53,10 @@ struct ControllerOptions {
   double f1_band = 0.02;
 
   uint64_t seed = 99;
-  int train_threads = 0;
+  /// Fine-tune worker threads (0 = inline), capped at the hardware's
+  /// threads minus one; the candidate is bit-identical for every value
+  /// (see core::TrainerOptions). Same default as DetectorOptions.
+  int train_threads = 3;
   int eval_batch = 256;
 
   /// When non-empty, a promoted candidate is also saved here as a full

@@ -6,7 +6,6 @@
 #include "core/content_index.h"
 #include "data/dictionary.h"
 #include "data/encoding.h"
-#include "raha/strategy.h"
 #include "sampling/sampler.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -153,20 +152,6 @@ StatusOr<DetectionReport> ErrorDetector::RunInternal(
   InferenceEngine engine(model, inference_options);
   engine.Predict(all, &report.predicted);
   report.inference = engine.stats();
-
-  // Optional §5.7 ensemble: cross-attribute errors (violated dependencies,
-  // duplicate-source disagreements) that a per-cell character model cannot
-  // see are OR-ed in from the rule-based strategies.
-  if (options_.use_fd_ensemble) {
-    raha::DetectionMask fd_mask(report.predicted.size(), 0);
-    raha::FdViolationStrategy fd(0.85);
-    fd.Detect(dirty, &fd_mask);
-    raha::KeyDuplicateStrategy dup;
-    dup.Detect(dirty, &fd_mask);
-    for (size_t i = 0; i < report.predicted.size(); ++i) {
-      report.predicted[i] = report.predicted[i] || fd_mask[i];
-    }
-  }
 
   // Export the trained artifacts *after* the detection sweep: the model is
   // in exactly the state (best-checkpoint weights, calibrated batch norm)

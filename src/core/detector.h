@@ -66,11 +66,6 @@ struct DetectorOptions {
   /// then its parameter gradients into chains.
   int train_threads = 3;
 
-  /// §5.7 future-work extension: OR the model's verdict with the
-  /// functional-dependency and duplicate-record strategies, which catch the
-  /// cross-attribute errors the character model cannot see.
-  bool use_fd_ensemble = false;
-
   uint64_t seed = 42;
 };
 

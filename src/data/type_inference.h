@@ -10,7 +10,7 @@ namespace birnn::data {
 
 /// Coarse value types for relational columns, used by the rule-based
 /// strategies (outlier detection needs to know whether a column is
-/// numeric) and the repair engines.
+/// numeric).
 enum class ValueType {
   kEmpty,    ///< "" / NaN spellings.
   kInteger,  ///< optional sign, digits only.

@@ -85,7 +85,6 @@ std::string DetectorJobConfig(const core::DetectorOptions& o) {
   Append(&s, "emb", static_cast<int64_t>(o.char_emb_dim));
   Append(&s, "attr_branch", o.use_attr_branch);
   Append(&s, "len_branch", o.use_length_branch);
-  Append(&s, "fd_ensemble", o.use_fd_ensemble);
   Append(&s, "prep_maxlen", static_cast<int64_t>(o.prepare.max_value_len));
   Append(&s, "prep_trim", o.prepare.trim_leading_whitespace);
   Append(&s, "prep_nan", o.prepare.treat_nan_as_empty);

@@ -55,35 +55,8 @@ Status TableSession::Apply(
   std::lock_guard<std::mutex> lock(mu_);
   const int n = detector_->n_attrs();
   switch (delta.kind) {
-    case DeltaKind::kInsert: {
-      if (static_cast<int>(delta.values.size()) != n) {
-        return Status::InvalidArgument(
-            "insert carries " + std::to_string(delta.values.size()) +
-            " values for " + std::to_string(n) + " attributes");
-      }
-      if (rows_.count(delta.row_id) > 0) {
-        return Status::FailedPrecondition(
-            "row already exists: " + std::to_string(delta.row_id));
-      }
-      RowState row;
-      row.values = delta.values;
-      row.verdicts.assign(static_cast<size_t>(n), CellVerdict{});
-      cells_.clear();
-      for (int a = 0; a < n; ++a) {
-        cells_.emplace_back(a, delta.values[static_cast<size_t>(a)]);
-      }
-      BIRNN_RETURN_IF_ERROR(
-          ScoreCellsLocked(cells_, version_ + 1, &row, affected));
-      ++version_;
-      TouchReservoirLocked(rows_.emplace(delta.row_id, std::move(row)).first);
-      ++stats_.deltas;
-      ++stats_.inserts;
-      stats_.rows = static_cast<int64_t>(rows_.size());
-      stats_.version = version_;
-      for (int a = 0; a < n; ++a) CheckDriftLocked(a);
-      OBS_COUNTER_ADD("stream.deltas", 1);
-      return Status::OK();
-    }
+    case DeltaKind::kInsert:
+      return InsertLocked(delta.row_id, delta.values, affected);
     case DeltaKind::kUpdate: {
       if (delta.attr < 0 || delta.attr >= n) {
         return Status::InvalidArgument("attribute index out of range: " +
@@ -134,11 +107,42 @@ Status TableSession::Apply(
 Status TableSession::Insert(
     int64_t row_id, std::vector<std::string> values,
     std::vector<std::pair<int, CellVerdict>>* affected) {
-  Delta d;
-  d.kind = DeltaKind::kInsert;
-  d.row_id = row_id;
-  d.values = std::move(values);
-  return Apply(d, affected);
+  if (affected != nullptr) affected->clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  return InsertLocked(row_id, std::move(values), affected);
+}
+
+Status TableSession::InsertLocked(
+    int64_t row_id, std::vector<std::string> values,
+    std::vector<std::pair<int, CellVerdict>>* affected) {
+  const int n = detector_->n_attrs();
+  if (static_cast<int>(values.size()) != n) {
+    return Status::InvalidArgument(
+        "insert carries " + std::to_string(values.size()) +
+        " values for " + std::to_string(n) + " attributes");
+  }
+  if (rows_.count(row_id) > 0) {
+    return Status::FailedPrecondition("row already exists: " +
+                                      std::to_string(row_id));
+  }
+  RowState row;
+  row.values = std::move(values);
+  row.verdicts.assign(static_cast<size_t>(n), CellVerdict{});
+  cells_.clear();
+  for (int a = 0; a < n; ++a) {
+    cells_.emplace_back(a, row.values[static_cast<size_t>(a)]);
+  }
+  BIRNN_RETURN_IF_ERROR(
+      ScoreCellsLocked(cells_, version_ + 1, &row, affected));
+  ++version_;
+  TouchReservoirLocked(rows_.emplace(row_id, std::move(row)).first);
+  ++stats_.deltas;
+  ++stats_.inserts;
+  stats_.rows = static_cast<int64_t>(rows_.size());
+  stats_.version = version_;
+  for (int a = 0; a < n; ++a) CheckDriftLocked(a);
+  OBS_COUNTER_ADD("stream.deltas", 1);
+  return Status::OK();
 }
 
 Status TableSession::Update(

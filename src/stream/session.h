@@ -160,7 +160,8 @@ class TableSession {
   Status Apply(const Delta& delta,
                std::vector<std::pair<int, CellVerdict>>* affected = nullptr);
 
-  /// Convenience wrappers around Apply.
+  /// Apply's three deltas by their fields. Insert moves `values` into the
+  /// session's row instead of copying them.
   Status Insert(int64_t row_id, std::vector<std::string> values,
                 std::vector<std::pair<int, CellVerdict>>* affected = nullptr);
   Status Update(int64_t row_id, int attr, std::string value,
@@ -217,6 +218,11 @@ class TableSession {
     std::list<int64_t>::iterator reservoir_pos;
   };
   using RowMap = std::map<int64_t, RowState>;
+
+  /// The insert delta: validates the tuple, scores it and stores it,
+  /// taking ownership of `values`. Caller holds mu_.
+  Status InsertLocked(int64_t row_id, std::vector<std::string> values,
+                      std::vector<std::pair<int, CellVerdict>>* affected);
 
   /// Encodes and scores `cells` (attr, raw value) for one tuple under
   /// `version`, writing verdicts into `row` and updating live statistics.

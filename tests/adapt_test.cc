@@ -1,10 +1,11 @@
 // adapt subsystem tests: the session's LRU reservoir and drift-alarm
 // reset/re-arm, the adapt::Controller (skip / promote / reject outcomes,
-// deterministic reports, tuple-level train/gate split, candidate bundle
-// round trip), the serve-plane "adapt" op end to end over a live socket
-// (promotion bumps the generation, rollback restores byte-identical
-// serving), concurrency under TSAN, and the birnn_adapt_* C API driven
-// from a plain-C translation unit.
+// deterministic reports, bit-identical candidates across fine-tune thread
+// counts, tuple-level train/gate split, candidate bundle round trip), the
+// serve-plane "adapt" op end to end over a live socket (promotion bumps
+// the generation, rollback restores byte-identical serving), concurrency
+// under TSAN, and the birnn_adapt_* C API driven from a plain-C
+// translation unit.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -446,6 +448,52 @@ TEST(ControllerTest, ReportsAreDeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(ra->candidate_f1, rb->candidate_f1);
   EXPECT_EQ(ra->train_cells, rb->train_cells);
   EXPECT_EQ(ra->validation_cells, rb->validation_cells);
+}
+
+// The fine-tune's bits never depend on its thread count: the same reservoir
+// and seed promote byte-identical candidate bundles inline and on a pool,
+// both when a minibatch splits into shards and when its one shard hands the
+// pool to the value RNN's lanes.
+TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  for (const int shard_cells : {8, 128}) {
+    std::string bundles[2];
+    const int threads[2] = {0, 3};
+    for (int k = 0; k < 2; ++k) {
+      auto session = stream::TableSession::Create(MakeTinyShared(),
+                                                  DriftySessionOptions());
+      ASSERT_TRUE(session.ok());
+      stream::TableSession& s = **session;
+      for (int64_t r = 0; r < 24; ++r) {
+        ASSERT_TRUE(s.Insert(r, {"abc" + std::to_string(r % 5),
+                                 "name" + std::to_string(r % 7),
+                                 std::to_string(10 + r)})
+                        .ok());
+      }
+      InduceDriftOnAttr0(&s);
+
+      ControllerOptions options;
+      options.min_reservoir_rows = 2;
+      options.fine_tune_epochs = 3;
+      options.f1_band = 1.0;
+      options.train_threads = threads[k];
+      options.trainer.grad_shard_cells = shard_cells;
+      options.candidate_dir = TempDir("birnn_adapt_threads_candidate");
+      Controller controller(MakeTinyShared(), options);
+      auto report = controller.TriggerAdaptation(&s);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_EQ(report->outcome, AdaptOutcome::kPromoted);
+      bundles[k] = read_file(options.candidate_dir + "/weights.ckpt") +
+                   read_file(options.candidate_dir + "/manifest.txt");
+      std::filesystem::remove_all(options.candidate_dir);
+    }
+    EXPECT_FALSE(bundles[0].empty());
+    EXPECT_TRUE(bundles[0] == bundles[1])
+        << "grad_shard_cells " << shard_cells;
+  }
 }
 
 TEST(ControllerTest, GateAndFineTuneOraclesSeeDisjointTuples) {

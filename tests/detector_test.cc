@@ -105,30 +105,6 @@ TEST(ErrorDetectorTest, OracleModeNeedsNoCleanTable) {
                 pair.dirty.num_columns());
 }
 
-TEST(ErrorDetectorTest, FdEnsembleFlagsAtLeastAsMuch) {
-  datagen::GenOptions gen;
-  gen.scale = 0.06;
-  gen.seed = 9;
-  const datagen::DatasetPair pair = datagen::MakeTax(gen);
-
-  DetectorOptions base = FastOptions("etsb");
-  base.trainer.epochs = 12;
-  ErrorDetector plain(base);
-  auto report_plain = plain.Run(pair.dirty, pair.clean);
-  ASSERT_TRUE(report_plain.ok());
-
-  base.use_fd_ensemble = true;
-  ErrorDetector ensembled(base);
-  auto report_fd = ensembled.Run(pair.dirty, pair.clean);
-  ASSERT_TRUE(report_fd.ok());
-
-  int64_t plain_flags = 0;
-  int64_t fd_flags = 0;
-  for (uint8_t p : report_plain->predicted) plain_flags += p;
-  for (uint8_t p : report_fd->predicted) fd_flags += p;
-  EXPECT_GE(fd_flags, plain_flags);  // ensemble only ORs verdicts in
-}
-
 TEST(ErrorDetectorTest, DeterministicForSameSeed) {
   datagen::GenOptions gen;
   gen.scale = 0.05;
