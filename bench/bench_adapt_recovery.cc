@@ -44,8 +44,9 @@
 //                  the pre-adaptation bytes.
 //
 // Structural gates (poison rejection, byte identity, zero drops, promotion
-// accounting) always fail the run; the two statistical F1-band gates are
-// enforced under --gate (they depend on dataset scale). Writes
+// accounting) always fail the run; the two statistical F1-band gates and
+// the floor on probes fired during the adapt step are enforced under --gate
+// (they depend on dataset scale). Writes
 // BENCH_adapt.json.
 
 #include <arpa/inet.h>
@@ -289,6 +290,13 @@ struct ProbeTally {
   int64_t malformed = 0;  ///< answered but not a well-formed OK line.
 };
 
+// Under --gate, the fewest probes that must be fired before the adapt
+// response arrives. Probes are a paced trickle that only runs while the
+// adapt step does, so a fast enough adapt would otherwise pass the
+// zero-drop check on a handful of requests. Fixed before any run; never
+// lower it to make a run pass.
+constexpr int64_t kMinProbesDuringAdapt = 64;
+
 struct DatasetResult {
   std::string dataset;
   int64_t rows = 0;
@@ -318,6 +326,7 @@ struct DatasetResult {
   double adapt_seconds = 0.0;
 
   ProbeTally probes;
+  int64_t probes_before_adapt_response = 0;
   bool rollback_bytes_identical = false;
   int64_t adapt_attempts = 0;
   int64_t adapt_promotions = 0;
@@ -551,6 +560,7 @@ int Run(int argc, char** argv) {
     // connection's reactor loop wait out the adapt, then are answered).
     {
       std::atomic<bool> stop{false};
+      std::atomic<int64_t> fired_total{0};
       std::vector<ProbeTally> tallies(static_cast<size_t>(n_clients));
       std::vector<std::thread> clients;
       for (int c = 0; c < n_clients; ++c) {
@@ -565,6 +575,7 @@ int Run(int argc, char** argv) {
           ProbeTally& tally = tallies[static_cast<size_t>(c)];
           while (!stop.load(std::memory_order_relaxed)) {
             ++tally.fired;
+            fired_total.fetch_add(1, std::memory_order_relaxed);
             const std::string response = RoundTrip(probe_fd, probe);
             if (response.empty()) continue;  // lost: fired - answered.
             ++tally.answered;
@@ -584,6 +595,7 @@ int Run(int argc, char** argv) {
       Stopwatch adapt_timer;
       auto response = serve::JsonValue::Parse(RoundTrip(fd, request));
       dr.adapt_seconds = adapt_timer.ElapsedSeconds();
+      dr.probes_before_adapt_response = fired_total.load();
       stop.store(true);
       for (std::thread& t : clients) t.join();
       for (const ProbeTally& tally : tallies) {
@@ -621,6 +633,12 @@ int Run(int argc, char** argv) {
         dr.failures.push_back(std::to_string(dr.probes.malformed) +
                               " malformed detect response(s) during the "
                               "live promotion");
+      }
+      if (gate && dr.probes_before_adapt_response < kMinProbesDuringAdapt) {
+        dr.failures.push_back(
+            "only " + std::to_string(dr.probes_before_adapt_response) +
+            " probe(s) fired before the adapt response, below the floor of " +
+            std::to_string(kMinProbesDuringAdapt));
       }
     }
 
@@ -788,6 +806,9 @@ int Run(int argc, char** argv) {
       json.Key("probe_requests_fired").Int(dr.probes.fired);
       json.Key("probe_requests_answered").Int(dr.probes.answered);
       json.Key("probe_requests_malformed").Int(dr.probes.malformed);
+      json.Key("probe_requests_fired_before_adapt_response")
+          .Int(dr.probes_before_adapt_response);
+      json.Key("probe_floor").Int(kMinProbesDuringAdapt);
       json.Key("rollback_bytes_identical").Bool(dr.rollback_bytes_identical);
       json.Key("adapt_attempts").Int(dr.adapt_attempts);
       json.Key("adapt_promotions").Int(dr.adapt_promotions);

@@ -40,11 +40,7 @@ MicroBatcher::MicroBatcher(const LoadedDetector& detector,
   options_.max_batch = std::max(1, options_.max_batch);
   options_.max_delay_us = std::max(0, options_.max_delay_us);
   options_.queue_capacity = std::max(1, options_.queue_capacity);
-  options_.replicas = std::max(1, options_.replicas);
-  dispatchers_.reserve(static_cast<size_t>(options_.replicas));
-  for (int r = 0; r < options_.replicas; ++r) {
-    dispatchers_.emplace_back([this] { DispatchLoop(); });
-  }
+  dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 MicroBatcher::~MicroBatcher() { Stop(); }
@@ -116,9 +112,7 @@ void MicroBatcher::Stop() {
   }
   wake_dispatcher_.notify_all();
   std::lock_guard<std::mutex> join_lock(join_mutex_);
-  for (std::thread& dispatcher : dispatchers_) {
-    if (dispatcher.joinable()) dispatcher.join();
-  }
+  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 BatcherStats MicroBatcher::stats() const {
@@ -142,9 +136,8 @@ BatcherStats MicroBatcher::stats() const {
 }
 
 void MicroBatcher::DispatchLoop() {
-  // Each replica owns a private engine over the shared (const) weights:
-  // engines hold scratch and stats, so they cannot be shared, but the
-  // verdict memo can and is.
+  // The dispatcher owns the engine (scratch and stats) over the detector's
+  // const weights.
   core::InferenceEngine engine(detector_.model(), MakeEngineOptions(options_));
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -166,7 +159,6 @@ void MicroBatcher::DispatchLoop() {
       wake_dispatcher_.wait_until(lock, deadline, [this] {
         return stopping_ || pending_cells_ >= options_.max_batch;
       });
-      if (pending_.empty()) continue;  // a sibling replica took everything
     }
 
     // Coalesce whole requests up to max_batch cells. The first request is
@@ -198,8 +190,8 @@ void MicroBatcher::DispatchLoop() {
       batch = &merged;
     }
 
-    // The shared memo answers cells the service has predicted before (any
-    // replica, any earlier batch); only the leftovers touch the engine —
+    // The memo answers cells the service has predicted before (any earlier
+    // batch); only the leftovers touch the engine —
     // the lookup / miss-subset-sweep / insert cycle lives in
     // InferenceEngine::PredictProbsMemoized now, on top of the succinct
     // content index. Exact: per-cell outputs are batch-composition

@@ -29,17 +29,9 @@ struct BatcherOptions {
   /// of queuing without bound; a request larger than the capacity can never
   /// be admitted.
   int queue_capacity = 1024;
-  /// Engine replicas: dispatcher threads pulling from the shared admission
-  /// queue, each owning a private InferenceEngine over the same weights.
-  /// One replica reproduces the classic single-dispatcher batcher; more
-  /// replicas overlap forward batches on multicore hosts. Verdicts are
-  /// bit-identical at any replica count (batch-composition independence,
-  /// core/inference.h), though response *order* across concurrent requests
-  /// is scheduling-dependent, as it already was.
-  int replicas = 1;
-  /// Entry bound of the cross-request verdict memo shared by the replicas
-  /// (a core::ContentMemo); 0 disables it. Exact — cached verdicts are a
-  /// pure function of cell content under fixed weights.
+  /// Entry bound of the cross-request verdict memo (a core::ContentMemo);
+  /// 0 disables it. Exact — cached verdicts are a pure function of cell
+  /// content under fixed weights.
   int64_t memo_capacity = 1 << 18;
 };
 
@@ -69,14 +61,14 @@ struct BatcherStats {
   int64_t memo_evictions = 0;  ///< shard drops at the capacity bound.
 };
 
-/// Coalesces concurrent detection requests into batches through
-/// core::InferenceEngine replicas. Each of `options.replicas` dispatcher
-/// threads owns a private engine and pulls coalesced batches from the
-/// shared admission queue; callers enqueue encoded cells and are answered
-/// via callback once their batch completes. A shared core::ContentMemo
-/// answers repeated cell contents across requests without touching any
-/// engine. The memo lives and dies with the batcher, so it never outlives
-/// a weight change: a hot bundle reload builds a fresh batcher.
+/// Coalesces concurrent detection requests into batches through one
+/// core::InferenceEngine. One dispatcher thread owns the engine and pulls
+/// coalesced batches from the admission queue; callers enqueue encoded
+/// cells and are answered via callback once their batch completes. A
+/// core::ContentMemo answers repeated cell contents across requests without
+/// touching the engine. The memo lives and dies with the batcher, so it
+/// never outlives a weight change: a hot bundle reload builds a fresh
+/// batcher.
 ///
 /// Because the engine's forward path is batch-composition independent
 /// (row-independent kernels, batch-size-invariant activation sweeps,
@@ -157,7 +149,7 @@ class MicroBatcher {
   obs::Counter memo_hits_{"serve/batcher/memo_hits"};
 
   std::mutex join_mutex_;  ///< serializes concurrent Stop() calls.
-  std::vector<std::thread> dispatchers_;
+  std::thread dispatcher_;
 };
 
 }  // namespace birnn::serve

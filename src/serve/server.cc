@@ -120,9 +120,7 @@ Status Server::Start() {
   started_ = true;
   BIRNN_LOG(Info) << "serve: listening on " << options_.host << ":" << port_
                   << " (" << models_.size() << " model(s), "
-                  << options_.reactor_threads << " reactor loop(s), "
-                  << std::max(1, options_.batcher.replicas)
-                  << " replica(s)/model)";
+                  << options_.reactor_threads << " reactor loop(s))";
   return Status::OK();
 }
 

@@ -44,8 +44,8 @@ struct ServerOptions {
   /// kills its connection (bounds per-connection memory against hostile
   /// input).
   int max_line_bytes = 1 << 20;
-  /// Micro-batching policy, applied to every hosted model. batcher.replicas
-  /// engine replicas serve each model behind a shared verdict memo.
+  /// Micro-batching policy, applied to every hosted model: one engine per
+  /// model behind a verdict memo.
   BatcherOptions batcher;
   /// Streaming ("delta" op) policy, applied to every per-model table
   /// session. Sessions are created lazily on the first delta and reset by
@@ -66,9 +66,8 @@ struct ServerOptions {
 /// serve/protocol.h over an epoll reactor (serve/reactor.h): a few
 /// event-loop threads multiplex nonblocking connections, and detect
 /// requests flow through the micro-batcher asynchronously. Each hosted
-/// model is served by a MicroBatcher (batcher.replicas engine replicas +
-/// shared verdict memo), so concurrent connections coalesce into shared
-/// forward batches.
+/// model is served by a MicroBatcher (one engine + verdict memo), so
+/// concurrent connections coalesce into shared forward batches.
 ///
 /// Hot reload: ReloadModel() loads a new bundle, atomically swaps it in
 /// (new requests go to the new model), drains the old one — every request

@@ -210,11 +210,11 @@ TEST(MicroBatcherTest, StopAnswersEveryAdmittedRequest) {
   EXPECT_EQ(post.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(MicroBatcherTest, ReplicasAnswerBitIdenticallyToSoloRun) {
+TEST(MicroBatcherTest, ConcurrentClientsAnswerBitIdenticallyToSoloRun) {
   const LoadedDetector detector = MakeTinyDetector();
   const std::vector<CellQuery> queries = MakeQueries(48, 0);
 
-  // Baseline: one replica, no memo, one cell at a time.
+  // Baseline: no memo, one cell at a time.
   std::vector<CellVerdict> solo;
   {
     BatcherOptions opts;
@@ -229,11 +229,11 @@ TEST(MicroBatcherTest, ReplicasAnswerBitIdenticallyToSoloRun) {
     }
   }
 
-  // 4 engine replicas + shared memo under concurrent load: bit-identical.
+  // 8 client threads coalescing into shared batches through the memo:
+  // bit-identical.
   BatcherOptions opts;
   opts.max_batch = 16;
   opts.max_delay_us = 1000;
-  opts.replicas = 4;
   MicroBatcher batcher(detector, opts);
   const int kThreads = 8;
   const int kRounds = 6;
@@ -261,7 +261,7 @@ TEST(MicroBatcherTest, ReplicasAnswerBitIdenticallyToSoloRun) {
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.requests, kThreads * kRounds);
   // The workload repeats the same 48 cell contents across 8x6 requests, so
-  // the shared memo must have been doing real work.
+  // the memo must have been doing real work.
   EXPECT_GT(stats.memo_hits, 0);
   EXPECT_GT(stats.memo_entries, 0);
   EXPECT_LE(stats.memo_entries, 48);

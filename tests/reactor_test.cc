@@ -3,15 +3,17 @@
 // socket-free oracle), frame CRLF and blank keep-alive lines correctly,
 // answer seeded fuzzed request lines with one typed response each, survive
 // hostile and fragmented input, keep pipelined responses in request order,
-// shed typed errors at the connection cap, pause slow readers instead of
-// ballooning, and hot-swap model bundles without dropping one in-flight
-// request.
+// answer concurrent connections with the oracle's bytes, shed typed errors
+// at the connection cap and the admission queue without losing a request,
+// pause slow readers instead of ballooning, and hot-swap model bundles
+// without dropping one in-flight request.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -127,16 +129,28 @@ ServerOptions ReactorOptions4Test() {
 }
 
 // The socket-free oracle: the exact response line `detector` produces for
-// one detect request line, through the ParseRequest -> Detect ->
-// OkDetectResponse chain the server runs per line, with no transport.
+// each detect request line, through the ParseRequest -> Detect ->
+// OkDetectResponse chain the server runs per line, with no transport. The
+// oracle's batcher has no window: batching never changes an answer.
+std::vector<std::string> OracleDetectResponses(
+    const LoadedDetector& detector, const std::vector<std::string>& lines) {
+  BatcherOptions options;
+  options.max_delay_us = 0;
+  MicroBatcher batcher(detector, options);
+  std::vector<std::string> responses;
+  for (const std::string& line : lines) {
+    auto request = ParseRequest(line);
+    EXPECT_TRUE(request.ok());
+    std::vector<CellVerdict> verdicts;
+    EXPECT_TRUE(batcher.Detect(request->cells, &verdicts).ok());
+    responses.push_back(OkDetectResponse(request->id, verdicts));
+  }
+  return responses;
+}
+
 std::string OracleDetectResponse(const LoadedDetector& detector,
                                  const std::string& line) {
-  MicroBatcher batcher(detector);
-  auto request = ParseRequest(line);
-  EXPECT_TRUE(request.ok());
-  std::vector<CellVerdict> verdicts;
-  EXPECT_TRUE(batcher.Detect(request->cells, &verdicts).ok());
-  return OkDetectResponse(request->id, verdicts);
+  return OracleDetectResponses(detector, {line}).front();
 }
 
 // ------------------------------------------------------ Golden transcript
@@ -567,29 +581,88 @@ TEST(ReactorTest, SlowReaderIsPausedNotUnbounded) {
 }
 
 TEST(ReactorTest, ManyConcurrentConnectionsAllServed) {
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
-  Server server(&registry, ReactorOptions4Test());
-  ASSERT_TRUE(server.Start().ok());
+  // Two shapes: 128 connections with one detect each, at the default
+  // admission queue, where nothing may shed; and 32 connections that each
+  // pipeline 16 detects into a queue that holds two 3-cell requests, where
+  // some must shed and not all. Either way every request gets exactly one
+  // line, in order: the socket-free oracle's bytes, or a typed OVERLOADED
+  // for its id.
+  struct Shape {
+    int conns;
+    int burst;
+    int queue_capacity;
+  };
+  for (const Shape shape :
+       {Shape{128, 1, BatcherOptions().queue_capacity}, Shape{32, 16, 8}}) {
+    SCOPED_TRACE("queue capacity " + std::to_string(shape.queue_capacity));
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
+    ServerOptions options = ReactorOptions4Test();
+    options.batcher.queue_capacity = shape.queue_capacity;
+    Server server(&registry, options);
+    ASSERT_TRUE(server.Start().ok());
 
-  constexpr int kConns = 128;
-  std::vector<int> fds;
-  fds.reserve(kConns);
-  for (int i = 0; i < kConns; ++i) fds.push_back(ConnectTo(server.port()));
-  // All open simultaneously; fire a detect on each, then collect.
-  for (int i = 0; i < kConns; ++i) {
-    SendRaw(fds[static_cast<size_t>(i)],
-            DetectRequest("c" + std::to_string(i), i) + "\n");
+    std::vector<std::string> ids;
+    std::vector<std::string> lines;
+    for (int c = 0; c < shape.conns; ++c) {
+      for (int i = 0; i < shape.burst; ++i) {
+        ids.push_back("c" + std::to_string(c) + "." + std::to_string(i));
+        lines.push_back(DetectRequest(ids.back(), c * shape.burst + i));
+      }
+    }
+    const std::vector<std::string> expected =
+        OracleDetectResponses(MakeTinyDetector(), lines);
+
+    // All open simultaneously; fire every burst, then collect.
+    std::vector<int> fds;
+    for (int c = 0; c < shape.conns; ++c) {
+      const int fd = ConnectTo(server.port());
+      // A lost response fails the read instead of hanging the test.
+      timeval timeout{20, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      fds.push_back(fd);
+    }
+    for (int c = 0; c < shape.conns; ++c) {
+      std::string burst;
+      for (int i = 0; i < shape.burst; ++i) {
+        burst += lines[static_cast<size_t>(c * shape.burst + i)] + "\n";
+      }
+      SendRaw(fds[static_cast<size_t>(c)], burst);
+    }
+
+    int answered = 0;
+    int shed = 0;
+    for (int c = 0; c < shape.conns; ++c) {
+      for (int i = 0; i < shape.burst; ++i) {
+        const size_t k = static_cast<size_t>(c * shape.burst + i);
+        const std::string got = ReadLine(fds[static_cast<size_t>(c)]);
+        ASSERT_FALSE(got.empty()) << "lost request " << ids[k];
+        if (got == expected[k]) {
+          ++answered;
+          continue;
+        }
+        auto response = JsonValue::Parse(got);
+        ASSERT_TRUE(response.ok()) << got;
+        EXPECT_EQ(response->GetString("id"), ids[k]) << got;
+        EXPECT_EQ(response->GetString("status"), "OVERLOADED") << got;
+        ++shed;
+      }
+    }
+    // Nothing stray is queued behind the last answer on any connection.
+    for (const int fd : fds) {
+      EXPECT_EQ(RoundTrip(fd, R"({"id":"end","op":"ping"})"),
+                R"({"id":"end","status":"OK","pong":true})");
+      ::close(fd);
+    }
+    EXPECT_EQ(answered + shed, shape.conns * shape.burst);
+    EXPECT_GT(answered, 0) << "the admission queue shed everything";
+    if (shape.burst == 1) {
+      EXPECT_EQ(shed, 0) << "shed below the admission bound";
+    } else {
+      EXPECT_GT(shed, 0) << "the admission queue never shed";
+    }
+    server.Shutdown();
   }
-  for (int i = 0; i < kConns; ++i) {
-    auto response =
-        JsonValue::Parse(ReadLine(fds[static_cast<size_t>(i)]));
-    ASSERT_TRUE(response.ok()) << "conn " << i;
-    EXPECT_EQ(response->GetString("id"), "c" + std::to_string(i));
-    EXPECT_EQ(response->GetString("status"), "OK");
-  }
-  for (const int fd : fds) ::close(fd);
-  server.Shutdown();
 }
 
 // -------------------------------------------------- Hot reload and rollback

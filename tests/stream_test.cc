@@ -11,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -29,6 +31,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "stream/session.h"
+#include "util/rng.h"
 
 extern "C" int birnn_capi_smoke(const char* bundle_dir);
 
@@ -358,8 +361,23 @@ TEST(TableSessionTest, ConcurrentSessionsAndSharedSessionAreRaceFree) {
 // fresh session as inserts: the stored verdicts must reproduce the offline
 // DetectionReport bit for bit, on every paper generator. This is the
 // streaming acceptance invariant — same pure function, different arrival
-// order.
+// order. A seeded churn then follows on the same session: Zipf-hot updates
+// with values resampled from the same column, plus fresh inserts. The
+// incremental verdicts must still equal a whole-table batch re-detection.
+// On beers, one attribute then drifts to overlong values outside the
+// dictionary, and exactly its max-length and OOV alarms must latch.
 class ReplayEquivalenceTest : public ::testing::TestWithParam<const char*> {};
+
+// The attribute of each latched max-length or OOV alarm.
+std::vector<int> LengthAndOovAlarmAttrs(const TableSession& s) {
+  std::vector<int> attrs;
+  for (const DriftAlarm& alarm : s.drift_alarms()) {
+    if (alarm.kind == DriftKind::kMaxLen || alarm.kind == DriftKind::kOovRate) {
+      attrs.push_back(alarm.attr);
+    }
+  }
+  return attrs;
+}
 
 TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
   datagen::GenOptions gen;
@@ -383,14 +401,17 @@ TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
 
   auto loaded = serve::MakeLoadedDetector(std::move(trained));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto session = TableSession::Create(
-      std::make_shared<const serve::LoadedDetector>(
-          std::move(loaded).value()));
+  const auto shared = std::make_shared<const serve::LoadedDetector>(
+      std::move(loaded).value());
+  const int n_attrs = pair->dirty.num_columns();
+  const int n_rows = static_cast<int>(pair->dirty.num_rows());
+  SessionOptions session_options;
+  // Arm drift detection on these small tables.
+  session_options.drift.min_cells = std::min(128, n_rows);
+  auto session = TableSession::Create(shared, session_options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   TableSession& s = **session;
 
-  const int n_attrs = pair->dirty.num_columns();
-  const int n_rows = static_cast<int>(pair->dirty.num_rows());
   for (int r = 0; r < n_rows; ++r) {
     std::vector<std::string> tuple;
     tuple.reserve(static_cast<size_t>(n_attrs));
@@ -404,6 +425,77 @@ TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
     ASSERT_EQ(streamed[i] != 0, report->predicted[i] != 0)
         << GetParam() << " cell " << i;
   }
+
+  // Churn: 80% updates on Zipf(1.1)-hot rows (rank 0 is an arbitrary row),
+  // 20% inserts of fresh tuples; every value is resampled from its column.
+  Rng rng(17);
+  std::vector<int64_t> live(static_cast<size_t>(n_rows));
+  for (int r = 0; r < n_rows; ++r) live[static_cast<size_t>(r)] = r;
+  rng.Shuffle(&live);
+  std::vector<double> zipf_cdf;
+  const auto hot_row = [&] {
+    while (zipf_cdf.size() < live.size()) {
+      zipf_cdf.push_back((zipf_cdf.empty() ? 0.0 : zipf_cdf.back()) +
+                         std::pow(static_cast<double>(zipf_cdf.size() + 1),
+                                  -1.1));
+    }
+    const auto end =
+        zipf_cdf.begin() + static_cast<std::ptrdiff_t>(live.size());
+    const double u = rng.UniformDouble() * *(end - 1);
+    return live[static_cast<size_t>(
+        std::lower_bound(zipf_cdf.begin(), end, u) - zipf_cdf.begin())];
+  };
+  const auto resample = [&](int attr) {
+    return pair->dirty.cell(
+        static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n_rows))), attr);
+  };
+  constexpr int kChurn = 400;
+  for (int i = 0; i < kChurn; ++i) {
+    if (rng.Bernoulli(0.8)) {
+      const int attr =
+          static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n_attrs)));
+      ASSERT_TRUE(s.Update(hot_row(), attr, resample(attr)).ok());
+    } else {
+      std::vector<std::string> tuple;
+      for (int a = 0; a < n_attrs; ++a) tuple.push_back(resample(a));
+      live.push_back(n_rows + i);
+      ASSERT_TRUE(s.Insert(live.back(), std::move(tuple)).ok());
+    }
+  }
+  auto batch = s.DetectAll();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::vector<uint8_t> churned = s.MaterializedVerdicts();
+  ASSERT_EQ(churned.size(), batch->size());
+  for (size_t i = 0; i < churned.size(); ++i) {
+    ASSERT_EQ(churned[i], (*batch)[i]) << GetParam() << " cell " << i
+                                       << " after churn";
+  }
+
+  // In-distribution values never raise a length or OOV alarm.
+  EXPECT_TRUE(LengthAndOovAlarmAttrs(s).empty()) << GetParam();
+  if (std::string(GetParam()) != "beers") return;
+
+  // Drift: the shortest-valued attribute (so that twice its frozen maximum
+  // survives the preparation-time truncation) receives values of that
+  // length made of characters the dictionary has never indexed.
+  const std::vector<int32_t>& max_len = shared->attr_max_value_len();
+  int polluted = -1;
+  for (int a = 0; a < n_attrs; ++a) {
+    const int32_t mx = max_len[static_cast<size_t>(a)];
+    if (mx > 0 &&
+        (polluted < 0 || mx < max_len[static_cast<size_t>(polluted)])) {
+      polluted = a;
+    }
+  }
+  ASSERT_GE(polluted, 0);
+  const std::string junk(
+      std::max<size_t>(
+          4, 2 * static_cast<size_t>(max_len[static_cast<size_t>(polluted)])),
+      '\x01');
+  for (int i = 0; i < 96; ++i) {
+    ASSERT_TRUE(s.Update(hot_row(), polluted, junk).ok());
+  }
+  EXPECT_EQ(LengthAndOovAlarmAttrs(s), std::vector<int>({polluted, polluted}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, ReplayEquivalenceTest,
