@@ -46,7 +46,7 @@ struct InferenceOptions {
   /// tanh/GRU/LSTM cell equations — naive truncation wrecks accuracy). A
   /// cell's result is therefore bit-identical at any padded length >= its
   /// effective length, verified on all six paper generators in
-  /// inference_test, and a request of <= `eval_batch` unique cells is one
+  /// oracle_test, and a request of <= `eval_batch` unique cells is one
   /// forward pass. On by default on every path (offline sweep, serve
   /// batcher, stream sessions, adapt, calibration); false pads every batch
   /// to max_len in table order — the dense reference arm of the tests.

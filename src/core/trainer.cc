@@ -19,15 +19,6 @@ int TrainPoolThreads(int train_threads) {
   return std::clamp(train_threads, 0, HardwareConcurrency() - 1);
 }
 
-void PredictDataset(const ErrorDetectionModel& model,
-                    const data::EncodedDataset& ds, int eval_batch,
-                    std::vector<uint8_t>* predictions, ThreadPool* pool) {
-  InferenceOptions opts;
-  opts.eval_batch = eval_batch;
-  InferenceEngine engine(model, opts, pool);
-  engine.Predict(ds, predictions);
-}
-
 double DatasetAccuracy(const ErrorDetectionModel& model,
                        const data::EncodedDataset& ds, int eval_batch,
                        const std::vector<int64_t>& indices, ThreadPool* pool) {

@@ -131,16 +131,6 @@ class Trainer {
   TrainerOptions options_;
 };
 
-/// Runs thresholded inference over every cell of `ds` through a memoized
-/// InferenceEngine sweep (core/inference.h): each distinct cell content is
-/// predicted once and broadcast to its duplicates. When `pool` is non-null
-/// the sweep's batches are sharded across it; results are bit-identical for
-/// every thread count.
-void PredictDataset(const ErrorDetectionModel& model,
-                    const data::EncodedDataset& ds, int eval_batch,
-                    std::vector<uint8_t>* predictions,
-                    ThreadPool* pool = nullptr);
-
 /// Fraction of cells of `ds` (restricted to `indices`, or all cells if
 /// empty) whose thresholded prediction matches the label. Runs a memoized
 /// InferenceEngine sweep; when `pool` is non-null the batches are sharded

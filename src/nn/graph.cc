@@ -207,6 +207,9 @@ Graph::Var Graph::BatchNormTrain(Var x, Var gamma, Var beta,
                                  float momentum, float eps,
                                  Tensor* batch_mean_out,
                                  Tensor* batch_var_out) {
+  // Claim the output slot first: a new slot may grow the tape and move
+  // every node, which would leave a reference into it dangling.
+  Var c = NewSlot();
   const Tensor& xin = value(x);
   BIRNN_CHECK_EQ(xin.rank(), 2);
   const int n = xin.rows();
@@ -254,7 +257,6 @@ Graph::Var Graph::BatchNormTrain(Var x, Var gamma, Var beta,
     }
   }
 
-  Var c = NewSlot();
   // Saved state packed as (n+1, m): rows 0..n-1 hold xhat, row n holds
   // inv_std per feature (single aux slot per node).
   Tensor* aux = Aux(c);
@@ -316,6 +318,7 @@ Graph::Var Graph::BatchNormTrain(Var x, Var gamma, Var beta,
 Graph::Var Graph::BatchNormInfer(Var x, Var gamma, Var beta,
                                  const Tensor& running_mean,
                                  const Tensor& running_var, float eps) {
+  Var c = NewSlot();  // before any reference into the tape (see above)
   const Tensor& xin = value(x);
   BIRNN_CHECK_EQ(xin.rank(), 2);
   const int n = xin.rows();
@@ -323,7 +326,6 @@ Graph::Var Graph::BatchNormInfer(Var x, Var gamma, Var beta,
   BIRNN_CHECK_EQ(running_mean.size(), static_cast<size_t>(m));
   BIRNN_CHECK_EQ(running_var.size(), static_cast<size_t>(m));
 
-  Var c = NewSlot();
   // y = gamma * (x - rm) * inv_std + beta; save xhat (n,m) + inv_std row.
   Tensor* aux = Aux(c);
   aux->ResizeForOverwrite(n + 1, m);

@@ -9,14 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -33,6 +28,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "stream/session.h"
+#include "test_support.h"
 
 extern "C" int birnn_capi_adapt_smoke(const char* bundle_dir,
                                       const char* candidate_dir);
@@ -40,48 +36,11 @@ extern "C" int birnn_capi_adapt_smoke(const char* bundle_dir,
 namespace birnn::adapt {
 namespace {
 
-// Same hand-built streaming-capable detector as stream_test.cc: frozen
-// column statistics without paying for a training run.
-core::TrainedDetector MakeTinyTrained() {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = 99;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-  trained.has_frozen_stats = true;
-  return trained;
-}
-
-std::shared_ptr<const serve::LoadedDetector> MakeTinyShared() {
-  auto loaded = serve::MakeLoadedDetector(MakeTinyTrained());
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::make_shared<const serve::LoadedDetector>(
-      std::move(loaded).value());
-}
-
-std::string TempDir(const char* name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using test::ConnectTo;
+using test::MakeTinyShared;
+using test::MakeTinyTrained;
+using test::RoundTrip;
+using test::TempDir;
 
 // Drift thresholds that the '#'-flood below reliably trips (see the
 // matching stream_test.cc case); the error-rate dimension stays quiet
@@ -455,10 +414,6 @@ TEST(ControllerTest, ReportsAreDeterministicAcrossIdenticalRuns) {
 // both when a minibatch splits into shards and when its one shard hands the
 // pool to the value RNN's lanes.
 TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
-  const auto read_file = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   for (const int shard_cells : {8, 128}) {
     std::string bundles[2];
     const int threads[2] = {0, 3};
@@ -486,8 +441,8 @@ TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
       auto report = controller.TriggerAdaptation(&s);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       ASSERT_EQ(report->outcome, AdaptOutcome::kPromoted);
-      bundles[k] = read_file(options.candidate_dir + "/weights.ckpt") +
-                   read_file(options.candidate_dir + "/manifest.txt");
+      bundles[k] = test::ReadFile(options.candidate_dir + "/weights.ckpt") +
+                   test::ReadFile(options.candidate_dir + "/manifest.txt");
       std::filesystem::remove_all(options.candidate_dir);
     }
     EXPECT_FALSE(bundles[0].empty());
@@ -585,31 +540,6 @@ TEST(ProtocolAdaptTest, ParsesAdaptRequest) {
       serve::ParseRequest(
           R"({"op":"adapt","labels":[{"row":1,"attr":0,"label":7}]})")
           .ok());
-}
-
-int ConnectTo(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(0,
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
-  return fd;
-}
-
-std::string RoundTrip(int fd, const std::string& line) {
-  const std::string framed = line + "\n";
-  EXPECT_EQ(static_cast<ssize_t>(framed.size()),
-            ::write(fd, framed.data(), framed.size()));
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1) {
-    if (c == '\n') break;
-    response.push_back(c);
-  }
-  return response;
 }
 
 TEST(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {

@@ -14,40 +14,14 @@
 #include "core/model.h"
 #include "serve/batcher.h"
 #include "serve/bundle.h"
+#include "test_support.h"
 
 namespace birnn::serve {
 namespace {
 
-/// A small untrained detector (random weights are fine: the tests assert
-/// consistency between serving paths, not accuracy).
-LoadedDetector MakeTinyDetector() {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = 1234;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-  trained.has_frozen_stats = true;
-  auto loaded = MakeLoadedDetector(std::move(trained));
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::move(loaded).value();
-}
+// Random weights are fine: these tests assert consistency between serving
+// paths, not accuracy.
+using test::MakeTinyDetector;
 
 std::vector<CellQuery> MakeQueries(int n, int salt) {
   std::vector<CellQuery> queries;
@@ -74,7 +48,7 @@ bool BitIdentical(const std::vector<CellVerdict>& a,
 }
 
 TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   const std::vector<CellQuery> queries = MakeQueries(48, 0);
 
   // Baseline: every cell alone through a window-less batcher.
@@ -131,7 +105,7 @@ TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
 }
 
 TEST(MicroBatcherTest, QueueFullShedsOverloadedAndStopDrains) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   BatcherOptions opts;
   opts.max_batch = 1024;        // never fills...
   opts.max_delay_us = 1000000;  // ...and the window is effectively forever,
@@ -166,7 +140,7 @@ TEST(MicroBatcherTest, QueueFullShedsOverloadedAndStopDrains) {
 }
 
 TEST(MicroBatcherTest, RequestLargerThanCapacityIsAlwaysShed) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   BatcherOptions opts;
   opts.queue_capacity = 2;
   MicroBatcher batcher(detector, opts);
@@ -179,7 +153,7 @@ TEST(MicroBatcherTest, RequestLargerThanCapacityIsAlwaysShed) {
 }
 
 TEST(MicroBatcherTest, StopAnswersEveryAdmittedRequest) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   BatcherOptions opts;
   opts.max_batch = 16;
   opts.max_delay_us = 500;
@@ -211,7 +185,7 @@ TEST(MicroBatcherTest, StopAnswersEveryAdmittedRequest) {
 }
 
 TEST(MicroBatcherTest, ConcurrentClientsAnswerBitIdenticallyToSoloRun) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   const std::vector<CellQuery> queries = MakeQueries(48, 0);
 
   // Baseline: no memo, one cell at a time.
@@ -268,7 +242,7 @@ TEST(MicroBatcherTest, ConcurrentClientsAnswerBitIdenticallyToSoloRun) {
 }
 
 TEST(MicroBatcherTest, MemoHitsAreBitExactAndBounded) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   BatcherOptions opts;
   opts.max_batch = 8;
   opts.max_delay_us = 0;
@@ -289,7 +263,7 @@ TEST(MicroBatcherTest, MemoHitsAreBitExactAndBounded) {
 }
 
 TEST(MicroBatcherTest, MemoDisabledStillServes) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   BatcherOptions opts;
   opts.memo_capacity = 0;
   MicroBatcher batcher(detector, opts);
@@ -302,7 +276,7 @@ TEST(MicroBatcherTest, MemoDisabledStillServes) {
 }
 
 TEST(MicroBatcherTest, ConcurrentStopIsSafe) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   MicroBatcher batcher(detector);
   std::vector<CellVerdict> verdicts;
   ASSERT_TRUE(batcher.Detect(MakeQueries(3, 0), &verdicts).ok());
@@ -313,7 +287,7 @@ TEST(MicroBatcherTest, ConcurrentStopIsSafe) {
 }
 
 TEST(MicroBatcherTest, EmptyRequestAnswersInline) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   MicroBatcher batcher(detector);
   std::vector<CellVerdict> verdicts = {CellVerdict{0.5f, false}};
   ASSERT_TRUE(batcher.Detect({}, &verdicts).ok());
@@ -321,7 +295,7 @@ TEST(MicroBatcherTest, EmptyRequestAnswersInline) {
 }
 
 TEST(MicroBatcherTest, UnknownAttributeIsRejectedNotShed) {
-  const LoadedDetector detector = MakeTinyDetector();
+  const LoadedDetector detector = MakeTinyDetector(1234);
   MicroBatcher batcher(detector);
   CellQuery bad;
   bad.attr_name = "no_such_attribute";

@@ -1,16 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <map>
 #include <set>
 #include <string>
 
 #include "core/detector.h"
 #include "datagen/datasets.h"
 #include "eval/metrics.h"
-#include "serve/bundle.h"
 
 namespace birnn::core {
 namespace {
@@ -119,66 +114,6 @@ TEST(ErrorDetectorTest, DeterministicForSameSeed) {
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra->predicted, rb->predicted);
   EXPECT_EQ(ra->labeled_tuples, rb->labeled_tuples);
-}
-
-// Every file of a bundle directory, by file name.
-std::map<std::string, std::string> ReadBundleFiles(const std::string& dir) {
-  std::map<std::string, std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    files[entry.path().filename().string()] =
-        std::string(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  return files;
-}
-
-TEST(ErrorDetectorTest, ThreadedEvalMatchesSequential) {
-  // The default sweep (pooled, length-bucketed) against the reference
-  // sweep (calling thread, dense): same report, byte-identical bundle.
-  ASSERT_GT(DetectorOptions().eval_threads, 1);
-  ASSERT_TRUE(DetectorOptions().bucketed_inference);
-  datagen::GenOptions gen;
-  gen.scale = 0.04;
-  const datagen::DatasetPair pair = datagen::MakeBeers(gen);
-  DetectorOptions options = FastOptions("etsb");
-  options.trainer.epochs = 5;
-  DetectorOptions reference = options;
-  reference.eval_threads = 0;
-  reference.bucketed_inference = false;
-
-  TrainedDetector seq_trained;
-  auto seq_report =
-      ErrorDetector(reference).Run(pair.dirty, pair.clean, &seq_trained);
-  ASSERT_TRUE(seq_report.ok());
-  TrainedDetector def_trained;
-  auto def_report =
-      ErrorDetector(options).Run(pair.dirty, pair.clean, &def_trained);
-  ASSERT_TRUE(def_report.ok());
-
-  EXPECT_EQ(seq_report->predicted, def_report->predicted);
-  EXPECT_EQ(seq_report->train_cells, def_report->train_cells);
-  EXPECT_EQ(seq_report->test_cells, def_report->test_cells);
-  EXPECT_EQ(def_report->test_cells, def_report->test_confusion.total());
-  EXPECT_EQ(seq_report->test_confusion.tp, def_report->test_confusion.tp);
-  EXPECT_EQ(seq_report->test_confusion.fp, def_report->test_confusion.fp);
-  EXPECT_EQ(seq_report->test_confusion.fn, def_report->test_confusion.fn);
-  EXPECT_EQ(seq_report->test_confusion.tn, def_report->test_confusion.tn);
-  // Bucketing really ran: the default sweep skipped pad steps.
-  EXPECT_LT(def_report->inference.rnn_steps, seq_report->inference.rnn_steps);
-
-  const auto temp = std::filesystem::temp_directory_path();
-  const std::string seq_dir = (temp / "detector_test_bundle_ref").string();
-  const std::string def_dir = (temp / "detector_test_bundle_def").string();
-  std::filesystem::remove_all(seq_dir);
-  std::filesystem::remove_all(def_dir);
-  ASSERT_TRUE(serve::SaveDetectorBundle(seq_trained, seq_dir).ok());
-  ASSERT_TRUE(serve::SaveDetectorBundle(def_trained, def_dir).ok());
-  const auto seq_files = ReadBundleFiles(seq_dir);
-  EXPECT_FALSE(seq_files.empty());
-  EXPECT_TRUE(seq_files == ReadBundleFiles(def_dir));
-  std::filesystem::remove_all(seq_dir);
-  std::filesystem::remove_all(def_dir);
 }
 
 TEST(BuildModelConfigTest, MapsOptions) {

@@ -290,5 +290,36 @@ TEST(GraphTest, BatchNormTrainNormalizesBatch) {
   EXPECT_GT(rm[1], rm[0]);
 }
 
+// Claiming an op's output slot can grow the tape and move every node, so
+// neither batch-norm op may read its input through a reference taken
+// before. Some tape length below 16 lands on a growth of the node vector
+// under any geometric growth policy.
+TEST(GraphTest, BatchNormIsExactAtEveryTapeLength) {
+  Parameter gamma("gamma", Tensor::Full({2}, 1.0f));
+  Parameter beta("beta", Tensor(std::vector<int>{2}));
+  const Tensor x = Tensor::FromMatrix(4, 2, {1, 10, 2, 20, 3, 30, 4, 40});
+  const Tensor zero_mean(std::vector<int>{2});
+  const Tensor unit_var = Tensor::Full({2}, 1.0f);
+  for (int extra = 0; extra < 16; ++extra) {
+    Graph g;
+    for (int i = 0; i < extra; ++i) g.Input(Tensor(1, 1));
+    Tensor rm = zero_mean;
+    Tensor rv = unit_var;
+    const Graph::Var train = g.BatchNormTrain(
+        g.Input(x), g.Param(&gamma), g.Param(&beta), &rm, &rv);
+    const Graph::Var infer = g.BatchNormInfer(
+        g.Input(x), g.Param(&gamma), g.Param(&beta), zero_mean, unit_var);
+    for (int r = 0; r < 4; ++r) {
+      for (int c = 0; c < 2; ++c) {
+        const float scale = c == 0 ? 1.0f : 10.0f;  // column c is scale * r
+        const float xhat =
+            (x.at(r, c) - 2.5f * scale) / std::sqrt(1.25f * scale * scale);
+        EXPECT_NEAR(g.value(train).at(r, c), xhat, 1e-4f) << extra;
+        EXPECT_NEAR(g.value(infer).at(r, c), x.at(r, c), 1e-3f) << extra;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace birnn::nn

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -11,11 +9,9 @@
 #include "data/dictionary.h"
 #include "data/encoding.h"
 #include "data/prepare.h"
-#include "datagen/datasets.h"
 #include "nn/graph.h"
 #include "nn/ops.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace birnn::core {
 namespace {
@@ -66,38 +62,6 @@ std::vector<int64_t> AllIndices(const data::EncodedDataset& ds) {
     indices[static_cast<size_t>(i)] = i;
   }
   return indices;
-}
-
-/// Every cell of one paper generator's dirty table, encoded.
-data::EncodedDataset GeneratedDataset(const std::string& name, double scale,
-                                      uint64_t seed) {
-  datagen::GenOptions gen;
-  gen.scale = scale;
-  gen.seed = seed;
-  auto pair = datagen::MakeDataset(name, gen);
-  EXPECT_TRUE(pair.ok()) << name;
-  auto frame = data::PrepareData(pair->dirty, pair->clean);
-  EXPECT_TRUE(frame.ok()) << name;
-  const data::CharIndex chars = data::CharIndex::Build(*frame);
-  return data::EncodeCells(*frame, chars);
-}
-
-/// The naive sweep: MakeBatch and the scratch-free model forward over
-/// consecutive `eval_batch`-cell chunks, every cell padded to max_len — no
-/// memo, no plan, no scratch. Every engine sweep must equal it bit for bit.
-std::vector<float> NaiveSweep(const ErrorDetectionModel& model,
-                              const data::EncodedDataset& ds, int eval_batch) {
-  std::vector<float> out;
-  out.reserve(static_cast<size_t>(ds.num_cells()));
-  for (int64_t begin = 0; begin < ds.num_cells(); begin += eval_batch) {
-    const int64_t end = std::min<int64_t>(begin + eval_batch, ds.num_cells());
-    std::vector<int64_t> ids;
-    for (int64_t i = begin; i < end; ++i) ids.push_back(i);
-    std::vector<float> probs;
-    model.PredictProbs(MakeBatch(ds, ids), &probs);
-    out.insert(out.end(), probs.begin(), probs.end());
-  }
-  return out;
 }
 
 TEST(InferenceScratchTest, PredictProbsScratchMatchesScratchFree) {
@@ -153,79 +117,6 @@ TEST(InferenceParityTest, ForwardOnlyMatchesTrainingGraphSoftmax) {
   }
 }
 
-TEST(InferenceEngineTest, MemoizedBitIdenticalToUnmemoized) {
-  const data::EncodedDataset ds = DuplicateHeavyDataset();
-  ErrorDetectionModel model(SmallConfig(ds));
-  model.CalibrateBatchNorm(ds);
-
-  InferenceOptions memo_on;
-  memo_on.memoize = true;
-  InferenceOptions memo_off;
-  memo_off.memoize = false;
-  for (const int eval_batch : {7, 256}) {
-    memo_on.eval_batch = eval_batch;
-    memo_off.eval_batch = eval_batch;
-    InferenceEngine a(model, memo_on);
-    InferenceEngine b(model, memo_off);
-    std::vector<float> pa;
-    std::vector<float> pb;
-    a.PredictProbs(ds, {}, &pa);
-    b.PredictProbs(ds, {}, &pb);
-    ASSERT_EQ(pa.size(), pb.size());
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i], pb[i]) << "cell " << i << " batch " << eval_batch;
-    }
-    EXPECT_GT(a.stats().dedup_factor, 1.5);
-    EXPECT_LT(a.stats().unique_cells, a.stats().cells);
-    EXPECT_EQ(b.stats().unique_cells, b.stats().cells);
-  }
-}
-
-TEST(InferenceEngineTest, BitIdenticalAcrossThreadCounts) {
-  // The reference is the dense sweep on the calling thread; every other arm
-  // runs the default length-sorted plan, whose batches differ in cost, and
-  // claims them over 0..64 threads or an external pool.
-  const data::EncodedDataset ds = DuplicateHeavyDataset();
-  ErrorDetectionModel model(SmallConfig(ds));
-  model.CalibrateBatchNorm(ds);
-
-  for (const bool memoize : {true, false}) {
-    InferenceOptions options;
-    options.eval_batch = 7;  // many batches, so claiming actually happens
-    options.memoize = memoize;
-    InferenceOptions dense = options;
-    dense.bucketed = false;
-    InferenceEngine reference(model, dense);
-    std::vector<float> expected;
-    reference.PredictProbs(ds, {}, &expected);
-
-    // 64 runs the hardware-capped pool on any ordinary host.
-    for (const int threads : {0, 1, 4, 64}) {
-      InferenceOptions threaded = options;
-      threaded.threads = threads;
-      InferenceEngine engine(model, threaded);
-      std::vector<float> got;
-      engine.PredictProbs(ds, {}, &got);
-      EXPECT_LT(engine.stats().rnn_steps, engine.stats().rnn_steps_dense);
-      ASSERT_EQ(expected.size(), got.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i], got[i])
-            << "cell " << i << " threads " << threads << " memo " << memoize;
-      }
-    }
-
-    // External pool path (what PredictDataset hands in).
-    ThreadPool pool(3);
-    InferenceEngine pooled(model, options, &pool);
-    std::vector<float> got;
-    pooled.PredictProbs(ds, {}, &got);
-    ASSERT_EQ(expected.size(), got.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i], got[i]) << "cell " << i << " memo " << memoize;
-    }
-  }
-}
-
 TEST(InferenceEngineTest, SmallRequestIsOneExactForwardPass) {
   // A stream or serve micro-batch of up to eval_batch unique cells of mixed
   // lengths is one forward pass padded to its longest cell, and each cell's
@@ -273,23 +164,6 @@ TEST(InferenceEngineTest, SmallRequestIsOneExactForwardPass) {
   }
 }
 
-TEST(InferenceEngineTest, DuplicateCellsGetIdenticalPredictions) {
-  const data::EncodedDataset ds = DuplicateHeavyDataset();
-  ErrorDetectionModel model(SmallConfig(ds));
-  model.CalibrateBatchNorm(ds);
-
-  InferenceEngine engine(model);
-  std::vector<float> p;
-  engine.PredictProbs(ds, {}, &p);
-  for (int64_t a = 0; a < ds.num_cells(); ++a) {
-    for (int64_t b = a + 1; b < ds.num_cells(); ++b) {
-      if (ds.CellContentEquals(a, b)) {
-        EXPECT_EQ(p[static_cast<size_t>(a)], p[static_cast<size_t>(b)]);
-      }
-    }
-  }
-}
-
 TEST(InferenceEngineTest, IndexSubsetAndStats) {
   const data::EncodedDataset ds = DuplicateHeavyDataset();
   ErrorDetectionModel model(SmallConfig(ds));
@@ -315,38 +189,6 @@ TEST(InferenceEngineTest, IndexSubsetAndStats) {
   }
   EXPECT_EQ(part.stats().cells, 5);
   EXPECT_EQ(part.stats().unique_cells, 3);
-}
-
-TEST(InferenceEngineTest, BucketedIsInvariantToMemoization) {
-  // The sorted plan is exact (BitParityOnAllSixGenerators); here, within
-  // it results must also be a pure function of cell content:
-  // memoize on/off and any thread count give identical bits.
-  const data::EncodedDataset ds = DuplicateHeavyDataset();
-  ErrorDetectionModel model(SmallConfig(ds));
-  model.CalibrateBatchNorm(ds);
-
-  InferenceOptions base;
-  base.eval_batch = 7;
-  InferenceEngine reference(model, base);
-  std::vector<float> expected;
-  reference.PredictProbs(ds, {}, &expected);
-  EXPECT_LT(reference.stats().rnn_steps, reference.stats().rnn_steps_dense);
-
-  for (const bool memoize : {true, false}) {
-    for (const int threads : {0, 4}) {
-      InferenceOptions options = base;
-      options.memoize = memoize;
-      options.threads = threads;
-      InferenceEngine engine(model, options);
-      std::vector<float> got;
-      engine.PredictProbs(ds, {}, &got);
-      ASSERT_EQ(expected.size(), got.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i], got[i])
-            << "cell " << i << " memo " << memoize << " threads " << threads;
-      }
-    }
-  }
 }
 
 TEST(InferenceEngineTest, CalibrateMemoizedMatchesReference) {
@@ -419,102 +261,6 @@ TEST(BatchInvarianceTest, ProbsMatchSoloAtEveryBatchSize) {
         ASSERT_EQ(swept[static_cast<size_t>(c)], solo[static_cast<size_t>(c)])
             << tag << " engine batch " << b << " cell " << c;
       }
-    }
-  }
-}
-
-/// Bit-parity of the length-sorted plan on the six paper generators: the
-/// pad-prefix warm start and pad-tail completion make it EXACT, so every
-/// per-cell probability must match the dense full-padding sweep and the
-/// naive sweep bit for bit — on any weights (no training needed).
-TEST(BucketedInferenceTest, BitParityOnAllSixGenerators) {
-  int64_t steps_saved = 0;
-  for (const auto& spec : datagen::AllDatasetSpecs()) {
-    const data::EncodedDataset all = GeneratedDataset(spec.name, 0.08, 7);
-
-    ModelConfig config;
-    config.vocab = all.vocab;
-    config.max_len = all.max_len;
-    config.n_attrs = all.n_attrs;
-    config.char_emb_dim = 8;
-    config.units = 12;
-    config.enriched = true;
-    config.seed = 21;
-    ErrorDetectionModel model(config);
-    model.CalibrateBatchNorm(all);
-
-    InferenceOptions padded;
-    padded.bucketed = false;
-    InferenceOptions bucketed;
-    InferenceEngine engine_padded(model, padded);
-    InferenceEngine engine_bucketed(model, bucketed);
-
-    std::vector<float> p_padded;
-    std::vector<float> p_bucketed;
-    engine_padded.PredictProbs(all, {}, &p_padded);
-    engine_bucketed.PredictProbs(all, {}, &p_bucketed);
-    const std::vector<float> p_naive =
-        NaiveSweep(model, all, bucketed.eval_batch);
-    ASSERT_EQ(p_padded.size(), p_bucketed.size()) << spec.name;
-    ASSERT_EQ(p_naive.size(), p_bucketed.size()) << spec.name;
-    for (size_t i = 0; i < p_padded.size(); ++i) {
-      ASSERT_EQ(p_padded[i], p_bucketed[i]) << spec.name << " cell " << i;
-      ASSERT_EQ(p_naive[i], p_bucketed[i]) << spec.name << " cell " << i;
-    }
-    // Every batch but the last holds eval_batch cells: the plan cuts by
-    // count alone, never at a change of length.
-    const int64_t eval_batch = bucketed.eval_batch;
-    EXPECT_EQ(engine_bucketed.stats().batches,
-              (engine_bucketed.stats().unique_cells + eval_batch - 1) /
-                  eval_batch)
-        << spec.name;
-    EXPECT_EQ(engine_padded.Accuracy(all, {}), engine_bucketed.Accuracy(all, {}))
-        << spec.name;
-    steps_saved += engine_padded.stats().rnn_steps -
-                   engine_bucketed.stats().rnn_steps;
-  }
-  // Across the six generators, the sorted plan must actually shorten the
-  // sweep.
-  EXPECT_GT(steps_saved, 0);
-}
-
-/// The inference cross-path gate at paper widths (ModelConfig's defaults:
-/// char_emb_dim 32, units 64, two stacked BiRNNs) on beers and tax, ~300
-/// rows each: the engine's default memoized, length-sorted sweep, on the
-/// calling thread and on four lanes, equals the naive sweep bit for bit.
-TEST(BucketedInferenceTest, NaiveSweepMatchesEngineAtPaperWidths) {
-  for (const char* name : {"beers", "tax"}) {
-    auto spec = datagen::FindDatasetSpec(name);
-    ASSERT_TRUE(spec.ok()) << name;
-    const data::EncodedDataset all =
-        GeneratedDataset(name, 300.0 / spec->paper_rows, 1000);
-
-    ModelConfig config;
-    config.vocab = all.vocab;
-    config.max_len = all.max_len;
-    config.n_attrs = all.n_attrs;
-    config.enriched = true;
-    config.seed = 1000;
-    ErrorDetectionModel model(config);
-    CalibrateBatchNormMemoized(&model, all);
-
-    const std::vector<float> naive =
-        NaiveSweep(model, all, InferenceOptions{}.eval_batch);
-    for (const int threads : {0, 4}) {
-      InferenceOptions options;
-      options.threads = threads;
-      InferenceEngine engine(model, options);
-      std::vector<float> swept;
-      engine.PredictProbs(all, {}, &swept);
-      ASSERT_EQ(naive.size(), swept.size()) << name;
-      for (size_t i = 0; i < naive.size(); ++i) {
-        ASSERT_EQ(naive[i], swept[i])
-            << name << " threads " << threads << " cell " << i;
-      }
-      // The engine really took the memoized, length-sorted path.
-      EXPECT_LT(engine.stats().unique_cells, all.num_cells()) << name;
-      EXPECT_LT(engine.stats().rnn_steps, engine.stats().rnn_steps_dense)
-          << name;
     }
   }
 }

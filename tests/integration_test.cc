@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/detector.h"
+#include "core/inference.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/csv.h"
@@ -117,8 +118,8 @@ TEST(IntegrationTest, ModelCheckpointToDiskAndBack) {
 
   std::vector<uint8_t> original;
   std::vector<uint8_t> restored;
-  core::PredictDataset(model, all, 64, &original);
-  core::PredictDataset(reloaded, all, 64, &restored);
+  core::InferenceEngine(model).Predict(all, &original);
+  core::InferenceEngine(reloaded).Predict(all, &restored);
   EXPECT_EQ(original, restored);
   std::remove(path.c_str());
 }

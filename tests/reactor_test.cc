@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,86 +28,19 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace birnn::serve {
 namespace {
 
-core::TrainedDetector MakeTinyTrained(uint64_t seed = 99) {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = seed;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-  trained.has_frozen_stats = true;
-  return trained;
-}
-
-LoadedDetector MakeTinyDetector(uint64_t seed = 99) {
-  auto loaded = MakeLoadedDetector(MakeTinyTrained(seed));
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::move(loaded).value();
-}
-
-std::string TempDir(const char* name) {
-  // Per process: concurrent runs of this binary must not share bundles.
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           (std::string(name) + "_" +
-                            std::to_string(::getpid())))
-                              .string();
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-int ConnectTo(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(0,
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
-  return fd;
-}
-
-// Reads one '\n'-terminated line; empty string means EOF before a newline.
-std::string ReadLine(int fd) {
-  std::string line;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1) {
-    if (c == '\n') return line;
-    line.push_back(c);
-  }
-  return std::string();
-}
-
-void SendRaw(int fd, const std::string& bytes) {
-  ASSERT_EQ(static_cast<ssize_t>(bytes.size()),
-            ::write(fd, bytes.data(), bytes.size()));
-}
-
-std::string RoundTrip(int fd, const std::string& line) {
-  SendRaw(fd, line + "\n");
-  return ReadLine(fd);
-}
+using test::ConnectTo;
+using test::MakeTinyDetector;
+using test::MakeTinyTrained;
+using test::ReadLine;
+using test::RoundTrip;
+using test::SendRaw;
+using test::TempDir;
 
 std::string DetectRequest(const std::string& id, int salt = 0) {
   std::string request = R"({"id":")" + id + R"(","cells":[)";
@@ -616,11 +546,8 @@ TEST(ReactorTest, ManyConcurrentConnectionsAllServed) {
     // All open simultaneously; fire every burst, then collect.
     std::vector<int> fds;
     for (int c = 0; c < shape.conns; ++c) {
-      const int fd = ConnectTo(server.port());
       // A lost response fails the read instead of hanging the test.
-      timeval timeout{20, 0};
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-      fds.push_back(fd);
+      fds.push_back(ConnectTo(server.port()));
     }
     for (int c = 0; c < shape.conns; ++c) {
       std::string burst;

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,25 +19,17 @@
 #include "nn/graph.h"
 #include "nn/init.h"
 #include "nn/serialize.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace birnn::nn {
 namespace {
 
+using test::ReadFile;
+using test::WriteFile;
+
 std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return data;
-}
-
-void WriteFile(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
 void AppendU32(std::string* out, uint32_t v) {

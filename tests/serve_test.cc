@@ -1,15 +1,12 @@
 // serve subsystem tests: bundle save/load round trips, crafted manifests,
 // refusals of corrupted checkpoints and of retired low-precision entries,
 // seeded loader fuzzing and the crash states of a re-save, the model registry,
-// the line protocol, the TCP server end to end over real sockets, and the
-// headline invariant — a served detector answers bit-identically to the
-// offline ErrorDetector run that produced its bundle.
+// the line protocol, and the TCP server end to end over real sockets. That
+// a served detector answers bit-identically to the offline ErrorDetector run
+// that produced its bundle is oracle_test's.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +28,7 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+#include "test_support.h"
 #include "util/file.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -38,38 +36,13 @@
 namespace birnn::serve {
 namespace {
 
-core::TrainedDetector MakeTinyTrained() {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = 99;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-  trained.has_frozen_stats = true;
-  return trained;
-}
-
-LoadedDetector MakeTinyDetector() {
-  auto loaded = MakeLoadedDetector(MakeTinyTrained());
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::move(loaded).value();
-}
+using test::ConnectTo;
+using test::MakeTinyDetector;
+using test::MakeTinyTrained;
+using test::ReadFile;
+using test::RoundTrip;
+using test::TempDir;
+using test::WriteFile;
 
 std::vector<CellQuery> MakeQueries(int n) {
   std::vector<CellQuery> queries;
@@ -80,24 +53,6 @@ std::vector<CellQuery> MakeQueries(int n) {
     queries.push_back(std::move(q));
   }
   return queries;
-}
-
-std::string TempDir(const char* name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // Replaces the manifest's trailing checksum line with the FNV-1a of the
@@ -319,10 +274,7 @@ TEST(BundleTest, LoadFailsCleanlyOnBadInput) {
 
   const std::string dir = TempDir("birnn_bundle_bad");
   std::filesystem::create_directory(dir);
-  {
-    std::ofstream out(dir + "/manifest.txt");
-    out << "not-a-bundle 1\n";
-  }
+  WriteFile(dir + "/manifest.txt", "not-a-bundle 1\n");
   EXPECT_FALSE(LoadDetectorBundle(dir).ok());
   std::filesystem::remove_all(dir);
 }
@@ -837,32 +789,6 @@ TEST(BundleTest, QueryValuesLongerThanMaxLenKeepTheirFirstMaxLenChars) {
 
 // ------------------------------------------------------------------- Server
 
-int ConnectTo(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(0,
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
-  return fd;
-}
-
-// Sends one request line and reads one '\n'-terminated response line.
-std::string RoundTrip(int fd, const std::string& line) {
-  const std::string framed = line + "\n";
-  EXPECT_EQ(static_cast<ssize_t>(framed.size()),
-            ::write(fd, framed.data(), framed.size()));
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1) {
-    if (c == '\n') break;
-    response.push_back(c);
-  }
-  return response;
-}
-
 TEST(ServerTest, EndToEndOverSockets) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Add("tiny", MakeTinyDetector()).ok());
@@ -982,81 +908,6 @@ TEST(ServerTest, StartFailsOnEmptyRegistry) {
   ModelRegistry registry;
   Server server(&registry);
   EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
-}
-
-// ------------------------------------------- Served vs offline bit-identity
-
-// Trains a detector the offline way, bundles it through disk, serves it,
-// and asks the served detector about every cell of the table. The served
-// verdicts must reproduce the offline report's predictions exactly.
-void ExpectServedVerdictsMatchOffline(const datagen::DatasetPair& pair,
-                                      const core::DetectorOptions& options) {
-  core::ErrorDetector detector(options);
-  core::TrainedDetector trained;
-  auto report = detector.Run(pair.dirty, pair.clean, &trained);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_NE(trained.model, nullptr);
-
-  const std::string dir = TempDir("birnn_served_vs_offline");
-  ASSERT_TRUE(SaveDetectorBundle(trained, dir).ok());
-  auto loaded = LoadDetectorBundle(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  const int n_attrs = pair.dirty.num_columns();
-  const int n_rows = static_cast<int>(pair.dirty.num_rows());
-  MicroBatcher batcher(*loaded);
-  int64_t checked = 0;
-  for (int r = 0; r < n_rows; ++r) {
-    std::vector<CellQuery> row;
-    for (int a = 0; a < n_attrs; ++a) {
-      CellQuery q;
-      q.attr = a;
-      q.value = pair.dirty.cell(r, a);
-      row.push_back(std::move(q));
-    }
-    std::vector<CellVerdict> verdicts;
-    ASSERT_TRUE(batcher.Detect(row, &verdicts).ok());
-    ASSERT_EQ(verdicts.size(), static_cast<size_t>(n_attrs));
-    for (int a = 0; a < n_attrs; ++a) {
-      const uint8_t offline =
-          report->predicted[static_cast<size_t>(r) * n_attrs + a];
-      ASSERT_EQ(verdicts[static_cast<size_t>(a)].is_error, offline != 0)
-          << "cell (" << r << "," << a << ") value '" << pair.dirty.cell(r, a)
-          << "'";
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, static_cast<int64_t>(n_rows) * n_attrs);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ServeDetectorTest, ServedVerdictsMatchOfflineReport) {
-  // The acceptance invariant of the serve subsystem, on a small hospital
-  // detector and on beers at DetectorOptions' default (paper) widths.
-  {
-    SCOPED_TRACE("hospital, units 16");
-    datagen::GenOptions gen;
-    gen.scale = 0.08;
-    gen.seed = 5;
-    core::DetectorOptions options;
-    options.model = "etsb";
-    options.n_label_tuples = 12;
-    options.units = 16;
-    options.char_emb_dim = 8;
-    options.trainer.epochs = 10;
-    options.seed = 11;
-    ExpectServedVerdictsMatchOffline(datagen::MakeHospital(gen), options);
-  }
-  {
-    SCOPED_TRACE("beers, default widths");
-    datagen::GenOptions gen;
-    gen.scale = 0.2;
-    gen.seed = 5;
-    core::DetectorOptions options;
-    options.trainer.epochs = 5;
-    options.seed = 11;
-    ExpectServedVerdictsMatchOffline(datagen::MakeBeers(gen), options);
-  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "serve/bundle.h"
 #include "stream/session.h"
+#include "test_support.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define BIRNN_COUNTING_NEW 0
@@ -118,37 +119,7 @@ int64_t CountAllocations(Fn&& fn) {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
-// The hand-built streaming detector of stream_test.cc: frozen column
-// statistics without a training run (a memo hit never reaches the model).
-std::shared_ptr<const serve::LoadedDetector> MakeTinyShared() {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = 99;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-  trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-  trained.has_frozen_stats = true;
-  auto loaded = serve::MakeLoadedDetector(std::move(trained));
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::make_shared<const serve::LoadedDetector>(
-      std::move(loaded).value());
-}
+using test::MakeTinyShared;
 
 // Short (in-string) and long (heap) values, with leading whitespace and
 // characters outside the dictionary so trim, truncation and OOV counting

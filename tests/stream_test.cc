@@ -1,87 +1,40 @@
 // stream subsystem tests: frozen-statistics bundle round trips, the CDC table
-// session (replay-as-inserts equivalence against the offline report,
-// incremental re-scoring minimality, versioned verdicts, drift alarms,
-// concurrency under TSAN), the serve-plane "delta" op end to end over real
-// sockets, and the embeddable C API driven from a plain-C translation unit.
+// session (incremental re-scoring minimality, versioned verdicts, drift
+// alarms, concurrency under TSAN), the serve-plane "delta" op end to end
+// over real sockets, and the embeddable C API driven from a plain-C
+// translation unit. That a replayed and churned session answers with the
+// offline report's bits, under the default and an evicting memo, is
+// oracle_test's.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/detector.h"
-#include "core/inference.h"
-#include "core/model.h"
-#include "datagen/datasets.h"
-#include "obs/registry.h"
 #include "serve/bundle.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "stream/session.h"
-#include "util/rng.h"
+#include "test_support.h"
 
 extern "C" int birnn_capi_smoke(const char* bundle_dir);
 
 namespace birnn::stream {
 namespace {
 
-// A hand-built detector with frozen column statistics: streaming-capable
-// without paying for a training run.
-core::TrainedDetector MakeTinyTrained(bool frozen_stats = true) {
-  core::TrainedDetector trained;
-  trained.chars = data::CharIndex::BuildFromStrings(
-      {"abcdefghijklmnopqrstuvwxyz0123456789 .-"});
-  core::ModelConfig config;
-  config.vocab = trained.chars.vocab_size();
-  config.max_len = 12;
-  config.n_attrs = 3;
-  config.char_emb_dim = 8;
-  config.units = 8;
-  config.stacks = 1;
-  config.enriched = true;
-  config.attr_emb_dim = 4;
-  config.attr_units = 4;
-  config.length_dense_dim = 8;
-  config.hidden_dense_dim = 8;
-  config.seed = 99;
-  trained.config = config;
-  trained.model = std::make_unique<core::ErrorDetectionModel>(config);
-  trained.attr_names = {"id", "name", "score"};
-  trained.attr_max_value_len = {8, 12, 6};
-  if (frozen_stats) {
-    trained.attr_empty_rate = {0.0f, 0.0f, 0.0f};
-    trained.attr_error_rate = {0.0f, 0.0f, 0.0f};
-    trained.has_frozen_stats = true;
-  }
-  return trained;
-}
-
-std::shared_ptr<const serve::LoadedDetector> MakeTinyShared() {
-  auto loaded = serve::MakeLoadedDetector(MakeTinyTrained());
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return std::make_shared<const serve::LoadedDetector>(
-      std::move(loaded).value());
-}
-
-std::string TempDir(const char* name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+using test::ConnectTo;
+using test::MakeTinyShared;
+using test::MakeTinyTrained;
+using test::RoundTrip;
+using test::TempDir;
 
 // ------------------------------------------------------- Bundle manifest v3
 
@@ -95,9 +48,7 @@ TEST(BundleV3Test, FrozenStatsSurviveSaveLoad) {
   ASSERT_TRUE(serve::SaveDetectorBundle(trained, dir).ok());
 
   // The manifest advertises version 5 and carries the frozen stats.
-  std::ifstream in(dir + "/manifest.txt");
-  std::string manifest((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+  const std::string manifest = test::ReadFile(dir + "/manifest.txt");
   EXPECT_NE(manifest.find("birnn-detector-bundle 5"), std::string::npos);
   EXPECT_NE(manifest.find("char_fingerprint"), std::string::npos);
   EXPECT_NE(manifest.find("attr_stats"), std::string::npos);
@@ -119,18 +70,13 @@ TEST(BundleV3Test, TamperedDictionaryIsRejectedByFingerprint) {
 
   // Flip the stored fingerprint; the reconstructed dictionary no longer
   // matches and the load must fail instead of desyncing the encoder.
-  std::ifstream in(dir + "/manifest.txt");
-  std::string manifest((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
+  std::string manifest = test::ReadFile(dir + "/manifest.txt");
   const std::string key = "char_fingerprint ";
   const size_t pos = manifest.find(key);
   ASSERT_NE(pos, std::string::npos);
   manifest[pos + key.size()] =
       manifest[pos + key.size()] == '1' ? '2' : '1';
-  std::ofstream out(dir + "/manifest.txt");
-  out << manifest;
-  out.close();
+  test::WriteFile(dir + "/manifest.txt", manifest);
 
   EXPECT_FALSE(serve::LoadDetectorBundle(dir).ok());
   std::filesystem::remove_all(dir);
@@ -139,11 +85,18 @@ TEST(BundleV3Test, TamperedDictionaryIsRejectedByFingerprint) {
 TEST(BundleV3Test, DetectorsWithoutFrozenStatsAreRejected) {
   // Every bundle carries frozen column statistics: a detector without them
   // can be neither saved nor served.
+  const auto without_stats = [] {
+    core::TrainedDetector trained = MakeTinyTrained();
+    trained.attr_empty_rate.clear();
+    trained.attr_error_rate.clear();
+    trained.has_frozen_stats = false;
+    return trained;
+  };
   const std::string dir = TempDir("birnn_stream_no_frozen_stats");
-  const Status saved = serve::SaveDetectorBundle(MakeTinyTrained(false), dir);
+  const Status saved = serve::SaveDetectorBundle(without_stats(), dir);
   EXPECT_EQ(saved.code(), StatusCode::kInvalidArgument) << saved.ToString();
   EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.txt"));
-  const auto loaded = serve::MakeLoadedDetector(MakeTinyTrained(false));
+  const auto loaded = serve::MakeLoadedDetector(without_stats());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::filesystem::remove_all(dir);
 }
@@ -212,50 +165,6 @@ TEST(TableSessionTest, RescoresOnlyAffectedCells) {
   ASSERT_TRUE(s.Insert(2, {"x", "y", "z"}).ok());
   EXPECT_EQ(s.stats().cells_scored, 3 * n + 1);
   EXPECT_GE(s.stats().memo_hits, n);
-}
-
-int64_t MemoEvictionsCounter() {
-  for (const obs::MetricSnapshot& m : obs::Registry::Get().Snapshot()) {
-    if (m.name == "inference/memo_evictions") return m.counter;
-  }
-  return 0;
-}
-
-TEST(TableSessionTest, IncrementalVerdictsMatchBatchDetectAll) {
-  // The second session's 16-entry memo evicts throughout: evicted content
-  // recomputes to the same bits, so its verdicts must match too.
-  SessionOptions evicting;
-  evicting.memo.capacity = 16;
-  for (const SessionOptions& options : {SessionOptions{}, evicting}) {
-    const int64_t evictions_before = MemoEvictionsCounter();
-    auto session = TableSession::Create(MakeTinyShared(), options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    TableSession& s = **session;
-
-    const char* words[] = {"ale", "ipa 9", "", "stout.x", "42", "porter-1"};
-    for (int r = 0; r < 12; ++r) {
-      ASSERT_TRUE(s.Insert(r, {words[r % 6], words[(r + 1) % 6],
-                               words[(r * 5 + 2) % 6]})
-                      .ok());
-    }
-    for (int r = 0; r < 12; r += 3) {
-      ASSERT_TRUE(s.Update(r, r % 3, "rev 2").ok());
-    }
-    for (int r = 1; r < 12; r += 4) ASSERT_TRUE(s.Delete(r).ok());
-
-    const std::vector<uint8_t> incremental = s.MaterializedVerdicts();
-    auto batch = s.DetectAll();
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(incremental.size(), batch->size());
-    for (size_t i = 0; i < incremental.size(); ++i) {
-      ASSERT_EQ(incremental[i], (*batch)[i])
-          << "cell " << i << ", memo capacity " << options.memo.capacity;
-    }
-    if (options.memo.capacity == evicting.memo.capacity) {
-      EXPECT_GT(MemoEvictionsCounter(), evictions_before)
-          << "the bounded memo never evicted";
-    }
-  }
 }
 
 TEST(TableSessionTest, DriftAlarmsLatchAgainstFrozenBaselines) {
@@ -355,218 +264,6 @@ TEST(TableSessionTest, ConcurrentSessionsAndSharedSessionAreRaceFree) {
   EXPECT_EQ(incremental, *batch);
 }
 
-// --------------------------------------- Replay equivalence (paper tables)
-
-// Train a small detector offline, then replay the whole dirty table into a
-// fresh session as inserts: the stored verdicts must reproduce the offline
-// DetectionReport bit for bit, on every paper generator. This is the
-// streaming acceptance invariant — same pure function, different arrival
-// order. A seeded churn then follows on the same session: Zipf-hot updates
-// with values resampled from the same column, plus fresh inserts. The
-// incremental verdicts must still equal a whole-table batch re-detection.
-// On beers, one attribute then drifts to overlong values outside the
-// dictionary, and exactly its max-length and OOV alarms must latch.
-class ReplayEquivalenceTest : public ::testing::TestWithParam<const char*> {};
-
-// The attribute of each latched max-length or OOV alarm.
-std::vector<int> LengthAndOovAlarmAttrs(const TableSession& s) {
-  std::vector<int> attrs;
-  for (const DriftAlarm& alarm : s.drift_alarms()) {
-    if (alarm.kind == DriftKind::kMaxLen || alarm.kind == DriftKind::kOovRate) {
-      attrs.push_back(alarm.attr);
-    }
-  }
-  return attrs;
-}
-
-TEST_P(ReplayEquivalenceTest, ReplayedInsertsMatchOfflineReport) {
-  datagen::GenOptions gen;
-  gen.scale = 0.04;
-  gen.seed = 5;
-  auto pair = datagen::MakeDataset(GetParam(), gen);
-  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
-
-  core::DetectorOptions options;
-  options.model = "etsb";
-  options.n_label_tuples = 10;
-  options.units = 12;
-  options.char_emb_dim = 8;
-  options.trainer.epochs = 6;
-  options.seed = 11;
-  core::ErrorDetector detector(options);
-  core::TrainedDetector trained;
-  auto report = detector.Run(pair->dirty, pair->clean, &trained);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_TRUE(trained.has_frozen_stats);
-
-  auto loaded = serve::MakeLoadedDetector(std::move(trained));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto shared = std::make_shared<const serve::LoadedDetector>(
-      std::move(loaded).value());
-  const int n_attrs = pair->dirty.num_columns();
-  const int n_rows = static_cast<int>(pair->dirty.num_rows());
-  SessionOptions session_options;
-  // Arm drift detection on these small tables.
-  session_options.drift.min_cells = std::min(128, n_rows);
-  auto session = TableSession::Create(shared, session_options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  TableSession& s = **session;
-
-  for (int r = 0; r < n_rows; ++r) {
-    std::vector<std::string> tuple;
-    tuple.reserve(static_cast<size_t>(n_attrs));
-    for (int a = 0; a < n_attrs; ++a) tuple.push_back(pair->dirty.cell(r, a));
-    ASSERT_TRUE(s.Insert(r, std::move(tuple)).ok());
-  }
-
-  const std::vector<uint8_t> streamed = s.MaterializedVerdicts();
-  ASSERT_EQ(streamed.size(), report->predicted.size());
-  for (size_t i = 0; i < streamed.size(); ++i) {
-    ASSERT_EQ(streamed[i] != 0, report->predicted[i] != 0)
-        << GetParam() << " cell " << i;
-  }
-
-  // Churn: 80% updates on Zipf(1.1)-hot rows (rank 0 is an arbitrary row),
-  // 20% inserts of fresh tuples; every value is resampled from its column.
-  Rng rng(17);
-  std::vector<int64_t> live(static_cast<size_t>(n_rows));
-  for (int r = 0; r < n_rows; ++r) live[static_cast<size_t>(r)] = r;
-  rng.Shuffle(&live);
-  std::vector<double> zipf_cdf;
-  const auto hot_row = [&] {
-    while (zipf_cdf.size() < live.size()) {
-      zipf_cdf.push_back((zipf_cdf.empty() ? 0.0 : zipf_cdf.back()) +
-                         std::pow(static_cast<double>(zipf_cdf.size() + 1),
-                                  -1.1));
-    }
-    const auto end =
-        zipf_cdf.begin() + static_cast<std::ptrdiff_t>(live.size());
-    const double u = rng.UniformDouble() * *(end - 1);
-    return live[static_cast<size_t>(
-        std::lower_bound(zipf_cdf.begin(), end, u) - zipf_cdf.begin())];
-  };
-  const auto resample = [&](int attr) {
-    return pair->dirty.cell(
-        static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n_rows))), attr);
-  };
-  constexpr int kChurn = 400;
-  for (int i = 0; i < kChurn; ++i) {
-    if (rng.Bernoulli(0.8)) {
-      const int attr =
-          static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n_attrs)));
-      ASSERT_TRUE(s.Update(hot_row(), attr, resample(attr)).ok());
-    } else {
-      std::vector<std::string> tuple;
-      for (int a = 0; a < n_attrs; ++a) tuple.push_back(resample(a));
-      live.push_back(n_rows + i);
-      ASSERT_TRUE(s.Insert(live.back(), std::move(tuple)).ok());
-    }
-  }
-  auto batch = s.DetectAll();
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  const std::vector<uint8_t> churned = s.MaterializedVerdicts();
-  ASSERT_EQ(churned.size(), batch->size());
-  for (size_t i = 0; i < churned.size(); ++i) {
-    ASSERT_EQ(churned[i], (*batch)[i]) << GetParam() << " cell " << i
-                                       << " after churn";
-  }
-
-  // In-distribution values never raise a length or OOV alarm.
-  EXPECT_TRUE(LengthAndOovAlarmAttrs(s).empty()) << GetParam();
-  if (std::string(GetParam()) != "beers") return;
-
-  // Drift: the shortest-valued attribute (so that twice its frozen maximum
-  // survives the preparation-time truncation) receives values of that
-  // length made of characters the dictionary has never indexed.
-  const std::vector<int32_t>& max_len = shared->attr_max_value_len();
-  int polluted = -1;
-  for (int a = 0; a < n_attrs; ++a) {
-    const int32_t mx = max_len[static_cast<size_t>(a)];
-    if (mx > 0 &&
-        (polluted < 0 || mx < max_len[static_cast<size_t>(polluted)])) {
-      polluted = a;
-    }
-  }
-  ASSERT_GE(polluted, 0);
-  const std::string junk(
-      std::max<size_t>(
-          4, 2 * static_cast<size_t>(max_len[static_cast<size_t>(polluted)])),
-      '\x01');
-  for (int i = 0; i < 96; ++i) {
-    ASSERT_TRUE(s.Update(hot_row(), polluted, junk).ok());
-  }
-  EXPECT_EQ(LengthAndOovAlarmAttrs(s), std::vector<int>({polluted, polluted}));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllGenerators, ReplayEquivalenceTest,
-                         ::testing::Values("beers", "flights", "hospital",
-                                           "movies", "rayyan", "tax"));
-
-// A replay scores each row's fresh cells as one small length-sorted forward
-// pass; every stored probability must equal the dense engine's (every batch
-// padded to max_len, table order) bit for bit.
-TEST(DenseReplayTest, BeersSessionProbsEqualDenseEngine) {
-  ASSERT_TRUE(core::InferenceOptions{}.bucketed);
-  datagen::GenOptions gen;
-  gen.scale = 0.04;
-  gen.seed = 5;
-  auto pair = datagen::MakeDataset("beers", gen);
-  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
-
-  core::DetectorOptions options;
-  options.model = "etsb";
-  options.n_label_tuples = 10;
-  options.units = 12;
-  options.char_emb_dim = 8;
-  options.trainer.epochs = 2;
-  options.seed = 11;
-  core::ErrorDetector detector(options);
-  core::TrainedDetector trained;
-  auto report = detector.Run(pair->dirty, pair->clean, &trained);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  auto loaded = serve::MakeLoadedDetector(std::move(trained));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto shared = std::make_shared<const serve::LoadedDetector>(
-      std::move(loaded).value());
-  auto session = TableSession::Create(shared);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  TableSession& s = **session;
-
-  const int n_attrs = pair->dirty.num_columns();
-  const int n_rows = static_cast<int>(pair->dirty.num_rows());
-  std::vector<serve::CellQuery> queries;
-  for (int r = 0; r < n_rows; ++r) {
-    std::vector<std::string> tuple;
-    for (int a = 0; a < n_attrs; ++a) {
-      tuple.push_back(pair->dirty.cell(r, a));
-      serve::CellQuery q;
-      q.attr = a;
-      q.value = pair->dirty.cell(r, a);
-      queries.push_back(std::move(q));
-    }
-    ASSERT_TRUE(s.Insert(r, std::move(tuple)).ok());
-  }
-
-  auto ds = shared->EncodeQueries(queries);
-  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
-  core::InferenceOptions dense;
-  dense.bucketed = false;
-  core::InferenceEngine engine(shared->model(), dense);
-  std::vector<float> expected;
-  engine.PredictProbs(*ds, {}, &expected);
-  ASSERT_EQ(expected.size(), queries.size());
-  for (int r = 0; r < n_rows; ++r) {
-    for (int a = 0; a < n_attrs; ++a) {
-      auto verdict = s.GetVerdict(r, a);
-      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
-      ASSERT_EQ(verdict->p_error,
-                expected[static_cast<size_t>(r * n_attrs + a)])
-          << "row " << r << " attr " << a;
-    }
-  }
-}
-
 // ------------------------------------------------------- Serve-plane delta
 
 TEST(ProtocolDeltaTest, ParsesDeltaRequest) {
@@ -606,31 +303,6 @@ TEST(ProtocolDeltaTest, RejectsMalformedDeltaRequests) {
   EXPECT_FALSE(ParseRequest(R"({"op":"delta","deltas":[)"
                             R"({"kind":"insert","row":1.5,"values":[]}]})")
                    .ok());  // non-integer row
-}
-
-int ConnectTo(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(0,
-            ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)));
-  return fd;
-}
-
-std::string RoundTrip(int fd, const std::string& line) {
-  const std::string framed = line + "\n";
-  EXPECT_EQ(static_cast<ssize_t>(framed.size()),
-            ::write(fd, framed.data(), framed.size()));
-  std::string response;
-  char c = 0;
-  while (::read(fd, &c, 1) == 1) {
-    if (c == '\n') break;
-    response.push_back(c);
-  }
-  return response;
 }
 
 TEST(DeltaOverSocketsTest, DeltasFlowIntoSessionAndStats) {

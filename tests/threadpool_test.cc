@@ -5,11 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/model.h"
-#include "core/trainer.h"
-#include "data/dictionary.h"
-#include "data/encoding.h"
-#include "data/prepare.h"
 #include "util/threadpool.h"
 
 namespace birnn {
@@ -141,46 +136,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     }
   }  // destructor must wait
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ParallelPredictTest, MatchesSequentialPredictions) {
-  // Parallel inference must be positionally identical to sequential.
-  data::Table dirty(std::vector<std::string>{"a", "b"});
-  data::Table clean(std::vector<std::string>{"a", "b"});
-  Rng rng(41);
-  for (int i = 0; i < 40; ++i) {
-    const std::string v = "val" + std::to_string(i % 11);
-    ASSERT_TRUE(
-        dirty.AppendRow({rng.Bernoulli(0.4) ? v + "x" : v, "z"}).ok());
-    ASSERT_TRUE(clean.AppendRow({v, "z"}).ok());
-  }
-  auto frame = data::PrepareData(dirty, clean);
-  ASSERT_TRUE(frame.ok());
-  const data::CharIndex chars = data::CharIndex::Build(*frame);
-  const data::EncodedDataset ds = data::EncodeCells(*frame, chars);
-
-  core::ModelConfig config;
-  config.vocab = ds.vocab;
-  config.max_len = ds.max_len;
-  config.n_attrs = ds.n_attrs;
-  config.units = 8;
-  config.char_emb_dim = 6;
-  config.enriched = true;
-  config.seed = 2;
-  core::ErrorDetectionModel model(config);
-
-  std::vector<uint8_t> sequential;
-  core::PredictDataset(model, ds, 7, &sequential);
-
-  ThreadPool pool(3);
-  std::vector<uint8_t> parallel;
-  core::PredictDataset(model, ds, 7, &parallel, &pool);
-  EXPECT_EQ(sequential, parallel);
-
-  ThreadPool inline_pool(0);
-  std::vector<uint8_t> inline_result;
-  core::PredictDataset(model, ds, 7, &inline_result, &inline_pool);
-  EXPECT_EQ(sequential, inline_result);
 }
 
 }  // namespace

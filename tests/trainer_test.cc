@@ -265,17 +265,5 @@ TEST(TrainerTest, WarmStartCarriesBestCheckpointAcrossSegments) {
             FlattenSnapshot(resumed.Snapshot()));
 }
 
-TEST(PredictDatasetTest, OneLabelPerCell) {
-  data::EncodedDataset train;
-  data::EncodedDataset test;
-  ModelConfig config;
-  MakeToyData(30, &train, &test, &config);
-  ErrorDetectionModel model(config);
-  std::vector<uint8_t> predictions;
-  PredictDataset(model, test, 7, &predictions);  // odd batch size
-  EXPECT_EQ(predictions.size(), static_cast<size_t>(test.num_cells()));
-  for (uint8_t p : predictions) EXPECT_LE(p, 1);
-}
-
 }  // namespace
 }  // namespace birnn::core
