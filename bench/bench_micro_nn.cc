@@ -25,7 +25,8 @@ namespace {
 // The three GEMM kernels on the model's shapes, as (n, k, m): the RNN
 // step's 75-cell batches at input widths 32/64/128 with 64 hidden units,
 // the GRU's three stacked gates (m = 192), the batched input projection
-// over a 4096-cell step and a 256-cell sweep batch. MatMul computes
+// over a 4096-cell step, a 256-cell sweep batch, and the 1- and 3-row
+// steps of a memo miss at batch 1 and 3. MatMul computes
 // (n,k)*(k,m), MatMulTransposeAAcc (n,k)^T*(n,m) and MatMulTransposeBAcc
 // (n,k)*(m,k)^T; each reports GFLOP/s at 2*n*k*m flops per call.
 enum class Gemm { kMatMul, kTransposeA, kTransposeB };
@@ -66,6 +67,9 @@ void GemmShapes(benchmark::internal::Benchmark* b) {
   b->Args({75, 64, 192});
   b->Args({4096, 32, 64});
   b->Args({256, 64, 64});
+  b->Args({1, 64, 64});
+  b->Args({3, 64, 64});
+  b->Args({1, 32, 64});
 }
 BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kMatMul)->Apply(GemmShapes);
 BENCHMARK_TEMPLATE(BM_MatMul, Gemm::kTransposeA)->Apply(GemmShapes);
@@ -104,6 +108,33 @@ void BM_BiRnnSequenceForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_BiRnnSequenceForward)->Arg(16)->Arg(64);
+
+// A one-cell memo miss in the paper's value RNN: batch 1, a 5-character
+// cell in 30 padded steps. The forward chain runs all 30 steps (the pad
+// tail included); the backward chain runs 5, warm-started from the shared
+// pad prefix.
+void BM_BiRnnBucketedBatch1(benchmark::State& state) {
+  constexpr int kSteps = 5;
+  constexpr int kMaxLen = 30;
+  Rng rng(6);
+  nn::StackedBiRecurrent rnn(nn::CellType::kVanilla, "r", 32, 64, 2, true,
+                            &rng);
+  std::vector<nn::Tensor> steps(kSteps, nn::Tensor(1, 32));
+  for (auto& s : steps) nn::NormalInit(&s, 1.0f, &rng);
+  nn::Tensor pad_step(1, 32);
+  nn::NormalInit(&pad_step, 1.0f, &rng);
+  nn::PadPrefixTrajectory traj;
+  rnn.ComputeBackwardPadPrefix(pad_step, kMaxLen, &traj);
+  nn::StackedBiRecurrent::ForwardScratch scratch;
+  nn::Tensor out;
+  for (auto _ : state) {
+    rnn.ApplyForwardBucketed(steps.data(), kSteps, kMaxLen, pad_step, traj,
+                             &out, &scratch);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BiRnnBucketedBatch1);
 
 core::ModelConfig BenchModelConfig(bool enriched) {
   core::ModelConfig config;

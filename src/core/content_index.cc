@@ -394,7 +394,10 @@ void ContentMemo::Insert(const data::EncodedDataset& ds, int64_t i,
   if (ProbeCellLocked(shard, h, ds, i, &existing)) {
     return;  // first value wins (all writers agree anyway).
   }
-  std::vector<uint8_t> key;
+  // Per-thread, like PackedKeyMatchesCell's: a warm insert packs the key
+  // without allocating.
+  thread_local std::vector<uint8_t> key;
+  key.clear();
   AppendPackedCellKey(ds, i, &key);
 
   // Evict when the shard hits its entry bound, or when the arena nears the

@@ -19,7 +19,9 @@ InferenceEngine::InferenceEngine(const ErrorDetectionModel& model,
 
 void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
                                 const std::vector<int64_t>& indices,
-                                SweepPlan* plan) const {
+                                PlanTables* tables, SweepPlan* plan) const {
+  PlanTables temporary;
+  PlanTables& t = tables != nullptr ? *tables : temporary;
   const int64_t n = static_cast<int64_t>(indices.size());
   plan->unique_cells.clear();
   plan->cell_to_unique.resize(static_cast<size_t>(n));
@@ -37,8 +39,10 @@ void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
         static_cast<uint64_t>(n) + static_cast<uint64_t>(n) / 3 + 1;
     while (slots < want) slots <<= 1;
     const uint64_t mask = slots - 1;
-    std::vector<uint64_t> slot_hash(slots, 0);
-    std::vector<int32_t> slot_unique(slots, -1);
+    std::vector<uint64_t>& slot_hash = t.slot_hash;
+    std::vector<int32_t>& slot_unique = t.slot_unique;
+    slot_hash.assign(slots, 0);
+    slot_unique.assign(slots, -1);
     for (int64_t k = 0; k < n; ++k) {
       const int64_t cell = indices[static_cast<size_t>(k)];
       const uint64_t h = ds.CellContentHash(cell);
@@ -76,11 +80,11 @@ void InferenceEngine::BuildPlan(const data::EncodedDataset& ds,
   // The dense reference keeps table order and pads every batch to max_len.
   const int64_t n_unique = static_cast<int64_t>(plan->unique_cells.size());
   plan->order.resize(static_cast<size_t>(n_unique));
-  std::vector<int> len;
+  std::vector<int>& len = t.len;
   if (options_.bucketed) {
     len.resize(static_cast<size_t>(n_unique));
-    std::vector<int64_t> first(static_cast<size_t>(std::max(ds.max_len, 1)) + 2,
-                               0);
+    std::vector<int64_t>& first = t.first;
+    first.assign(static_cast<size_t>(std::max(ds.max_len, 1)) + 2, 0);
     for (int64_t u = 0; u < n_unique; ++u) {
       const int l = std::max(
           1, ds.effective_len(plan->unique_cells[static_cast<size_t>(u)]));
@@ -127,15 +131,30 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
   // plan, so which lane runs a batch (and the lane count) cannot change any
   // result bit.
   const int64_t n_batches = static_cast<int64_t>(plan.batches.size());
+
+  // Lanes: the calling thread plus the pool's workers. The engine's own
+  // pool is built only when more than one batch will run, and never with
+  // more lanes than the hardware has threads: each lane holds its own
+  // scratch.
+  ThreadPool* pool = external_pool_;
+  int64_t lanes = pool != nullptr ? pool->num_threads() + 1
+                                  : std::max(1, options_.threads);
+  if (pool == nullptr) lanes = std::min<int64_t>(lanes, HardwareConcurrency());
+  lanes = std::min(lanes, n_batches);
+  if (lanes_.size() < static_cast<size_t>(lanes)) {
+    lanes_.resize(static_cast<size_t>(lanes));
+  }
+
   std::atomic<int64_t> next{0};
-  auto run_slot = [&](int64_t /*slot*/) {
-    // Per-lane scratch: BatchInput columns, every forward tensor and the
-    // result buffers persist across this lane's batches.
-    InferenceScratch scratch;
-    BatchInput batch;
-    std::vector<int64_t> cells;
-    std::vector<float> probs;
-    nn::Tensor hidden;
+  auto run_slot = [&](int64_t slot) {
+    // The slot's scratch persists across this lane's batches and across
+    // sweeps. ParallelFor runs each slot once, so no two lanes share it.
+    LaneScratch& lane = lanes_[static_cast<size_t>(slot)];
+    InferenceScratch& scratch = lane.forward;
+    BatchInput& batch = lane.batch;
+    std::vector<int64_t>& cells = lane.cells;
+    std::vector<float>& probs = lane.probs;
+    nn::Tensor& hidden = lane.hidden;
     for (int64_t b; (b = next.fetch_add(1, std::memory_order_relaxed)) <
                     n_batches;) {
       OBS_SPAN("inference/batch");
@@ -167,17 +186,12 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
     }
   };
 
-  // Lanes: the calling thread plus the pool's workers. The engine's own
-  // pool is built only when more than one batch will run, and never with
-  // more lanes than the hardware has threads: each lane holds its own
-  // scratch.
-  ThreadPool* pool = external_pool_;
-  int64_t lanes = pool != nullptr ? pool->num_threads() + 1
-                                  : std::max(1, options_.threads);
-  if (pool == nullptr) lanes = std::min<int64_t>(lanes, HardwareConcurrency());
-  lanes = std::min(lanes, n_batches);
+  if (lanes == 1) {
+    run_slot(0);  // called directly: a std::function of it would allocate.
+    return;
+  }
   std::unique_ptr<ThreadPool> own_pool;
-  if (pool == nullptr && lanes > 1) {
+  if (pool == nullptr) {
     own_pool = std::make_unique<ThreadPool>(static_cast<int>(lanes - 1));
     pool = own_pool.get();
   }
@@ -186,12 +200,13 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
 
 void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
                                   const std::vector<int64_t>& indices,
-                                  bool want_hidden, SweepPlan* plan,
+                                  bool want_hidden, PlanTables* tables,
+                                  SweepPlan* plan,
                                   std::vector<float>* p_unique,
                                   nn::Tensor* hidden_unique) {
   OBS_SPAN("inference/sweep");
   Stopwatch timer;
-  BuildPlan(ds, indices, plan);
+  BuildPlan(ds, indices, tables, plan);
 
   // The pad-prefix trajectory is built serially here, before RunPlan fans
   // out: the pool's task submission gives every lane a happens-before edge
@@ -242,14 +257,21 @@ void InferenceEngine::PredictProbs(const data::EncodedDataset& ds,
     }
     use = &all;
   }
-
   SweepPlan plan;
   std::vector<float> p_unique;
-  SweepUnique(ds, *use, /*want_hidden=*/false, &plan, &p_unique, nullptr);
+  PredictIndices(ds, *use, /*tables=*/nullptr, &plan, &p_unique, p_error);
+}
 
-  p_error->resize(use->size());
-  for (size_t k = 0; k < use->size(); ++k) {
-    (*p_error)[k] = p_unique[static_cast<size_t>(plan.cell_to_unique[k])];
+void InferenceEngine::PredictIndices(const data::EncodedDataset& ds,
+                                     const std::vector<int64_t>& indices,
+                                     PlanTables* tables, SweepPlan* plan,
+                                     std::vector<float>* p_unique,
+                                     std::vector<float>* p_error) {
+  SweepUnique(ds, indices, /*want_hidden=*/false, tables, plan, p_unique,
+              nullptr);
+  p_error->resize(indices.size());
+  for (size_t k = 0; k < indices.size(); ++k) {
+    (*p_error)[k] = (*p_unique)[static_cast<size_t>(plan->cell_to_unique[k])];
   }
 }
 
@@ -271,17 +293,17 @@ int64_t InferenceEngine::PredictProbsMemoized(const data::EncodedDataset& ds,
     stats_.cells = n;
     return hits;
   }
-  std::vector<int64_t> miss;
-  miss.reserve(static_cast<size_t>(n - hits));
+  // The misses are swept as an index view of `ds`: the same batches, and
+  // so the same bits, as a sweep of a copy holding only them.
+  miss_.clear();
   for (int64_t i = 0; i < n; ++i) {
-    if (!hit_[static_cast<size_t>(i)]) miss.push_back(i);
+    if (!hit_[static_cast<size_t>(i)]) miss_.push_back(i);
   }
-  const data::EncodedDataset miss_ds = data::TakeCells(ds, miss);
-  std::vector<float> miss_p;
-  PredictProbs(miss_ds, {}, &miss_p);
-  for (size_t k = 0; k < miss.size(); ++k) {
-    (*p_error)[static_cast<size_t>(miss[k])] = miss_p[k];
-    memo->Insert(miss_ds, static_cast<int64_t>(k), miss_p[k]);
+  PredictIndices(ds, miss_, &miss_tables_, &miss_plan_, &miss_p_unique_,
+                 &miss_p_);
+  for (size_t k = 0; k < miss_.size(); ++k) {
+    (*p_error)[static_cast<size_t>(miss_[k])] = miss_p_[k];
+    memo->Insert(ds, miss_[k], miss_p_[k]);
   }
   return hits;
 }
@@ -324,8 +346,8 @@ void CalibrateBatchNormMemoized(ErrorDetectionModel* model,
   }
   InferenceEngine::SweepPlan plan;
   nn::Tensor hidden_unique;
-  engine.SweepUnique(ds, all, /*want_hidden=*/true, &plan, nullptr,
-                     &hidden_unique);
+  engine.SweepUnique(ds, all, /*want_hidden=*/true, /*tables=*/nullptr, &plan,
+                     nullptr, &hidden_unique);
 
   // Accumulate per original cell (not per unique cell) in dataset order —
   // the same double-precision summation sequence as the unmemoized

@@ -146,8 +146,32 @@ class InferenceEngine {
     std::vector<PlanBatch> batches;
   };
 
+  /// BuildPlan's working space: the dedup table and the length sort.
+  struct PlanTables {
+    std::vector<uint64_t> slot_hash;   ///< content hash per slot.
+    std::vector<int32_t> slot_unique;  ///< unique index per slot, or -1.
+    std::vector<int> len;              ///< effective length per unique.
+    std::vector<int64_t> first;        ///< counting-sort offsets.
+  };
+
+  /// One lane's buffers: the batch's cell ids and BatchInput columns,
+  /// every forward tensor and the batch's results. The engine keeps them
+  /// across sweeps, so each holds the capacity of the largest batch its
+  /// lane has run and a warm sweep allocates nothing in RunPlan.
+  struct LaneScratch {
+    InferenceScratch forward;
+    BatchInput batch;
+    std::vector<int64_t> cells;
+    std::vector<float> probs;
+    nn::Tensor hidden;
+  };
+
+  /// Builds `plan` in `tables`, kept by the caller so that a reused plan
+  /// builds without allocating, or, when `tables` is null, in temporaries
+  /// freed before the sweep runs (a whole-table dedup table is megabytes).
   void BuildPlan(const data::EncodedDataset& ds,
-                 const std::vector<int64_t>& indices, SweepPlan* plan) const;
+                 const std::vector<int64_t>& indices, PlanTables* tables,
+                 SweepPlan* plan) const;
 
   /// Runs the planned batches (claimed by the calling thread and the
   /// pool's workers when there is a pool), calling the model once per
@@ -160,8 +184,15 @@ class InferenceEngine {
 
   void SweepUnique(const data::EncodedDataset& ds,
                    const std::vector<int64_t>& indices, bool want_hidden,
-                   SweepPlan* plan, std::vector<float>* p_unique,
-                   nn::Tensor* hidden_unique);
+                   PlanTables* tables, SweepPlan* plan,
+                   std::vector<float>* p_unique, nn::Tensor* hidden_unique);
+
+  /// PredictProbs over a non-empty `indices`, with the plan (built as
+  /// BuildPlan says) and the per-unique results in caller-owned buffers.
+  void PredictIndices(const data::EncodedDataset& ds,
+                      const std::vector<int64_t>& indices, PlanTables* tables,
+                      SweepPlan* plan, std::vector<float>* p_unique,
+                      std::vector<float>* p_error);
 
   const ErrorDetectionModel& model_;
   InferenceOptions options_;
@@ -171,9 +202,19 @@ class InferenceEngine {
   /// on its first sweep (weights are fixed for the engine's lifetime).
   BucketedInferenceContext bucketed_ctx_;
   bool bucketed_ctx_ready_ = false;
-  /// PredictProbsMemoized's per-cell memo-hit mask, kept across calls so a
-  /// fully memo-served call allocates nothing.
+  /// Per-lane scratch, indexed by the ParallelFor slot; grows to the
+  /// most lanes a sweep has used.
+  std::vector<LaneScratch> lanes_;
+  /// PredictProbsMemoized's buffers, kept across calls so that a warm call
+  /// allocates nothing here: the per-cell memo-hit mask, the misses' cell
+  /// ids (an index view of the query, which is not copied), their sweep
+  /// plan with its working space, and their probabilities.
   std::vector<uint8_t> hit_;
+  std::vector<int64_t> miss_;
+  PlanTables miss_tables_;
+  SweepPlan miss_plan_;
+  std::vector<float> miss_p_unique_;
+  std::vector<float> miss_p_;
 };
 
 /// Replaces the model's batch-norm running statistics with the exact

@@ -1,6 +1,7 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "nn/ops.h"
@@ -207,12 +208,13 @@ void ErrorDetectionModel::ForwardHidden(
                              &scratch->features, &scratch->value_rnn);
   }
 
-  std::vector<const nn::Tensor*> parts{&scratch->features};
+  const nn::Tensor* parts[3] = {&scratch->features};
+  size_t n_parts = 1;
   if (attr_rnn_ != nullptr) {
     attr_emb_->LookupForward(batch.attr_ids, &scratch->attr_emb);
     attr_rnn_->ApplyForward(&scratch->attr_emb, 1, &scratch->attr_features,
                             &scratch->attr_rnn);
-    parts.push_back(&scratch->attr_features);
+    parts[n_parts++] = &scratch->attr_features;
   }
   if (length_dense_ != nullptr) {
     scratch->len_in.ResizeForOverwrite(batch.batch, 1);
@@ -221,12 +223,13 @@ void ErrorDetectionModel::ForwardHidden(
     }
     length_dense_->ApplyForward(scratch->len_in, &scratch->len_features,
                                 &scratch->dense);
-    parts.push_back(&scratch->len_features);
+    parts[n_parts++] = &scratch->len_features;
   }
-  if (parts.size() == 1) {
+  if (n_parts == 1) {
     hidden_dense_->ApplyForward(scratch->features, hidden, &scratch->dense);
   } else {
-    nn::ConcatCols(parts, &scratch->concat);
+    nn::ConcatCols(std::span<const nn::Tensor* const>(parts, n_parts),
+                   &scratch->concat);
     hidden_dense_->ApplyForward(scratch->concat, hidden, &scratch->dense);
   }
 }

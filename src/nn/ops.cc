@@ -21,13 +21,6 @@ namespace {
 #define BIRNN_GEMM_LANES 8
 #endif
 
-// The part of c(rows, cols) that the tiles cover: whole 4-row blocks by
-// whole vectors of columns.
-struct TiledExtent {
-  int rows = 0;
-  int cols = 0;
-};
-
 #ifdef BIRNN_GEMM_LANES
 constexpr int kLanes = BIRNN_GEMM_LANES;
 // Vectors per tile row: 64 columns at AVX-512, 32 at AVX2.
@@ -54,24 +47,24 @@ inline bool AllZero(float x0, float x1, float x2, float x3) {
   return ((u[0] | u[1] | u[2] | u[3]) << 1) == 0;
 }
 
-// c(4, kVecs * kLanes) += A(4, red) * B(red, kVecs * kLanes), with A(r, t)
-// at a[r * ars + t * ats], B row t at b + t * ld and c row r at c + r * ld.
-// The accumulators are held across the whole reduction instead of being
-// loaded and stored per block, and each 4-block of B rows is loaded once
-// for all four output rows. Per output element this is the loops' exact
-// sequence of operations (see GemmRowsAcc): the 4-blocks in increasing
-// order, each added as the single expression
+// c(kRows, kVecs * kLanes) += A(kRows, red) * B(red, kVecs * kLanes), with
+// A(r, t) at a[r * ars + t * ats], B row t at b + t * ld and c row r at
+// c + r * ld; kRows is 1 to 4. The accumulators are held across the whole
+// reduction instead of being loaded and stored per block, and each 4-block
+// of B rows is loaded once for all kRows output rows. Per output element
+// this is the loops' exact sequence of operations (see GemmRowsAcc): the
+// 4-blocks in increasing order, each added as the single expression
 // `c += a0*b0 + a1*b1 + a2*b2 + a3*b3` unless that row's four coefficients
 // are all zero, then the tail one term at a time. GCC's default
 // -ffp-contract=fast contracts the expression here as in the loops;
 // OpsTest.TiledGemmIsBitIdenticalToReferenceLoops checks the bits at each
-// lane width.
-template <int kVecs>
+// lane width and for every row count.
+template <int kRows, int kVecs>
 void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
               float* c, size_t ld, int red) {
-  Vec acc[4][kVecs];
+  Vec acc[kRows][kVecs];
 #pragma GCC unroll 4
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
       acc[r][v] = LoadVec(c + r * ld + v * kLanes);
@@ -88,7 +81,7 @@ void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
       }
     }
 #pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const float* ar = a + r * ars + t * ats;
       const float a0 = ar[0];
       const float a1 = ar[ats];
@@ -104,7 +97,7 @@ void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
   for (; t < red; ++t) {
     const float* bt = b + t * ld;
 #pragma GCC unroll 4
-    for (int r = 0; r < 4; ++r) {
+    for (int r = 0; r < kRows; ++r) {
       const float av = a[r * ars + t * ats];
       if (av == 0.0f) continue;
 #pragma GCC unroll 4
@@ -114,7 +107,7 @@ void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
     }
   }
 #pragma GCC unroll 4
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
     for (int v = 0; v < kVecs; ++v) {
       StoreVec(c + r * ld + v * kLanes, acc[r][v]);
@@ -123,51 +116,67 @@ void GemmTile(const float* a, size_t ars, size_t ats, const float* b,
 }
 
 // Runs tiles of kVecs vectors, then of half as many, and so on, across
-// the columns [j, cols) of four c rows. Afterwards fewer than kLanes
+// the columns [j, cols) of kRows c rows. Afterwards fewer than kLanes
 // columns are left to the loops.
-template <int kVecs>
+template <int kRows, int kVecs>
 void TileColumns(const float* a, size_t ars, size_t ats, const float* b,
                  float* c, size_t ld, int red, int j, int cols) {
   for (; j + kVecs * kLanes <= cols; j += kVecs * kLanes) {
-    GemmTile<kVecs>(a, ars, ats, b + j, c + j, ld, red);
+    GemmTile<kRows, kVecs>(a, ars, ats, b + j, c + j, ld, red);
   }
   if constexpr (kVecs > 1) {
-    TileColumns<kVecs / 2>(a, ars, ats, b, c, ld, red, j, cols);
+    TileColumns<kRows, kVecs / 2>(a, ars, ats, b, c, ld, red, j, cols);
   }
 }
 
 // Runs the tiles for c(rows, cols) += A(rows, red) * B(red, cols), with A
-// addressed as in GemmTile and B, c row-major with `cols` columns. Returns
-// the extent they covered; the caller's loops compute the rest.
-TiledExtent TiledGemmAcc(const float* a, size_t ars, size_t ats,
-                         const float* b, float* c, int rows, int red,
-                         int cols) {
-  TiledExtent done;
-  done.rows = rows / 4 * 4;
-  done.cols = cols / kLanes * kLanes;
+// addressed as in GemmTile and B, c row-major with `cols` columns: 4-row
+// tiles, then one tile of the 1-3 rows left, so that a batch-1 GEMM is
+// tiled too. Returns the number of leading columns they covered (whole
+// vectors, in every row); the caller's loops compute the rest.
+int TiledGemmAcc(const float* a, size_t ars, size_t ats, const float* b,
+                 float* c, int rows, int red, int cols) {
+  const int done = cols / kLanes * kLanes;
+  if (done == 0) return 0;
   const size_t ld = static_cast<size_t>(cols);
-  for (int i = 0; i < done.rows; i += 4) {
-    TileColumns<kTileVecs>(a + static_cast<size_t>(i) * ars, ars, ats, b,
-                           c + static_cast<size_t>(i) * ld, ld, red, 0, cols);
+  int i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    TileColumns<4, kTileVecs>(a + static_cast<size_t>(i) * ars, ars, ats, b,
+                              c + static_cast<size_t>(i) * ld, ld, red, 0,
+                              cols);
+  }
+  const float* ai = a + static_cast<size_t>(i) * ars;
+  float* ci = c + static_cast<size_t>(i) * ld;
+  switch (rows - i) {
+    case 3:
+      TileColumns<3, kTileVecs>(ai, ars, ats, b, ci, ld, red, 0, cols);
+      break;
+    case 2:
+      TileColumns<2, kTileVecs>(ai, ars, ats, b, ci, ld, red, 0, cols);
+      break;
+    case 1:
+      TileColumns<1, kTileVecs>(ai, ars, ats, b, ci, ld, red, 0, cols);
+      break;
+    default:
+      break;
   }
   return done;
 }
 #else
-TiledExtent TiledGemmAcc(const float*, size_t, size_t, const float*, float*,
-                         int, int, int) {
-  return {};
+int TiledGemmAcc(const float*, size_t, size_t, const float*, float*, int, int,
+                 int) {
+  return 0;
 }
 #endif  // BIRNN_GEMM_LANES
 
-// c(n, m) += a(n, k) * b(k, m), rows [i_begin, i_end) and columns
-// [j_begin, j_end) only: the loop the tiles reproduce. i-k-j order with
+// c(n, m) += a(n, k) * b(k, m), columns [j_begin, m) only: the loop the
+// tiles reproduce. i-k-j order with
 // the k loop blocked by 4, so each pass over a row of c performs four
 // multiply-adds per load/store of c[j] and the j loop vectorizes.
 void GemmRowsAcc(const float* __restrict pa, const float* __restrict pb,
-                 float* __restrict pc, int k, int m, int i_begin, int i_end,
-                 int j_begin, int j_end) {
-  if (j_begin >= j_end) return;
-  for (int i = i_begin; i < i_end; ++i) {
+                 float* __restrict pc, int n, int k, int m, int j_begin) {
+  if (j_begin >= m) return;
+  for (int i = 0; i < n; ++i) {
     const float* __restrict arow = pa + static_cast<size_t>(i) * k;
     float* __restrict crow = pc + static_cast<size_t>(i) * m;
     int kk = 0;
@@ -181,7 +190,7 @@ void GemmRowsAcc(const float* __restrict pa, const float* __restrict pb,
       const float* __restrict b1 = b0 + m;
       const float* __restrict b2 = b1 + m;
       const float* __restrict b3 = b2 + m;
-      for (int j = j_begin; j < j_end; ++j) {
+      for (int j = j_begin; j < m; ++j) {
         crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
       }
     }
@@ -189,18 +198,17 @@ void GemmRowsAcc(const float* __restrict pa, const float* __restrict pb,
       const float av = arow[kk];
       if (av == 0.0f) continue;
       const float* __restrict brow = pb + static_cast<size_t>(kk) * m;
-      for (int j = j_begin; j < j_end; ++j) crow[j] += av * brow[j];
+      for (int j = j_begin; j < m; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-// c(k, m) += a(n, k)^T * b(n, m), c rows [kk_begin, kk_end) and columns
-// [j_begin, j_end) only. Blocked over four rows of a/b at a time so every
+// c(k, m) += a(n, k)^T * b(n, m), columns [j_begin, m) only. Blocked over four rows of a/b at a time so every
 // c row written in the kk loop receives four rank-1 contributions per pass.
 void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
                        float* __restrict pc, int n, int k, int m,
-                       int kk_begin, int kk_end, int j_begin, int j_end) {
-  if (kk_begin >= kk_end || j_begin >= j_end) return;
+                       int j_begin) {
+  if (j_begin >= m) return;
   int i = 0;
   for (; i + 4 <= n; i += 4) {
     const float* __restrict a0 = pa + static_cast<size_t>(i) * k;
@@ -211,14 +219,14 @@ void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
     const float* __restrict b1 = b0 + m;
     const float* __restrict b2 = b1 + m;
     const float* __restrict b3 = b2 + m;
-    for (int kk = kk_begin; kk < kk_end; ++kk) {
+    for (int kk = 0; kk < k; ++kk) {
       const float w0 = a0[kk];
       const float w1 = a1[kk];
       const float w2 = a2[kk];
       const float w3 = a3[kk];
       if (w0 == 0.0f && w1 == 0.0f && w2 == 0.0f && w3 == 0.0f) continue;
       float* __restrict crow = pc + static_cast<size_t>(kk) * m;
-      for (int j = j_begin; j < j_end; ++j) {
+      for (int j = j_begin; j < m; ++j) {
         crow[j] += w0 * b0[j] + w1 * b1[j] + w2 * b2[j] + w3 * b3[j];
       }
     }
@@ -226,11 +234,11 @@ void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
   for (; i < n; ++i) {
     const float* __restrict arow = pa + static_cast<size_t>(i) * k;
     const float* __restrict brow = pb + static_cast<size_t>(i) * m;
-    for (int kk = kk_begin; kk < kk_end; ++kk) {
+    for (int kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
       if (av == 0.0f) continue;
       float* __restrict crow = pc + static_cast<size_t>(kk) * m;
-      for (int j = j_begin; j < j_end; ++j) crow[j] += av * brow[j];
+      for (int j = j_begin; j < m; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -239,20 +247,18 @@ void TransposeARowsAcc(const float* __restrict pa, const float* __restrict pb,
 
 void GemmAcc(const float* pa, const float* pb, float* pc, int n, int k,
              int m) {
-  const TiledExtent t = TiledGemmAcc(pa, static_cast<size_t>(k), 1, pb, pc,
-                                     n, k, m);
-  GemmRowsAcc(pa, pb, pc, k, m, 0, t.rows, t.cols, m);
-  GemmRowsAcc(pa, pb, pc, k, m, t.rows, n, 0, m);
+  const int tiled = TiledGemmAcc(pa, static_cast<size_t>(k), 1, pb, pc, n,
+                                 k, m);
+  GemmRowsAcc(pa, pb, pc, n, k, m, tiled);
 }
 
 void GemmTransposeAAcc(const float* pa, const float* pb, float* pc, int n,
                        int k, int m) {
   // The tiles run over output rows kk..kk+3 with the reduction over the
   // rows of a and b; coefficient (kk, i) is a[i * k + kk].
-  const TiledExtent t =
+  const int tiled =
       TiledGemmAcc(pa, 1, static_cast<size_t>(k), pb, pc, k, n, m);
-  TransposeARowsAcc(pa, pb, pc, n, k, m, 0, t.rows, t.cols, m);
-  TransposeARowsAcc(pa, pb, pc, n, k, m, t.rows, k, 0, m);
+  TransposeARowsAcc(pa, pb, pc, n, k, m, tiled);
 }
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -411,7 +417,7 @@ void SoftmaxRows(const Tensor& logits, Tensor* out) {
   }
 }
 
-void ConcatCols(const std::vector<const Tensor*>& parts, Tensor* out) {
+void ConcatCols(std::span<const Tensor* const> parts, Tensor* out) {
   BIRNN_CHECK(!parts.empty());
   const int n = parts[0]->rows();
   int total = 0;

@@ -1,6 +1,8 @@
 #ifndef BIRNN_NN_OPS_H_
 #define BIRNN_NN_OPS_H_
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -74,7 +76,13 @@ void SigmoidElem(const Tensor& x, Tensor* out);
 void SoftmaxRows(const Tensor& logits, Tensor* out);
 
 /// Concatenates matrices with equal row counts along columns.
-void ConcatCols(const std::vector<const Tensor*>& parts, Tensor* out);
+void ConcatCols(std::span<const Tensor* const> parts, Tensor* out);
+/// The same for a braced list of parts, which needs no heap allocation.
+inline void ConcatCols(std::initializer_list<const Tensor*> parts,
+                       Tensor* out) {
+  ConcatCols(std::span<const Tensor* const>(parts.begin(), parts.size()),
+             out);
+}
 
 /// Copies columns [start, start+count) of x (n,m) into out (n,count).
 void SliceCols(const Tensor& x, int start, int count, Tensor* out);

@@ -44,16 +44,36 @@ Tensor Tensor::FromMatrix(int rows, int cols,
   return t;
 }
 
-void Tensor::Resize(std::vector<int> shape) {
+size_t Tensor::SetShape(const std::vector<int>& shape) {
   const size_t n = ShapeSize(shape);
-  shape_ = std::move(shape);
-  data_.assign(n, 0.0f);  // vector::assign reuses capacity
+  if (&shape != &shape_) shape_.assign(shape.begin(), shape.end());
+  return n;
 }
 
-void Tensor::ResizeForOverwrite(std::vector<int> shape) {
-  const size_t n = ShapeSize(shape);
-  shape_ = std::move(shape);
-  data_.resize(n);  // stale values retained; caller overwrites
+size_t Tensor::SetShape(int rows, int cols) {
+  BIRNN_CHECK_GE(rows, 0);
+  BIRNN_CHECK_GE(cols, 0);
+  shape_.resize(2);
+  shape_[0] = rows;
+  shape_[1] = cols;
+  return static_cast<size_t>(rows) * static_cast<size_t>(cols);
+}
+
+// vector::assign and vector::resize reuse capacity.
+void Tensor::Resize(const std::vector<int>& shape) {
+  data_.assign(SetShape(shape), 0.0f);
+}
+
+void Tensor::Resize(int rows, int cols) {
+  data_.assign(SetShape(rows, cols), 0.0f);
+}
+
+void Tensor::ResizeForOverwrite(const std::vector<int>& shape) {
+  data_.resize(SetShape(shape));  // stale values retained; caller overwrites
+}
+
+void Tensor::ResizeForOverwrite(int rows, int cols) {
+  data_.resize(SetShape(rows, cols));
 }
 
 void Tensor::Fill(float v) {

@@ -67,18 +67,17 @@ class Tensor {
   }
 
   /// Reshapes to `shape` and zeroes all elements, reusing the existing
-  /// heap buffer whenever capacity allows (no allocation on the training
-  /// hot path once the first step has sized every tensor).
-  void Resize(std::vector<int> shape);
-  void Resize(int rows, int cols) { Resize(std::vector<int>{rows, cols}); }
+  /// shape and data buffers whenever capacity allows (no allocation on the
+  /// training or inference hot path once the first step has sized every
+  /// tensor). `shape` may be this tensor's own shape().
+  void Resize(const std::vector<int>& shape);
+  void Resize(int rows, int cols);
 
   /// Reshapes to `shape` without clearing: element values are unspecified
   /// and the caller must overwrite all of them. Reuses capacity like
   /// Resize.
-  void ResizeForOverwrite(std::vector<int> shape);
-  void ResizeForOverwrite(int rows, int cols) {
-    ResizeForOverwrite(std::vector<int>{rows, cols});
-  }
+  void ResizeForOverwrite(const std::vector<int>& shape);
+  void ResizeForOverwrite(int rows, int cols);
 
   /// Sets every element to `v`.
   void Fill(float v);
@@ -108,6 +107,10 @@ class Tensor {
   std::string ToString(size_t max_elems = 8) const;
 
  private:
+  /// Sets shape_ in place (keeping its capacity); returns the element count.
+  size_t SetShape(const std::vector<int>& shape);
+  size_t SetShape(int rows, int cols);
+
   std::vector<int> shape_;
   std::vector<float> data_;
 };

@@ -86,25 +86,6 @@ void MicroBatcher::Submit(const std::vector<CellQuery>& cells,
   wake_dispatcher_.notify_all();
 }
 
-Status MicroBatcher::Detect(const std::vector<CellQuery>& cells,
-                            std::vector<CellVerdict>* verdicts) {
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  Status result;
-  Submit(cells, [&](const Status& status,
-                    const std::vector<CellVerdict>& answer) {
-    std::lock_guard<std::mutex> lock(done_mutex);
-    result = status;
-    *verdicts = answer;
-    done = true;
-    done_cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
-  return result;
-}
-
 void MicroBatcher::Stop() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

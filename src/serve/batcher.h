@@ -103,11 +103,6 @@ class MicroBatcher {
   /// attribute, Overloaded when shed, FailedPrecondition after Stop().
   void Submit(const std::vector<CellQuery>& cells, ResultCallback callback);
 
-  /// Blocking convenience wrapper around Submit for synchronous callers
-  /// (the server's connection handlers).
-  Status Detect(const std::vector<CellQuery>& cells,
-                std::vector<CellVerdict>* verdicts);
-
   /// Graceful drain: stops admitting, answers every admitted request, then
   /// joins the dispatcher. Idempotent; also run by the destructor.
   void Stop();

@@ -60,7 +60,7 @@ TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
     MicroBatcher batcher(detector, opts);
     for (const CellQuery& q : queries) {
       std::vector<CellVerdict> one;
-      ASSERT_TRUE(batcher.Detect({q}, &one).ok());
+      ASSERT_TRUE(test::Detect(&batcher, {q}, &one).ok());
       ASSERT_EQ(one.size(), 1u);
       solo.push_back(one[0]);
     }
@@ -88,7 +88,7 @@ TEST(MicroBatcherTest, BatchedMatchesOneAtATimeBitExact) {
         const std::vector<CellVerdict> expected(solo.begin() + begin,
                                                 solo.begin() + end);
         std::vector<CellVerdict> got;
-        if (!batcher.Detect(slice, &got).ok() ||
+        if (!test::Detect(&batcher, slice, &got).ok() ||
             !BitIdentical(got, expected)) {
           mismatches.fetch_add(1);
         }
@@ -147,7 +147,7 @@ TEST(MicroBatcherTest, RequestLargerThanCapacityIsAlwaysShed) {
   // Even on an idle batcher a 3-cell request can never be admitted — the
   // deterministic forced-shed case the CI smoke job exercises.
   std::vector<CellVerdict> verdicts;
-  const Status st = batcher.Detect(MakeQueries(3, 0), &verdicts);
+  const Status st = test::Detect(&batcher, MakeQueries(3, 0), &verdicts);
   EXPECT_EQ(st.code(), StatusCode::kOverloaded);
   EXPECT_TRUE(verdicts.empty());
 }
@@ -198,7 +198,7 @@ TEST(MicroBatcherTest, ConcurrentClientsAnswerBitIdenticallyToSoloRun) {
     MicroBatcher batcher(detector, opts);
     for (const CellQuery& q : queries) {
       std::vector<CellVerdict> one;
-      ASSERT_TRUE(batcher.Detect({q}, &one).ok());
+      ASSERT_TRUE(test::Detect(&batcher, {q}, &one).ok());
       solo.push_back(one[0]);
     }
   }
@@ -223,7 +223,7 @@ TEST(MicroBatcherTest, ConcurrentClientsAnswerBitIdenticallyToSoloRun) {
         const std::vector<CellVerdict> expected(solo.begin() + begin,
                                                 solo.begin() + end);
         std::vector<CellVerdict> got;
-        if (!batcher.Detect(slice, &got).ok() ||
+        if (!test::Detect(&batcher, slice, &got).ok() ||
             !BitIdentical(got, expected)) {
           mismatches.fetch_add(1);
         }
@@ -251,12 +251,12 @@ TEST(MicroBatcherTest, MemoHitsAreBitExactAndBounded) {
 
   const std::vector<CellQuery> queries = MakeQueries(48, 3);
   std::vector<CellVerdict> first;
-  ASSERT_TRUE(batcher.Detect(queries, &first).ok());
+  ASSERT_TRUE(test::Detect(&batcher, queries, &first).ok());
   // Re-asking the exact same cells must reproduce the same floats whether
   // each answer comes from the memo or a fresh engine run.
   for (int round = 0; round < 3; ++round) {
     std::vector<CellVerdict> again;
-    ASSERT_TRUE(batcher.Detect(queries, &again).ok());
+    ASSERT_TRUE(test::Detect(&batcher, queries, &again).ok());
     EXPECT_TRUE(BitIdentical(first, again)) << "round " << round;
   }
   EXPECT_LE(batcher.stats().memo_entries, 16 + 48);  // bounded, not exact LRU
@@ -268,8 +268,8 @@ TEST(MicroBatcherTest, MemoDisabledStillServes) {
   opts.memo_capacity = 0;
   MicroBatcher batcher(detector, opts);
   std::vector<CellVerdict> a, b;
-  ASSERT_TRUE(batcher.Detect(MakeQueries(6, 1), &a).ok());
-  ASSERT_TRUE(batcher.Detect(MakeQueries(6, 1), &b).ok());
+  ASSERT_TRUE(test::Detect(&batcher, MakeQueries(6, 1), &a).ok());
+  ASSERT_TRUE(test::Detect(&batcher, MakeQueries(6, 1), &b).ok());
   EXPECT_TRUE(BitIdentical(a, b));
   EXPECT_EQ(batcher.stats().memo_hits, 0);
   EXPECT_EQ(batcher.stats().memo_entries, 0);
@@ -279,7 +279,7 @@ TEST(MicroBatcherTest, ConcurrentStopIsSafe) {
   const LoadedDetector detector = MakeTinyDetector(1234);
   MicroBatcher batcher(detector);
   std::vector<CellVerdict> verdicts;
-  ASSERT_TRUE(batcher.Detect(MakeQueries(3, 0), &verdicts).ok());
+  ASSERT_TRUE(test::Detect(&batcher, MakeQueries(3, 0), &verdicts).ok());
   std::thread a([&] { batcher.Stop(); });
   std::thread b([&] { batcher.Stop(); });
   a.join();
@@ -290,7 +290,7 @@ TEST(MicroBatcherTest, EmptyRequestAnswersInline) {
   const LoadedDetector detector = MakeTinyDetector(1234);
   MicroBatcher batcher(detector);
   std::vector<CellVerdict> verdicts = {CellVerdict{0.5f, false}};
-  ASSERT_TRUE(batcher.Detect({}, &verdicts).ok());
+  ASSERT_TRUE(test::Detect(&batcher, {}, &verdicts).ok());
   EXPECT_TRUE(verdicts.empty());
 }
 
@@ -301,7 +301,7 @@ TEST(MicroBatcherTest, UnknownAttributeIsRejectedNotShed) {
   bad.attr_name = "no_such_attribute";
   bad.value = "v";
   std::vector<CellVerdict> verdicts;
-  const Status st = batcher.Detect({bad}, &verdicts);
+  const Status st = test::Detect(&batcher, {bad}, &verdicts);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rejected_requests, 1);

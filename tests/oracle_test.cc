@@ -13,7 +13,9 @@
 //   - a TableSession replay plus a seeded churn, with the default memo and
 //     with an evicting one;
 //   - a C-ABI session on the same bundle.
-// Beers and tax also run at ModelConfig's default (paper) widths.
+// Beers and tax also run at ModelConfig's default (paper) widths. A second
+// case reuses one engine and one session across sweeps of changing shape,
+// so that stale scratch would show.
 
 #include <gtest/gtest.h>
 
@@ -406,7 +408,7 @@ void OracleTest::CheckBatcher(const serve::LoadedDetector& loaded) {
   for (int r = 0; r < served_rows_; r += step) {
     const int rows = std::min(step, served_rows_ - r);
     std::vector<serve::CellVerdict> verdicts;
-    ASSERT_TRUE(batcher.Detect(RowQueries(r, rows), &verdicts).ok());
+    ASSERT_TRUE(test::Detect(&batcher, RowQueries(r, rows), &verdicts).ok());
     ASSERT_EQ(verdicts.size(), static_cast<size_t>(rows * n_attrs_));
     for (size_t k = 0; k < verdicts.size(); ++k) {
       ASSERT_TRUE(IsReference(static_cast<int64_t>(r) * n_attrs_ +
@@ -653,6 +655,168 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     PaperWidths, OracleTest,
     ::testing::Values(OracleCase{"beers", 0.2, 1000, true},
+                      OracleCase{"tax", 300.0 / 200000, 1000, true}),
+    CaseName);
+
+// Stale scratch: one long-lived engine and one session run sweeps whose
+// shape keeps changing, so every lane's kept buffers, the plan and the miss
+// buffers hold what an earlier, larger or longer sweep left in them. Every
+// result must still be the naive sweep's bits.
+class StaleScratchTest : public OracleTest {
+ protected:
+  /// Up to `count` cells with pairwise distinct contents, taken in order
+  /// from `from` on and wrapping around the table.
+  std::vector<int64_t> DistinctCells(int64_t from, int64_t count) const {
+    const data::EncodedDataset& ds = t_.encoded;
+    std::set<uint64_t> hashes;
+    std::vector<int64_t> cells;
+    for (int64_t k = 0; k < ds.num_cells() &&
+                        static_cast<int64_t>(cells.size()) < count;
+         ++k) {
+      const int64_t c = (from + k) % ds.num_cells();
+      bool fresh = hashes.insert(ds.CellContentHash(c)).second;
+      for (const int64_t d : cells) {
+        fresh = fresh && !ds.CellContentEquals(c, d);
+      }
+      if (fresh) cells.push_back(c);
+    }
+    return cells;
+  }
+
+  /// Sweeps `cells` on `engine` and requires the naive bits and `batches`
+  /// forward batches.
+  void ExpectSweep(core::InferenceEngine* engine,
+                   const std::vector<int64_t>& cells, int64_t batches,
+                   const std::string& what) {
+    std::vector<float> got;
+    engine->PredictProbs(t_.encoded, cells, &got);
+    std::vector<float> want;
+    for (const int64_t c : cells) {
+      want.push_back(naive_[static_cast<size_t>(c)]);
+    }
+    EXPECT_EQ(FirstBitMismatch(want, got), -1) << what;
+    EXPECT_EQ(engine->stats().batches, batches) << what;
+  }
+
+  void CheckEngine();
+  void CheckSessionMisses();
+};
+
+// With 64-cell batches and a pool of 3 workers, a sweep of more than one
+// batch runs on four lanes and a one-batch sweep runs inline on lane 0.
+void StaleScratchTest::CheckEngine() {
+  const data::EncodedDataset& ds = t_.encoded;
+  ThreadPool pool(3);
+  core::InferenceOptions options;
+  options.eval_batch = 64;
+  core::InferenceEngine engine(*t_.trained.model, options, &pool);
+
+  // Cells by effective length; full-length cells run the model's dense
+  // path (no pad prefix to warm-start from).
+  std::vector<int64_t> full;
+  int64_t shortest = 0;
+  int64_t longest = 0;
+  for (int64_t c = 0; c < ds.num_cells(); ++c) {
+    const int len = ds.effective_len(c);
+    if (len == ds.max_len && full.size() < 256) full.push_back(c);
+    if (len < ds.effective_len(shortest)) shortest = c;
+    if (len > ds.effective_len(longest)) longest = c;
+  }
+  ASSERT_FALSE(full.empty());
+  int64_t middle = 0;
+  const int half = (ds.effective_len(longest) + 1) / 2;
+  while (middle + 1 < ds.num_cells() && ds.effective_len(middle) < half) {
+    ++middle;
+  }
+  const std::vector<int64_t> head = DistinctCells(0, 256);
+  const std::vector<int64_t> tail = DistinctCells(ds.num_cells() / 2, 256);
+  ASSERT_EQ(head.size(), 256u);
+  ASSERT_EQ(tail.size(), 256u);
+
+  ExpectSweep(&engine, head, 4, "256 cells, length-sorted, 4 lanes");
+  const int64_t full_unique = DistinctContents(ds, full);
+  ExpectSweep(&engine, full, (full_unique + 63) / 64,
+              "full-length cells, dense path");
+  ExpectSweep(&engine, {shortest}, 1, "1 cell");
+  ExpectSweep(&engine, {middle, longest, shortest}, 1, "3 cells");
+  ExpectSweep(&engine, tail, 4, "256 other cells, 4 lanes");
+  ExpectSweep(&engine, DistinctCells(ds.num_cells() / 3, 40), 1,
+              "40 cells inline");
+}
+
+// A fresh session whose deltas alternate between the longest and the
+// shortest values not yet streamed: one-cell update misses of changing
+// length, with an insert of a whole tuple (a multi-cell miss batch) every
+// eighth delta. A value from cell (r, a) streamed into attribute a has the
+// content of that cell, so its verdict is that cell's reference.
+void StaleScratchTest::CheckSessionMisses() {
+  auto loaded = serve::LoadDetectorBundle(bundle_dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto created = stream::TableSession::Create(
+      std::make_shared<const serve::LoadedDetector>(std::move(loaded).value()),
+      stream::SessionOptions{});
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  stream::TableSession& s = **created;
+  const data::Table& dirty = t_.pair.dirty;
+  const data::EncodedDataset& ds = t_.encoded;
+
+  const int rows = std::min(n_rows_, 64);
+  std::vector<int64_t> by_len;
+  for (int64_t c = 0; c < static_cast<int64_t>(rows) * n_attrs_; ++c) {
+    by_len.push_back(c);
+  }
+  std::stable_sort(by_len.begin(), by_len.end(), [&](int64_t a, int64_t b) {
+    return ds.effective_len(a) < ds.effective_len(b);
+  });
+  std::vector<int64_t> order;
+  for (size_t lo = 0, hi = by_len.size(); lo < hi;) {
+    order.push_back(by_len[--hi]);
+    if (lo < hi) order.push_back(by_len[lo++]);
+  }
+
+  std::vector<std::string> tuple;
+  for (int a = 0; a < n_attrs_; ++a) tuple.push_back(dirty.cell(0, a));
+  ASSERT_TRUE(s.Insert(0, tuple).ok());
+  std::vector<std::pair<int, stream::CellVerdict>> affected;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const int r = static_cast<int>(order[k] / n_attrs_);
+    const int a = static_cast<int>(order[k] % n_attrs_);
+    affected.clear();
+    if (k % 8 == 7) {
+      tuple.clear();
+      for (int b = 0; b < n_attrs_; ++b) tuple.push_back(dirty.cell(r, b));
+      ASSERT_TRUE(s.Insert(n_rows_ + static_cast<int64_t>(k), tuple,
+                           &affected)
+                      .ok());
+      ASSERT_EQ(affected.size(), static_cast<size_t>(n_attrs_));
+      for (const auto& [b, v] : affected) {
+        ASSERT_TRUE(IsReference(static_cast<int64_t>(r) * n_attrs_ + b,
+                                v.p_error, v.is_error))
+            << "insert of row " << r << ", delta " << k;
+      }
+    } else {
+      ASSERT_TRUE(s.Update(0, a, dirty.cell(r, a), &affected).ok());
+      ASSERT_EQ(affected.size(), 1u);
+      ASSERT_TRUE(IsReference(order[k], affected[0].second.p_error,
+                              affected[0].second.is_error))
+          << "update from cell " << order[k] << ", delta " << k;
+    }
+  }
+  const stream::SessionStats stats = s.stats();
+  EXPECT_GT(stats.cells_scored - stats.memo_hits,
+            static_cast<int64_t>(order.size()) / 4)
+      << "too few of the deltas were memo misses";
+}
+
+TEST_P(StaleScratchTest, ReusedEngineAndSessionReturnTheNaiveSweepsBits) {
+  ASSERT_NO_FATAL_FAILURE(CheckEngine());
+  ASSERT_NO_FATAL_FAILURE(CheckSessionMisses());
+}
+
+// Small widths, and the paper's, whose GEMMs run the register tiles.
+INSTANTIATE_TEST_SUITE_P(
+    Cases, StaleScratchTest,
+    ::testing::Values(OracleCase{"rayyan", 0.08, 7, false},
                       OracleCase{"tax", 300.0 / 200000, 1000, true}),
     CaseName);
 

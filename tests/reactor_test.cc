@@ -72,7 +72,7 @@ std::vector<std::string> OracleDetectResponses(
     auto request = ParseRequest(line);
     EXPECT_TRUE(request.ok());
     std::vector<CellVerdict> verdicts;
-    EXPECT_TRUE(batcher.Detect(request->cells, &verdicts).ok());
+    EXPECT_TRUE(test::Detect(&batcher, request->cells, &verdicts).ok());
     responses.push_back(OkDetectResponse(request->id, verdicts));
   }
   return responses;

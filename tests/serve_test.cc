@@ -232,7 +232,7 @@ TEST(BundleTest, SaveLoadRoundTripIsBitExact) {
   std::vector<CellVerdict> before;
   {
     MicroBatcher batcher(*original);
-    ASSERT_TRUE(batcher.Detect(queries, &before).ok());
+    ASSERT_TRUE(test::Detect(&batcher, queries, &before).ok());
   }
 
   auto loaded = LoadDetectorBundle(dir);
@@ -242,7 +242,7 @@ TEST(BundleTest, SaveLoadRoundTripIsBitExact) {
   std::vector<CellVerdict> after;
   {
     MicroBatcher batcher(*loaded);
-    ASSERT_TRUE(batcher.Detect(queries, &after).ok());
+    ASSERT_TRUE(test::Detect(&batcher, queries, &after).ok());
   }
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
@@ -802,7 +802,7 @@ TEST(ServerTest, EndToEndOverSockets) {
   {
     const LoadedDetector detector = MakeTinyDetector();
     MicroBatcher batcher(detector);
-    ASSERT_TRUE(batcher.Detect(queries, &reference).ok());
+    ASSERT_TRUE(test::Detect(&batcher, queries, &reference).ok());
   }
 
   const int fd = ConnectTo(server.port());

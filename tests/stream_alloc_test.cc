@@ -4,12 +4,16 @@
 // asserts that a memo-hit update whose new value fits the old value's
 // capacity, and a verdict read, make no heap allocation at all: the
 // session reuses its per-delta buffers and the reservoir keeps row ids.
+// A memo-miss update allocates only when the memo's arena grows, and a
+// warm batch-1 forward pass allocates nothing: the engine keeps its sweep
+// scratch and tensors reuse their shape and data buffers.
 //
 // Sanitizer builds intercept operator new themselves, so there the
 // replacement is compiled out and the test skips.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -222,6 +226,109 @@ TEST(StreamAllocTest, MemoHitUpdateAndVerdictReadAllocateNothing) {
   auto batch = s.DetectAll();
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(s.MaterializedVerdicts(), *batch);
+}
+
+// A fresh value for the "name" attribute: a distinct content per `i`, so
+// its update is a memo miss. Five characters, so it stays in the string's
+// in-place buffer.
+std::string FreshName(int i) {
+  std::string v = "v";
+  for (int k = 0; k < 4; ++k) {
+    v.push_back(static_cast<char>('a' + i % 26));
+    i /= 26;
+  }
+  return v;
+}
+
+TEST(StreamAllocTest, MemoMissUpdateAllocatesPinnedCount) {
+#if !BIRNN_COUNTING_NEW
+  GTEST_SKIP() << "sanitizer builds replace operator new themselves";
+#endif
+  SessionOptions options;
+  options.drift.max_len_growth = 1e9f;
+  options.drift.oov_rate_threshold = 2.0f;
+  options.drift.empty_rate_delta = 2.0f;
+  options.drift.error_rate_delta = 2.0f;
+  auto created = TableSession::Create(MakeTinyShared(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TableSession& s = **created;
+  for (int r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(s.Insert(r, {Word(r), Word(r + 1), Word(r + 2)}).ok());
+  }
+
+  // Warm-up: fresh one-cell updates until the trace ring is full. The
+  // engine's lane scratch and miss buffers, the session's per-delta
+  // buffers and the memo's tables have then all reached their size.
+  int fresh = 0;
+  for (size_t k = 0; k < obs::TraceRing::kCapacity; ++k, ++fresh) {
+    ASSERT_TRUE(s.Update(fresh % kRows, 1, FreshName(fresh)).ok());
+  }
+
+  // Each measured update is one fresh cell: a miss, swept at batch 1 and
+  // inserted into the memo.
+  constexpr int kMeasured = 64;
+  std::vector<std::string> values;
+  for (int k = 0; k < kMeasured; ++k) values.push_back(FreshName(fresh + k));
+  const SessionStats before = s.stats();
+  bool all_ok = true;
+  int64_t total = 0;
+  int64_t most = 0;
+  for (int k = 0; k < kMeasured; ++k) {
+    const int64_t n = CountAllocations([&] {
+      all_ok &=
+          s.Update(k % kRows, 1, std::move(values[static_cast<size_t>(k)]))
+              .ok();
+    });
+    total += n;
+    most = std::max(most, n);
+  }
+  EXPECT_TRUE(all_ok);
+  const SessionStats after = s.stats();
+  EXPECT_EQ(after.cells_scored - before.cells_scored, kMeasured);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, 0)
+      << "every measured update must be a memo miss";
+  // The encode, the sweep and the forward pass allocate nothing. The one
+  // allocation left is the memo arena's amortized growth: a shard's arena
+  // grows by an eighth (at least 4 KiB) when a record does not fit, which
+  // this fixed sequence of values meets exactly five times.
+  EXPECT_EQ(most, 1);
+  EXPECT_EQ(total, 5) << "over " << kMeasured << " one-cell misses";
+}
+
+// A batch-1 forward pass at the paper's widths, full length and bucketed,
+// reuses its scratch and allocates nothing once warm.
+TEST(StreamAllocTest, WarmBatchOnePredictProbsAllocatesNothing) {
+#if !BIRNN_COUNTING_NEW
+  GTEST_SKIP() << "sanitizer builds replace operator new themselves";
+#endif
+  core::ModelConfig config;
+  config.vocab = 40;
+  config.max_len = 30;
+  config.n_attrs = 11;
+  config.enriched = true;
+  const core::ErrorDetectionModel model(config);
+  core::BucketedInferenceContext ctx;
+  model.PrepareBucketedInference(&ctx);
+
+  for (const int steps : {config.max_len, 5}) {
+    core::BatchInput batch;
+    batch.batch = 1;
+    for (int t = 0; t < steps; ++t) batch.char_steps.push_back({1 + t % 30});
+    batch.attr_ids = {3};
+    batch.length_norm = {0.25f};
+    const core::BucketedInferenceContext* bucketed =
+        steps < config.max_len ? &ctx : nullptr;
+    core::InferenceScratch scratch;
+    std::vector<float> p;
+    model.PredictProbs(batch, &p, &scratch, bucketed);
+    const std::vector<float> want = p;
+    EXPECT_EQ(CountAllocations([&] {
+                model.PredictProbs(batch, &p, &scratch, bucketed);
+              }),
+              0)
+        << steps << " steps";
+    EXPECT_EQ(p, want);
+  }
 }
 
 }  // namespace

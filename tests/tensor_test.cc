@@ -66,6 +66,29 @@ TEST(TensorTest, EqualsAndAllClose) {
   EXPECT_FALSE(a.AllClose(Tensor(1, 2)));
 }
 
+// Resize zero-fills, ResizeForOverwrite keeps the overlap, both reshape
+// in place and accept the tensor's own shape.
+TEST(TensorTest, ResizeReshapesInPlace) {
+  Tensor t = Tensor::FromMatrix(2, 3, {1, 2, 3, 4, 5, 6});
+  t.ResizeForOverwrite(t.shape());
+  EXPECT_EQ(t.shape(), (std::vector<int>{2, 3}));
+  EXPECT_EQ(t.at(1, 2), 6.0f);
+  t.ResizeForOverwrite(3, 2);
+  EXPECT_EQ(t.shape(), (std::vector<int>{3, 2}));
+  EXPECT_EQ(t[5], 6.0f);
+  t.Resize(std::vector<int>{4});
+  EXPECT_EQ(t.shape(), (std::vector<int>{4}));
+  EXPECT_EQ(t.Sum(), 0.0f);
+  t.Fill(1.0f);
+  t.Resize(t.shape());
+  EXPECT_EQ(t.shape(), (std::vector<int>{4}));
+  EXPECT_EQ(t.Sum(), 0.0f);
+  t.Fill(1.0f);
+  t.Resize(1, 2);
+  EXPECT_EQ(t.shape(), (std::vector<int>{1, 2}));
+  EXPECT_EQ(t.Sum(), 0.0f);
+}
+
 TEST(TensorTest, ToString) {
   Tensor t = Tensor::FromMatrix(1, 3, {1, 2, 3});
   EXPECT_EQ(t.ToString(), "Tensor[1x3]{1, 2, 3}");

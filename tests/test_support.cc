@@ -8,10 +8,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <utility>
 
 #include "data/dictionary.h"
@@ -72,6 +75,35 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+Status Detect(serve::MicroBatcher* batcher,
+              const std::vector<serve::CellQuery>& cells,
+              std::vector<serve::CellVerdict>* verdicts) {
+  // Shared with the callback, which may still run after a timed-out wait.
+  struct Answer {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+    std::vector<serve::CellVerdict> verdicts;
+  };
+  auto answer = std::make_shared<Answer>();
+  batcher->Submit(cells, [answer](const Status& status,
+                                  const std::vector<serve::CellVerdict>& got) {
+    std::lock_guard<std::mutex> lock(answer->mu);
+    answer->status = status;
+    answer->verdicts = got;
+    answer->done = true;
+    answer->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(answer->mu);
+  if (!answer->cv.wait_for(lock, std::chrono::seconds(20),
+                           [&] { return answer->done; })) {
+    return Status::Internal("the batcher gave no answer within 20 s");
+  }
+  *verdicts = std::move(answer->verdicts);
+  return answer->status;
 }
 
 int ConnectTo(int port) {

@@ -1,6 +1,6 @@
 // Helpers that several test binaries share: the hand-built tiny detector,
-// temp dirs and file I/O, and a line client for the serve plane's sockets.
-// Each helper is defined once, here.
+// temp dirs and file I/O, a blocking batcher call, and a line client for
+// the serve plane's sockets. Each helper is defined once, here.
 
 #ifndef BIRNN_TESTS_TEST_SUPPORT_H_
 #define BIRNN_TESTS_TEST_SUPPORT_H_
@@ -8,9 +8,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/detector.h"
+#include "serve/batcher.h"
 #include "serve/bundle.h"
+#include "util/status.h"
 
 namespace birnn::test {
 
@@ -40,6 +43,16 @@ std::string ReadFile(const std::string& path);
 
 /// Replaces `path` with `bytes`.
 void WriteFile(const std::string& path, const std::string& bytes);
+
+// ----------------------------------------------------------------- Batcher
+
+/// Submits `cells` to `batcher` and waits for the answer. The wait times
+/// out after 20 s, like the line client's reads, so a batcher that loses an
+/// admitted request fails the test (Status::Internal) instead of hanging
+/// it.
+Status Detect(serve::MicroBatcher* batcher,
+              const std::vector<serve::CellQuery>& cells,
+              std::vector<serve::CellVerdict>* verdicts);
 
 // ------------------------------------------------------------ Line client
 
