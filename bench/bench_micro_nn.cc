@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/inference.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "data/dictionary.h"
@@ -110,31 +111,75 @@ void BM_BiRnnSequenceForward(benchmark::State& state) {
 BENCHMARK(BM_BiRnnSequenceForward)->Arg(16)->Arg(64);
 
 // A one-cell memo miss in the paper's value RNN: batch 1, a 5-character
-// cell in 30 padded steps. The forward chain runs all 30 steps (the pad
-// tail included); the backward chain runs 5, warm-started from the shared
-// pad prefix.
+// cell in 30 padded steps, through the inference entry over id columns.
+// Level 0's projections are gathered from per-character tables (vocab 68);
+// the forward chain runs all 30 steps (the pad tail included); the backward
+// chain runs 5, warm-started from the shared pad prefix.
 void BM_BiRnnBucketedBatch1(benchmark::State& state) {
   constexpr int kSteps = 5;
   constexpr int kMaxLen = 30;
+  constexpr int kVocab = 68;
   Rng rng(6);
   nn::StackedBiRecurrent rnn(nn::CellType::kVanilla, "r", 32, 64, 2, true,
                             &rng);
-  std::vector<nn::Tensor> steps(kSteps, nn::Tensor(1, 32));
-  for (auto& s : steps) nn::NormalInit(&s, 1.0f, &rng);
+  nn::Tensor table(kVocab, 32);
+  nn::NormalInit(&table, 1.0f, &rng);
+  std::vector<nn::Tensor> proj;
+  rnn.ProjectInputTable(table, &proj);
   nn::Tensor pad_step(1, 32);
-  nn::NormalInit(&pad_step, 1.0f, &rng);
+  std::copy(table.data(), table.data() + 32, pad_step.data());
   nn::PadPrefixTrajectory traj;
   rnn.ComputeBackwardPadPrefix(pad_step, kMaxLen, &traj);
+  std::vector<std::vector<int>> ids;
+  for (int t = 0; t < kSteps; ++t) ids.push_back({1 + 7 * t % (kVocab - 1)});
   nn::StackedBiRecurrent::ForwardScratch scratch;
   nn::Tensor out;
   for (auto _ : state) {
-    rnn.ApplyForwardBucketed(steps.data(), kSteps, kMaxLen, pad_step, traj,
-                             &out, &scratch);
+    rnn.ApplyForwardIds(ids.data(), kSteps, kMaxLen, proj, traj, &out,
+                        &scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BiRnnBucketedBatch1);
+
+// A one-cell memo miss through the engine on a beers-shaped ETSB model
+// (vocab 68, max_len 30, 11 attributes, the paper's widths): the cell's
+// effective length is the argument (3, 17, or the full 30). The engine
+// does not memoize, so every call runs the batch-1 forward pass.
+void BM_ModelPredictBatch1(benchmark::State& state) {
+  const int len = static_cast<int>(state.range(0));
+  core::ModelConfig config;
+  config.vocab = 68;
+  config.max_len = 30;
+  config.n_attrs = 11;
+  config.enriched = true;
+  config.seed = 4;
+  const core::ErrorDetectionModel model(config);
+  data::EncodedDataset ds;
+  ds.max_len = config.max_len;
+  ds.vocab = config.vocab;
+  ds.n_attrs = config.n_attrs;
+  ds.seqs.assign(static_cast<size_t>(config.max_len), 0);
+  for (int t = 0; t < len; ++t) {
+    ds.seqs[static_cast<size_t>(t)] = 1 + 7 * t % (config.vocab - 1);
+  }
+  ds.attrs = {3};
+  ds.length_norm = {0.25f};
+  ds.labels = {0};
+  ds.row_ids = {0};
+  core::InferenceOptions options;
+  options.memoize = false;
+  core::InferenceEngine engine(model, options);
+  const std::vector<int64_t> cells = {0};
+  std::vector<float> p;
+  for (auto _ : state) {
+    engine.PredictProbs(ds, cells, &p);
+    benchmark::DoNotOptimize(p.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ModelPredictBatch1)->Arg(3)->Arg(17)->Arg(30);
 
 core::ModelConfig BenchModelConfig(bool enriched) {
   core::ModelConfig config;

@@ -166,7 +166,7 @@ void InferenceEngine::RunPlan(const data::EncodedDataset& ds,
       }
       MakeBatchInto(ds, cells, pb.padded_len, &batch);
       const BucketedInferenceContext* ctx =
-          pb.padded_len < ds.max_len ? &bucketed_ctx_ : nullptr;
+          options_.bucketed ? &bucketed_ctx_ : nullptr;
       if (want_hidden) {
         model_.ForwardHidden(batch, &hidden, &scratch, ctx);
         for (int64_t r = 0; r < pb.end - pb.begin; ++r) {
@@ -208,9 +208,9 @@ void InferenceEngine::SweepUnique(const data::EncodedDataset& ds,
   Stopwatch timer;
   BuildPlan(ds, indices, tables, plan);
 
-  // The pad-prefix trajectory is built serially here, before RunPlan fans
-  // out: the pool's task submission gives every lane a happens-before edge
-  // on it.
+  // The context (projection tables and pad-prefix trajectory) is built
+  // serially here, before RunPlan fans out: the pool's task submission
+  // gives every lane a happens-before edge on it.
   if (options_.bucketed && !bucketed_ctx_ready_) {
     model_.PrepareBucketedInference(&bucketed_ctx_);
     bucketed_ctx_ready_ = true;

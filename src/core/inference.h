@@ -40,7 +40,9 @@ struct InferenceOptions {
   /// padded only to its longest cell. The *backward* value chain skips its
   /// all-pad prefix: that prefix is cell-independent — identical pad inputs
   /// evolving the zero initial state — so it is precomputed once per engine
-  /// and every batch warm-starts from it. The forward chain still runs its
+  /// and every batch warm-starts from it. Every batch (full-length ones
+  /// too) also reads the value RNN's level-0 input projections from
+  /// per-character tables built with it. The forward chain still runs its
   /// pad tail: the (trained) pad embedding keeps moving per-cell state, so
   /// those steps cannot be skipped (they are not absorbing under the
   /// tanh/GRU/LSTM cell equations — naive truncation wrecks accuracy). A
@@ -198,8 +200,9 @@ class InferenceEngine {
   InferenceOptions options_;
   ThreadPool* external_pool_;
   InferenceStats stats_;
-  /// Shared pad-prefix trajectory of the length-sorted plan, computed lazily
-  /// on its first sweep (weights are fixed for the engine's lifetime).
+  /// The length-sorted plan's shared context — level-0 projection tables
+  /// and pad-prefix trajectory — computed lazily on its first sweep
+  /// (weights are fixed for the engine's lifetime).
   BucketedInferenceContext bucketed_ctx_;
   bool bucketed_ctx_ready_ = false;
   /// Per-lane scratch, indexed by the ParallelFor slot; grows to the

@@ -186,24 +186,22 @@ void ErrorDetectionModel::ForwardHidden(
   BIRNN_CHECK_LE(t_count, config_.max_len);
   BIRNN_CHECK(t_count == config_.max_len || bucketed != nullptr);
 
-  if (scratch->char_steps.size() < static_cast<size_t>(t_count)) {
-    scratch->char_steps.resize(static_cast<size_t>(t_count));
-  }
-  for (int t = 0; t < t_count; ++t) {
-    char_emb_->LookupForward(batch.char_steps[static_cast<size_t>(t)],
-                             &scratch->char_steps[static_cast<size_t>(t)]);
-  }
-  if (t_count < config_.max_len) {
-    // Length-bucketed batch: complete the sequence to max_len exactly. The
-    // forward chain runs the pad tail on a shared all-pad input column; the
-    // backward chain warm-starts from the precomputed pad-prefix state.
-    scratch->pad_ids.assign(static_cast<size_t>(batch.batch), 0);
-    char_emb_->LookupForward(scratch->pad_ids, &scratch->pad_step);
-    value_rnn_->ApplyForwardBucketed(scratch->char_steps.data(), t_count,
-                                     config_.max_len, scratch->pad_step,
-                                     bucketed->value_traj, &scratch->features,
-                                     &scratch->value_rnn);
+  if (bucketed != nullptr) {
+    // The level-0 projections come from the per-character tables, and the
+    // sequence is completed to max_len exactly: the forward chain runs the
+    // pad tail, the backward chain warm-starts from the pad-prefix state.
+    value_rnn_->ApplyForwardIds(batch.char_steps.data(), t_count,
+                                config_.max_len, bucketed->value_proj,
+                                bucketed->value_traj, &scratch->features,
+                                &scratch->value_rnn);
   } else {
+    if (scratch->char_steps.size() < static_cast<size_t>(t_count)) {
+      scratch->char_steps.resize(static_cast<size_t>(t_count));
+    }
+    for (int t = 0; t < t_count; ++t) {
+      char_emb_->LookupForward(batch.char_steps[static_cast<size_t>(t)],
+                               &scratch->char_steps[static_cast<size_t>(t)]);
+    }
     value_rnn_->ApplyForward(scratch->char_steps.data(), t_count,
                              &scratch->features, &scratch->value_rnn);
   }
@@ -242,6 +240,8 @@ void ErrorDetectionModel::PredictProbs(const BatchInput& batch,
 
 void ErrorDetectionModel::PrepareBucketedInference(
     BucketedInferenceContext* ctx) const {
+  const nn::Tensor& table = char_emb_->table().value;
+  value_rnn_->ProjectInputTable(table, &ctx->value_proj);
   nn::Tensor pad_step;
   char_emb_->LookupForward(std::vector<int>{0}, &pad_step);
   value_rnn_->ComputeBackwardPadPrefix(pad_step, config_.max_len,

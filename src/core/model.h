@@ -91,15 +91,16 @@ struct InferenceScratch {
   nn::Tensor normed;
   nn::Tensor logits;
   nn::Tensor probs;
-  std::vector<int> pad_ids;  ///< bucketed only: all-pad id column.
-  nn::Tensor pad_step;       ///< bucketed only: pad embedding per row.
 };
 
-/// Cell-independent precomputation for length-bucketed inference: the
-/// backward value-chain's state trajectory over an all-pad prefix. Compute
-/// once per sweep with PrepareBucketedInference; safe to share read-only
-/// across threads.
+/// Cell-independent precomputation for the inference engine, under one set
+/// of weights: per direction, the value RNN's level-0 input projection of
+/// every character (the embedding table times that direction's level-0
+/// Wx), and the backward value-chain's state trajectory over an all-pad
+/// prefix. Compute once per model with PrepareBucketedInference; safe to
+/// share read-only across threads.
 struct BucketedInferenceContext {
+  std::vector<nn::Tensor> value_proj;  ///< [direction]: vocab x gates*units.
   nn::PadPrefixTrajectory value_traj;
 };
 
@@ -147,11 +148,16 @@ class ErrorDetectionModel {
   void PredictProbs(const BatchInput& batch, std::vector<float>* p_error) const;
 
   /// Forward-only inference with caller-owned scratch (bit-identical to the
-  /// scratch-free overload). Unlike the training path, `batch.char_steps`
-  /// may hold fewer than `max_len` steps; `bucketed` must then be non-null,
-  /// and the value RNN completes the sequence to `max_len` exactly — pad
-  /// tail run for the forward chain, precomputed pad prefix for the
-  /// backward chain (see StackedBiRecurrent::ApplyForwardBucketed).
+  /// scratch-free overload). With `bucketed`, the value RNN reads its
+  /// level-0 projections from the context's tables instead of embedding
+  /// the characters and projecting them, and `batch.char_steps` may hold
+  /// fewer than `max_len` steps: the value RNN completes the sequence to
+  /// `max_len` exactly — pad tail run for the forward chain, precomputed
+  /// pad prefix for the backward chain (see
+  /// StackedBiRecurrent::ApplyForwardIds). Without it (the scratch-free
+  /// overload, CalibrateBatchNorm, the dense engine) the batch must be
+  /// `max_len` steps and the embedding + GEMM path runs: the reference the
+  /// context path is tested against.
   void PredictProbs(const BatchInput& batch, std::vector<float>* p_error,
                     InferenceScratch* scratch,
                     const BucketedInferenceContext* bucketed = nullptr) const;
@@ -164,8 +170,9 @@ class ErrorDetectionModel {
                      InferenceScratch* scratch,
                      const BucketedInferenceContext* bucketed = nullptr) const;
 
-  /// Fills `ctx` for length-bucketed inference under the current weights.
-  /// Recompute after any weight update.
+  /// Fills `ctx` — the value RNN's level-0 projection tables and its
+  /// pad-prefix trajectory — under the current weights. Recompute after any
+  /// weight update.
   void PrepareBucketedInference(BucketedInferenceContext* ctx) const;
 
   /// Replaces the batch-norm running statistics with the exact mean and

@@ -332,13 +332,16 @@ void AddBias(const Tensor& x, const Tensor& bias, Tensor* out) {
 
 void AddBiasTanh(const Tensor& x, const Tensor& bias, Tensor* out) {
   BIRNN_CHECK_EQ(x.rank(), 2);
-  const int n = x.rows();
-  const int m = x.cols();
-  BIRNN_CHECK_EQ(bias.size(), static_cast<size_t>(m));
+  BIRNN_CHECK_EQ(bias.size(), static_cast<size_t>(x.cols()));
   out->ResizeForOverwrite(x.shape());
-  const float* __restrict px = x.data();
-  const float* __restrict pb = bias.data();
-  float* __restrict po = out->data();
+  AddBiasTanh(x.data(), bias.data(), out->data(), x.rows(), x.cols());
+}
+
+void AddBiasTanh(const float* x, const float* bias, float* out, int n,
+                 int m) {
+  const float* __restrict px = x;
+  const float* __restrict pb = bias;
+  float* __restrict po = out;
   for (int i = 0; i < n; ++i) {
     const float* __restrict xrow = px + static_cast<size_t>(i) * m;
     float* __restrict row = po + static_cast<size_t>(i) * m;
@@ -457,16 +460,19 @@ void SliceCols(const Tensor& x, int start, int count, Tensor* out) {
 
 void GatherRows(const Tensor& table, const std::vector<int>& ids,
                 Tensor* out) {
+  out->ResizeForOverwrite(static_cast<int>(ids.size()), table.cols());
+  GatherRows(table, ids, out->data());
+}
+
+void GatherRows(const Tensor& table, std::span<const int> ids, float* out) {
   BIRNN_CHECK_EQ(table.rank(), 2);
   const int e = table.cols();
-  const int n = static_cast<int>(ids.size());
-  out->ResizeForOverwrite(n, e);
-  for (int i = 0; i < n; ++i) {
-    const int id = ids[static_cast<size_t>(i)];
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const int id = ids[i];
     BIRNN_CHECK_GE(id, 0);
     BIRNN_CHECK_LT(id, table.rows());
     const float* src = table.data() + static_cast<size_t>(id) * e;
-    std::copy(src, src + e, out->data() + static_cast<size_t>(i) * e);
+    std::copy(src, src + e, out + i * e);
   }
 }
 

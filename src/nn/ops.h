@@ -53,6 +53,8 @@ void AddBias(const Tensor& x, const Tensor& bias, Tensor* out);
 /// out = tanh(x + bias), fused in one pass — the hot elementwise tail of
 /// the vanilla RNN step (saves two full sweeps over the activations).
 void AddBiasTanh(const Tensor& x, const Tensor& bias, Tensor* out);
+/// The same on raw row-major buffers: out(n,m) = tanh(x(n,m) + bias(m)).
+void AddBiasTanh(const float* x, const float* bias, float* out, int n, int m);
 
 /// Elementwise c = a + b (same shape).
 void AddElem(const Tensor& a, const Tensor& b, Tensor* out);
@@ -88,7 +90,10 @@ inline void ConcatCols(std::initializer_list<const Tensor*> parts,
 void SliceCols(const Tensor& x, int start, int count, Tensor* out);
 
 /// Gathers rows of `table` (V,E) by `ids` (values in [0,V)) into out (n,E).
+/// Every id is range-checked: an id out of range aborts.
 void GatherRows(const Tensor& table, const std::vector<int>& ids, Tensor* out);
+/// The same into raw row-major storage of ids.size() x table.cols() floats.
+void GatherRows(const Tensor& table, std::span<const int> ids, float* out);
 
 /// Scatter-adds each row of `grad` (n,E) into row ids[i] of `table_grad`.
 void ScatterAddRows(const Tensor& grad, const std::vector<int>& ids,

@@ -91,25 +91,25 @@ RecurrentTensors RecurrentCell::InitialTensors(int batch) const {
   return state;
 }
 
-void RecurrentCell::GruGateTail(const Tensor& xg, const Tensor& hg,
-                                const RecurrentTensors& prev,
-                                RecurrentTensors* out, float* gates) const {
+void RecurrentCell::GruGateTail(const StepBlocks& s) const {
   const int u = units_;
-  const int batch = prev.h.rows();
-  out->h.ResizeForOverwrite(batch, u);
+  const size_t gu = static_cast<size_t>(3) * u;
   const float* bias = b_.value.data();
-  for (int i = 0; i < batch; ++i) {
+  for (int i = 0; i < s.rows; ++i) {
+    const float* xg = s.z + i * gu;
+    const float* hg = s.hg + i * gu;
+    const float* h_prev = s.h_prev + static_cast<size_t>(i) * u;
+    float* h = s.h + static_cast<size_t>(i) * u;
     for (int j = 0; j < u; ++j) {
-      const float z = 1.0f / (1.0f + std::exp(-(xg.at(i, j) + bias[j] +
-                                                hg.at(i, j))));
+      const float z =
+          1.0f / (1.0f + std::exp(-(xg[j] + bias[j] + hg[j])));
       const float r =
-          1.0f / (1.0f + std::exp(-(xg.at(i, u + j) + bias[u + j] +
-                                    hg.at(i, u + j))));
-      const float cand = std::tanh(xg.at(i, 2 * u + j) + bias[2 * u + j] +
-                                   r * hg.at(i, 2 * u + j));
-      out->h.at(i, j) = (1.0f - z) * prev.h.at(i, j) + z * cand;
-      if (gates != nullptr) {
-        float* row = gates + static_cast<size_t>(i) * 3 * u;
+          1.0f / (1.0f + std::exp(-(xg[u + j] + bias[u + j] + hg[u + j])));
+      const float cand =
+          std::tanh(xg[2 * u + j] + bias[2 * u + j] + r * hg[2 * u + j]);
+      h[j] = (1.0f - z) * h_prev[j] + z * cand;
+      if (s.gates != nullptr) {
+        float* row = s.gates + i * gu;
         row[j] = z;
         row[u + j] = r;
         row[2 * u + j] = cand;
@@ -118,28 +118,26 @@ void RecurrentCell::GruGateTail(const Tensor& xg, const Tensor& hg,
   }
 }
 
-void RecurrentCell::LstmGateTail(const Tensor& pre,
-                                 const RecurrentTensors& prev,
-                                 RecurrentTensors* out, float* gates) const {
+void RecurrentCell::LstmGateTail(const StepBlocks& s) const {
   const int u = units_;
-  const int batch = prev.h.rows();
-  out->h.ResizeForOverwrite(batch, u);
-  out->c.ResizeForOverwrite(batch, u);
+  const size_t gu = static_cast<size_t>(4) * u;
   const float* bias = b_.value.data();
-  for (int i = 0; i < batch; ++i) {
+  const auto sigmoid = [](float v) { return 1.0f / (1.0f + std::exp(-v)); };
+  for (int i = 0; i < s.rows; ++i) {
+    const float* pre = s.z + i * gu;
+    const float* c_prev = s.c_prev + static_cast<size_t>(i) * u;
+    float* h = s.h + static_cast<size_t>(i) * u;
+    float* c = s.c + static_cast<size_t>(i) * u;
     for (int j = 0; j < u; ++j) {
-      const auto sigmoid = [](float v) {
-        return 1.0f / (1.0f + std::exp(-v));
-      };
-      const float in_gate = sigmoid(pre.at(i, j) + bias[j]);
-      const float forget = sigmoid(pre.at(i, u + j) + bias[u + j]);
-      const float cand = std::tanh(pre.at(i, 2 * u + j) + bias[2 * u + j]);
-      const float out_gate = sigmoid(pre.at(i, 3 * u + j) + bias[3 * u + j]);
-      const float c_new = forget * prev.c.at(i, j) + in_gate * cand;
-      out->c.at(i, j) = c_new;
-      out->h.at(i, j) = out_gate * std::tanh(c_new);
-      if (gates != nullptr) {
-        float* row = gates + static_cast<size_t>(i) * 4 * u;
+      const float in_gate = sigmoid(pre[j] + bias[j]);
+      const float forget = sigmoid(pre[u + j] + bias[u + j]);
+      const float cand = std::tanh(pre[2 * u + j] + bias[2 * u + j]);
+      const float out_gate = sigmoid(pre[3 * u + j] + bias[3 * u + j]);
+      const float c_new = forget * c_prev[j] + in_gate * cand;
+      c[j] = c_new;
+      h[j] = out_gate * std::tanh(c_new);
+      if (s.gates != nullptr) {
+        float* row = s.gates + i * gu;
         row[j] = in_gate;
         row[u + j] = forget;
         row[2 * u + j] = cand;
@@ -158,38 +156,46 @@ void RecurrentCell::StepForward(const Tensor& x, const RecurrentTensors& prev,
 void RecurrentCell::StepForward(const Tensor& x, const RecurrentTensors& prev,
                                 RecurrentTensors* out,
                                 StepScratch* scratch) const {
-  // Project the input, then run the recurrent projection + gate tail via
-  // the shared pre-projected step so both entry points are one code path
-  // (and therefore trivially bit-identical).
+  // Project the input, then run the shared raw step, so every entry point
+  // is one code path (and therefore trivially bit-identical).
   MatMul(x, wx_.value, &scratch->z1);
-  StepForwardPre(prev, out, scratch);
+  const int batch = x.rows();
+  StepBlocks s;
+  s.rows = batch;
+  s.h_prev = prev.h.data();
+  s.z = scratch->z1.data();
+  out->h.ResizeForOverwrite(batch, units_);
+  s.h = out->h.data();
+  if (type_ == CellType::kGru) {
+    scratch->z2.ResizeForOverwrite(batch, scratch->z1.cols());
+    s.hg = scratch->z2.data();
+  }
+  if (type_ == CellType::kLstm) {
+    out->c.ResizeForOverwrite(batch, units_);
+    s.c_prev = prev.c.data();
+    s.c = out->c.data();
+  }
+  Step(s);
 }
 
-void RecurrentCell::StepForwardPre(const RecurrentTensors& prev,
-                                   RecurrentTensors* out,
-                                   StepScratch* scratch, float* gates) const {
+void RecurrentCell::Step(const StepBlocks& s) const {
+  const int zcols = units_ * gate_count();
   switch (type_) {
-    case CellType::kVanilla: {
-      // z1 holds x·Wx; accumulate h·Wh then the fused bias+tanh pass.
-      Tensor& z = scratch->z1;
-      MatMulAcc(prev.h, wh_.value, &z);
-      AddBiasTanh(z, b_.value, &out->h);
+    case CellType::kVanilla:
+      // z holds x·Wx; accumulate h·Wh then the fused bias+tanh pass.
+      GemmAcc(s.h_prev, wh_.value.data(), s.z, s.rows, units_, zcols);
+      AddBiasTanh(s.z, b_.value.data(), s.h, s.rows, units_);
       return;
-    }
-    case CellType::kGru: {
+    case CellType::kGru:
       // Bias is folded into the fused gate loop (no separate AddBias pass).
-      Tensor& xg = scratch->z1;
-      Tensor& hg = scratch->z2;
-      MatMul(prev.h, wh_.value, &hg);
-      GruGateTail(xg, hg, prev, out, gates);
+      std::fill(s.hg, s.hg + static_cast<size_t>(s.rows) * zcols, 0.0f);
+      GemmAcc(s.h_prev, wh_.value.data(), s.hg, s.rows, units_, zcols);
+      GruGateTail(s);
       return;
-    }
-    case CellType::kLstm: {
-      Tensor& pre = scratch->z1;
-      MatMulAcc(prev.h, wh_.value, &pre);
-      LstmGateTail(pre, prev, out, gates);
+    case CellType::kLstm:
+      GemmAcc(s.h_prev, wh_.value.data(), s.z, s.rows, units_, zcols);
+      LstmGateTail(s);
       return;
-    }
   }
 }
 
@@ -290,108 +296,124 @@ void CopyBlock(const float* src, size_t n, int p, float* dst) {
 
 void StackedBiRecurrent::RunLevels(int batch, int total,
                                    const std::vector<RecurrentCell>& cells,
+                                   bool projected,
                                    const std::vector<RecurrentTensors>* warm,
                                    Tensor* out, ForwardScratch* scratch,
                                    LaneTape* tape) const {
   std::vector<RecurrentTensors>& state = scratch->state;
   if (state.size() < cells.size()) state.resize(cells.size());
-  RecurrentTensors& next = scratch->next;
   const Tensor* level_in = &scratch->seq_in;
   for (size_t l = 0; l < cells.size(); ++l) {
     const RecurrentCell& cell = cells[l];
     const int u = cell.units();
     // Time-step-batched input projection: all `total` step batches of this
     // level share one weights-load of Wx in a single GEMM.
-    MatMul(*level_in, cell.wx(), &scratch->xz);
+    if (l > 0 || !projected) MatMul(*level_in, cell.wx(), &scratch->xz);
     const int zcols = scratch->xz.cols();
     const size_t zblock = static_cast<size_t>(batch) * zcols;
     const size_t hblock = static_cast<size_t>(batch) * u;
+    const bool lstm = cell.type() == CellType::kLstm;
+    const bool gru = cell.type() == CellType::kGru;
 
     if (warm != nullptr) {
       // Warm start: the all-pad prefix state, identical for every row.
       BroadcastRow((*warm)[l].h, batch, &state[l].h);
-      if (cell.type() == CellType::kLstm) {
-        BroadcastRow((*warm)[l].c, batch, &state[l].c);
-      }
+      if (lstm) BroadcastRow((*warm)[l].c, batch, &state[l].c);
     } else {
       // Resize() zero-fills while reusing capacity — the initial state.
       state[l].h.Resize(batch, u);
-      if (cell.type() == CellType::kLstm) state[l].c.Resize(batch, u);
+      if (lstm) state[l].c.Resize(batch, u);
     }
 
-    // The level's outputs feed the next level's projection and, when
-    // training, backward. The next level reads them only in its GEMM above,
-    // so one buffer serves every level of an inference pass.
+    // Each step writes its state once, into its block of the level's output
+    // sequence, and reads the previous state from the block before. The
+    // next level reads the outputs only in its GEMM above, so in inference
+    // one buffer serves every level; training keeps each level's on the tape.
     LaneTape::Level* rec = tape != nullptr ? &tape->levels[l] : nullptr;
-    Tensor* seq = nullptr;
+    Tensor* seq = rec != nullptr ? &rec->h : &scratch->seq_out;
+    Tensor* cseq = rec != nullptr ? &rec->c : &scratch->seq_c;
+    seq->ResizeForOverwrite(total * batch, u);
+    if (lstm) cseq->ResizeForOverwrite(total * batch, u);
     float* gates = nullptr;
-    if (rec != nullptr) {
-      seq = &rec->h;
-      if (cell.type() != CellType::kVanilla) {
-        rec->gates.ResizeForOverwrite(total * batch, zcols);
-        gates = rec->gates.data();
-      }
-      if (cell.type() == CellType::kGru) {
-        rec->hg.ResizeForOverwrite(total * batch, zcols);
-      }
-      if (cell.type() == CellType::kLstm) {
-        rec->c.ResizeForOverwrite(total * batch, u);
-      }
-    } else if (l + 1 < cells.size()) {
-      seq = &scratch->seq_out;
+    if (rec != nullptr && cell.type() != CellType::kVanilla) {
+      rec->gates.ResizeForOverwrite(total * batch, zcols);
+      gates = rec->gates.data();
     }
-    if (seq != nullptr) seq->ResizeForOverwrite(total * batch, u);
+    // GRU: the recurrent projection of each step, kept on the tape.
+    float* hg = nullptr;
+    if (gru && rec != nullptr) {
+      rec->hg.ResizeForOverwrite(total * batch, zcols);
+      hg = rec->hg.data();
+    } else if (gru) {
+      scratch->hg.ResizeForOverwrite(batch, zcols);
+    }
 
+    StepBlocks s;
+    s.rows = batch;
     for (int p = 0; p < total; ++p) {
-      // This step's slice of the batched projection becomes the step's
-      // pre-activation buffer (consumed in place by StepForwardPre).
-      scratch->step.z1.ResizeForOverwrite(batch, zcols);
-      const float* src = scratch->xz.data() + static_cast<size_t>(p) * zblock;
-      std::copy(src, src + zblock, scratch->step.z1.data());
-      cell.StepForwardPre(state[l], &next, &scratch->step,
-                          gates == nullptr ? nullptr
-                                           : gates + static_cast<size_t>(p) *
-                                                         zblock);
-      // StepForwardPre fully overwrites `next`, so swapping buffers instead
-      // of copying is bit-identical.
-      std::swap(state[l].h, next.h);
-      if (cell.type() == CellType::kLstm) std::swap(state[l].c, next.c);
-      if (seq != nullptr) CopyBlock(state[l].h.data(), hblock, p, seq->data());
-      if (rec != nullptr && cell.type() == CellType::kLstm) {
-        CopyBlock(state[l].c.data(), hblock, p, rec->c.data());
+      s.h_prev = p == 0 ? state[l].h.data() : s.h;
+      s.h = seq->data() + p * hblock;
+      if (lstm) {
+        s.c_prev = p == 0 ? state[l].c.data() : s.c;
+        s.c = cseq->data() + p * hblock;
       }
-      if (rec != nullptr && cell.type() == CellType::kGru) {
-        CopyBlock(scratch->step.z2.data(), zblock, p, rec->hg.data());
-      }
+      s.z = scratch->xz.data() + p * zblock;
+      if (gru) s.hg = hg != nullptr ? hg + p * zblock : scratch->hg.data();
+      if (gates != nullptr) s.gates = gates + p * zblock;
+      cell.Step(s);
     }
-    if (seq != nullptr) level_in = seq;
+    level_in = seq;
   }
-  *out = state.back().h;
+  const float* last = level_in->data() +
+                      static_cast<size_t>(total - 1) * batch * units_;
+  out->ResizeForOverwrite(batch, units_);
+  std::copy(last, last + static_cast<size_t>(batch) * units_, out->data());
 }
 
 void StackedBiRecurrent::RunDirectionForward(
     const Tensor* steps, int t_count, bool backward_direction,
-    const std::vector<RecurrentCell>& cells, const Tensor* tail_step,
-    int tail_count, const std::vector<RecurrentTensors>* warm, Tensor* out,
+    const std::vector<RecurrentCell>& cells, Tensor* out,
     ForwardScratch* scratch) const {
   const int batch = steps[0].rows();
-  const int total = t_count + tail_count;
   // Stack every step's input batch in PROCESSING order: stacked row block p
-  // is the input the recurrence consumes at its p-th step (forward: step p,
-  // then the pad tail; backward: step t_count-1-p).
-  const int in0 = steps[0].cols();
-  scratch->seq_in.ResizeForOverwrite(total * batch, in0);
-  for (int p = 0; p < total; ++p) {
-    const Tensor* src;
-    if (backward_direction) {
-      src = &steps[t_count - 1 - p];
-    } else {
-      src = p < t_count ? &steps[p] : tail_step;
-    }
-    BIRNN_CHECK_EQ(src->rows(), batch);
-    CopyBlock(src->data(), src->size(), p, scratch->seq_in.data());
+  // is the input the recurrence consumes at its p-th step (forward: step p;
+  // backward: step t_count-1-p).
+  scratch->seq_in.ResizeForOverwrite(t_count * batch, steps[0].cols());
+  for (int p = 0; p < t_count; ++p) {
+    const Tensor& src = steps[backward_direction ? t_count - 1 - p : p];
+    BIRNN_CHECK_EQ(src.rows(), batch);
+    CopyBlock(src.data(), src.size(), p, scratch->seq_in.data());
   }
-  RunLevels(batch, total, cells, warm, out, scratch, nullptr);
+  RunLevels(batch, t_count, cells, /*projected=*/false, nullptr, out, scratch,
+            nullptr);
+}
+
+void StackedBiRecurrent::RunDirectionIds(
+    const std::vector<int>* ids, int t_count, bool backward_direction,
+    const std::vector<RecurrentCell>& cells, const Tensor& proj,
+    int pad_count, const std::vector<RecurrentTensors>* warm, Tensor* out,
+    ForwardScratch* scratch) const {
+  const int batch = static_cast<int>(ids[0].size());
+  const int total = t_count + pad_count;
+  const int zcols = proj.cols();
+  const size_t zblock = static_cast<size_t>(batch) * zcols;
+  // Level 0's projections, stacked in processing order like seq_in: the
+  // table rows of step p's ids (forward: step p, then the pad tail of id 0;
+  // backward: step t_count-1-p).
+  scratch->xz.ResizeForOverwrite(total * batch, zcols);
+  float* xz = scratch->xz.data();
+  for (int p = 0; p < t_count; ++p) {
+    const std::vector<int>& col = ids[backward_direction ? t_count - 1 - p : p];
+    BIRNN_CHECK_EQ(static_cast<int>(col.size()), batch);
+    GatherRows(proj, col, xz + p * zblock);
+  }
+  const float* pad = proj.data();  // row 0: the pad id's projection.
+  for (size_t r = static_cast<size_t>(t_count) * batch;
+       r < static_cast<size_t>(total) * batch; ++r) {
+    std::copy(pad, pad + zcols, xz + r * zcols);
+  }
+  RunLevels(batch, total, cells, /*projected=*/true, warm, out, scratch,
+            nullptr);
 }
 
 void StackedBiRecurrent::ForwardLane(TrainState* state, LaneTape* lane) const {
@@ -408,7 +430,7 @@ void StackedBiRecurrent::ForwardLane(TrainState* state, LaneTape* lane) const {
               lane->fwd.seq_in.data());
   }
   RunLevels(lane->rows, t_count, cells_[static_cast<size_t>(lane->dir)],
-            nullptr, &lane->out, &lane->fwd, lane);
+            /*projected=*/false, nullptr, &lane->out, &lane->fwd, lane);
 }
 
 // Backpropagation through time for one lane, in the per-element
@@ -719,14 +741,13 @@ void StackedBiRecurrent::ApplyForward(const Tensor* steps, int t_count,
                                       ForwardScratch* scratch) const {
   BIRNN_CHECK_GE(t_count, 1);
   if (!bidirectional_) {
-    RunDirectionForward(steps, t_count, false, cells_[0], nullptr, 0, nullptr,
-                        out, scratch);
+    RunDirectionForward(steps, t_count, false, cells_[0], out, scratch);
     return;
   }
-  RunDirectionForward(steps, t_count, false, cells_[0], nullptr, 0, nullptr,
-                      &scratch->out_fwd, scratch);
-  RunDirectionForward(steps, t_count, true, cells_[1], nullptr, 0, nullptr,
-                      &scratch->out_bwd, scratch);
+  RunDirectionForward(steps, t_count, false, cells_[0], &scratch->out_fwd,
+                      scratch);
+  RunDirectionForward(steps, t_count, true, cells_[1], &scratch->out_bwd,
+                      scratch);
   ConcatCols({&scratch->out_fwd, &scratch->out_bwd}, out);
 }
 
@@ -756,25 +777,36 @@ void StackedBiRecurrent::ComputeBackwardPadPrefix(
   }
 }
 
-void StackedBiRecurrent::ApplyForwardBucketed(
-    const Tensor* steps, int t_count, int t_total, const Tensor& pad_step,
-    const PadPrefixTrajectory& traj, Tensor* out,
-    ForwardScratch* scratch) const {
+void StackedBiRecurrent::ApplyForwardIds(const std::vector<int>* ids,
+                                         int t_count, int t_total,
+                                         const std::vector<Tensor>& proj,
+                                         const PadPrefixTrajectory& traj,
+                                         Tensor* out,
+                                         ForwardScratch* scratch) const {
   BIRNN_CHECK_GE(t_count, 1);
   BIRNN_CHECK_GE(t_total, t_count);
+  BIRNN_CHECK_EQ(proj.size(), cells_.size());
   const int pad_count = t_total - t_count;
   if (!bidirectional_) {
-    RunDirectionForward(steps, t_count, false, cells_[0], &pad_step,
-                        pad_count, nullptr, out, scratch);
+    RunDirectionIds(ids, t_count, false, cells_[0], proj[0], pad_count,
+                    nullptr, out, scratch);
     return;
   }
-  RunDirectionForward(steps, t_count, false, cells_[0], &pad_step, pad_count,
-                      nullptr, &scratch->out_fwd, scratch);
+  RunDirectionIds(ids, t_count, false, cells_[0], proj[0], pad_count, nullptr,
+                  &scratch->out_fwd, scratch);
   BIRNN_CHECK_LE(pad_count, traj.max_steps());
-  RunDirectionForward(steps, t_count, true, cells_[1], nullptr, 0,
-                      &traj.states[static_cast<size_t>(pad_count)],
-                      &scratch->out_bwd, scratch);
+  RunDirectionIds(ids, t_count, true, cells_[1], proj[1], 0,
+                  &traj.states[static_cast<size_t>(pad_count)],
+                  &scratch->out_bwd, scratch);
   ConcatCols({&scratch->out_fwd, &scratch->out_bwd}, out);
+}
+
+void StackedBiRecurrent::ProjectInputTable(const Tensor& table,
+                                           std::vector<Tensor>* proj) const {
+  proj->resize(cells_.size());
+  for (size_t d = 0; d < cells_.size(); ++d) {
+    MatMul(table, cells_[d][0].wx(), &(*proj)[d]);
+  }
 }
 
 std::vector<Parameter*> StackedBiRecurrent::Params() const {

@@ -43,6 +43,24 @@ struct StepScratch {
   Tensor z2;  ///< gru only: recurrent gates.
 };
 
+/// The buffers of one recurrent step over `rows` batch rows, each a
+/// row-major block (of a state tensor or of one step of a sequence
+/// buffer). `z` holds the step's input projection x·Wx, rows x
+/// gates*units, and is consumed in place.
+struct StepBlocks {
+  int rows = 0;
+  const float* h_prev = nullptr;
+  const float* c_prev = nullptr;  ///< LSTM only.
+  float* z = nullptr;
+  float* hg = nullptr;     ///< GRU only: receives h_prev·Wh.
+  float* h = nullptr;      ///< the new hidden state, rows x units.
+  float* c = nullptr;      ///< LSTM only: the new cell state.
+  /// Optional (GRU and LSTM): receives the step's activated gates, rows x
+  /// gates*units, in the weight layout's block order — what
+  /// backpropagation through time reads back.
+  float* gates = nullptr;
+};
+
 /// One recurrent cell of any family: forward-only step kernels, which
 /// inference runs directly and training runs inside StackedBiRecurrent's
 /// fused tape node. Weight layout per family:
@@ -69,20 +87,16 @@ class RecurrentCell {
   void StepForward(const Tensor& x, const RecurrentTensors& prev,
                    RecurrentTensors* out, StepScratch* scratch) const;
 
-  /// Forward-only step whose input projection x·Wx (no bias) has already
-  /// been computed into `scratch->z1` — the level-major batched path
-  /// (StackedBiRecurrent computes one GEMM covering every time step, then
-  /// slices per-step rows into z1). Consumes/overwrites z1. Bit-identical
-  /// to StepForward: the kernels are row-independent and the per-element
-  /// FP operation sequence is unchanged.
-  /// When `gates` is non-null (GRU and LSTM), the step's activated gates
-  /// are also written there, batch x gates*units, in the weight layout's
-  /// block order — what backpropagation through time reads back.
-  void StepForwardPre(const RecurrentTensors& prev, RecurrentTensors* out,
-                      StepScratch* scratch, float* gates = nullptr) const;
+  /// One step on raw blocks: the recurrent projection and the gate tail
+  /// over an input projection computed elsewhere (StackedBiRecurrent runs
+  /// one GEMM over every time step, or gathers the rows of a projection
+  /// table). Bit-identical to StepForward on the same input: the kernels
+  /// are row-independent and the per-element FP operation sequence is the
+  /// same.
+  void Step(const StepBlocks& s) const;
 
-  /// The input kernel Wx (in x gates*units): `x · Wx` is the batched input
-  /// projection StepForwardPre expects in z1.
+  /// The input kernel Wx (in x gates*units): `x · Wx` is the input
+  /// projection Step expects in `z`.
   const Tensor& wx() const { return wx_.value; }
   /// The recurrent kernel Wh (units x gates*units).
   const Tensor& wh() const { return wh_.value; }
@@ -95,11 +109,8 @@ class RecurrentCell {
 
  private:
   /// The fused GRU / LSTM elementwise gate tails (bias folded in).
-  void GruGateTail(const Tensor& xg, const Tensor& hg,
-                   const RecurrentTensors& prev, RecurrentTensors* out,
-                   float* gates) const;
-  void LstmGateTail(const Tensor& pre, const RecurrentTensors& prev,
-                    RecurrentTensors* out, float* gates) const;
+  void GruGateTail(const StepBlocks& s) const;
+  void LstmGateTail(const StepBlocks& s) const;
 
   CellType type_;
   int input_dim_;
@@ -114,9 +125,9 @@ class RecurrentCell {
 /// zero initial state, with the identical pad input at every step — so the
 /// state after k pad steps is the same for every cell, at every level of
 /// the stack. `states[k][l]` is level l's state (one row) after k pad
-/// steps; `states[0]` is the zero state. Precomputed once per sweep by
+/// steps; `states[0]` is the zero state. Precomputed once per model by
 /// `ComputeBackwardPadPrefix` and used to warm-start length-bucketed
-/// batches (`ApplyForwardBucketed`).
+/// batches (`ApplyForwardIds`).
 struct PadPrefixTrajectory {
   std::vector<std::vector<RecurrentTensors>> states;  ///< [k][level], 1 row.
   int max_steps() const { return static_cast<int>(states.size()) - 1; }
@@ -133,18 +144,18 @@ class StackedBiRecurrent {
   StackedBiRecurrent(CellType type, std::string name, int input_dim,
                      int units, int stacks, bool bidirectional, Rng* rng);
 
-  /// Reusable per-thread state for `ApplyForward`: per-level hidden/cell
-  /// tensors plus the step buffers. After the first batch of a sweep, the
-  /// whole stack runs without heap allocation.
+  /// Reusable per-thread state for `ApplyForward` and `ApplyForwardIds`.
+  /// After the first batch of a sweep, the whole stack runs without heap
+  /// allocation.
   struct ForwardScratch {
-    std::vector<RecurrentTensors> state;
-    RecurrentTensors next;
-    StepScratch step;
+    std::vector<RecurrentTensors> state;  ///< per level: the initial state.
     Tensor out_fwd;
     Tensor out_bwd;
-    Tensor seq_in;   ///< level inputs, all steps stacked in process order.
-    Tensor seq_out;  ///< level outputs, same stacking.
-    Tensor xz;       ///< batched input projections for the current level.
+    Tensor seq_in;   ///< level-0 inputs, all steps stacked in process order.
+    Tensor seq_out;  ///< level outputs (h), same stacking.
+    Tensor seq_c;    ///< LSTM level cell states, same stacking.
+    Tensor xz;       ///< input projections of the current level, same stacking.
+    Tensor hg;       ///< GRU: one step's recurrent projection.
   };
 
   /// Training: the whole stack — every direction, level and step — as one
@@ -171,6 +182,12 @@ class StackedBiRecurrent {
   void ApplyForward(const Tensor* steps, int t_count, Tensor* out,
                     ForwardScratch* scratch) const;
 
+  /// Fills `proj[d]` (vocab x gates*units) with `table · Wx` of direction
+  /// d's level-0 cell, as one GEMM: row c is the input projection of the
+  /// embedded id c, with the bits that projecting a batch holding that
+  /// embedding row gives (the GEMM is row-independent; ops.h contract).
+  void ProjectInputTable(const Tensor& table, std::vector<Tensor>* proj) const;
+
   /// Precomputes the backward direction's state trajectory over an all-pad
   /// prefix of up to `max_steps` steps. `pad_step` holds the pad input
   /// embedding as its one row (the step kernels are row-independent and
@@ -180,19 +197,21 @@ class StackedBiRecurrent {
   void ComputeBackwardPadPrefix(const Tensor& pad_step, int max_steps,
                                 PadPrefixTrajectory* traj) const;
 
-  /// Length-bucketed application, bit-identical to ApplyForward over the
-  /// same sequence padded to `t_total` steps:
-  /// - the forward chain runs steps[0, t_count) and then `t_total - t_count`
-  ///   extra steps of `pad_step` input — its pad tail cannot be skipped,
-  ///   because the (trained) pad embedding keeps moving per-cell state;
-  /// - the backward chain runs only steps[t_count-1 .. 0], warm-started
-  ///   from `traj` at prefix length `t_total - t_count` — its pad prefix is
+  /// Inference over id columns, bit-identical to ApplyForward over their
+  /// embeddings padded with id 0 to `t_total` steps. `ids[t][i]` is row i's
+  /// id at step t < t_count, and `proj` is ProjectInputTable of the
+  /// embedding table: each step's level-0 projection is gathered from it
+  /// (ids are range-checked) instead of computed.
+  /// - the forward chain runs ids[0, t_count) and then `t_total - t_count`
+  ///   steps of id 0 — its pad tail cannot be skipped, because the
+  ///   (trained) pad embedding keeps moving per-cell state;
+  /// - the backward chain runs only ids[t_count-1 .. 0], warm-started from
+  ///   `traj` at prefix length `t_total - t_count` — its pad prefix is
   ///   cell-independent, so those steps are shared instead of re-run.
-  /// `pad_step` must hold the pad embedding in every row (batch rows).
-  void ApplyForwardBucketed(const Tensor* steps, int t_count, int t_total,
-                            const Tensor& pad_step,
-                            const PadPrefixTrajectory& traj, Tensor* out,
-                            ForwardScratch* scratch) const;
+  void ApplyForwardIds(const std::vector<int>* ids, int t_count, int t_total,
+                       const std::vector<Tensor>& proj,
+                       const PadPrefixTrajectory& traj, Tensor* out,
+                       ForwardScratch* scratch) const;
 
   std::vector<Parameter*> Params() const;
   int output_dim() const { return units_ * (bidirectional_ ? 2 : 1); }
@@ -204,29 +223,38 @@ class StackedBiRecurrent {
   struct LaneTape;
   struct TrainState;
 
-  /// Runs one direction. Forward direction: steps[0, t_count) followed by
-  /// `tail_count` steps of `tail_step` input. Backward direction
-  /// (tail_count must be 0): steps[t_count-1 .. 0], starting from `warm`
-  /// per-level states (broadcast over the batch rows) instead of zeros when
-  /// non-null.
+  /// Runs one direction over embedded steps: forward steps[0, t_count), or
+  /// backward steps[t_count-1 .. 0], from the zero state.
   void RunDirectionForward(const Tensor* steps, int t_count,
                            bool backward_direction,
                            const std::vector<RecurrentCell>& cells,
-                           const Tensor* tail_step, int tail_count,
-                           const std::vector<RecurrentTensors>* warm,
                            Tensor* out, ForwardScratch* scratch) const;
-  /// The level loop of a direction over `scratch->seq_in`, which holds
-  /// `total` step batches stacked in processing order. Level-major with
-  /// time-step-batched input projections: level l runs over every step
-  /// before level l+1 starts, so each level's x·Wx is ONE GEMM over the
-  /// whole sequence and the per-step work is the recurrent projection and
-  /// the gate tail. This is bit-identical to the step-major order (levels
-  /// only consume the level below at the same step) and to per-step
-  /// projections (the GEMM kernels are row-independent). With a `tape`,
-  /// every level's outputs (and gates) are kept for backward.
+  /// Runs one direction over id columns with its level-0 projections
+  /// gathered from `proj`. Forward direction: ids[0, t_count) followed by
+  /// `pad_count` steps of id 0. Backward direction (pad_count must be 0):
+  /// ids[t_count-1 .. 0], starting from `warm` per-level states (broadcast
+  /// over the batch rows) instead of zeros when non-null.
+  void RunDirectionIds(const std::vector<int>* ids, int t_count,
+                       bool backward_direction,
+                       const std::vector<RecurrentCell>& cells,
+                       const Tensor& proj, int pad_count,
+                       const std::vector<RecurrentTensors>* warm, Tensor* out,
+                       ForwardScratch* scratch) const;
+  /// The level loop of a direction, over `total` step batches stacked in
+  /// processing order. Level-major with time-step-batched input
+  /// projections: level l runs over every step before level l+1 starts, so
+  /// each level's x·Wx is ONE GEMM over the whole sequence (level 0's reads
+  /// `scratch->seq_in`, unless `projected` says `scratch->xz` already holds
+  /// it) and the per-step work is the recurrent projection and the gate
+  /// tail. This is bit-identical to the step-major order (levels only
+  /// consume the level below at the same step) and to per-step projections
+  /// (the GEMM kernels are row-independent). Each step consumes its block
+  /// of the projection in place and writes its state once, into its block
+  /// of the level's output sequence — the tape's when training, where every
+  /// level's outputs (and gates) are kept for backward.
   void RunLevels(int batch, int total, const std::vector<RecurrentCell>& cells,
-                 const std::vector<RecurrentTensors>* warm, Tensor* out,
-                 ForwardScratch* scratch, LaneTape* tape) const;
+                 bool projected, const std::vector<RecurrentTensors>* warm,
+                 Tensor* out, ForwardScratch* scratch, LaneTape* tape) const;
   /// The phases of a fused training node's passes: a lane's forward and
   /// backward recurrence, then, once every lane has finished, the chain of
   /// one parameter gradient of (direction d, level l) — dWh when

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -208,6 +210,134 @@ TEST(InferenceEngineTest, CalibrateMemoizedMatchesReference) {
   ASSERT_EQ(p_ref.size(), p_memo.size());
   for (size_t i = 0; i < p_ref.size(); ++i) {
     EXPECT_NEAR(p_ref[i], p_memo[i], 1e-5f) << "cell " << i;
+  }
+}
+
+/// `n` cells of random characters (ids 1..vocab-1, the last id included)
+/// over 3 attributes, 0-padded to `max_len`: cell n-1 is `longest`
+/// characters long, the others 1 to `longest`.
+data::EncodedDataset RandomCells(int n, int longest, int max_len, int vocab,
+                                 Rng* rng) {
+  data::EncodedDataset ds;
+  ds.max_len = max_len;
+  ds.vocab = vocab;
+  ds.n_attrs = 3;
+  ds.seqs.assign(static_cast<size_t>(n) * max_len, 0);
+  const auto draw = [rng](int k) {  // uniform in 1..k
+    return 1 + static_cast<int>(rng->UniformInt(static_cast<uint64_t>(k)));
+  };
+  for (int i = 0; i < n; ++i) {
+    const int len = i == n - 1 ? longest : draw(longest);
+    for (int t = 0; t < len; ++t) {
+      ds.seqs[static_cast<size_t>(i) * max_len + t] =
+          i == 0 && t == 0 ? vocab - 1 : draw(vocab - 1);
+    }
+    ds.attrs.push_back(static_cast<int32_t>(rng->UniformInt(3)));
+    ds.length_norm.push_back(static_cast<float>(len) / max_len);
+    ds.labels.push_back(0);
+    ds.row_ids.push_back(i);
+  }
+  return ds;
+}
+
+::testing::AssertionResult SameBits(const std::vector<float>& got,
+                                    const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << got.size() << " results, want "
+                                         << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<uint32_t>(got[i]) != std::bit_cast<uint32_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "cell " << i << ": " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The context path — the value RNN's level-0 projections gathered from the
+/// per-character tables, the forward chain's pad tail of id 0 and the
+/// backward chain warm-started from the pad prefix — gives the bits of the
+/// scratch-free embedding + GEMM path over max_len steps: for every cell
+/// family, one and two directions, batches of 1 to 64 cells, padded to one
+/// step, a middle length or max_len. Through the model with a context and
+/// through the engine (one batch of the sorted plan).
+TEST(ContextPathTest, MatchesEmbeddingGemmPathBitwise) {
+  constexpr int kMaxLen = 12;
+  constexpr int kVocab = 23;
+  for (const nn::CellType cell :
+       {nn::CellType::kVanilla, nn::CellType::kGru, nn::CellType::kLstm}) {
+    for (const bool bidirectional : {false, true}) {
+      ModelConfig config;
+      config.vocab = kVocab;
+      config.max_len = kMaxLen;
+      config.n_attrs = 3;
+      config.char_emb_dim = 6;
+      config.units = 9;
+      config.stacks = 2;
+      config.bidirectional = bidirectional;
+      config.cell_type = cell;
+      config.enriched = true;
+      config.attr_emb_dim = 4;
+      config.attr_units = 3;
+      config.length_dense_dim = 8;
+      config.hidden_dense_dim = 6;
+      config.seed = 23;
+      const ErrorDetectionModel model(config);
+      BucketedInferenceContext ctx;
+      model.PrepareBucketedInference(&ctx);
+      InferenceScratch scratch;
+      Rng rng(5);
+      for (const int batch : {1, 3, 5, 64}) {
+        for (const int len : {1, kMaxLen / 2, kMaxLen}) {
+          const std::string tag = std::string(nn::CellTypeName(cell)) +
+                                  (bidirectional ? " bi" : " uni") +
+                                  " batch " + std::to_string(batch) +
+                                  " length " + std::to_string(len);
+          const data::EncodedDataset ds =
+              RandomCells(batch, len, kMaxLen, kVocab, &rng);
+          const std::vector<int64_t> cells = AllIndices(ds);
+          std::vector<float> want;
+          model.PredictProbs(MakeBatch(ds, cells), &want);
+
+          BatchInput padded;
+          MakeBatchInto(ds, cells, len, &padded);
+          std::vector<float> got;
+          model.PredictProbs(padded, &got, &scratch, &ctx);
+          EXPECT_TRUE(SameBits(got, want)) << tag << ", model with context";
+
+          InferenceOptions options;
+          options.eval_batch = batch;
+          options.memoize = false;
+          InferenceEngine engine(model, options);
+          std::vector<float> swept;
+          engine.PredictProbs(ds, cells, &swept);
+          EXPECT_EQ(engine.stats().batches, 1) << tag;
+          EXPECT_TRUE(SameBits(swept, want)) << tag << ", engine";
+        }
+      }
+    }
+  }
+}
+
+/// The ids come from a loaded bundle's dictionary: an id outside the
+/// vocabulary aborts in the gather instead of reading past the table.
+TEST(ContextPathDeathTest, OutOfRangeIdAborts) {
+  const data::EncodedDataset ds = DuplicateHeavyDataset();
+  const ErrorDetectionModel model(SmallConfig(ds));
+  BucketedInferenceContext ctx;
+  model.PrepareBucketedInference(&ctx);
+  for (const int id : {ds.vocab, -1}) {
+    BatchInput batch;
+    batch.batch = 1;
+    batch.char_steps = {{1}, {id}};
+    batch.attr_ids = {0};
+    batch.length_norm = {0.5f};
+    InferenceScratch scratch;
+    std::vector<float> p;
+    EXPECT_DEATH(model.PredictProbs(batch, &p, &scratch, &ctx),
+                 "Check failed: \\(id\\)")
+        << "id " << id;
   }
 }
 

@@ -107,7 +107,10 @@ void TrainOnGenerator(const std::string& name, double scale, uint64_t seed,
 /// do not depend on the thread that runs it. On one thread the sweep of
 /// tax's 240,000 cells takes 1.3 s and the suite 9.7-10.7 s, against
 /// 7.5-8.7 s on four and 8.8 s for the pairwise tests the suite replaced
-/// (Release, native, shared 4-vCPU VM).
+/// (Release, native, shared 4-vCPU VM). The reference must stay on the
+/// model's no-context path — embedding lookups and the level-0 GEMM over
+/// max_len steps — which no engine sweep takes: every sorted-plan batch
+/// gathers its level-0 projections from the context's tables instead.
 std::vector<float> NaiveSweep(const core::ErrorDetectionModel& model,
                               const data::EncodedDataset& ds) {
   constexpr int64_t kChunk = 256;

@@ -296,7 +296,9 @@ TEST(StreamAllocTest, MemoMissUpdateAllocatesPinnedCount) {
 }
 
 // A batch-1 forward pass at the paper's widths, full length and bucketed,
-// reuses its scratch and allocates nothing once warm.
+// on the engine's context path (level-0 projections gathered from the
+// context's tables, built before the warm phase), reuses its scratch and
+// allocates nothing once warm.
 TEST(StreamAllocTest, WarmBatchOnePredictProbsAllocatesNothing) {
 #if !BIRNN_COUNTING_NEW
   GTEST_SKIP() << "sanitizer builds replace operator new themselves";
@@ -316,14 +318,12 @@ TEST(StreamAllocTest, WarmBatchOnePredictProbsAllocatesNothing) {
     for (int t = 0; t < steps; ++t) batch.char_steps.push_back({1 + t % 30});
     batch.attr_ids = {3};
     batch.length_norm = {0.25f};
-    const core::BucketedInferenceContext* bucketed =
-        steps < config.max_len ? &ctx : nullptr;
     core::InferenceScratch scratch;
     std::vector<float> p;
-    model.PredictProbs(batch, &p, &scratch, bucketed);
+    model.PredictProbs(batch, &p, &scratch, &ctx);
     const std::vector<float> want = p;
     EXPECT_EQ(CountAllocations([&] {
-                model.PredictProbs(batch, &p, &scratch, bucketed);
+                model.PredictProbs(batch, &p, &scratch, &ctx);
               }),
               0)
         << steps << " steps";
