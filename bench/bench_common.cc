@@ -57,12 +57,23 @@ BenchConfig ParseCommonFlags(FlagSet* flags, int argc, char** argv,
     std::printf("%s", flags->Usage(program).c_str());
     std::exit(0);
   }
+  const auto reject = [flags, program](const std::string& why) {
+    std::fprintf(stderr, "%s\n%s", why.c_str(),
+                 flags->Usage(program).c_str());
+    std::exit(2);
+  };
   BenchConfig config;
   config.reps = flags->GetInt("reps");
   config.epochs = flags->GetInt("epochs");
   config.n_label_tuples = flags->GetInt("tuples");
   config.scale = flags->GetDouble("scale");
-  config.seed = static_cast<uint64_t>(flags->GetInt("seed"));
+  const int seed = flags->GetInt("seed");
+  if (config.reps < 1) reject("--reps must be at least 1");
+  if (config.epochs < 1) reject("--epochs must be at least 1");
+  if (config.n_label_tuples < 1) reject("--tuples must be at least 1");
+  if (config.scale < 0.0) reject("--scale must not be negative");
+  if (seed < 0) reject("--seed must not be negative");
+  config.seed = static_cast<uint64_t>(seed);
   config.paper_fidelity = flags->GetBool("paper-fidelity");
   if (config.paper_fidelity) {
     config.reps = 10;
@@ -72,7 +83,12 @@ BenchConfig ParseCommonFlags(FlagSet* flags, int argc, char** argv,
   const std::string list = flags->GetString("datasets");
   if (!list.empty()) {
     for (const std::string& name : Split(list, ',')) {
-      if (!name.empty()) config.datasets.push_back(ToLower(Trim(name)));
+      const std::string dataset = ToLower(Trim(name));
+      if (dataset.empty()) continue;
+      if (!datagen::FindDatasetSpec(dataset).ok()) {
+        reject("--datasets: unknown dataset '" + dataset + "'");
+      }
+      config.datasets.push_back(dataset);
     }
   }
   config.harness_threads = flags->GetInt("harness-threads");
@@ -108,13 +124,12 @@ std::vector<std::string> DatasetList(const BenchConfig& config) {
   return out;
 }
 
-std::vector<datagen::DatasetPair> MakeAllPairs(const BenchConfig& config) {
-  std::vector<datagen::DatasetPair> pairs;
-  const std::vector<std::string> names = DatasetList(config);
-  pairs.reserve(names.size());
-  for (const std::string& name : names) {
+std::map<std::string, datagen::DatasetPair> MakeAllPairs(
+    const BenchConfig& config) {
+  std::map<std::string, datagen::DatasetPair> pairs;
+  for (const std::string& name : DatasetList(config)) {
     std::fprintf(stderr, "[datagen] %s...\n", name.c_str());
-    pairs.push_back(MakePair(name, config));
+    pairs.emplace(name, MakePair(name, config));
   }
   return pairs;
 }
@@ -172,49 +187,38 @@ void AddRunsToF1Map(F1Map* map, const eval::RepeatedResult& result) {
   }
 }
 
-void PrintAggregateF1Table(const F1Map& map, std::ostream& out) {
-  eval::TableWriter writer({"Name", "AVG w/o Flights", "S.D. w/o Flights",
-                            "AVG with Flights", "S.D. with Flights"});
+std::vector<AggregateF1Row> AggregateF1(const F1Map& map) {
+  std::vector<AggregateF1Row> rows;
   for (const auto& [system, datasets] : map) {
+    AggregateF1Row row;
+    row.system = system;
     std::vector<double> without_flights;
     std::vector<double> with_flights;
     for (const auto& [dataset, f1s] : datasets) {
       const double mean_f1 = Mean(f1s);
+      row.mean_f1[dataset] = mean_f1;
       with_flights.push_back(mean_f1);
       if (dataset != "flights") without_flights.push_back(mean_f1);
     }
-    writer.AddRow({system, eval::Fmt2(Mean(without_flights)),
-                   eval::Fmt2(SampleStdDev(without_flights)),
-                   eval::Fmt2(Mean(with_flights)),
-                   eval::Fmt2(SampleStdDev(with_flights))});
+    row.avg_without_flights = Mean(without_flights);
+    row.sd_without_flights = SampleStdDev(without_flights);
+    row.avg_with_flights = Mean(with_flights);
+    row.sd_with_flights = SampleStdDev(with_flights);
+    rows.push_back(std::move(row));
   }
-  writer.Print(out);
+  return rows;
 }
 
-std::vector<std::pair<std::string, eval::Scheduler::ExperimentId>>
-SubmitComparison(eval::Scheduler* scheduler, const datagen::DatasetPair& pair,
-                 const BenchConfig& config, int rotom_cells,
-                 bool skip_baselines) {
-  std::vector<std::pair<std::string, eval::Scheduler::ExperimentId>> out;
-  if (!skip_baselines) {
-    out.emplace_back("Raha",
-                     scheduler->SubmitRaha(pair, config.reps,
-                                           config.n_label_tuples,
-                                           config.seed));
-    out.emplace_back("Rotom",
-                     scheduler->SubmitRotom(pair, config.reps, rotom_cells,
-                                            /*ssl=*/false, config.seed));
-    out.emplace_back("Rotom+SSL",
-                     scheduler->SubmitRotom(pair, config.reps, rotom_cells,
-                                            /*ssl=*/true, config.seed));
+void PrintAggregateF1Table(const F1Map& map, std::ostream& out) {
+  eval::TableWriter writer({"Name", "AVG w/o Flights", "S.D. w/o Flights",
+                            "AVG with Flights", "S.D. with Flights"});
+  for (const AggregateF1Row& row : AggregateF1(map)) {
+    writer.AddRow({row.system, eval::Fmt2(row.avg_without_flights),
+                   eval::Fmt2(row.sd_without_flights),
+                   eval::Fmt2(row.avg_with_flights),
+                   eval::Fmt2(row.sd_with_flights)});
   }
-  out.emplace_back(
-      "TSB-RNN",
-      scheduler->SubmitDetector(pair, MakeRunnerOptions(config, "tsb")));
-  out.emplace_back(
-      "ETSB-RNN",
-      scheduler->SubmitDetector(pair, MakeRunnerOptions(config, "etsb")));
-  return out;
+  writer.Print(out);
 }
 
 JsonWriter& JsonWriter::BeginObject() {
@@ -301,37 +305,6 @@ void JsonWriter::BeforeValue() {
   if (counts_.back() > 0) out_ << ",";
   if (counts_.back() < 0) counts_.back() = 0;  // value after a key.
   ++counts_.back();
-}
-
-void WriteResultJson(JsonWriter* json, const eval::RepeatedResult& result) {
-  json->BeginObject();
-  json->Key("dataset").String(result.dataset);
-  json->Key("system").String(result.system);
-  const auto summary = [json](const char* name, const Summary& s) {
-    json->Key(name).BeginObject();
-    json->Key("mean").Number(s.mean);
-    json->Key("stddev").Number(s.stddev);
-    json->Key("ci95").Number(s.ci95);
-    json->Key("n").Int(static_cast<int64_t>(s.n));
-    json->EndObject();
-  };
-  summary("precision", result.precision);
-  summary("recall", result.recall);
-  summary("f1", result.f1);
-  summary("train_seconds", result.train_seconds);
-  summary("train_cpu_seconds", result.train_cpu_seconds);
-  json->Key("cache_hits").Int(result.cache_hits);
-  json->Key("runs").BeginArray();
-  for (const eval::Metrics& m : result.runs) {
-    json->BeginObject();
-    json->Key("precision").Number(m.precision);
-    json->Key("recall").Number(m.recall);
-    json->Key("f1").Number(m.f1);
-    json->Key("accuracy").Number(m.accuracy);
-    json->EndObject();
-  }
-  json->EndArray();
-  json->EndObject();
 }
 
 void WriteObsJson(JsonWriter* json) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "datagen/datasets.h"
-#include "eval/runner.h"
 #include "eval/scheduler.h"
 #include "util/flags.h"
 
@@ -28,8 +27,8 @@ struct BenchConfig {
   std::vector<std::string> datasets;  ///< empty = all six.
 
   /// Outer experiment-scheduler workers: -1 = one per hardware thread
-  /// (default), 0 = serial legacy loop. Aggregates are bit-identical for
-  /// every value (DESIGN.md §8).
+  /// (default), 0 = serial, in submission order. Aggregates are
+  /// bit-identical for every value (DESIGN.md §8).
   int harness_threads = -1;
   /// Artifact cache for (dataset, system, repetition) results; warm
   /// re-runs skip completed cells. `--cache=false` disables.
@@ -48,7 +47,9 @@ struct BenchConfig {
 /// JSON output path (empty = bench has no JSON output).
 void AddCommonFlags(FlagSet* flags, const std::string& default_json = "");
 
-/// Reads the shared flags back; exits with usage on --help or parse error.
+/// Reads the shared flags back; exits with usage on --help (status 0), on
+/// a parse error or on an invalid setting (status 2): `reps`, `epochs` or
+/// `tuples` below 1, a negative `scale` or `seed`, or an unknown dataset.
 BenchConfig ParseCommonFlags(FlagSet* flags, int argc, char** argv,
                              const char* program);
 
@@ -63,10 +64,10 @@ datagen::DatasetPair MakePair(const std::string& dataset,
 /// The dataset list this run covers (config.datasets or all six).
 std::vector<std::string> DatasetList(const BenchConfig& config);
 
-/// Generates every pair of DatasetList(config), in order. Benches submit
-/// scheduler jobs against references into the returned vector — it is
-/// fully built here precisely so those references stay stable.
-std::vector<datagen::DatasetPair> MakeAllPairs(const BenchConfig& config);
+/// Generates every pair of DatasetList(config), keyed by dataset name.
+/// Scheduler jobs borrow the pairs, so keep the map alive across RunAll().
+std::map<std::string, datagen::DatasetPair> MakeAllPairs(
+    const BenchConfig& config);
 
 /// Builds detector-based runner options with the bench configuration
 /// applied (model "tsb"/"etsb", sampler name).
@@ -97,17 +98,22 @@ using F1Map = std::map<std::string, std::map<std::string, std::vector<double>>>;
 /// Appends `result.runs` F1 values under (result.system, result.dataset).
 void AddRunsToF1Map(F1Map* map, const eval::RepeatedResult& result);
 
-/// Renders the paper's Table 4 from an F1Map: average F1 and S.D. across
-/// datasets, without and with Flights, one row per system.
-void PrintAggregateF1Table(const F1Map& map, std::ostream& out);
+/// One row of the paper's Table 4: a system's mean F1 per dataset and
+/// their average and S.D. across datasets, without and with Flights.
+struct AggregateF1Row {
+  std::string system;
+  std::map<std::string, double> mean_f1;  ///< dataset -> mean F1.
+  double avg_without_flights = 0.0;
+  double sd_without_flights = 0.0;
+  double avg_with_flights = 0.0;
+  double sd_with_flights = 0.0;
+};
 
-/// The Table 3 comparison protocol: submits Raha / Rotom / Rotom+SSL
-/// (unless `skip_baselines`) and TSB-RNN / ETSB-RNN on `pair`. Returned
-/// pairs are (system name, experiment id) in submission order.
-std::vector<std::pair<std::string, eval::Scheduler::ExperimentId>>
-SubmitComparison(eval::Scheduler* scheduler, const datagen::DatasetPair& pair,
-                 const BenchConfig& config, int rotom_cells,
-                 bool skip_baselines);
+/// Table 4's rows, one per system of `map`, in system-name order.
+std::vector<AggregateF1Row> AggregateF1(const F1Map& map);
+
+/// Renders AggregateF1(map) as the paper's Table 4.
+void PrintAggregateF1Table(const F1Map& map, std::ostream& out);
 
 /// Minimal streaming JSON writer (comma/escape handling only — no
 /// formatting options). Used by the benches' machine-readable outputs.
@@ -133,10 +139,6 @@ class JsonWriter {
   /// -1 flags "a key was just written, next value needs no comma".
   std::vector<int64_t> counts_;
 };
-
-/// Writes a RepeatedResult as a JSON object (summary stats, timing, raw
-/// per-repetition metrics). The writer must be positioned for a value.
-void WriteResultJson(JsonWriter* json, const eval::RepeatedResult& result);
 
 /// Writes the current obs registry snapshot as one JSON object:
 /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,p50,p95,

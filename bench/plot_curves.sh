@@ -1,9 +1,9 @@
 #!/bin/bash
-# Renders the Fig. 6 / Fig. 7 curve output of bench_fig6_test_accuracy /
-# bench_fig7_train_test as PNGs with gnuplot (if installed).
+# Renders the Fig. 6 / Fig. 7 curves that bench_paper prints as PNGs with
+# gnuplot (if installed).
 #
-#   ./build/bench/bench_fig6_test_accuracy > fig6.txt
-#   bench/plot_curves.sh fig6.txt out_dir/
+#   ./build/bench/bench_paper > paper.txt
+#   bench/plot_curves.sh paper.txt out_dir/
 #
 # The bench output contains one "# <title>" block per series with
 # epoch<TAB>mean<TAB>ci95 rows; each block becomes one plot with a shaded
@@ -25,6 +25,7 @@ mkdir -p "$outdir"
 
 # Split into per-series data files.
 awk -v outdir="$outdir" '
+/^===/ { file = ""; next }
 /^# Fig/ {
   title = substr($0, 3)
   gsub(/[^A-Za-z0-9._-]/, "_", title)

@@ -29,7 +29,8 @@ struct ModelConfig {
   int stacks = 2;            ///< stacked RNN levels (paper: two-stacked).
   bool bidirectional = true; ///< forward + backward chains (paper: yes).
   /// Recurrent cell family. The paper uses plain tanh RNNs and argues (§2)
-  /// they train faster than LSTM/GRU; bench_ablation_cell_type measures it.
+  /// they train faster than LSTM/GRU; bench_paper's cell-type ablation
+  /// measures it.
   nn::CellType cell_type = nn::CellType::kVanilla;
 
   // --- enrichment (ETSB-RNN only) ---

@@ -168,6 +168,29 @@ bool ArtifactCache::Lookup(uint64_t key, JobOutcome* out) {
     stats.has_test = has_test != 0;
     outcome.history.push_back(stats);
   }
+  size_t n_types = 0;
+  {
+    std::string tag;
+    if (!std::getline(in, line)) return miss(true);
+    std::istringstream ls(line);
+    if (!(ls >> tag >> n_types) || tag != "error_types" || n_types > 64) {
+      return miss(true);
+    }
+  }
+  for (size_t t = 0; t < n_types; ++t) {
+    if (!std::getline(in, line)) return miss(true);
+    std::istringstream ls(line);
+    std::string tag;
+    int type = 0;
+    ErrorTypeCount count;
+    if (!(ls >> tag >> type >> count.errors >> count.detected) || tag != "t" ||
+        type < 0 ||
+        type > static_cast<int>(
+                   datagen::ErrorType::kViolatedAttributeDependency)) {
+      return miss(true);
+    }
+    outcome.error_types[static_cast<datagen::ErrorType>(type)] = count;
+  }
   if (!std::getline(in, line) || line != "end") return miss(true);
 
   outcome.ok = true;
@@ -206,6 +229,11 @@ Status ArtifactCache::Store(uint64_t key, const JobOutcome& outcome) {
     out << "e " << e.epoch << " " << HexDouble(e.train_loss) << " "
         << HexDouble(e.train_accuracy) << " " << HexDouble(e.test_accuracy)
         << " " << (e.has_test ? 1 : 0) << "\n";
+  }
+  out << "error_types " << outcome.error_types.size() << "\n";
+  for (const auto& [type, count] : outcome.error_types) {
+    out << "t " << static_cast<int>(type) << " " << count.errors << " "
+        << count.detected << "\n";
   }
   out << "end\n";
   BIRNN_RETURN_IF_ERROR(util::WriteFileAtomic(EntryPath(key), out.str()));

@@ -2,6 +2,7 @@
 #define BIRNN_EVAL_CACHE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace birnn::eval {
 /// shard partitioning, sampler logic, dataset generators, ...). A bump
 /// invalidates every existing cache entry — warm runs silently fall back to
 /// recomputation, never to stale numbers.
-inline constexpr uint32_t kCacheSchemaVersion = 2;
+inline constexpr uint32_t kCacheSchemaVersion = 3;
 
 /// Content fingerprint of a table: headers, shape, and every cell, in row
 /// order. Any edit to any cell changes the fingerprint.
@@ -30,6 +31,14 @@ uint64_t FingerprintTable(const data::Table& table);
 /// not hashed separately.
 uint64_t FingerprintPair(const datagen::DatasetPair& pair);
 
+/// Injected errors of one class and how many of them a detection report
+/// flags (the §5.5 error analysis).
+struct ErrorTypeCount {
+  int64_t errors = 0;
+  int64_t detected = 0;
+};
+using ErrorTypeCounts = std::map<datagen::ErrorType, ErrorTypeCount>;
+
 /// The unit the harness caches: the complete outcome of one
 /// (dataset, system, repetition) job.
 struct JobOutcome {
@@ -37,6 +46,8 @@ struct JobOutcome {
   Metrics metrics;
   /// Per-epoch curves (empty unless the job tracked them).
   std::vector<core::EpochStats> history;
+  /// Per error class of the pair's injected errors (detector jobs only).
+  ErrorTypeCounts error_types;
   /// Train/detect time measured *inside* the job on its own thread
   /// (wall-clock of the work, not of the harness).
   double train_seconds = 0.0;

@@ -2,46 +2,7 @@
 
 #include <algorithm>
 
-#include "eval/scheduler.h"
-
 namespace birnn::eval {
-
-// The three Run* entry points predate the scheduler and keep their serial
-// semantics: one experiment, repetitions fanned out (or run inline) by a
-// private Scheduler. Harness binaries that run many experiments should
-// share one Scheduler across all of them instead.
-
-RepeatedResult RunRepeatedDetector(const datagen::DatasetPair& pair,
-                                   const RunnerOptions& options) {
-  SchedulerOptions scheduler_options;
-  scheduler_options.threads = options.harness_threads;
-  scheduler_options.inner_threads = options.harness_inner_threads;
-  scheduler_options.cache = options.cache;
-  Scheduler scheduler(scheduler_options);
-  const Scheduler::ExperimentId id = scheduler.SubmitDetector(pair, options);
-  scheduler.RunAll();
-  return scheduler.Take(id);
-}
-
-RepeatedResult RunRepeatedRaha(const datagen::DatasetPair& pair,
-                               int repetitions, int n_label_tuples,
-                               uint64_t base_seed) {
-  Scheduler scheduler;
-  const Scheduler::ExperimentId id =
-      scheduler.SubmitRaha(pair, repetitions, n_label_tuples, base_seed);
-  scheduler.RunAll();
-  return scheduler.Take(id);
-}
-
-RepeatedResult RunRepeatedRotom(const datagen::DatasetPair& pair,
-                                int repetitions, int n_label_cells, bool ssl,
-                                uint64_t base_seed) {
-  Scheduler scheduler;
-  const Scheduler::ExperimentId id = scheduler.SubmitRotom(
-      pair, repetitions, n_label_cells, ssl, base_seed);
-  scheduler.RunAll();
-  return scheduler.Take(id);
-}
 
 namespace {
 std::vector<CurvePoint> AverageCurve(const RepeatedResult& result,

@@ -6,12 +6,11 @@
 
 #include "core/detector.h"
 #include "datagen/datasets.h"
+#include "eval/cache.h"
 #include "eval/metrics.h"
 #include "util/stats.h"
 
 namespace birnn::eval {
-
-class ArtifactCache;
 
 /// Aggregated outcome of repeating one experiment `n` times with different
 /// seeds (the paper repeats 10 times and reports AVG and S.D.).
@@ -37,42 +36,19 @@ struct RepeatedResult {
   std::vector<Metrics> runs;
   /// Per-epoch accuracy curves per repetition (empty unless tracked).
   std::vector<std::vector<core::EpochStats>> histories;
+  /// Injected errors per class and how many the reports flagged, summed
+  /// over the successful repetitions (detector experiments only; §5.5).
+  ErrorTypeCounts error_types;
 };
 
-/// Options shared by the experiment harness binaries.
+/// One experiment submitted to eval::Scheduler::SubmitDetector: the
+/// paper's neural detector repeated `repetitions` times, seeds
+/// `base_seed + rep`.
 struct RunnerOptions {
   int repetitions = 10;
   uint64_t base_seed = 1000;
   core::DetectorOptions detector;
-
-  /// Harness scheduling (eval::Scheduler). `harness_threads` fans the
-  /// repetitions out over a thread pool (0 = the legacy serial loop; -1 =
-  /// one worker per hardware thread); aggregates are bit-identical either
-  /// way. `cache` (borrowed, may be null) answers repeated jobs from disk.
-  int harness_threads = 0;
-  int harness_inner_threads = -1;  ///< -1 = auto budget; see SchedulerOptions.
-  ArtifactCache* cache = nullptr;
 };
-
-/// Runs the paper's neural detector `repetitions` times on a dataset pair,
-/// re-generating nothing (same data, different model/sampler seeds), and
-/// aggregates precision/recall/F1. A thin wrapper over eval::Scheduler —
-/// multi-experiment harnesses should submit every experiment to one
-/// Scheduler instead, so jobs from different datasets and systems share
-/// the fan-out.
-RepeatedResult RunRepeatedDetector(const datagen::DatasetPair& pair,
-                                   const RunnerOptions& options);
-
-/// Runs the Raha baseline `repetitions` times (different sampling seeds).
-RepeatedResult RunRepeatedRaha(const datagen::DatasetPair& pair,
-                               int repetitions, int n_label_tuples,
-                               uint64_t base_seed);
-
-/// Runs the Rotom-style augmentation baseline `repetitions` times.
-/// `ssl` selects the self-training variant (Rotom+SSL in Table 3).
-RepeatedResult RunRepeatedRotom(const datagen::DatasetPair& pair,
-                                int repetitions, int n_label_cells, bool ssl,
-                                uint64_t base_seed);
 
 /// Mean epoch curve across repetitions: element e is the average of
 /// `histories[*][e].test_accuracy` (or train_accuracy), together with its

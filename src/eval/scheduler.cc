@@ -162,6 +162,16 @@ Scheduler::ExperimentId Scheduler::SubmitDetector(
       }
       out.ok = true;
       out.metrics = report_or->test_metrics;
+      const size_t n_cols =
+          static_cast<size_t>(pair_ptr->dirty.num_columns());
+      for (const datagen::InjectedError& err : pair_ptr->injected_errors) {
+        ErrorTypeCount& count = out.error_types[err.type];
+        ++count.errors;
+        if (report_or->predicted[static_cast<size_t>(err.row) * n_cols +
+                                 static_cast<size_t>(err.col)]) {
+          ++count.detected;
+        }
+      }
       out.history = std::move(report_or->history.epochs);
       out.train_seconds = report_or->history.train_seconds;
       return out;
@@ -275,8 +285,7 @@ void Scheduler::RunAll() {
   if (requested < 0) requested = HardwareConcurrency();
   const ThreadBudget budget = ComputeThreadBudget(
       HardwareConcurrency(), requested, static_cast<int>(jobs.size()));
-  int inner = options_.inner_threads;
-  if (inner < 0 && budget.outer > 0) inner = budget.inner;
+  const int inner = budget.outer > 0 ? budget.inner : -1;
   stats_.outer_threads = budget.outer;
   stats_.inner_threads = inner;
 
@@ -348,6 +357,10 @@ RepeatedResult Scheduler::Take(ExperimentId id) {
     if (!job.outcome.ok) continue;
     result.runs.push_back(job.outcome.metrics);
     result.histories.push_back(std::move(job.outcome.history));
+    for (const auto& [type, count] : job.outcome.error_types) {
+      result.error_types[type].errors += count.errors;
+      result.error_types[type].detected += count.detected;
+    }
     ps.push_back(job.outcome.metrics.precision);
     rs.push_back(job.outcome.metrics.recall);
     f1s.push_back(job.outcome.metrics.f1);

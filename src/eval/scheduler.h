@@ -31,13 +31,11 @@ ThreadBudget ComputeThreadBudget(int hardware_threads, int requested_outer,
 /// Scheduler configuration.
 struct SchedulerOptions {
   /// Outer workers for the job fan-out. 0 = serial (every job runs inline
-  /// on the calling thread, in submission order — the legacy harness).
-  /// -1 = one worker per hardware thread.
+  /// on the calling thread, in submission order, with its submitter's
+  /// inner thread settings). -1 = one worker per hardware thread. When
+  /// scheduled, every job's `train_threads`/`eval_threads`/`feature_threads`
+  /// come from ComputeThreadBudget.
   int threads = 0;
-  /// Inner `train_threads`/`eval_threads`/`feature_threads` forced on every
-  /// job. -1 = automatic: keep the submitter's settings when serial, budget
-  /// the hardware across in-flight jobs when scheduled.
-  int inner_threads = -1;
   /// Borrowed result cache; null disables caching.
   ArtifactCache* cache = nullptr;
 };
@@ -55,7 +53,7 @@ struct SchedulerStats {
 
 /// Job-graph executor for the experiment harness. The unit of work is one
 /// (dataset, system, repetition) run; an *experiment* is the aggregate over
-/// its repetitions — exactly what `RunRepeatedDetector` et al. return.
+/// its repetitions, returned by Take() as one `RepeatedResult`.
 ///
 /// Determinism contract: job seeds derive from `base_seed + repetition`
 /// (identical to the serial harness), every job writes its outcome into its
@@ -75,8 +73,8 @@ class Scheduler {
   explicit Scheduler(SchedulerOptions options = {});
 
   /// The paper's neural detector, repeated `options.repetitions` times
-  /// (seeds base_seed + rep). Harness fields of `options` are ignored —
-  /// this scheduler's own configuration governs.
+  /// (seeds base_seed + rep). Each job also counts, per error class, the
+  /// pair's injected errors its report flags (RepeatedResult::error_types).
   ExperimentId SubmitDetector(const datagen::DatasetPair& pair,
                               const RunnerOptions& options);
 

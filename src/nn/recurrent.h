@@ -17,7 +17,7 @@ namespace birnn::nn {
 
 /// Recurrent cell families. The paper (§2) argues for plain tanh RNNs over
 /// LSTM/GRU on complexity and training-time grounds; implementing all
-/// three makes that claim measurable (bench_ablation_cell_type).
+/// three makes that claim measurable (bench_paper's cell-type ablation).
 enum class CellType {
   kVanilla,  ///< h' = tanh(x Wx + h Wh + b)        — the paper's cell.
   kGru,      ///< gated recurrent unit (Chung et al. 2014).

@@ -17,7 +17,7 @@
 #include "data/encoding.h"
 #include "data/prepare.h"
 #include "datagen/datasets.h"
-#include "eval/runner.h"
+#include "eval/scheduler.h"
 #include "nn/serialize.h"
 #include "raha/detector.h"
 #include "rotom/baseline.h"
@@ -136,7 +136,11 @@ TEST(IntegrationTest, RunnerAggregatesAcrossRepetitions) {
   options.detector.trainer.track_test_accuracy = true;
   options.detector.trainer.test_eval_max_cells = 200;
 
-  const eval::RepeatedResult result = eval::RunRepeatedDetector(pair, options);
+  eval::Scheduler scheduler;
+  const eval::Scheduler::ExperimentId id =
+      scheduler.SubmitDetector(pair, options);
+  scheduler.RunAll();
+  const eval::RepeatedResult result = scheduler.Take(id);
   EXPECT_EQ(result.runs.size(), 2u);
   EXPECT_EQ(result.histories.size(), 2u);
   EXPECT_EQ(result.f1.n, 2u);

@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "datagen/datasets.h"
 #include "eval/cache.h"
-#include "eval/runner.h"
 #include "eval/scheduler.h"
 
 namespace birnn::eval {
@@ -61,6 +61,12 @@ void ExpectBitIdentical(const RepeatedResult& a, const RepeatedResult& b) {
   EXPECT_EQ(a.recall.mean, b.recall.mean);
   EXPECT_EQ(a.f1.mean, b.f1.mean);
   EXPECT_EQ(a.f1.stddev, b.f1.stddev);
+  ASSERT_EQ(a.error_types.size(), b.error_types.size());
+  for (const auto& [type, count] : a.error_types) {
+    ASSERT_EQ(b.error_types.count(type), 1u);
+    EXPECT_EQ(count.errors, b.error_types.at(type).errors);
+    EXPECT_EQ(count.detected, b.error_types.at(type).detected);
+  }
 }
 
 TEST(ThreadBudgetTest, SplitsHardwareAcrossJobs) {
@@ -96,6 +102,13 @@ TEST(SchedulerTest, ParallelMatchesSerialBitForBit) {
   serial.RunAll();
   const RepeatedResult reference = serial.Take(sid);
   ASSERT_EQ(reference.runs.size(), 3u);
+  // Every injected error is counted once per repetition, under its class.
+  int64_t errors = 0;
+  for (const auto& [type, count] : reference.error_types) {
+    EXPECT_LE(count.detected, count.errors);
+    errors += count.errors;
+  }
+  EXPECT_EQ(errors, 3 * static_cast<int64_t>(pair.injected_errors.size()));
 
   for (const int threads : {1, 4, 8}) {
     Scheduler scheduler({.threads = threads});
@@ -123,19 +136,6 @@ TEST(SchedulerTest, BaselinesMatchSerialBitForBit) {
   parallel.RunAll();
   ExpectBitIdentical(raha_ref, parallel.Take(raha_p));
   ExpectBitIdentical(rotom_ref, parallel.Take(rotom_p));
-}
-
-TEST(SchedulerTest, MatchesLegacyRunnerEntryPoints) {
-  // RunRepeatedDetector is now a scheduler wrapper; its results must equal
-  // a hand-driven serial scheduler run (same seeds, same aggregation).
-  const datagen::DatasetPair pair = SmallPair();
-  const RunnerOptions options = SmallDetectorOptions();
-
-  const RepeatedResult via_runner = RunRepeatedDetector(pair, options);
-  Scheduler scheduler({.threads = 0});
-  const auto id = scheduler.SubmitDetector(pair, options);
-  scheduler.RunAll();
-  ExpectBitIdentical(via_runner, scheduler.Take(id));
 }
 
 TEST(SchedulerTest, WarmCacheHitsAreBitIdentical) {
@@ -216,6 +216,9 @@ TEST(CacheTest, RoundTripsOutcomeBitExactly) {
   epoch.train_accuracy = 0.5;
   epoch.test_accuracy = 0.25;
   outcome.history.push_back(epoch);
+  outcome.error_types[datagen::ErrorType::kTypo] = {270, 172};
+  outcome.error_types[datagen::ErrorType::kViolatedAttributeDependency] = {
+      90, 0};
 
   const uint64_t key = ArtifactCache::Key(123, "cfg");
   ASSERT_TRUE(cache.Store(key, outcome).ok());
@@ -235,6 +238,26 @@ TEST(CacheTest, RoundTripsOutcomeBitExactly) {
   EXPECT_EQ(loaded.history[0].train_loss, epoch.train_loss);
   EXPECT_EQ(loaded.history[0].train_accuracy, epoch.train_accuracy);
   EXPECT_EQ(loaded.history[0].test_accuracy, epoch.test_accuracy);
+  ASSERT_EQ(loaded.error_types.size(), 2u);
+  EXPECT_EQ(loaded.error_types[datagen::ErrorType::kTypo].errors, 270);
+  EXPECT_EQ(loaded.error_types[datagen::ErrorType::kTypo].detected, 172);
+  const ErrorTypeCount& vad =
+      loaded.error_types[datagen::ErrorType::kViolatedAttributeDependency];
+  EXPECT_EQ(vad.errors, 90);
+  EXPECT_EQ(vad.detected, 0);
+
+  // An error class outside datagen::ErrorType makes the entry corrupt.
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    std::ifstream in(entry.path());
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const size_t at = text.find("\nt 1 270 172\n");
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, 5, "\nt 9 ");
+    std::ofstream(entry.path(), std::ios::trunc) << text;
+  }
+  EXPECT_FALSE(cache.Lookup(key, &loaded));
+  EXPECT_EQ(cache.stats().corrupt, 1);
 }
 
 TEST(CacheTest, RejectsFailedOutcomes) {

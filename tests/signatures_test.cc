@@ -1,5 +1,5 @@
 // Error-signature tests for the remaining generators (movies, rayyan, tax)
-// plus runner-level coverage of the repeated-baseline harness paths — the
+// plus scheduler-level coverage of the repeated baselines — the
 // §5.1/§5.5 signatures the character models key on must actually appear in
 // the generated data.
 
@@ -8,7 +8,7 @@
 #include <set>
 
 #include "datagen/datasets.h"
-#include "eval/runner.h"
+#include "eval/scheduler.h"
 #include "util/string_util.h"
 
 namespace birnn::datagen {
@@ -151,7 +151,10 @@ TEST(RunnerBaselineTest, RepeatedRahaAggregates) {
   datagen::GenOptions gen;
   gen.scale = 0.08;
   const datagen::DatasetPair pair = datagen::MakeHospital(gen);
-  const RepeatedResult result = RunRepeatedRaha(pair, 2, 15, 500);
+  Scheduler scheduler;
+  const Scheduler::ExperimentId id = scheduler.SubmitRaha(pair, 2, 15, 500);
+  scheduler.RunAll();
+  const RepeatedResult result = scheduler.Take(id);
   EXPECT_EQ(result.system, "Raha");
   EXPECT_EQ(result.dataset, "hospital");
   EXPECT_EQ(result.runs.size(), 2u);
@@ -163,8 +166,14 @@ TEST(RunnerBaselineTest, RepeatedRotomAggregatesBothVariants) {
   datagen::GenOptions gen;
   gen.scale = 0.08;
   const datagen::DatasetPair pair = datagen::MakeBeers(gen);
-  const RepeatedResult plain = RunRepeatedRotom(pair, 2, 150, false, 600);
-  const RepeatedResult ssl = RunRepeatedRotom(pair, 2, 150, true, 600);
+  Scheduler scheduler;
+  const Scheduler::ExperimentId plain_id =
+      scheduler.SubmitRotom(pair, 2, 150, /*ssl=*/false, 600);
+  const Scheduler::ExperimentId ssl_id =
+      scheduler.SubmitRotom(pair, 2, 150, /*ssl=*/true, 600);
+  scheduler.RunAll();
+  const RepeatedResult plain = scheduler.Take(plain_id);
+  const RepeatedResult ssl = scheduler.Take(ssl_id);
   EXPECT_EQ(plain.system, "Rotom");
   EXPECT_EQ(ssl.system, "Rotom+SSL");
   EXPECT_EQ(plain.runs.size(), 2u);
