@@ -1,4 +1,4 @@
-#include "adapt/controller.h"
+#include "adapt/adapt.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "eval/metrics.h"
 #include "obs/obs.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/threadpool.h"
 
 namespace birnn::adapt {
@@ -28,77 +27,21 @@ const char* AdaptOutcomeName(AdaptOutcome outcome) {
   return "unknown";
 }
 
-Controller::Controller(std::shared_ptr<const serve::LoadedDetector> incumbent,
-                       ControllerOptions options)
-    : options_(std::move(options)), current_(std::move(incumbent)) {
-  BIRNN_CHECK(current_ != nullptr);
-}
-
-bool Controller::ShouldAdapt(const stream::TableSession& session) const {
-  return !session.drift_alarms().empty();
-}
-
-std::shared_ptr<const serve::LoadedDetector> Controller::current() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_;
-}
-
-int64_t Controller::attempts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attempts_;
-}
-
-int64_t Controller::promotions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return promotions_;
-}
-
-int64_t Controller::rejections() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejections_;
-}
-
-StatusOr<AdaptReport> Controller::MaybeAdapt(stream::TableSession* session,
-                                             const LabelFn& labels,
-                                             const LabelFn& gate_labels) {
+StatusOr<AdaptReport> Adapt(const serve::LoadedDetector& incumbent,
+                            stream::TableSession* session,
+                            const AdaptOptions& options, const LabelFn& labels,
+                            const LabelFn& gate_labels) {
   if (session == nullptr) {
-    return Status::InvalidArgument("MaybeAdapt needs a session");
+    return Status::InvalidArgument("Adapt needs a session");
   }
-  if (!ShouldAdapt(*session)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    AdaptReport report;
-    report.outcome = AdaptOutcome::kSkipped;
-    report.reason = "no drift alarms latched";
-    report.reservoir_rows = session->stats().reservoir_rows;
-    report.generation = promotions_;
-    return report;
-  }
-  return TriggerAdaptation(session, labels, gate_labels);
-}
-
-StatusOr<AdaptReport> Controller::TriggerAdaptation(
-    stream::TableSession* session, const LabelFn& labels,
-    const LabelFn& gate_labels) {
-  if (session == nullptr) {
-    return Status::InvalidArgument("TriggerAdaptation needs a session");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return TriggerLocked(session, labels, gate_labels);
-}
-
-StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
-                                                const LabelFn& labels,
-                                                const LabelFn& gate_labels) {
-  OBS_SPAN("adapt.trigger");
+  OBS_SPAN("adapt/attempt");
   AdaptReport report;
-  report.bn_only = options_.bn_only;
-  report.generation = promotions_;
   report.drifted_attrs = session->DriftedAttrs();
 
   const std::vector<stream::ReservoirRow> reservoir =
       session->ReservoirSnapshot();
   report.reservoir_rows = static_cast<int64_t>(reservoir.size());
-  const int64_t min_rows = std::max<int64_t>(2, options_.min_reservoir_rows);
+  const int64_t min_rows = std::max<int64_t>(2, options.min_reservoir_rows);
   if (report.reservoir_rows < min_rows) {
     report.outcome = AdaptOutcome::kSkipped;
     report.reason = "reservoir holds " + std::to_string(report.reservoir_rows) +
@@ -106,9 +49,7 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
     return report;
   }
 
-  ++attempts_;
-  OBS_COUNTER_ADD("adapt.attempts", 1);
-  const serve::LoadedDetector& incumbent = *current_;
+  OBS_COUNTER_ADD("adapt/attempts", 1);
   const int n_attrs = incumbent.n_attrs();
 
   // Per-cell supervision: the oracle's 0/1 answer when it has one, the
@@ -127,11 +68,11 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
   // by tuple so no tuple feeds both the fine-tune and its own gate.
   std::vector<size_t> order(reservoir.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Rng rng(options_.seed ^ 0xADA57ULL);
+  Rng rng(options.seed ^ 0xADA57ULL);
   rng.Shuffle(&order);
   const int64_t val_rows = std::min<int64_t>(
       report.reservoir_rows - 1,
-      std::max<int64_t>(1, std::llround(options_.validation_fraction *
+      std::max<int64_t>(1, std::llround(options.validation_fraction *
                                         static_cast<double>(
                                             report.reservoir_rows))));
 
@@ -155,7 +96,7 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
   // resampling noise), everything else appears once.
   const std::set<int> drifted(report.drifted_attrs.begin(),
                               report.drifted_attrs.end());
-  const int boost = std::max(1, options_.drift_boost);
+  const int boost = std::max(1, options.drift_boost);
   data::EncodedDataset train;
   incumbent.InitQueryDataset(&train);
   for (int64_t i = val_rows; i < report.reservoir_rows; ++i) {
@@ -180,29 +121,22 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
   auto model = std::make_unique<core::ErrorDetectionModel>(incumbent.config());
   model->Restore(incumbent.model().Snapshot());
 
-  core::InferenceOptions eval_opts;
-  eval_opts.eval_batch = options_.eval_batch;
+  const core::InferenceOptions eval_opts;
 
-  Stopwatch fine_tune_timer;
-  if (options_.bn_only) {
-    ThreadPool pool(core::TrainPoolThreads(options_.train_threads));
+  if (options.bn_only) {
+    ThreadPool pool(core::TrainPoolThreads(options.train_threads));
     core::CalibrateBatchNormMemoized(model.get(), train, eval_opts, &pool);
   } else {
-    core::TrainerOptions t = options_.trainer;
-    t.epochs = options_.fine_tune_epochs;
-    t.start_epoch = 0;
-    t.learning_rate = options_.learning_rate;
-    t.seed = options_.seed;
-    t.train_threads = options_.train_threads;
-    t.eval_batch = options_.eval_batch;
-    t.calibrate_batchnorm = true;
-    t.track_test_accuracy = false;
+    core::TrainerOptions t;
+    t.epochs = options.fine_tune_epochs;
+    t.learning_rate = options.learning_rate;
+    t.seed = options.seed;
+    t.train_threads = options.train_threads;
     // The gate judges the candidate exactly as fine-tuned; restoring an
     // earlier epoch would make it judge weights nobody would serve.
     t.restore_best = false;
     core::Trainer(t).Fit(model.get(), train);
   }
-  report.fine_tune_seconds = fine_tune_timer.ElapsedSeconds();
 
   // Promotion gate. The candidate sweep runs twice through independent
   // engines and must agree byte for byte — a non-reproducible evaluation
@@ -228,10 +162,9 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
 
   const bool gate_ok =
       report.deterministic_eval &&
-      report.candidate_f1 + options_.f1_band >= report.incumbent_f1;
+      report.candidate_f1 + options.f1_band >= report.incumbent_f1;
   if (!gate_ok) {
-    ++rejections_;
-    OBS_COUNTER_ADD("adapt.rejections", 1);
+    OBS_COUNTER_ADD("adapt/rejections", 1);
     report.outcome = AdaptOutcome::kRejected;
     if (!report.deterministic_eval) {
       report.reason = "candidate evaluation was not bit-reproducible";
@@ -239,7 +172,7 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
       report.reason = "candidate F1 " + std::to_string(report.candidate_f1) +
                       " below incumbent " +
                       std::to_string(report.incumbent_f1) + " - band " +
-                      std::to_string(options_.f1_band);
+                      std::to_string(options.f1_band);
     }
     return report;
   }
@@ -281,23 +214,20 @@ StatusOr<AdaptReport> Controller::TriggerLocked(stream::TableSession* session,
   core::FreezeColumnStats(attr_cells, attr_empties, attr_errors, &candidate);
   candidate.model = std::move(model);
 
-  if (!options_.candidate_dir.empty()) {
+  if (!options.candidate_dir.empty()) {
     BIRNN_RETURN_IF_ERROR(
-        serve::SaveDetectorBundle(candidate, options_.candidate_dir));
-    report.candidate_dir = options_.candidate_dir;
+        serve::SaveDetectorBundle(candidate, options.candidate_dir));
+    report.candidate_dir = options.candidate_dir;
   }
   BIRNN_ASSIGN_OR_RETURN(serve::LoadedDetector loaded,
                          serve::MakeLoadedDetector(std::move(candidate)));
-  current_ =
+  report.candidate =
       std::make_shared<const serve::LoadedDetector>(std::move(loaded));
 
-  ++promotions_;
-  OBS_COUNTER_ADD("adapt.promotions", 1);
-  OBS_GAUGE_SET("adapt.generation", promotions_);
+  OBS_COUNTER_ADD("adapt/promotions", 1);
   // Consume the trigger: the stream is judged fresh from here on.
   session->ResetDriftAlarms();
   report.outcome = AdaptOutcome::kPromoted;
-  report.generation = promotions_;
   return report;
 }
 

@@ -1,12 +1,12 @@
 /// extern "C" shim for the birnn_adapt_* surface of include/birnn_c.h:
 /// one-shot drift-triggered adaptation driven from an embedded host
-/// (database UDF, FFI binding) — see adapt/controller.h for the policy.
+/// (database UDF, FFI binding) — see adapt/adapt.h for the policy.
 
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "adapt/controller.h"
+#include "adapt/adapt.h"
 #include "birnn_c.h"
 #include "stream/capi_internal.h"
 
@@ -29,7 +29,7 @@ extern "C" {
 
 void birnn_adapt_options_init(birnn_adapt_options* options) {
   if (options == nullptr) return;
-  const birnn::adapt::ControllerOptions defaults;
+  const birnn::adapt::AdaptOptions defaults;
   options->min_reservoir_rows = defaults.min_reservoir_rows;
   options->validation_fraction = defaults.validation_fraction;
   options->drift_boost = defaults.drift_boost;
@@ -59,7 +59,7 @@ birnn_status birnn_adapt_run(const birnn_detector* incumbent,
     if (session == nullptr || session->impl == nullptr) {
       return Fail(BIRNN_INVALID_ARGUMENT, "session is NULL");
     }
-    birnn::adapt::ControllerOptions opts;
+    birnn::adapt::AdaptOptions opts;
     if (options != nullptr) {
       opts.min_reservoir_rows = options->min_reservoir_rows;
       opts.validation_fraction = options->validation_fraction;
@@ -74,9 +74,9 @@ birnn_status birnn_adapt_run(const birnn_detector* incumbent,
         opts.candidate_dir = options->candidate_dir;
       }
     }
-    birnn::adapt::Controller controller(incumbent->impl, std::move(opts));
-    auto report = controller.TriggerAdaptation(
-        session->impl.get(), WrapLabelFn(labels, labels_ctx),
+    auto report = birnn::adapt::Adapt(
+        *incumbent->impl, session->impl.get(), opts,
+        WrapLabelFn(labels, labels_ctx),
         WrapLabelFn(gate_labels, gate_labels_ctx));
     if (!report.ok()) return FromStatus(report.status());
     if (result != nullptr) {
@@ -91,7 +91,7 @@ birnn_status birnn_adapt_run(const birnn_detector* incumbent,
     if (report->outcome == birnn::adapt::AdaptOutcome::kPromoted &&
         promoted != nullptr) {
       auto* handle = new birnn_detector;
-      handle->impl = controller.current();
+      handle->impl = std::move(report->candidate);
       *promoted = handle;
     }
     return BIRNN_OK;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/inference.h"
@@ -30,25 +31,19 @@ double DatasetAccuracy(const ErrorDetectionModel& model,
 
 TrainHistory Trainer::Fit(ErrorDetectionModel* model,
                           const data::EncodedDataset& train,
-                          const data::EncodedDataset* test,
-                          TrainState* state) {
+                          const data::EncodedDataset* test) {
   BIRNN_CHECK_GT(train.num_cells(), 0);
-  BIRNN_CHECK(options_.start_epoch >= 0 &&
-              options_.start_epoch <= options_.epochs);
   OBS_SPAN("trainer/fit");
   Stopwatch timer;
   Rng rng(options_.seed ^ 0x7124139ULL);
 
   const int64_t n = train.num_cells();
+  // The paper's batch size: a quarter of the trainset.
   const int batch_size = std::max<int>(
-      1, static_cast<int>(std::lround(options_.batch_fraction *
-                                      static_cast<double>(n))));
+      1, static_cast<int>(std::lround(0.25 * static_cast<double>(n))));
 
   std::vector<nn::Parameter*> params = model->Params();
-  nn::RmsProp optimizer(options_.learning_rate, options_.rmsprop_rho);
-  if (state != nullptr && !state->rms_cache.empty()) {
-    optimizer.ImportState(params, state->rms_cache);
-  }
+  nn::RmsProp optimizer(options_.learning_rate);
 
   // Fixed subsample of test cells for the per-epoch accuracy curve.
   std::vector<int64_t> test_indices;
@@ -72,18 +67,6 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
   ModelSnapshot best = model->Snapshot();
   double best_loss = std::numeric_limits<double>::infinity();
   int best_epoch = -1;
-  if (state != nullptr && state->best_epoch >= 0) {
-    best = state->best;
-    best_loss = state->best_loss;
-    best_epoch = state->best_epoch;
-  }
-
-  // Resume: replay the shuffle rounds of the epochs already completed so
-  // the RNG state and the in-place `order` permutation match where the
-  // interrupted run's would have been at this point.
-  if (options_.shuffle) {
-    for (int e = 0; e < options_.start_epoch; ++e) rng.Shuffle(&order);
-  }
 
   // Data-parallel minibatch sharding. The shard partition is a pure
   // function of the batch size and `grad_shard_cells` — NEVER of the thread
@@ -139,10 +122,10 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
     }
   };
 
-  for (int epoch = options_.start_epoch; epoch < options_.epochs; ++epoch) {
+  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     OBS_SPAN("trainer/epoch");
     Stopwatch epoch_timer;
-    if (options_.shuffle) rng.Shuffle(&order);
+    rng.Shuffle(&order);
 
     double loss_sum = 0.0;
     int64_t correct = 0;
@@ -216,13 +199,6 @@ TrainHistory Trainer::Fit(ErrorDetectionModel* model,
       best_epoch = epoch;
       best = model->Snapshot();
     }
-  }
-
-  if (state != nullptr) {
-    state->rms_cache = optimizer.ExportState(params);
-    state->best = best;
-    state->best_loss = best_loss;
-    state->best_epoch = best_epoch;
   }
 
   if (options_.restore_best && best_epoch >= 0) model->Restore(best);

@@ -2,7 +2,6 @@
 #define BIRNN_CORE_TRAINER_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "core/model.h"
@@ -11,21 +10,13 @@
 
 namespace birnn::core {
 
-/// Training setup of the paper's §5.2: 120 epochs, RMSprop, binary
-/// cross-entropy, batch size = a quarter of the trainset, checkpointing the
-/// weights whenever the epoch's train loss improves.
+/// Training setup of the paper's §5.2: 120 epochs, RMSprop (rho 0.9),
+/// binary cross-entropy, minibatches of a quarter of the trainset drawn in a
+/// fresh shuffled order every epoch, checkpointing the weights whenever the
+/// epoch's train loss improves.
 struct TrainerOptions {
   int epochs = 120;
-  /// First epoch index to run (exclusive upper bound stays `epochs`). A
-  /// warm-start resume sets this to the epoch count already completed: Fit
-  /// burns that many shuffle rounds before the loop so the minibatch order
-  /// stream continues exactly where the interrupted run left off.
-  int start_epoch = 0;
   float learning_rate = 1e-3f;
-  float rmsprop_rho = 0.9f;
-  /// Batch size as a fraction of the trainset (paper: 1/4).
-  double batch_fraction = 0.25;
-  bool shuffle = true;
   uint64_t seed = 99;
 
   /// After restoring the best checkpoint, replace the batch-norm running
@@ -37,7 +28,6 @@ struct TrainerOptions {
 
   /// Restore the best-train-loss checkpoint at the end of Fit (the paper's
   /// callback behaviour). Off leaves the final-epoch weights in place —
-  /// what a mid-run checkpoint/resume split needs for bit-identity, and
   /// what the adapt fine-tune uses (its gate judges the candidate as-is).
   bool restore_best = true;
 
@@ -88,22 +78,6 @@ struct TrainHistory {
   double train_seconds = 0.0;   ///< wall-clock time of Fit().
 };
 
-/// Optimizer + checkpoint state that outlives one Fit call. Exported when a
-/// run is interrupted and imported by the resuming Fit so that
-/// (Fit epochs [0,k) → save → load → Fit epochs [k,E)) produces weights
-/// bit-identical to one uninterrupted Fit over [0,E) — proven in
-/// trainer_test. The RNG itself is not stored: the resuming Fit replays
-/// `start_epoch` shuffle rounds, which reproduces both the generator state
-/// and the in-place permutation of the minibatch order.
-struct TrainState {
-  /// RMSprop squared-gradient cache, in `model->Params()` order.
-  std::vector<nn::Tensor> rms_cache;
-  /// Best-train-loss checkpoint tracking (for `restore_best`).
-  double best_loss = std::numeric_limits<double>::infinity();
-  int best_epoch = -1;
-  ModelSnapshot best;  ///< valid when `best_epoch >= 0`.
-};
-
 /// The workers Trainer::Fit starts for `train_threads`: at most
 /// HardwareConcurrency() - 1, since the calling thread runs a shard too; a
 /// one-core host trains inline.
@@ -118,14 +92,9 @@ class Trainer {
   /// `track_test_accuracy` is set, records test accuracy every epoch. On
   /// return the model holds the best-train-loss weights (checkpoint
   /// restore), matching the paper's callback behaviour.
-  ///
-  /// `state` (optional, in/out) warm-starts the optimizer and checkpoint
-  /// tracking from a previous Fit segment and receives the end-of-run
-  /// state back; pair it with `options.start_epoch` for an exact resume.
   TrainHistory Fit(ErrorDetectionModel* model,
                    const data::EncodedDataset& train,
-                   const data::EncodedDataset* test = nullptr,
-                   TrainState* state = nullptr);
+                   const data::EncodedDataset* test = nullptr);
 
  private:
   TrainerOptions options_;

@@ -20,7 +20,7 @@ namespace birnn::eval {
 /// shard partitioning, sampler logic, dataset generators, ...). A bump
 /// invalidates every existing cache entry — warm runs silently fall back to
 /// recomputation, never to stale numbers.
-inline constexpr uint32_t kCacheSchemaVersion = 3;
+inline constexpr uint32_t kCacheSchemaVersion = 4;
 
 /// Content fingerprint of a table: headers, shape, and every cell, in row
 /// order. Any edit to any cell changes the fingerprint.
@@ -46,7 +46,8 @@ struct JobOutcome {
   Metrics metrics;
   /// Per-epoch curves (empty unless the job tracked them).
   std::vector<core::EpochStats> history;
-  /// Per error class of the pair's injected errors (detector jobs only).
+  /// Per error class of the pair's injected errors outside the labeled
+  /// tuples (detector jobs only).
   ErrorTypeCounts error_types;
   /// Train/detect time measured *inside* the job on its own thread
   /// (wall-clock of the work, not of the harness).

@@ -36,8 +36,9 @@ struct RepeatedResult {
   std::vector<Metrics> runs;
   /// Per-epoch accuracy curves per repetition (empty unless tracked).
   std::vector<std::vector<core::EpochStats>> histories;
-  /// Injected errors per class and how many the reports flagged, summed
-  /// over the successful repetitions (detector experiments only; §5.5).
+  /// Injected errors per class outside each repetition's labeled tuples
+  /// and how many the reports flagged, summed over the successful
+  /// repetitions (detector experiments only; §5.5).
   ErrorTypeCounts error_types;
 };
 

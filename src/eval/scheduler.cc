@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/obs.h"
@@ -90,9 +91,6 @@ std::string DetectorJobConfig(const core::DetectorOptions& o) {
   Append(&s, "prep_nan", o.prepare.treat_nan_as_empty);
   Append(&s, "epochs", static_cast<int64_t>(o.trainer.epochs));
   Append(&s, "lr", static_cast<double>(o.trainer.learning_rate));
-  Append(&s, "rho", static_cast<double>(o.trainer.rmsprop_rho));
-  Append(&s, "batch_frac", o.trainer.batch_fraction);
-  Append(&s, "shuffle", o.trainer.shuffle);
   Append(&s, "trainer_seed", o.trainer.seed);
   Append(&s, "calibrate_bn", o.trainer.calibrate_batchnorm);
   Append(&s, "track_test", o.trainer.track_test_accuracy);
@@ -162,9 +160,14 @@ Scheduler::ExperimentId Scheduler::SubmitDetector(
       }
       out.ok = true;
       out.metrics = report_or->test_metrics;
+      // §5.5 recall per error class, on test cells only: errors in the
+      // labeled tuples were part of the trainset.
+      const std::unordered_set<int64_t> labeled(
+          report_or->labeled_tuples.begin(), report_or->labeled_tuples.end());
       const size_t n_cols =
           static_cast<size_t>(pair_ptr->dirty.num_columns());
       for (const datagen::InjectedError& err : pair_ptr->injected_errors) {
+        if (labeled.count(err.row) > 0) continue;
         ErrorTypeCount& count = out.error_types[err.type];
         ++count.errors;
         if (report_or->predicted[static_cast<size_t>(err.row) * n_cols +

@@ -74,7 +74,8 @@ class Scheduler {
 
   /// The paper's neural detector, repeated `options.repetitions` times
   /// (seeds base_seed + rep). Each job also counts, per error class, the
-  /// pair's injected errors its report flags (RepeatedResult::error_types).
+  /// pair's injected errors outside its labeled tuples and how many of them
+  /// its report flags (RepeatedResult::error_types).
   ExperimentId SubmitDetector(const datagen::DatasetPair& pair,
                               const RunnerOptions& options);
 

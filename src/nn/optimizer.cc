@@ -19,26 +19,6 @@ void RmsProp::Step(const std::vector<Parameter*>& params) {
   }
 }
 
-std::vector<Tensor> RmsProp::ExportState(
-    const std::vector<Parameter*>& params) const {
-  std::vector<Tensor> state(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    auto it = cache_.find(params[i]);
-    if (it != cache_.end()) state[i] = it->second;
-  }
-  return state;
-}
-
-void RmsProp::ImportState(const std::vector<Parameter*>& params,
-                          const std::vector<Tensor>& state) {
-  BIRNN_CHECK(state.size() == params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (state[i].size() == 0) continue;
-    BIRNN_CHECK(state[i].shape() == params[i]->value.shape());
-    cache_[params[i]] = state[i];
-  }
-}
-
 void ZeroGrads(const std::vector<Parameter*>& params) {
   for (Parameter* p : params) p->ZeroGrad();
 }

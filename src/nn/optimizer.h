@@ -20,19 +20,6 @@ class RmsProp {
   /// caller then typically zeroes the gradients.
   void Step(const std::vector<Parameter*>& params);
 
-  /// Drops all accumulated squared-gradient state.
-  void Reset() { cache_.clear(); }
-
-  /// Squared-gradient cache in `params` order, for checkpoint/resume. A
-  /// parameter with no accumulated state yet yields an empty tensor.
-  std::vector<Tensor> ExportState(const std::vector<Parameter*>& params) const;
-
-  /// Restores a cache previously captured by `ExportState` against the
-  /// same parameter list (matched positionally). Empty tensors are
-  /// skipped, so a fresh optimizer round-trips to a fresh optimizer.
-  void ImportState(const std::vector<Parameter*>& params,
-                   const std::vector<Tensor>& state);
-
  private:
   float lr_;
   float rho_;

@@ -7,6 +7,14 @@
 
 namespace birnn::raha {
 
+namespace {
+
+/// Fallback vote threshold for columns with no label signal: a cell
+/// flagged by at least this many strategies is predicted dirty.
+constexpr int kFallbackVotes = 2;
+
+}  // namespace
+
 RahaDetector::RahaDetector(RahaOptions options)
     : options_(options), strategies_(DefaultStrategies()) {}
 
@@ -19,9 +27,7 @@ void RahaDetector::Analyze(const data::Table& dirty) {
   } else {
     features_ = BuildFeatures(dirty, strategies_);
   }
-  const int k = options_.clusters_per_column > 0 ? options_.clusters_per_column
-                                                 : options_.n_label_tuples;
-  clusterings_ = ClusterAllColumns(features_, k);
+  clusterings_ = ClusterAllColumns(features_, options_.n_label_tuples);
   analyzed_ = true;
 }
 
@@ -129,7 +135,7 @@ DetectionMask RahaDetector::Propagate(const std::vector<int64_t>& labeled_rows,
         label = pos_votes > neg_votes ? 1 : 0;
       } else {
         // No labels in this column at all: strategy-vote fallback.
-        label = features_.VoteCount(r, c) >= options_.fallback_votes ? 1 : 0;
+        label = features_.VoteCount(r, c) >= kFallbackVotes ? 1 : 0;
       }
       predicted[static_cast<size_t>(r) * n_cols_ + static_cast<size_t>(c)] =
           static_cast<uint8_t>(label);

@@ -16,13 +16,9 @@ namespace birnn::raha {
 /// Configuration of the Raha-style detector.
 struct RahaOptions {
   /// Label budget in tuples (the paper and Raha both use 20).
+  /// Each column is clustered into this many clusters, Raha's setting
+  /// (one expected label per cluster).
   int n_label_tuples = 20;
-  /// Clusters per column; 0 means "same as the label budget", Raha's
-  /// setting (one expected label per cluster).
-  int clusters_per_column = 0;
-  /// Fallback vote threshold for columns/clusters with no label signal:
-  /// a cell flagged by at least this many strategies is predicted dirty.
-  int fallback_votes = 2;
 
   /// Worker threads for the strategy featurization in Analyze() (0 = run
   /// every strategy inline). The feature matrix is bit-identical for every

@@ -11,6 +11,18 @@ namespace birnn::rotom {
 
 namespace {
 
+/// Augmented copies generated per labeled example under the chosen policy.
+constexpr int kAugmentsPerExample = 3;
+/// Rotom+SSL: at most this many pseudo-labels, each at least this
+/// confident.
+constexpr int kSslPseudoLabels = 1000;
+constexpr float kSslConfidence = 0.9f;
+/// Hashed character n-gram feature dimension of the cell classifier and
+/// its training schedule.
+constexpr int kFeatureDim = 512;
+constexpr int kTrainIterations = 250;
+constexpr float kLearningRate = 0.5f;
+
 /// FNV-1a hash for feature bucketing.
 uint32_t Fnv1a(const char* data, size_t len, uint32_t seed) {
   uint32_t h = 2166136261u ^ seed;
@@ -116,7 +128,7 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
   std::vector<std::vector<int>> features(static_cast<size_t>(n_cells));
   for (int64_t i = 0; i < n_cells; ++i) {
     const data::CellRecord& cell = frame.cells()[static_cast<size_t>(i)];
-    Featurize(cell.attr, cell.value, options_.feature_dim,
+    Featurize(cell.attr, cell.value, kFeatureDim,
               &features[static_cast<size_t>(i)]);
   }
 
@@ -145,13 +157,13 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
       ex.weight = cell.label == 1 ? pos_weight : 1.0f;
       examples.push_back(std::move(ex));
       if (candidate == nullptr) continue;
-      for (int a = 0; a < options_.augments_per_example; ++a) {
+      for (int a = 0; a < kAugmentsPerExample; ++a) {
         if (candidate->mode == AugmentMode::kPreserve) {
           // Label-preserving: jitter the value, keep the label.
           const std::string aug =
               ApplyPolicy(candidate->policy, cell.value, aug_rng);
           LogisticModel::Example aex;
-          Featurize(cell.attr, aug, options_.feature_dim, &aex.buckets);
+          Featurize(cell.attr, aug, kFeatureDim, &aex.buckets);
           aex.label = cell.label;
           aex.weight = ex.weight * 0.5f;
           examples.push_back(std::move(aex));
@@ -161,7 +173,7 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
               ApplyPolicy(candidate->policy, cell.value, aug_rng);
           if (aug == cell.value) continue;
           LogisticModel::Example aex;
-          Featurize(cell.attr, aug, options_.feature_dim, &aex.buckets);
+          Featurize(cell.attr, aug, kFeatureDim, &aex.buckets);
           aex.label = 1;
           aex.weight = pos_weight * 0.5f;
           examples.push_back(std::move(aex));
@@ -190,18 +202,18 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
   double best_score = -1.0;
   {
     Rng aug_rng(options_.seed ^ 0xA06ULL);
-    LogisticModel model(options_.feature_dim);
+    LogisticModel model(kFeatureDim);
     model.Train(build_examples(train_cells, nullptr, &aug_rng),
-                options_.train_iterations, options_.learning_rate);
+                kTrainIterations, kLearningRate);
     best_score = validation_f1(model);
   }
   for (const AugmentPolicy& policy : CandidatePolicies()) {
     for (AugmentMode mode : {AugmentMode::kPreserve, AugmentMode::kSynthesize}) {
       PolicyCandidate candidate{policy, mode};
       Rng aug_rng(options_.seed ^ 0xA06ULL);
-      LogisticModel model(options_.feature_dim);
+      LogisticModel model(kFeatureDim);
       model.Train(build_examples(train_cells, &candidate, &aug_rng),
-                  options_.train_iterations, options_.learning_rate);
+                  kTrainIterations, kLearningRate);
       const double score = validation_f1(model);
       if (score > best_score) {
         best_score = score;
@@ -212,13 +224,12 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
 
   // Final model: all labeled cells + augmentation under the winning policy.
   Rng aug_rng(options_.seed ^ 0xF17A1ULL);
-  LogisticModel final_model(options_.feature_dim);
+  LogisticModel final_model(kFeatureDim);
   const PolicyCandidate* chosen =
       best_candidate.policy.empty() ? nullptr : &best_candidate;
   std::vector<LogisticModel::Example> final_examples =
       build_examples(labeled, chosen, &aug_rng);
-  final_model.Train(final_examples, options_.train_iterations,
-                    options_.learning_rate);
+  final_model.Train(final_examples, kTrainIterations, kLearningRate);
 
   // Optional self-training round (Rotom+SSL).
   if (options_.ssl) {
@@ -233,7 +244,7 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
       const float p = final_model.Predict(features[static_cast<size_t>(i)]);
       const int label = p > 0.5f ? 1 : 0;
       const float confidence = label == 1 ? p : 1.0f - p;
-      if (confidence >= options_.ssl_confidence) {
+      if (confidence >= kSslConfidence) {
         pseudo.push_back({i, confidence, label});
       }
     }
@@ -241,8 +252,8 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
               [](const Pseudo& a, const Pseudo& b) {
                 return a.confidence > b.confidence;
               });
-    if (pseudo.size() > static_cast<size_t>(options_.ssl_pseudo_labels)) {
-      pseudo.resize(static_cast<size_t>(options_.ssl_pseudo_labels));
+    if (pseudo.size() > static_cast<size_t>(kSslPseudoLabels)) {
+      pseudo.resize(static_cast<size_t>(kSslPseudoLabels));
     }
     for (const Pseudo& p : pseudo) {
       LogisticModel::Example ex;
@@ -251,9 +262,8 @@ StatusOr<RotomResult> RotomBaseline::Detect(const data::Table& dirty,
       ex.weight = (p.label == 1 ? pos_weight : 1.0f) * 0.3f;
       final_examples.push_back(std::move(ex));
     }
-    final_model = LogisticModel(options_.feature_dim);
-    final_model.Train(final_examples, options_.train_iterations,
-                      options_.learning_rate);
+    final_model = LogisticModel(kFeatureDim);
+    final_model.Train(final_examples, kTrainIterations, kLearningRate);
   }
 
   // Predict every cell; evaluate on the unlabeled ones.

@@ -18,19 +18,9 @@ struct RotomOptions {
   /// Labeled-cell budget. Rotom reports results with 200 labeled cells on
   /// the cleaning benchmarks, which is what Table 3 compares against.
   int n_label_cells = 200;
-  /// Augmented copies generated per labeled example under the chosen
-  /// policy.
-  int augments_per_example = 3;
   /// Self-training variant (Rotom+SSL): add confident pseudo-labels from
   /// the unlabeled pool and retrain.
   bool ssl = false;
-  int ssl_pseudo_labels = 1000;
-  float ssl_confidence = 0.9f;
-
-  /// Hashed character n-gram feature dimension of the cell classifier.
-  int feature_dim = 512;
-  int train_iterations = 250;
-  float learning_rate = 0.5f;
   uint64_t seed = 5;
 };
 

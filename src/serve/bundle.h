@@ -82,7 +82,7 @@ class LoadedDetector {
   const data::PrepareOptions& prepare() const { return trained_.prepare; }
   /// The frozen train-time character dictionary — a fine-tuned candidate
   /// bundle keeps it verbatim so encodings stay comparable across
-  /// generations (adapt/controller.h).
+  /// generations (adapt/adapt.h).
   const data::CharIndex& chars() const { return trained_.chars; }
 
   /// Prepares `ds` to receive AppendQueryCell cells (clears it in place,

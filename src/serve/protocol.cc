@@ -435,33 +435,35 @@ std::string ReloadResponse(const std::string& id, const std::string& model,
 }
 
 std::string AdaptResponse(const std::string& id, const std::string& model,
-                          const AdaptResponseFields& fields) {
+                          const adapt::AdaptReport& report,
+                          int64_t generation) {
   std::string out;
   OpenResponse(id, "OK", &out);
   out.append(",\"model\":");
   AppendJsonString(model, &out);
   out.append(",\"outcome\":");
-  AppendJsonString(fields.outcome, &out);
+  AppendJsonString(adapt::AdaptOutcomeName(report.outcome), &out);
   out.append(",\"promoted\":");
-  out.append(fields.promoted ? "true" : "false");
+  out.append(report.outcome == adapt::AdaptOutcome::kPromoted ? "true"
+                                                              : "false");
   out.append(",\"generation\":");
-  out.append(std::to_string(fields.generation));
+  out.append(std::to_string(generation));
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 ",\"incumbent_f1\":%.9g,\"candidate_f1\":%.9g",
-                fields.incumbent_f1, fields.candidate_f1);
+                report.incumbent_f1, report.candidate_f1);
   out.append(buf);
   std::snprintf(buf, sizeof(buf),
                 ",\"train_cells\":%lld,\"validation_cells\":%lld,"
                 "\"reservoir_rows\":%lld",
-                static_cast<long long>(fields.train_cells),
-                static_cast<long long>(fields.validation_cells),
-                static_cast<long long>(fields.reservoir_rows));
+                static_cast<long long>(report.train_cells),
+                static_cast<long long>(report.validation_cells),
+                static_cast<long long>(report.reservoir_rows));
   out.append(buf);
   out.append(",\"deterministic_eval\":");
-  out.append(fields.deterministic_eval ? "true" : "false");
+  out.append(report.deterministic_eval ? "true" : "false");
   out.append(",\"reason\":");
-  AppendJsonString(fields.reason, &out);
+  AppendJsonString(report.reason, &out);
   out.push_back('}');
   return out;
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "adapt/adapt.h"
 #include "serve/batcher.h"
 #include "serve/bundle.h"
 #include "stream/session.h"
@@ -141,23 +142,12 @@ std::string DeltaResponse(const std::string& id, int64_t applied,
 std::string ReloadResponse(const std::string& id, const std::string& model,
                            int64_t generation);
 
-/// Acknowledges an "adapt" attempt. `outcome` is the
-/// adapt::AdaptOutcomeName string; `generation` is the bundle generation
-/// now serving (bumped by a promotion, unchanged otherwise).
-struct AdaptResponseFields {
-  std::string outcome;
-  bool promoted = false;
-  int64_t generation = 0;
-  double incumbent_f1 = 0.0;
-  double candidate_f1 = 0.0;
-  int64_t train_cells = 0;
-  int64_t validation_cells = 0;
-  int64_t reservoir_rows = 0;
-  bool deterministic_eval = false;
-  std::string reason;
-};
+/// Acknowledges an "adapt" attempt: the report's outcome (as
+/// adapt::AdaptOutcomeName), gate numbers and reason, plus the bundle
+/// `generation` now serving (bumped by a promotion, unchanged otherwise).
 std::string AdaptResponse(const std::string& id, const std::string& model,
-                          const AdaptResponseFields& fields);
+                          const adapt::AdaptReport& report,
+                          int64_t generation);
 
 }  // namespace birnn::serve
 

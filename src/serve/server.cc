@@ -13,7 +13,7 @@
 #include <map>
 #include <utility>
 
-#include "adapt/controller.h"
+#include "adapt/adapt.h"
 #include "obs/obs.h"
 #include "serve/protocol.h"
 #include "util/logging.h"
@@ -480,8 +480,8 @@ std::string Server::HandleAdapt(const Request& request) {
                         "the reservoir has tuples to adapt on"));
   }
 
-  adapt::ControllerOptions copts = options_.adapt;
-  if (request.adapt_bn_only >= 0) copts.bn_only = request.adapt_bn_only != 0;
+  adapt::AdaptOptions aopts = options_.adapt;
+  if (request.adapt_bn_only >= 0) aopts.bn_only = request.adapt_bn_only != 0;
   // Candidate bundles land in a per-attempt directory so a promotion never
   // overwrites the bundle a previous generation was loaded from.
   static std::atomic<uint64_t> adapt_counter{0};
@@ -499,11 +499,10 @@ std::string Server::HandleAdapt(const Request& request) {
         request.id, Status::Internal("cannot create adapt bundle dir " +
                                      base.string() + ": " + ec.message()));
   }
-  copts.candidate_dir = (base / attempt_tag).string();
+  aopts.candidate_dir = (base / attempt_tag).string();
 
-  adapt::Controller controller(sm->detector, copts);
-  StatusOr<adapt::AdaptReport> report = controller.TriggerAdaptation(
-      session, MakeLabelOracle(request.labels),
+  StatusOr<adapt::AdaptReport> report = adapt::Adapt(
+      *sm->detector, session, aopts, MakeLabelOracle(request.labels),
       request.has_gate_labels ? MakeLabelOracle(request.gate_labels)
                               : adapt::LabelFn());
   if (!report.ok()) return ErrorResponse(request.id, report.status());
@@ -525,16 +524,7 @@ std::string Server::HandleAdapt(const Request& request) {
     if (!status.ok()) return ErrorResponse(request.id, status);
   }
 
-  AdaptResponseFields fields;
-  fields.outcome = adapt::AdaptOutcomeName(report->outcome);
-  fields.promoted = report->outcome == adapt::AdaptOutcome::kPromoted;
-  fields.incumbent_f1 = report->incumbent_f1;
-  fields.candidate_f1 = report->candidate_f1;
-  fields.train_cells = report->train_cells;
-  fields.validation_cells = report->validation_cells;
-  fields.reservoir_rows = report->reservoir_rows;
-  fields.deterministic_eval = report->deterministic_eval;
-  fields.reason = report->reason;
+  int64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     if (report->outcome != adapt::AdaptOutcome::kSkipped) {
@@ -545,16 +535,15 @@ std::string Server::HandleAdapt(const Request& request) {
     } else if (report->outcome == adapt::AdaptOutcome::kRejected) {
       ++entry->adapt.rejections;
     }
-    fields.generation = entry->generation;
+    generation = entry->generation;
   }
-  if (fields.promoted) {
+  if (report->outcome == adapt::AdaptOutcome::kPromoted) {
     BIRNN_LOG(Info) << "serve: adapted model \"" << resolved
-                    << "\" promoted (generation " << fields.generation
-                    << ", F1 " << fields.incumbent_f1 << " -> "
-                    << fields.candidate_f1 << ", bundle "
-                    << report->candidate_dir << ")";
+                    << "\" promoted (generation " << generation << ", F1 "
+                    << report->incumbent_f1 << " -> " << report->candidate_f1
+                    << ", bundle " << report->candidate_dir << ")";
   }
-  return AdaptResponse(request.id, resolved, fields);
+  return AdaptResponse(request.id, resolved, *report, generation);
 }
 
 StatusOr<BatcherStats> Server::ModelStats(const std::string& name) const {

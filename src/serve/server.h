@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "adapt/controller.h"
+#include "adapt/adapt.h"
 #include "serve/batcher.h"
 #include "serve/protocol.h"
 #include "serve/reactor.h"
@@ -55,7 +55,7 @@ struct ServerOptions {
   /// thresholds and the promotion gate band. `adapt.candidate_dir` is
   /// ignored — the server derives a per-promotion directory from
   /// `adapt_bundle_dir` instead.
-  adapt::ControllerOptions adapt;
+  adapt::AdaptOptions adapt;
   /// Where promoted candidate bundles are written (one subdirectory per
   /// promotion). Empty = a per-promotion directory under the system temp
   /// dir.

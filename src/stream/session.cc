@@ -78,7 +78,7 @@ Status TableSession::Apply(
       ++stats_.updates;
       stats_.version = version_;
       CheckDriftLocked(delta.attr);
-      OBS_COUNTER_ADD("stream.deltas", 1);
+      OBS_COUNTER_ADD("stream/deltas", 1);
       return Status::OK();
     }
     case DeltaKind::kDelete: {
@@ -97,7 +97,7 @@ Status TableSession::Apply(
       ++stats_.deletes;
       stats_.rows = static_cast<int64_t>(rows_.size());
       stats_.version = version_;
-      OBS_COUNTER_ADD("stream.deltas", 1);
+      OBS_COUNTER_ADD("stream/deltas", 1);
       return Status::OK();
     }
   }
@@ -141,7 +141,7 @@ Status TableSession::InsertLocked(
   stats_.rows = static_cast<int64_t>(rows_.size());
   stats_.version = version_;
   for (int a = 0; a < n; ++a) CheckDriftLocked(a);
-  OBS_COUNTER_ADD("stream.deltas", 1);
+  OBS_COUNTER_ADD("stream/deltas", 1);
   return Status::OK();
 }
 
@@ -167,7 +167,7 @@ Status TableSession::ScoreCellsLocked(
     const std::vector<std::pair<int, std::string_view>>& cells,
     uint64_t version, RowState* row,
     std::vector<std::pair<int, CellVerdict>>* affected) {
-  OBS_SPAN("stream.score_cells");
+  OBS_SPAN("stream/score_cells");
   detector_->InitQueryDataset(&query_);
   infos_.resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -177,8 +177,8 @@ Status TableSession::ScoreCellsLocked(
   const int64_t hits = engine_.PredictProbsMemoized(query_, &memo_, &probs_);
   stats_.cells_scored += query_.num_cells();
   stats_.memo_hits += hits;
-  OBS_COUNTER_ADD("stream.cells_scored", query_.num_cells());
-  OBS_COUNTER_ADD("stream.memo_hits", hits);
+  OBS_COUNTER_ADD("stream/cells_scored", query_.num_cells());
+  OBS_COUNTER_ADD("stream/memo_hits", hits);
   for (size_t i = 0; i < cells.size(); ++i) {
     const int attr = cells[i].first;
     const serve::EncodedCellInfo& info = infos_[i];
@@ -251,7 +251,7 @@ void TableSession::LatchAlarmLocked(int attr, DriftKind kind, float frozen,
   alarm.live = live;
   alarms_.push_back(alarm);
   ++stats_.drift_alarms;
-  OBS_COUNTER_ADD("stream.drift_alarms", 1);
+  OBS_COUNTER_ADD("stream/drift_alarms", 1);
 }
 
 StatusOr<CellVerdict> TableSession::GetVerdict(int64_t row_id,
@@ -347,7 +347,7 @@ int64_t TableSession::ResetDriftAlarms() {
   live_.assign(live_.size(), LiveAttrStats{});
   stats_.drift_alarms = 0;
   ++stats_.drift_resets;
-  OBS_COUNTER_ADD("stream.drift_resets", 1);
+  OBS_COUNTER_ADD("stream/drift_resets", 1);
   return cleared;
 }
 

@@ -86,7 +86,7 @@ struct SessionOptions {
   core::ContentMemoOptions memo;
   DriftOptions drift;
   /// Most-recently-touched tuples kept for drift-triggered adaptation
-  /// (adapt/controller.h): inserts and updates capture the tuple's current
+  /// (adapt/adapt.h): inserts and updates capture the tuple's current
   /// values + verdicts, deletes drop it, and the least recently touched
   /// tuple is evicted past this capacity. 0 disables the reservoir.
   int64_t reservoir_capacity = 4096;
@@ -187,7 +187,7 @@ class TableSession {
   std::vector<DriftAlarm> drift_alarms() const;
 
   /// Distinct attributes with at least one latched alarm, ascending — the
-  /// signal the adapt controller biases its fine-tune sample toward.
+  /// signal adapt::Adapt biases its fine-tune sample toward.
   std::vector<int> DriftedAttrs() const;
 
   /// Re-arms drift detection: drops every latched alarm AND restarts the

@@ -1,11 +1,11 @@
 // adapt subsystem tests: the session's LRU reservoir and drift-alarm
-// reset/re-arm, the adapt::Controller (skip / promote / reject outcomes,
+// reset/re-arm, adapt::Adapt (skip / promote / reject outcomes,
 // deterministic reports, bit-identical candidates across fine-tune thread
 // counts, tuple-level train/gate split, candidate bundle round trip), the
 // serve-plane "adapt" op end to end over a live socket (promotion bumps
 // the generation, rollback restores byte-identical serving), concurrency
-// under TSAN, and the birnn_adapt_* C API driven from a plain-C
-// translation unit.
+// under TSAN, the `subsystem/name` metric scheme, and the birnn_adapt_* C
+// API driven from a plain-C translation unit.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +15,15 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "adapt/controller.h"
+#include "adapt/adapt.h"
 #include "core/model.h"
+#include "obs/registry.h"
 #include "serve/bundle.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
@@ -271,46 +273,33 @@ TEST(DriftResetTest, ResetClearsAlarmsAndReArmsAgainstFreshWindows) {
   EXPECT_EQ(s.stats().drift_resets, 2);
 }
 
-// -------------------------------------------------------------- Controller
+// ------------------------------------------------------------------- Adapt
 
-ControllerOptions FastPromoteOptions() {
-  ControllerOptions options;
+AdaptOptions FastPromoteOptions() {
+  AdaptOptions options;
   options.min_reservoir_rows = 2;
   options.bn_only = true;  // no gradient steps: fast and deterministic
   options.f1_band = 1.0;   // F1 <= 1, so the gate always passes
   return options;
 }
 
-TEST(ControllerTest, SkipsWhenTheReservoirIsTooSmall) {
+TEST(AdaptTest, SkipsWhenTheReservoirIsTooSmall) {
   auto session = stream::TableSession::Create(MakeTinyShared());
   ASSERT_TRUE(session.ok());
   InsertInDistributionRows(session->get(), 0, 3);
 
-  Controller controller(MakeTinyShared());  // default min_reservoir_rows=16
-  auto report = controller.TriggerAdaptation(session->get());
+  // Default min_reservoir_rows = 16.
+  auto report = Adapt(*MakeTinyShared(), session->get());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->outcome, AdaptOutcome::kSkipped);
   EXPECT_NE(report->reason.find("reservoir"), std::string::npos);
   EXPECT_EQ(report->reservoir_rows, 3);
-  // Nothing was attempted: a skip never counts against the lineage.
-  EXPECT_EQ(controller.attempts(), 0);
+  // Nothing was attempted: no fine-tune sample, no candidate.
+  EXPECT_EQ(report->train_cells, 0);
+  EXPECT_EQ(report->candidate, nullptr);
 }
 
-TEST(ControllerTest, MaybeAdaptSkipsWithoutLatchedAlarms) {
-  auto session = stream::TableSession::Create(MakeTinyShared());
-  ASSERT_TRUE(session.ok());
-  InsertInDistributionRows(session->get(), 0, 20);
-
-  Controller controller(MakeTinyShared(), FastPromoteOptions());
-  EXPECT_FALSE(controller.ShouldAdapt(**session));
-  auto report = controller.MaybeAdapt(session->get());
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->outcome, AdaptOutcome::kSkipped);
-  EXPECT_NE(report->reason.find("no drift alarms"), std::string::npos);
-  EXPECT_EQ(controller.attempts(), 0);
-}
-
-TEST(ControllerTest, PromotesWithinBandResetsAlarmsAndSavesTheBundle) {
+TEST(AdaptTest, PromotesWithinBandResetsAlarmsAndSavesTheBundle) {
   auto session =
       stream::TableSession::Create(MakeTinyShared(), DriftySessionOptions());
   ASSERT_TRUE(session.ok());
@@ -318,28 +307,27 @@ TEST(ControllerTest, PromotesWithinBandResetsAlarmsAndSavesTheBundle) {
   InsertInDistributionRows(&s, 0, 12);
   InduceDriftOnAttr0(&s);
 
-  ControllerOptions options = FastPromoteOptions();
+  AdaptOptions options = FastPromoteOptions();
   options.candidate_dir = TempDir("birnn_adapt_candidate");
   auto incumbent = MakeTinyShared();
-  Controller controller(incumbent, options);
-  EXPECT_TRUE(controller.ShouldAdapt(s));
 
-  auto report = controller.TriggerAdaptation(session->get());
+  auto report = Adapt(*incumbent, session->get(), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->outcome, AdaptOutcome::kPromoted);
   EXPECT_TRUE(report->deterministic_eval);
-  EXPECT_EQ(report->generation, 1);
   EXPECT_EQ(report->reservoir_rows, 12);
   EXPECT_GT(report->train_cells, 0);
   EXPECT_GT(report->validation_cells, 0);
   ASSERT_EQ(report->drifted_attrs.size(), 1u);
   EXPECT_EQ(report->drifted_attrs[0], 0);
-  EXPECT_EQ(controller.attempts(), 1);
-  EXPECT_EQ(controller.promotions(), 1);
-  EXPECT_EQ(controller.rejections(), 0);
 
-  // The candidate replaced the incumbent and the trigger was consumed.
-  EXPECT_NE(controller.current().get(), incumbent.get());
+  // The report carries the candidate (same frozen encoding as the
+  // incumbent), and the trigger was consumed.
+  ASSERT_NE(report->candidate, nullptr);
+  EXPECT_NE(report->candidate.get(), incumbent.get());
+  EXPECT_EQ(report->candidate->n_attrs(), 3);
+  EXPECT_EQ(report->candidate->char_fingerprint(),
+            incumbent->char_fingerprint());
   EXPECT_EQ(s.stats().drift_alarms, 0);
   EXPECT_EQ(s.stats().drift_resets, 1);
 
@@ -353,7 +341,7 @@ TEST(ControllerTest, PromotesWithinBandResetsAlarmsAndSavesTheBundle) {
   std::filesystem::remove_all(options.candidate_dir);
 }
 
-TEST(ControllerTest, RejectsWhenTheGateFailsAndKeepsTheIncumbent) {
+TEST(AdaptTest, RejectsWhenTheGateFailsAndKeepsTheIncumbent) {
   auto session =
       stream::TableSession::Create(MakeTinyShared(), DriftySessionOptions());
   ASSERT_TRUE(session.ok());
@@ -362,27 +350,24 @@ TEST(ControllerTest, RejectsWhenTheGateFailsAndKeepsTheIncumbent) {
   InduceDriftOnAttr0(&s);
   const int64_t alarms_before = s.stats().drift_alarms;
 
-  ControllerOptions options = FastPromoteOptions();
+  AdaptOptions options = FastPromoteOptions();
   options.f1_band = -2.0;  // candidate_f1 - 2 >= incumbent_f1 is impossible
-  auto incumbent = MakeTinyShared();
-  Controller controller(incumbent, options);
-  auto report = controller.TriggerAdaptation(session->get());
+  options.candidate_dir = TempDir("birnn_adapt_rejected_candidate");
+  auto report = Adapt(*MakeTinyShared(), session->get(), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->outcome, AdaptOutcome::kRejected);
   EXPECT_NE(report->reason.find("below incumbent"), std::string::npos);
-  EXPECT_EQ(controller.attempts(), 1);
-  EXPECT_EQ(controller.rejections(), 1);
-  EXPECT_EQ(controller.promotions(), 0);
 
-  // Rejection leaves everything untouched: same incumbent, alarms still
+  // Rejection leaves everything untouched: no candidate, alarms still
   // latched (the trigger was not consumed), no bundle written.
-  EXPECT_EQ(controller.current().get(), incumbent.get());
+  EXPECT_EQ(report->candidate, nullptr);
   EXPECT_EQ(s.stats().drift_alarms, alarms_before);
   EXPECT_EQ(s.stats().drift_resets, 0);
   EXPECT_TRUE(report->candidate_dir.empty());
+  EXPECT_FALSE(std::filesystem::exists(options.candidate_dir));
 }
 
-TEST(ControllerTest, ReportsAreDeterministicAcrossIdenticalRuns) {
+TEST(AdaptTest, ReportsAreDeterministicAcrossIdenticalRuns) {
   auto make_session = [] {
     auto session = stream::TableSession::Create(MakeTinyShared());
     EXPECT_TRUE(session.ok());
@@ -396,10 +381,8 @@ TEST(ControllerTest, ReportsAreDeterministicAcrossIdenticalRuns) {
   };
   auto a = make_session();
   auto b = make_session();
-  Controller ca(MakeTinyShared(), FastPromoteOptions());
-  Controller cb(MakeTinyShared(), FastPromoteOptions());
-  auto ra = ca.TriggerAdaptation(a.get());
-  auto rb = cb.TriggerAdaptation(b.get());
+  auto ra = Adapt(*MakeTinyShared(), a.get(), FastPromoteOptions());
+  auto rb = Adapt(*MakeTinyShared(), b.get(), FastPromoteOptions());
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra->outcome, rb->outcome);
@@ -411,10 +394,10 @@ TEST(ControllerTest, ReportsAreDeterministicAcrossIdenticalRuns) {
 
 // The fine-tune's bits never depend on its thread count: the same reservoir
 // and seed promote byte-identical candidate bundles inline and on a pool,
-// both when a minibatch splits into shards and when its one shard hands the
-// pool to the value RNN's lanes.
-TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
-  for (const int shard_cells : {8, 128}) {
+// both when a minibatch's one shard hands the pool to the value RNN's lanes
+// (24 tuples) and when it splits into shards of 128 cells (200 tuples).
+TEST(AdaptTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
+  for (const int rows : {24, 200}) {
     std::string bundles[2];
     const int threads[2] = {0, 3};
     for (int k = 0; k < 2; ++k) {
@@ -422,7 +405,7 @@ TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
                                                   DriftySessionOptions());
       ASSERT_TRUE(session.ok());
       stream::TableSession& s = **session;
-      for (int64_t r = 0; r < 24; ++r) {
+      for (int64_t r = 0; r < rows; ++r) {
         ASSERT_TRUE(s.Insert(r, {"abc" + std::to_string(r % 5),
                                  "name" + std::to_string(r % 7),
                                  std::to_string(10 + r)})
@@ -430,33 +413,33 @@ TEST(ControllerTest, CandidateBundleIsIdenticalAcrossTrainThreads) {
       }
       InduceDriftOnAttr0(&s);
 
-      ControllerOptions options;
+      AdaptOptions options;
       options.min_reservoir_rows = 2;
       options.fine_tune_epochs = 3;
       options.f1_band = 1.0;
       options.train_threads = threads[k];
-      options.trainer.grad_shard_cells = shard_cells;
       options.candidate_dir = TempDir("birnn_adapt_threads_candidate");
-      Controller controller(MakeTinyShared(), options);
-      auto report = controller.TriggerAdaptation(&s);
+      auto report = Adapt(*MakeTinyShared(), &s, options);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       ASSERT_EQ(report->outcome, AdaptOutcome::kPromoted);
+      // A quarter of the fine-tune sample per minibatch: one shard of at
+      // most 128 cells, or several.
+      EXPECT_EQ(report->train_cells / 4 > 128, rows == 200);
       bundles[k] = test::ReadFile(options.candidate_dir + "/weights.ckpt") +
                    test::ReadFile(options.candidate_dir + "/manifest.txt");
       std::filesystem::remove_all(options.candidate_dir);
     }
     EXPECT_FALSE(bundles[0].empty());
-    EXPECT_TRUE(bundles[0] == bundles[1])
-        << "grad_shard_cells " << shard_cells;
+    EXPECT_TRUE(bundles[0] == bundles[1]) << rows << " tuples";
   }
 }
 
-TEST(ControllerTest, GateAndFineTuneOraclesSeeDisjointTuples) {
+TEST(AdaptTest, GateAndFineTuneOraclesSeeDisjointTuples) {
   auto session = stream::TableSession::Create(MakeTinyShared());
   ASSERT_TRUE(session.ok());
   InsertInDistributionRows(session->get(), 0, 12);
 
-  ControllerOptions options = FastPromoteOptions();
+  AdaptOptions options = FastPromoteOptions();
   options.drift_boost = 1;  // no replication: train_cells == oracle calls
   auto label_rows = std::make_shared<std::set<int64_t>>();
   auto gate_rows = std::make_shared<std::set<int64_t>>();
@@ -472,8 +455,8 @@ TEST(ControllerTest, GateAndFineTuneOraclesSeeDisjointTuples) {
     ++*gate_calls;
     return -1;
   };
-  Controller controller(MakeTinyShared(), options);
-  auto report = controller.TriggerAdaptation(session->get(), labels, gate);
+  auto report =
+      Adapt(*MakeTinyShared(), session->get(), options, labels, gate);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->outcome, AdaptOutcome::kPromoted);
 
@@ -488,7 +471,7 @@ TEST(ControllerTest, GateAndFineTuneOraclesSeeDisjointTuples) {
             report->reservoir_rows);
 }
 
-TEST(ControllerTest, ConcurrentDeltasDuringAdaptationAreRaceFree) {
+TEST(AdaptTest, ConcurrentDeltasDuringAdaptationAreRaceFree) {
   auto session =
       stream::TableSession::Create(MakeTinyShared(), DriftySessionOptions());
   ASSERT_TRUE(session.ok());
@@ -502,11 +485,39 @@ TEST(ControllerTest, ConcurrentDeltasDuringAdaptationAreRaceFree) {
       (void)s.stats();
     }
   });
-  Controller controller(MakeTinyShared(), FastPromoteOptions());
-  auto report = controller.TriggerAdaptation(session->get());
+  auto report = Adapt(*MakeTinyShared(), session->get(), FastPromoteOptions());
   writer.join();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->outcome, AdaptOutcome::kSkipped);
+}
+
+// Every metric the stream and adapt paths register follows the one naming
+// scheme, `subsystem/name` (ROADMAP aim 4), as the trainer, inference and
+// serve metrics already do.
+TEST(AdaptTest, EveryRegistryNameIsSubsystemSlashName) {
+  auto session =
+      stream::TableSession::Create(MakeTinyShared(), DriftySessionOptions());
+  ASSERT_TRUE(session.ok());
+  InsertInDistributionRows(session->get(), 0, 12);
+  InduceDriftOnAttr0(session->get());
+  ASSERT_TRUE(session->get()->Delete(11).ok());
+  auto report = Adapt(*MakeTinyShared(), session->get(), FastPromoteOptions());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->outcome, AdaptOutcome::kPromoted);
+
+  const std::regex scheme("[a-z0-9_]+(/[a-z0-9_]+)+");
+  std::set<std::string> names;
+  for (const obs::MetricSnapshot& m : obs::Registry::Get().Snapshot()) {
+    names.insert(m.name);
+    EXPECT_TRUE(std::regex_match(m.name, scheme)) << m.name;
+  }
+#if BIRNN_OBS_ENABLED  // the stream and adapt counters are OBS_* sites
+  for (const char* name :
+       {"stream/deltas", "stream/cells_scored", "stream/drift_alarms",
+        "stream/drift_resets", "adapt/attempts", "adapt/promotions"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
+#endif
 }
 
 // ------------------------------------------------------ Serve-plane adapt
@@ -565,17 +576,20 @@ TEST(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
   ASSERT_TRUE(early.ok());
   EXPECT_EQ(early->GetString("status"), "FAILED_PRECONDITION");
 
-  for (int r = 0; r < 8; ++r) {
-    auto d = serve::JsonValue::Parse(RoundTrip(
-        fd, R"({"op":"delta","deltas":[{"kind":"insert","row":)" +
-                std::to_string(r) + R"(,"values":["abc","name","12"]}]})"));
-    ASSERT_TRUE(d.ok());
-    ASSERT_EQ(d->GetString("status"), "OK");
-  }
+  // Streams eight tuples into the serving generation's (fresh) session.
+  const auto stream_rows = [fd] {
+    for (int r = 0; r < 8; ++r) {
+      auto d = serve::JsonValue::Parse(RoundTrip(
+          fd, R"({"op":"delta","deltas":[{"kind":"insert","row":)" +
+                  std::to_string(r) + R"(,"values":["abc","name","12"]}]})"));
+      ASSERT_TRUE(d.ok());
+      ASSERT_EQ(d->GetString("status"), "OK");
+    }
+  };
+  stream_rows();
   const std::string detect_request =
       R"({"id":"q","op":"detect","cells":[{"attr":0,"value":"abc"},)"
       R"({"attr":1,"value":"name"}]})";
-  const std::string before = RoundTrip(fd, detect_request);
 
   auto adapted =
       serve::JsonValue::Parse(RoundTrip(fd, R"({"id":"a","op":"adapt"})"));
@@ -600,16 +614,39 @@ TEST(AdaptOverSocketsTest, PromotionBumpsGenerationAndRollbackRestores) {
   EXPECT_EQ(stats->Find("adapt_rejections")->as_number(), 0.0);
   EXPECT_EQ(stats->Find("generation")->as_number(), 2.0);
   EXPECT_EQ(stats->Find("stream_rows"), nullptr);
+  const std::string first_adapted = RoundTrip(fd, detect_request);
+  EXPECT_FALSE(first_adapted.empty());
 
-  // Detection keeps working on the adapted generation, and rollback
-  // restores the incumbent's serving byte for byte.
-  const std::string after = RoundTrip(fd, detect_request);
-  EXPECT_FALSE(after.empty());
+  // A second promotion adapts the adapted generation: the lineage is the
+  // server's, so it counts on across generations.
+  stream_rows();
+  auto again =
+      serve::JsonValue::Parse(RoundTrip(fd, R"({"id":"b","op":"adapt"})"));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(again->GetString("status"), "OK");
+  EXPECT_EQ(again->GetString("outcome"), "promoted");
+  EXPECT_EQ(again->Find("generation")->as_number(), 3.0);
+  stats = serve::JsonValue::Parse(RoundTrip(fd, R"({"op":"stats"})"));
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->Find("generation")->as_number(), 3.0);
+  EXPECT_EQ(stats->Find("adapt_attempts")->as_number(), 2.0);
+  EXPECT_EQ(stats->Find("adapt_promotions")->as_number(), 2.0);
+  EXPECT_EQ(stats->Find("adapt_rejections")->as_number(), 0.0);
+  // The generation lives in the server alone: no gauge in the registry
+  // shadows it.
+  const serve::JsonValue* gauges = stats->Find("registry")->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->Find("adapt.generation"), nullptr);
+  EXPECT_EQ(gauges->Find("adapt/generation"), nullptr);
+
+  // Detection keeps working on the twice-adapted generation, and rollback
+  // restores the previous generation's serving byte for byte.
+  EXPECT_FALSE(RoundTrip(fd, detect_request).empty());
   auto rolled =
       serve::JsonValue::Parse(RoundTrip(fd, R"({"op":"rollback"})"));
   ASSERT_TRUE(rolled.ok());
   ASSERT_EQ(rolled->GetString("status"), "OK");
-  EXPECT_EQ(RoundTrip(fd, detect_request), before);
+  EXPECT_EQ(RoundTrip(fd, detect_request), first_adapted);
 
   ::close(fd);
   server.Shutdown();

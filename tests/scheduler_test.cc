@@ -8,10 +8,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 
+#include "core/detector.h"
+#include "data/prepare.h"
 #include "datagen/datasets.h"
 #include "eval/cache.h"
 #include "eval/scheduler.h"
+#include "sampling/sampler.h"
+#include "util/rng.h"
 
 namespace birnn::eval {
 namespace {
@@ -69,6 +74,31 @@ void ExpectBitIdentical(const RepeatedResult& a, const RepeatedResult& b) {
   }
 }
 
+// The injected errors of `pair` outside the tuples each repetition of
+// `options` labels, summed over the repetitions: what the §5.5 counts of
+// one detector experiment cover. The tuples come from the detector's own
+// sampler, frame and per-repetition seed.
+int64_t ErrorsOutsideLabeledTuples(const datagen::DatasetPair& pair,
+                                   const RunnerOptions& options) {
+  auto frame =
+      data::PrepareData(pair.dirty, pair.clean, options.detector.prepare);
+  EXPECT_TRUE(frame.ok());
+  int64_t errors = 0;
+  for (int rep = 0; rep < options.repetitions; ++rep) {
+    auto sampler = sampling::MakeSampler(options.detector.sampler);
+    EXPECT_TRUE(sampler.ok());
+    Rng rng(options.base_seed + static_cast<uint64_t>(rep));
+    auto labeled =
+        (*sampler)->Select(*frame, options.detector.n_label_tuples, &rng);
+    EXPECT_TRUE(labeled.ok());
+    const std::set<int64_t> rows(labeled->begin(), labeled->end());
+    for (const datagen::InjectedError& err : pair.injected_errors) {
+      if (rows.count(err.row) == 0) ++errors;
+    }
+  }
+  return errors;
+}
+
 TEST(ThreadBudgetTest, SplitsHardwareAcrossJobs) {
   // 8 hardware threads, 4 jobs in flight: each job owns 2 threads — the
   // job thread itself plus 1 inner worker.
@@ -102,13 +132,14 @@ TEST(SchedulerTest, ParallelMatchesSerialBitForBit) {
   serial.RunAll();
   const RepeatedResult reference = serial.Take(sid);
   ASSERT_EQ(reference.runs.size(), 3u);
-  // Every injected error is counted once per repetition, under its class.
+  // Every injected error outside a repetition's labeled tuples is counted
+  // once for that repetition, under its class.
   int64_t errors = 0;
   for (const auto& [type, count] : reference.error_types) {
     EXPECT_LE(count.detected, count.errors);
     errors += count.errors;
   }
-  EXPECT_EQ(errors, 3 * static_cast<int64_t>(pair.injected_errors.size()));
+  EXPECT_EQ(errors, ErrorsOutsideLabeledTuples(pair, options));
 
   for (const int threads : {1, 4, 8}) {
     Scheduler scheduler({.threads = threads});
@@ -117,6 +148,52 @@ TEST(SchedulerTest, ParallelMatchesSerialBitForBit) {
     const RepeatedResult result = scheduler.Take(id);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectBitIdentical(reference, result);
+  }
+}
+
+// §5.5's recall per error class scores the test cells, as Table 3 does:
+// an error in a labeled tuple was in the trainset and counts nowhere.
+TEST(SchedulerTest, ErrorAnalysisCountsTestCellsOnly) {
+  const datagen::DatasetPair pair = SmallPair();
+  RunnerOptions options = SmallDetectorOptions();
+  options.repetitions = 1;
+
+  Scheduler scheduler({.threads = 0});
+  const Scheduler::ExperimentId id = scheduler.SubmitDetector(pair, options);
+  scheduler.RunAll();
+  const RepeatedResult result = scheduler.Take(id);
+  ASSERT_EQ(result.runs.size(), 1u);
+
+  // The same run, outside the scheduler.
+  core::DetectorOptions det = options.detector;
+  det.seed = options.base_seed;
+  auto report = core::ErrorDetector(det).Run(pair.dirty, pair.clean);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::set<int64_t> labeled(report->labeled_tuples.begin(),
+                                  report->labeled_tuples.end());
+  ErrorTypeCounts expected;
+  int64_t in_trainset = 0;
+  const size_t n_cols = static_cast<size_t>(pair.dirty.num_columns());
+  for (const datagen::InjectedError& err : pair.injected_errors) {
+    if (labeled.count(err.row) > 0) {
+      ++in_trainset;
+      continue;
+    }
+    ErrorTypeCount& count = expected[err.type];
+    ++count.errors;
+    if (report->predicted[static_cast<size_t>(err.row) * n_cols +
+                          static_cast<size_t>(err.col)]) {
+      ++count.detected;
+    }
+  }
+  // Not vacuous: the labeled tuples hold some of the injected errors.
+  EXPECT_GT(in_trainset, 0);
+
+  ASSERT_EQ(result.error_types.size(), expected.size());
+  for (const auto& [type, count] : expected) {
+    ASSERT_EQ(result.error_types.count(type), 1u);
+    EXPECT_EQ(result.error_types.at(type).errors, count.errors);
+    EXPECT_EQ(result.error_types.at(type).detected, count.detected);
   }
 }
 

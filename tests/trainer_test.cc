@@ -182,88 +182,5 @@ TEST(TrainerTest, TestSplitIsUnreadWithoutAccuracyTracking) {
             FlattenSnapshot(without_test.Snapshot()));
 }
 
-TEST(TrainerTest, WarmStartResumeIsBitIdenticalToUninterruptedRun) {
-  data::EncodedDataset train;
-  data::EncodedDataset test;
-  ModelConfig config;
-  MakeToyData(45, &train, &test, &config);
-
-  TrainerOptions base;
-  base.epochs = 8;
-  base.seed = 17;
-  base.restore_best = false;       // judge the final-epoch weights as-is
-  base.calibrate_batchnorm = false;  // segment 1 must not touch BN stats
-
-  // The uninterrupted reference run.
-  ErrorDetectionModel full(config);
-  Trainer(base).Fit(&full, train);
-
-  // The same schedule interrupted after epoch 3: first segment exports
-  // its optimizer state...
-  ErrorDetectionModel seg(config);
-  TrainerOptions first = base;
-  first.epochs = 3;
-  TrainState state;
-  Trainer(first).Fit(&seg, train, nullptr, &state);
-
-  // ...the checkpoint is restored into a FRESH model (exactly what a
-  // bundle load does)...
-  ErrorDetectionModel resumed(config);
-  resumed.Restore(seg.Snapshot());
-
-  // ...and the second segment resumes at epoch 3 with the imported state.
-  TrainerOptions second = base;
-  second.start_epoch = 3;
-  Trainer(second).Fit(&resumed, train, nullptr, &state);
-
-  EXPECT_EQ(FlattenSnapshot(full.Snapshot()),
-            FlattenSnapshot(resumed.Snapshot()));
-
-  // Control: resuming WITHOUT the optimizer state restarts the RMSprop
-  // cache and diverges — the bit-identity above is not vacuous.
-  ErrorDetectionModel cold(config);
-  cold.Restore(seg.Snapshot());
-  Trainer(second).Fit(&cold, train);
-  EXPECT_NE(FlattenSnapshot(cold.Snapshot()),
-            FlattenSnapshot(full.Snapshot()));
-}
-
-TEST(TrainerTest, WarmStartCarriesBestCheckpointAcrossSegments) {
-  data::EncodedDataset train;
-  data::EncodedDataset test;
-  ModelConfig config;
-  MakeToyData(45, &train, &test, &config);
-
-  TrainerOptions base;
-  base.epochs = 8;
-  base.seed = 21;
-  base.calibrate_batchnorm = false;
-  // restore_best stays on for the reference and the FINAL segment only:
-  // an intermediate segment must hand its last-epoch weights forward.
-  ErrorDetectionModel full(config);
-  const TrainHistory reference = Trainer(base).Fit(&full, train);
-
-  ErrorDetectionModel seg(config);
-  TrainerOptions first = base;
-  first.epochs = 5;
-  first.restore_best = false;
-  TrainState state;
-  Trainer(first).Fit(&seg, train, nullptr, &state);
-  EXPECT_GE(state.best_epoch, 0);
-
-  ErrorDetectionModel resumed(config);
-  resumed.Restore(seg.Snapshot());
-  TrainerOptions second = base;
-  second.start_epoch = 5;
-  const TrainHistory resumed_history =
-      Trainer(second).Fit(&resumed, train, nullptr, &state);
-
-  // The split run restores the same best checkpoint — even when the best
-  // epoch fell inside the first segment.
-  EXPECT_EQ(reference.best_epoch, resumed_history.best_epoch);
-  EXPECT_EQ(FlattenSnapshot(full.Snapshot()),
-            FlattenSnapshot(resumed.Snapshot()));
-}
-
 }  // namespace
 }  // namespace birnn::core
